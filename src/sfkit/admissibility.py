@@ -30,6 +30,14 @@ class NotAdmissibleError(RuntimeError):
     pass
 
 
+class WitnessError(NotAdmissibleError):
+    """A non-admissibility witness failed its re-verification."""
+
+    def __init__(self, condition):
+        super().__init__(f"witness check failed: {condition}")
+        self.condition = condition
+
+
 @dataclass
 class AdmissibilityReport:
     criterion: str
@@ -185,16 +193,16 @@ def _lattice_element(basis, t):
 
 
 def _verify_witness(d, data, P, stratum, mu_mode):
-    assert any(P), "witness is the zero domain"
-    assert all(v >= 0 for v in P), "witness has a negative coefficient"
+    if not any(P):
+        raise WitnessError("witness is the zero domain")
+    if any(v < 0 for v in P):
+        raise WitnessError("witness has a negative coefficient")
     mu = maslov_of_periodic(d, P, data.at)
-    if mu_mode == "zero":
-        assert mu == 0, f"witness has mu = {mu}"
-    else:
-        assert mu <= 0, f"witness has mu = {mu}"
+    if (mu != 0) if mu_mode == "zero" else (mu > 0):
+        raise WitnessError(f"witness has mu = {mu}")
     nz = marked_multiplicities(d, P)
-    for i in stratum:
-        assert nz[i] == 0, "witness does not lie in its stratum"
+    if any(nz[i] != 0 for i in stratum):
+        raise WitnessError("witness does not lie in its stratum")
 
 
 def _block_generator(d, spinc_block=None, partition=None):

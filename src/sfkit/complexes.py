@@ -183,6 +183,12 @@ class FilteredComplex:
         )
 
 
+def _weight_str(w):
+    """A taint weight (exponent vector over the marks) as a λ-monomial."""
+    names = alg.default_names(len(w))
+    return "*".join(n if a == 1 else f"{n}^{a}" for n, a in zip(names, w) if a) or "1"
+
+
 def _mod2_nf(spec, e):
     nf = spec.normal_form(e)
     return {m: c % 2 for m, c in nf.items() if c % 2}
@@ -213,9 +219,11 @@ class TargetComplex:
 
     def require_untainted(self):
         if self.taints:
+            weights = sorted({tuple(t.weight) for t in self.taints}, reverse=True)
             raise ComplexError(
                 "TAINTED",
-                f"{len(self.taints)} unsupported classes survive in {self.ring.name}",
+                f"{len(self.taints)} unsupported classes survive in {self.ring.name}, "
+                f"weights {', '.join(_weight_str(w) for w in weights)}",
             )
 
     def verify_d_squared(self):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 ALPHA = "alpha"
@@ -214,12 +213,16 @@ class HeegaardDiagram:
         return out
 
     @cached_property
-    def euler_measures(self):
-        """e(region) = chi(region) - corners(region)/4, as Fractions."""
+    def euler_measures_x4(self):
+        """4 e(region) = 4 chi(region) - corners(region), as ints."""
         return [
-            Fraction(self.region_chi[i]) - Fraction(self.region_corner_count[i], 4)
-            for i in range(len(self.regions))
+            4 * chi - corners
+            for chi, corners in zip(self.region_chi, self.region_corner_count)
         ]
+
+    @cached_property
+    def crossing_quadrants(self):
+        return [pt.quadrants for pt in self.crossings]
 
     @cached_property
     def arc_region_sides(self):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import snf
 from .diagram import Generator, HeegaardDiagram
@@ -77,43 +76,60 @@ class DomainCalculator:
         )
 
     def is_domain(self, D, x: Generator, y: Generator) -> bool:
-        if not self.matrix:
-            return True
-        return snf.mat_vec(self.matrix, D) == corner_target(self.diagram, x, y)
+        target = corner_target(self.diagram, x, y)
+        return all(
+            D[q1] + D[q3] - D[q0] - D[q2] == t
+            for (q0, q1, q2, q3), t in zip(self.diagram.crossing_quadrants, target)
+        )
 
     def is_periodic(self, D) -> bool:
-        if not self.matrix:
-            return True
-        return all(v == 0 for v in snf.mat_vec(self.matrix, D))
+        return all(
+            D[q1] + D[q3] == D[q0] + D[q2]
+            for q0, q1, q2, q3 in self.diagram.crossing_quadrants
+        )
 
 
-def euler_measure(d: HeegaardDiagram, D) -> Fraction:
-    acc = Fraction(0)
-    for coeff, e in zip(D, d.euler_measures):
-        if coeff:
-            acc += coeff * e
+# Measures are quarter-integers: 4 e(D) = sum_r D_r (4 chi_r - corners_r) and
+# 4 n_p(D) is the sum of D over the four quadrants at p, so the Maslov index
+# is computed as the integer 4 mu and divided once.
+
+
+def _euler_x4(d: HeegaardDiagram, D) -> int:
+    return sum(c * w for c, w in zip(D, d.euler_measures_x4) if c)
+
+
+def _corners_x4(d: HeegaardDiagram, D, points) -> int:
+    quads = d.crossing_quadrants
+    acc = 0
+    for p in points:
+        q0, q1, q2, q3 = quads[p]
+        acc += D[q0] + D[q1] + D[q2] + D[q3]
     return acc
 
 
-def point_measure(d: HeegaardDiagram, D, crossing_index: int) -> Fraction:
-    q = d.crossings[crossing_index].quadrants
-    return Fraction(D[q[0]] + D[q[1]] + D[q[2]] + D[q[3]], 4)
+def _maslov(d: HeegaardDiagram, D, points) -> int:
+    """mu = e(D) + sum over ``points`` of n_p(D), which must be integral."""
+    mu4 = _euler_x4(d, D) + _corners_x4(d, D, points)
+    if mu4 % 4:
+        raise NonDomainError(f"non-integral Maslov index {Fraction(mu4, 4)}")
+    return mu4 // 4
+
+
+def euler_measure(d: HeegaardDiagram, D) -> Fraction:
+    return Fraction(_euler_x4(d, D), 4)
 
 
 def generator_measure(d: HeegaardDiagram, D, g: Generator) -> Fraction:
-    return sum((point_measure(d, D, p) for p in g.points), Fraction(0))
+    return Fraction(_corners_x4(d, D, g.points), 4)
 
 
 def maslov_index(d: HeegaardDiagram, D, x: Generator, y: Generator,
                  calculator: DomainCalculator | None = None) -> int:
-    """Lipshitz formula mu(D) = e(D) + n_x(D) + n_y(D); exact rationals."""
+    """Lipshitz formula mu(D) = e(D) + n_x(D) + n_y(D), in exact integers."""
     calc = calculator or DomainCalculator(d)
     if not calc.is_domain(D, x, y):
         raise NonDomainError("coefficient vector violates the corner conditions")
-    mu = euler_measure(d, D) + generator_measure(d, D, x) + generator_measure(d, D, y)
-    if mu.denominator != 1:
-        raise NonDomainError(f"non-integral Maslov index {mu}")
-    return int(mu)
+    return _maslov(d, D, x.points + y.points)
 
 
 def maslov_of_periodic(d: HeegaardDiagram, P, at: Generator | None) -> int:
@@ -122,12 +138,7 @@ def maslov_of_periodic(d: HeegaardDiagram, P, at: Generator | None) -> int:
     With no generator available (empty diagrams) the corner terms vanish and
     the Euler measure is used alone.
     """
-    mu = euler_measure(d, P)
-    if at is not None:
-        mu += 2 * generator_measure(d, P, at)
-    if mu.denominator != 1:
-        raise NonDomainError(f"non-integral Maslov index {mu}")
-    return int(mu)
+    return _maslov(d, P, at.points * 2 if at is not None else ())
 
 
 def marked_multiplicities(d: HeegaardDiagram, D):

@@ -1,70 +1,73 @@
 """Exact rational linear feasibility via Fourier-Motzkin elimination.
 
-Inequalities are (coeffs, rhs) pairs meaning sum(coeffs[i] * x[i]) >= rhs,
-with Fraction arithmetic throughout.  Problem sizes in this package are tiny
-(a handful of lattice coordinates), so elimination with deduplication is
-plenty fast and gives exact witnesses and exact unboundedness certificates.
+Inequalities are (coeffs, rhs) pairs meaning sum(coeffs[i] * x[i]) >= rhs;
+coefficients may be ints or Fractions.  Internally each inequality is one
+integer row (coeffs..., rhs), cleared of denominators once on input and
+divided by the gcd of its entries, so elimination runs in plain integer
+arithmetic and deduplicates rows by tuple equality.  Fractions appear only
+where a ratio is formed: the bounds of ``linear_range`` and the coordinates
+of ``feasible_point``.  Problem sizes in this package are tiny (a handful of
+lattice coordinates), so elimination with deduplication gives exact
+witnesses and exact unboundedness certificates quickly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-
-def _normalize(coeffs, rhs):
-    """Scale to coprime integers for dedup; orientation preserved."""
-    denoms = [c.denominator for c in coeffs] + [rhs.denominator]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(c * lcm) for c in coeffs] + [int(rhs * lcm)]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints[:-1]), ints[-1]
+from math import gcd, lcm
 
 
 class Infeasible(Exception):
     pass
 
 
-def _as_fractions(ineqs):
-    out = []
-    for coeffs, rhs in ineqs:
-        out.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
-    return out
+def _row(coeffs, rhs):
+    """The primitive integer row (coeffs..., rhs); orientation preserved."""
+    row = (*coeffs, rhs)
+    if not all(type(v) is int for v in row):
+        row = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in row))
+        row = tuple(int(v * scale) for v in row)
+    g = gcd(*row)
+    if g > 1:
+        row = tuple(v // g for v in row)
+    return row
 
 
-def _eliminate(ineqs, var):
-    """Fourier-Motzkin step removing variable ``var``."""
-    pos, neg, zero = [], [], []
-    for coeffs, rhs in ineqs:
-        c = coeffs[var]
+def _eliminate(rows, var):
+    """Fourier-Motzkin step removing variable ``var``.
+
+    Rows keep their order: first those without ``var``, then the combinations
+    of each positive row with each negative one, new rows only.
+    """
+    pos, neg, out = [], [], []
+    for row in rows:
+        c = row[var]
         if c > 0:
-            pos.append((coeffs, rhs))
+            pos.append(row)
         elif c < 0:
-            neg.append((coeffs, rhs))
+            neg.append(row)
         else:
-            zero.append((coeffs, rhs))
-    out = list(zero)
-    seen = {_normalize(c, r) for c, r in zero}
-    for cp, rp in pos:
-        for cn, rn in neg:
-            a, b = cp[var], -cn[var]
-            coeffs = [b * x + a * y for x, y in zip(cp, cn)]
-            rhs = b * rp + a * rn
-            coeffs[var] = Fraction(0)
-            if all(c == 0 for c in coeffs):
-                if rhs > 0:
+            out.append(row)
+    seen = set(out)
+    for p in pos:
+        cp = p[var]
+        for n in neg:
+            cn = -n[var]
+            g = gcd(cp, cn)
+            a, b = cp // g, cn // g
+            row = tuple(b * u + a * v for u, v in zip(p, n))
+            g = gcd(*row[:-1])
+            if g == 0:
+                if row[-1] > 0:
                     raise Infeasible
                 continue
-            key = _normalize(coeffs, rhs)
-            if key not in seen:
-                seen.add(key)
-                out.append((coeffs, rhs))
+            g = gcd(g, row[-1])
+            if g > 1:
+                row = tuple(v // g for v in row)
+            if row not in seen:
+                seen.add(row)
+                out.append(row)
     return out
 
 
@@ -74,14 +77,14 @@ def feasible_point(ineqs, nvars):
     ``ineqs`` is a list of (coeffs, rhs) with len(coeffs) == nvars, meaning
     coeffs . x >= rhs.
     """
-    systems = [_as_fractions(ineqs)]
+    systems = [[_row(coeffs, rhs) for coeffs, rhs in ineqs]]
     try:
         for var in range(nvars - 1, -1, -1):
             systems.append(_eliminate(systems[-1], var))
     except Infeasible:
         return None
-    for coeffs, rhs in systems[-1]:
-        if rhs > 0:
+    for row in systems[-1]:
+        if row[-1] > 0:
             return None
     point = [Fraction(0)] * nvars
     # systems[n-1-k] still contains variables 0..k; assign k = 0, 1, ... using
@@ -89,11 +92,11 @@ def feasible_point(ineqs, nvars):
     for var in range(0, nvars):
         system = systems[nvars - 1 - var]
         lo, hi = None, None
-        for coeffs, rhs in system:
-            c = coeffs[var]
+        for row in system:
+            c = row[var]
             if c == 0:
                 continue
-            bound = (rhs - sum(coeffs[j] * point[j] for j in range(0, var))) / c
+            bound = Fraction(row[-1] - sum(row[j] * point[j] for j in range(0, var)), c)
             if c > 0:
                 if lo is None or bound > lo:
                     lo = bound
@@ -106,8 +109,6 @@ def feasible_point(ineqs, nvars):
             point[var] = lo
         elif hi is not None:
             point[var] = hi
-        else:
-            point[var] = Fraction(0)
     return point
 
 
@@ -118,31 +119,29 @@ def linear_range(ineqs, nvars, objective):
     None if the polyhedron is empty.
     """
     # introduce t = objective . x as variable index nvars, then eliminate x
-    ext = []
-    for coeffs, rhs in _as_fractions(ineqs):
-        ext.append((coeffs + [Fraction(0)], rhs))
-    obj = [Fraction(c) for c in objective]
-    ext.append((obj + [Fraction(-1)], Fraction(0)))
-    ext.append(([-c for c in obj] + [Fraction(1)], Fraction(0)))
+    rows = [_row([*coeffs, 0], rhs) for coeffs, rhs in ineqs]
+    rows.append(_row([*objective, -1], 0))
+    rows.append(_row([-c for c in objective] + [1], 0))
     try:
         for var in range(nvars - 1, -1, -1):
-            ext = _eliminate(ext, var)
+            rows = _eliminate(rows, var)
     except Infeasible:
         return None
+    # each row reads c * t >= rhs; keep the best bound as a pair (rhs, c)
+    # with c > 0 and compare by cross-multiplication
     lo, hi = None, None
-    for coeffs, rhs in ext:
-        c = coeffs[nvars]
+    for row in rows:
+        c, rhs = row[nvars], row[-1]
         if c == 0:
             if rhs > 0:
                 return None
-            continue
-        bound = rhs / c
-        if c > 0:
-            if lo is None or bound > lo:
-                lo = bound
-        else:
-            if hi is None or bound < hi:
-                hi = bound
+        elif c > 0:
+            if lo is None or rhs * lo[1] > lo[0] * c:
+                lo = (rhs, c)
+        elif hi is None or rhs * hi[1] > hi[0] * c:
+            hi = (-rhs, -c)
+    lo = None if lo is None else Fraction(*lo)
+    hi = None if hi is None else Fraction(*hi)
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)
@@ -150,7 +149,5 @@ def linear_range(ineqs, nvars, objective):
 
 def integer_scale(point):
     """Clear denominators of a rational vector, returning an integer vector."""
-    lcm = 1
-    for c in point:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in point]
+    scale = lcm(*(c.denominator for c in point))
+    return [int(c * scale) for c in point]

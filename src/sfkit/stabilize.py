@@ -218,6 +218,8 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
         images.append({tuple(m): 1})
     fhat = algebra_hom(spec_hat, plus_spec, images, name="stabilization-pushdown")
     hat_plus = hat.tensor(fhat)
+    # surviving unsupported classes leave d^2 undecidable: refuse, naming them
+    hat_plus.require_untainted()
     hat_plus.verify_d_squared()
 
     # cone side: multiplication by (lambda_new - lambda) on the old complex

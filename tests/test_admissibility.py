@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import sfkit
 from sfkit import algebra as alg
 from sfkit import corpus, snf
 from sfkit.admissibility import (
     NotAdmissibleError,
+    WitnessError,
+    _cone_data,
+    _verify_witness,
     check_s_admissible,
     check_strong_admissible,
     check_weak_admissible,
@@ -153,3 +161,48 @@ def test_x_equals_y_j0_certificate():
     # only the zero class at index 0
     oracle = brute_force_positive_classes(d, gens[0], gens[0], 0, (cert.bound or 0) + 1)
     assert oracle == [(0, 0, 0)]
+
+
+def test_witness_errors_name_the_condition():
+    # sphere_bad has no generators, so mu is the Euler measure alone;
+    # its witness is [0, 1, 0] (region 0 has e = 1)
+    d = corpus.load_diagram("sphere_bad")
+    data = _cone_data(d, None)
+    _verify_witness(d, data, check_s_admissible(d).witness, (), "zero")
+    cases = [
+        ([0, 0, 0], (), "zero", "witness is the zero domain"),
+        ([-1, 1, 0], (), "zero", "witness has a negative coefficient"),
+        ([1, 0, 0], (), "zero", "witness has mu = 1"),
+        ([1, 0, 0], (), "nonpos", "witness has mu = 1"),
+        ([0, 1, 0], (1,), "zero", "witness does not lie in its stratum"),
+    ]
+    for P, stratum, mu_mode, condition in cases:
+        with pytest.raises(WitnessError) as err:
+            _verify_witness(d, data, P, stratum, mu_mode)
+        assert err.value.condition == condition
+        assert isinstance(err.value, NotAdmissibleError)
+
+
+def test_witness_check_survives_python_O():
+    script = """
+import sys
+assert not __debug__
+from sfkit import corpus
+from sfkit.admissibility import WitnessError, _cone_data, _verify_witness
+d = corpus.load_diagram("sphere_bad")
+try:
+    _verify_witness(d, _cone_data(d, None), [0, 0, 0], (), "zero")
+except WitnessError as e:
+    print(e.condition)
+    sys.exit(0)
+sys.exit(3)
+"""
+    env = dict(os.environ)
+    src = str(Path(sfkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "witness is the zero domain"

@@ -116,6 +116,23 @@ def test_stabilize_check():
     assert "MATCH" in out
 
 
+def test_stabilize_check_refuses_surviving_unsupported_classes(capsys):
+    # unsupported classes of weight λ1 and λ4 survive the push-down, so d^2
+    # on the stabilized side is undecidable: a named refusal, not a d^2 failure
+    code, out = run("stabilize", corpus_path("trefoil"), "--suture", "1", "--check")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert out == ""
+    assert "TAINTED" in err and "D_SQUARED_NONZERO" not in err
+    assert "weights λ1, λ4" in err
+
+
+def test_stabilize_check_unknot_suture_1():
+    code, out = run("stabilize", corpus_path("unknot"), "--suture", "1", "--check")
+    assert code == 0
+    assert out.startswith("stabilization vs cone: MATCH")
+
+
 def test_surgery_output():
     code, out = run("surgery", "1", "1", "1")
     assert code == 0

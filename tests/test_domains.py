@@ -12,7 +12,9 @@ from sfkit.domains import (
     NonDomainError,
     corner_matrix,
     corner_target,
+    euler_measure,
     full_surface_domain,
+    generator_measure,
     marked_multiplicities,
     maslov_index,
     maslov_of_periodic,
@@ -154,3 +156,68 @@ def test_connecting_is_equivalence():
                 for k in range(n):
                     if table[i][j] and table[j][k]:
                         assert table[i][k]
+
+
+def _reference_maslov(d, D, x, y):
+    """The Lipshitz formula in Fractions, straight from the region data."""
+    e = sum(
+        (c * (Fraction(chi) - Fraction(corners, 4))
+         for c, chi, corners in zip(D, d.region_chi, d.region_corner_count)),
+        Fraction(0),
+    )
+    corner_terms = sum(
+        (Fraction(sum(D[q] for q in d.crossings[p].quadrants), 4)
+         for p in x.points + y.points),
+        Fraction(0),
+    )
+    return e + corner_terms
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_quarter_integer_maslov_matches_fraction_formula(name):
+    # every nonnegative class phi0 + sum t_b P_b with |t_b| <= 2, every pair
+    d = corpus.load_diagram(name)
+    calc = DomainCalculator(d)
+    gens = d.generators()
+    basis = calc.periodic_basis
+    checked = 0
+    for x in gens:
+        for y in gens:
+            con = calc.connecting(x, y)
+            if not con.exists:
+                continue
+            for t in product(range(-2, 3), repeat=len(basis)):
+                D = list(con.particular)
+                for c, vec in zip(t, basis):
+                    D = [u + c * v for u, v in zip(D, vec)]
+                if any(v < 0 for v in D):
+                    continue
+                mu = _reference_maslov(d, D, x, y)
+                assert mu == euler_measure(d, D) + generator_measure(d, D, x) + generator_measure(d, D, y)
+                assert mu.denominator == 1
+                assert maslov_index(d, D, x, y, calc) == mu
+                checked += 1
+    assert checked or not gens
+
+
+def test_non_integral_index_rejected():
+    # genus2_pair's first region has e = 1/2; with no generator there are no
+    # corner terms to make the index integral
+    d = corpus.load_diagram("genus2_pair")
+    with pytest.raises(NonDomainError, match="non-integral Maslov index 1/2"):
+        maslov_of_periodic(d, [1, 0], None)
+
+
+def test_is_domain_matches_corner_matrix():
+    # the quadrant form of the corner conditions against the dense matrix
+    for name in CORPUS:
+        d = corpus.load_diagram(name)
+        calc = DomainCalculator(d)
+        A = corner_matrix(d)
+        gens = d.generators()
+        for x, y in product(gens, repeat=2):
+            tgt = corner_target(d, x, y)
+            for vec in product(range(-1, 2), repeat=len(d.regions)):
+                assert calc.is_domain(list(vec), x, y) == (snf.mat_vec(A, list(vec)) == tgt)
+        for vec in product(range(-1, 2), repeat=len(d.regions)):
+            assert calc.is_periodic(vec) == all(v == 0 for v in snf.mat_vec(A, list(vec)))

@@ -3,6 +3,7 @@ import pytest
 from sfkit import algebra as alg
 from sfkit import corpus
 from sfkit.cf import DiagramData, build_cf
+from sfkit.complexes import homology
 from sfkit.diagram import ALPHA, BETA
 from sfkit.stabilize import (
     BadSutureError,
@@ -10,6 +11,7 @@ from sfkit.stabilize import (
     stabilization_products,
     verify_stabilization,
 )
+from sfkit.testrings import ZpRing, all_zero
 
 
 def test_stabilized_unknot_structure():
@@ -152,3 +154,27 @@ def test_stabilized_complex_d_squared_mod2_over_rhat():
     rep2 = ct.verify_d_squared(mod2=True, plain_spec=c.algebra)
     assert not rep2["ok"]
     assert rep2["residue_in_relation_ideal"] is True
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name, base_rank", [("unknot", 1), ("trefoil", 3)])
+def test_ladder_all_zero_f2_rank(name, base_rank, k):
+    # each stabilization at z0 tensors SFH with a 2-dimensional space
+    d = corpus.load_diagram(name)
+    for _ in range(k):
+        d = stabilize_diagram(d, 0)
+    c = build_cf(d, 0, data=DiagramData.build(d))
+    tc = c.tensor(all_zero(c.algebra, ZpRing(2)))
+    assert tc.rank == 2 ** k * len(corpus.load_diagram(name).generators())
+    # d o d = 0 mod 2, by bitmask columns independent of the complex code
+    cols = [0] * tc.rank
+    for (i, j), v in tc.entries.items():
+        if v % 2:
+            cols[j] ^= 1 << i
+    for j in range(tc.rank):
+        dd = 0
+        for i in range(tc.rank):
+            if cols[j] >> i & 1:
+                dd ^= cols[i]
+        assert dd == 0
+    assert homology(tc).total_rank() == 2 ** k * base_rank
