@@ -53,14 +53,8 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
         if not rep.admissible:
             raise NotAdmissible(f"diagram is not s-admissible: witness {rep.witness}")
 
-    spec = alg.diagram_algebra(d, variant=variant, homology=data.homology)
-    tilde = (
-        spec
-        if variant == alg.TILDE
-        else alg.diagram_algebra(d, variant=alg.TILDE, homology=data.homology)
-    )
-
     if not data.partition.blocks:
+        spec = alg.diagram_algebra(d, variant=variant, homology=data.homology)
         return FilteredComplex(
             algebra=spec, gen_names=[], cosets=[], gradings=[], entries={}
         )
@@ -71,6 +65,12 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
     spec = alg.diagram_algebra(
         d, variant=variant, homology=data.homology,
         gr_weights=gd.weights, gr_modulus=gd.d_of_s,
+    )
+    # survival of a monomial does not depend on the grading weights
+    tilde = (
+        spec
+        if variant == alg.TILDE
+        else alg.diagram_algebra(d, variant=alg.TILDE, homology=data.homology)
     )
 
     base = block[0]

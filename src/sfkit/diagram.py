@@ -375,6 +375,17 @@ class HeegaardDiagram:
 
     def complement_components(self, side) -> tuple:
         """Components of Sigma - alpha (side=ALPHA) or Sigma - beta."""
+        return self._alpha_components if side == ALPHA else self._beta_components
+
+    @cached_property
+    def _alpha_components(self) -> tuple:
+        return self._complement_components(ALPHA)
+
+    @cached_property
+    def _beta_components(self) -> tuple:
+        return self._complement_components(BETA)
+
+    def _complement_components(self, side) -> tuple:
         glue_side = BETA if side == ALPHA else ALPHA
         parent = list(range(len(self.regions)))
 

@@ -1,7 +1,9 @@
 """Enumeration and combinatorial counting of Maslov-index-1 disk classes.
 
 Inside the box provided by the finiteness certificate, all positive classes
-of index one with surviving tilde-monomial are enumerated exactly.  A class
+of index one with surviving tilde-monomial are enumerated exactly: the
+Maslov index is affine on the lattice of classes, so only the integer points
+of the box on the hyperplane mu = 1 are visited.  A class
 is assigned a count only when its shape forces the holomorphic count: an
 embedded empty bigon or an embedded empty rectangle contributes one point
 (mod 2).  Every other class is reported UNSUPPORTED and taints whatever
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .admissibility import finiteness_certificate
 from .algebra import AlgebraSpec
@@ -24,6 +25,7 @@ from .domains import (
     generator_measure,
     marked_multiplicities,
     maslov_index,
+    maslov_x4,
 )
 from . import linprog
 
@@ -65,6 +67,50 @@ def classify(d: HeegaardDiagram, D, x: Generator, y: Generator) -> tuple:
     return UNSUPPORTED, None
 
 
+def _sliced_box(d: HeegaardDiagram, x: Generator, y: Generator, phi0, basis,
+                bound: int, index: int) -> list:
+    """Lattice coordinates t with 0 <= phi0 + sum t_b P_b <= bound and
+    mu = index.
+
+    4 mu = 4 mu(phi0) + sum t_b 4 mu(P_b) is an integer affine equation; the
+    coordinate L with the smallest nonzero |4 mu(P_L)| is solved for and
+    substituted into the box rows, each scaled by |4 mu(P_L)|.  The other
+    coordinates are enumerated exactly and t_L is kept where it comes out
+    integral.
+    """
+    points = x.points + y.points
+    target = 4 * index - maslov_x4(d, phi0, points)
+    slope = [maslov_x4(d, P, points) for P in basis]
+    rank = len(basis)
+    box = []
+    for r in range(len(d.regions)):
+        coeffs = [basis[b][r] for b in range(rank)]
+        box.append((coeffs, -phi0[r]))
+        box.append(([-c for c in coeffs], phi0[r] - bound))
+    pivots = [b for b in range(rank) if slope[b]]
+    if not pivots:
+        # mu is constant on the coset
+        return linprog.integer_points(box, rank) if target == 0 else []
+    L = min(pivots, key=lambda b: abs(slope[b]))
+    m = slope[L]
+    sign = 1 if m > 0 else -1
+    rest = [b for b in range(rank) if b != L]
+    # a.t >= c with t_L = (target - sum_{b != L} slope_b t_b) / m, times |m|
+    sliced = [
+        ([sign * (a[b] * m - a[L] * slope[b]) for b in rest],
+         sign * (c * m - a[L] * target))
+        for a, c in box
+    ]
+    out = []
+    for s in linprog.integer_points(sliced, rank - 1):
+        num = target - sum(slope[b] * v for b, v in zip(rest, s))
+        if num % m == 0:
+            t = list(s)
+            t.insert(L, num // m)
+            out.append(t)
+    return out
+
+
 def enumerate_mu1_classes(d: HeegaardDiagram, x: Generator, y: Generator,
                           tilde: AlgebraSpec, calc: DomainCalculator | None = None,
                           index: int = 1) -> list:
@@ -77,41 +123,20 @@ def enumerate_mu1_classes(d: HeegaardDiagram, x: Generator, y: Generator,
     con = calc.connecting(x, y)
     phi0 = con.particular
     basis = calc.periodic_basis
-    rank = len(basis)
     bound = cert.bound if cert.bound is not None else max(max(phi0, default=0), 0)
 
+    try:
+        coords = _sliced_box(d, x, y, phi0, basis, bound, index)
+    except linprog.Unbounded:
+        raise RuntimeError("certificate box is unbounded") from None
     candidates = []
-    if rank == 0:
-        candidates.append(tuple(phi0))
-    else:
-        nregions = len(d.regions)
-        ineqs = []
-        for r in range(nregions):
-            coeffs = [basis[b][r] for b in range(rank)]
-            ineqs.append((coeffs, -phi0[r]))
-            ineqs.append(([-c for c in coeffs], phi0[r] - bound))
-        ranges = []
-        empty = False
-        for b in range(rank):
-            obj = [1 if i == b else 0 for i in range(rank)]
-            rng = linprog.linear_range(ineqs, rank, obj)
-            if rng is None:
-                empty = True
-                break
-            lo, hi = rng
-            if lo is None or hi is None:
-                raise RuntimeError("certificate box is unbounded")
-            import math
-
-            ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
-        if not empty:
-            for t in product(*ranges):
-                D = list(phi0)
-                for c, vec in zip(t, basis):
-                    if c:
-                        for i in range(len(D)):
-                            D[i] += c * vec[i]
-                candidates.append(tuple(D))
+    for t in coords:
+        D = list(phi0)
+        for c, vec in zip(t, basis):
+            if c:
+                for i in range(len(D)):
+                    D[i] += c * vec[i]
+        candidates.append(tuple(D))
 
     out = []
     seen = set()

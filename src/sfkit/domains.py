@@ -50,15 +50,18 @@ class ConnectingDomains:
 
 
 class DomainCalculator:
-    """Per-diagram cache of the corner system and the periodic lattice."""
+    """Per-diagram cache of the corner system, factored once, and the
+    periodic lattice."""
 
     def __init__(self, d: HeegaardDiagram):
         self.diagram = d
         self.matrix = corner_matrix(d)
         n = len(d.regions)
         if self.matrix:
-            self.periodic_basis = snf.kernel_basis(self.matrix)
+            self.factored = snf.smith_normal_form(self.matrix)
+            self.periodic_basis = snf.kernel_basis(self.factored)
         else:
+            self.factored = None
             self.periodic_basis = [
                 [1 if i == j else 0 for j in range(n)] for i in range(n)
             ]
@@ -68,7 +71,7 @@ class DomainCalculator:
             sol = [0] * len(self.diagram.regions)
         else:
             target = corner_target(self.diagram, x, y)
-            sol = snf.solve_integer(self.matrix, target)
+            sol = snf.solve_integer(self.factored, target)
         return ConnectingDomains(
             exists=sol is not None,
             particular=sol,
@@ -107,9 +110,14 @@ def _corners_x4(d: HeegaardDiagram, D, points) -> int:
     return acc
 
 
+def maslov_x4(d: HeegaardDiagram, D, points) -> int:
+    """4 e(D) + sum over ``points`` of 4 n_p(D); linear in D."""
+    return _euler_x4(d, D) + _corners_x4(d, D, points)
+
+
 def _maslov(d: HeegaardDiagram, D, points) -> int:
     """mu = e(D) + sum over ``points`` of n_p(D), which must be integral."""
-    mu4 = _euler_x4(d, D) + _corners_x4(d, D, points)
+    mu4 = maslov_x4(d, D, points)
     if mu4 % 4:
         raise NonDomainError(f"non-integral Maslov index {Fraction(mu4, 4)}")
     return mu4 // 4

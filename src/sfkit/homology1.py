@@ -132,12 +132,13 @@ def build_chain_model(d: HeegaardDiagram) -> ChainModel:
 def _kernel_coordinates(model: ChainModel):
     """Basis K of ker(boundary1) and a solver expressing cycles in K."""
     kernel = snf.kernel_basis(model.boundary1)
-    # columns of K as a matrix over edges
+    # columns of K as a matrix over edges, factored once for every cycle
     n_edges = len(model.boundary1[0]) if model.boundary1 else 0
     K = [[kernel[b][e] for b in range(len(kernel))] for e in range(n_edges)]
+    factored = snf.smith_normal_form(K) if kernel else None
 
     def express(cycle):
-        sol = snf.solve_integer(K, cycle) if kernel else []
+        sol = snf.solve_integer(factored, cycle) if kernel else []
         if sol is None:
             raise ValueError("vector is not a 1-cycle")
         return sol

@@ -4,11 +4,21 @@ Inequalities are (coeffs, rhs) pairs meaning sum(coeffs[i] * x[i]) >= rhs;
 coefficients may be ints or Fractions.  Internally each inequality is one
 integer row (coeffs..., rhs), cleared of denominators once on input and
 divided by the gcd of its entries, so elimination runs in plain integer
-arithmetic and deduplicates rows by tuple equality.  Fractions appear only
-where a ratio is formed: the bounds of ``linear_range`` and the coordinates
-of ``feasible_point``.  Problem sizes in this package are tiny (a handful of
-lattice coordinates), so elimination with deduplication gives exact
-witnesses and exact unboundedness certificates quickly.
+arithmetic.  Each elimination step keeps, of the rows with one direction,
+only the tightest, which leaves every projection unchanged.
+
+One eliminator builds the projection chain (``_project``) and one routine
+reads bounds off it (``_bounds``); all three entry points share them:
+
+* ``linear_range`` projects onto the objective and reads its range;
+* ``feasible_point`` back-substitutes a rational point, lowest coordinate
+  first, each at its lower bound given the coordinates already fixed;
+* ``integer_points`` walks the same bounds depth-first over integers and
+  lists every integer point in lexicographic order.
+
+Fractions appear only where a ratio is returned.  Problem sizes in this
+package are tiny (a handful of lattice coordinates), so elimination gives
+exact witnesses and exact unboundedness certificates quickly.
 """
 
 from __future__ import annotations
@@ -18,6 +28,10 @@ from math import gcd, lcm
 
 
 class Infeasible(Exception):
+    pass
+
+
+class Unbounded(Exception):
     pass
 
 
@@ -38,9 +52,26 @@ def _eliminate(rows, var):
     """Fourier-Motzkin step removing variable ``var``.
 
     Rows keep their order: first those without ``var``, then the combinations
-    of each positive row with each negative one, new rows only.
+    of each positive row with each negative one.  Of rows with the same
+    direction only the tightest is kept, in the place of the first; the
+    others are implied by it.
     """
     pos, neg, out = [], [], []
+    tightest = {}  # direction (coefficients over their gcd) -> (index, gcd)
+
+    def keep(row):
+        direction = row[:-1]
+        g = gcd(*direction) or 1
+        if g > 1:
+            direction = tuple(v // g for v in direction)
+        hit = tightest.get(direction)
+        if hit is None:
+            tightest[direction] = (len(out), g)
+            out.append(row)
+        elif row[-1] * hit[1] > out[hit[0]][-1] * g:
+            out[hit[0]] = row
+            tightest[direction] = (hit[0], g)
+
     for row in rows:
         c = row[var]
         if c > 0:
@@ -48,8 +79,7 @@ def _eliminate(rows, var):
         elif c < 0:
             neg.append(row)
         else:
-            out.append(row)
-    seen = set(out)
+            keep(row)
     for p in pos:
         cp = p[var]
         for n in neg:
@@ -65,10 +95,44 @@ def _eliminate(rows, var):
             g = gcd(g, row[-1])
             if g > 1:
                 row = tuple(v // g for v in row)
-            if row not in seen:
-                seen.add(row)
-                out.append(row)
+            keep(row)
     return out
+
+
+def _project(rows, nvars):
+    """The Fourier-Motzkin chain of ``rows``: entry k has variables
+    nvars-1, ..., nvars-k eliminated, so entry nvars-1-var bounds ``var``
+    in terms of the variables below it.  Raises Infeasible, also when a
+    row with no variable left reads 0 >= rhs > 0."""
+    systems = [rows]
+    for var in range(nvars - 1, -1, -1):
+        systems.append(_eliminate(systems[-1], var))
+    if any(row[-1] > 0 for row in systems[-1] if not any(row[:-1])):
+        raise Infeasible
+    return systems
+
+
+def _bounds(system, var, point):
+    """Tightest bounds on ``var`` in ``system`` with the variables below it
+    fixed to ``point``: (lo, hi), each a pair (num, den) with den > 0 meaning
+    num / den, or None when that side is unbounded.  Pairs are compared by
+    cross-multiplication, so integer points give integer arithmetic."""
+    lo, hi = None, None
+    for row in system:
+        c = row[var]
+        if c == 0:
+            continue
+        rhs = row[-1] - sum(row[j] * point[j] for j in range(var))
+        if c > 0:
+            if lo is None or rhs * lo[1] > lo[0] * c:
+                lo = (rhs, c)
+        elif hi is None or rhs * hi[1] > hi[0] * c:
+            hi = (-rhs, -c)
+    return lo, hi
+
+
+def _fraction(bound):
+    return None if bound is None else Fraction(*bound)
 
 
 def feasible_point(ineqs, nvars):
@@ -77,32 +141,14 @@ def feasible_point(ineqs, nvars):
     ``ineqs`` is a list of (coeffs, rhs) with len(coeffs) == nvars, meaning
     coeffs . x >= rhs.
     """
-    systems = [[_row(coeffs, rhs) for coeffs, rhs in ineqs]]
     try:
-        for var in range(nvars - 1, -1, -1):
-            systems.append(_eliminate(systems[-1], var))
+        systems = _project([_row(coeffs, rhs) for coeffs, rhs in ineqs], nvars)
     except Infeasible:
         return None
-    for row in systems[-1]:
-        if row[-1] > 0:
-            return None
     point = [Fraction(0)] * nvars
-    # systems[n-1-k] still contains variables 0..k; assign k = 0, 1, ... using
-    # the already-fixed lower coordinates
-    for var in range(0, nvars):
-        system = systems[nvars - 1 - var]
-        lo, hi = None, None
-        for row in system:
-            c = row[var]
-            if c == 0:
-                continue
-            bound = Fraction(row[-1] - sum(row[j] * point[j] for j in range(0, var)), c)
-            if c > 0:
-                if lo is None or bound > lo:
-                    lo = bound
-            else:
-                if hi is None or bound < hi:
-                    hi = bound
+    # assign var = 0, 1, ... from the already-fixed lower coordinates
+    for var in range(nvars):
+        lo, hi = map(_fraction, _bounds(systems[nvars - 1 - var], var, point))
         if lo is not None and hi is not None and lo > hi:
             return None
         if lo is not None:
@@ -110,6 +156,39 @@ def feasible_point(ineqs, nvars):
         elif hi is not None:
             point[var] = hi
     return point
+
+
+def integer_points(ineqs, nvars):
+    """Every integer point of the polyhedron, in lexicographic order.
+
+    The system is projected once; a depth-first search then gives each
+    coordinate its exact integer range given the coordinates already fixed.
+    Raises Unbounded when the polyhedron is nonempty and unbounded.
+    """
+    try:
+        systems = _project([_row(coeffs, rhs) for coeffs, rhs in ineqs], nvars)
+    except Infeasible:
+        return []
+    # a nonempty polyhedron is bounded exactly when every projection bounds
+    # its last coordinate on both sides
+    for var in range(nvars):
+        signs = {row[var] > 0 for row in systems[nvars - 1 - var] if row[var]}
+        if len(signs) < 2:
+            raise Unbounded
+    out = []
+    point = [0] * nvars
+
+    def extend(var):
+        if var == nvars:
+            out.append(tuple(point))
+            return
+        (lo, lo_den), (hi, hi_den) = _bounds(systems[nvars - 1 - var], var, point)
+        for v in range(-(-lo // lo_den), hi // hi_den + 1):
+            point[var] = v
+            extend(var + 1)
+
+    extend(0)
+    return out
 
 
 def linear_range(ineqs, nvars, objective):
@@ -123,25 +202,11 @@ def linear_range(ineqs, nvars, objective):
     rows.append(_row([*objective, -1], 0))
     rows.append(_row([-c for c in objective] + [1], 0))
     try:
-        for var in range(nvars - 1, -1, -1):
-            rows = _eliminate(rows, var)
+        rows = _project(rows, nvars)[-1]
     except Infeasible:
         return None
-    # each row reads c * t >= rhs; keep the best bound as a pair (rhs, c)
-    # with c > 0 and compare by cross-multiplication
-    lo, hi = None, None
-    for row in rows:
-        c, rhs = row[nvars], row[-1]
-        if c == 0:
-            if rhs > 0:
-                return None
-        elif c > 0:
-            if lo is None or rhs * lo[1] > lo[0] * c:
-                lo = (rhs, c)
-        elif hi is None or rhs * hi[1] > hi[0] * c:
-            hi = (-rhs, -c)
-    lo = None if lo is None else Fraction(*lo)
-    hi = None if hi is None else Fraction(*hi)
+    # every row now reads c * t >= rhs
+    lo, hi = map(_fraction, _bounds(rows, nvars, [0] * nvars))
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)

@@ -251,47 +251,43 @@ def _dot(row, v, dom):
     return acc
 
 
+def _factored(A) -> SNFResult:
+    return A if isinstance(A, SNFResult) else smith_normal_form(A)
+
+
 def solve_integer(A, b):
     """One integer solution x of A x = b, or None if unsolvable over Z.
 
-    A is a list of rows, b a list; uses U A V = D so x = V y with
+    A is a list of rows or its ``smith_normal_form``, so a matrix used for
+    many right-hand sides is factored once.  With U A V = D, x = V y where
     y_i = (U b)_i / d_i.
     """
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
+    snf = _factored(A)
+    rows, cols = len(snf.U), len(snf.V)
     if rows == 0:
         return [0] * cols
-    snf = smith_normal_form(A)
     ub = mat_vec(snf.U, b)
     y = [0] * cols
     for i in range(rows):
         d = snf.D[i][i] if i < min(rows, cols) else 0
         if d == 0:
-            if i < len(ub) and ub[i] != 0:
+            if ub[i] != 0:
                 return None
             continue
-        if i >= cols:
-            return None
         if ub[i] % d != 0:
             return None
         y[i] = ub[i] // d
-    for i in range(min(rows, cols), rows):
-        if ub[i] != 0:
-            return None
     return mat_vec(snf.V, y)
 
 
 def kernel_basis(A):
-    """Basis of the integer kernel {x : A x = 0}, as a list of vectors."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    if rows == 0:
-        return [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    snf = smith_normal_form(A)
-    basis = []
-    for j in range(snf.rank, cols):
-        basis.append([snf.V[i][j] for i in range(cols)])
-    return basis
+    """Basis of the integer kernel {x : A x = 0}, as a list of vectors.
+
+    A is a list of rows or its ``smith_normal_form``.
+    """
+    snf = _factored(A)
+    cols = len(snf.V)
+    return [[snf.V[i][j] for i in range(cols)] for j in range(snf.rank, cols)]
 
 
 @dataclass

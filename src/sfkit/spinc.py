@@ -235,11 +235,12 @@ def _solve_weights(nz_rows, mu_vals, kappa, d_of_s):
             extra[r] = d_of_s
             rows[r] = rows[r] + extra
         ncols = kappa + len(rhs)
-    sol = snf.solve_integer(rows, rhs)
+    factored = snf.smith_normal_form(rows)
+    sol = snf.solve_integer(factored, rhs)
     if sol is None:
         return None, None
     weights = sol[:kappa]
-    kernel = snf.kernel_basis(rows)
+    kernel = snf.kernel_basis(factored)
     kernel_d = [vec[:kappa] for vec in kernel]
     kernel_d = [v for v in kernel_d if any(v)]
 

@@ -246,3 +246,20 @@ def test_euler_characteristic_invariance_under_field_homs():
             g = int(label.split("gr=")[1])
             total += (-1) ** (g % 2) * piece["dim"]
         assert total == 0
+
+
+@pytest.mark.parametrize("variant, builds", [(alg.PLAIN, 2), (alg.TILDE, 1)])
+def test_build_cf_builds_each_algebra_once(monkeypatch, variant, builds):
+    # the graded algebra of the block, plus the tilde algebra unless it is one
+    calls = []
+    build = alg.build_algebra
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("variant"))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(alg, "build_algebra", counting)
+    d = corpus.load_diagram("trefoil")
+    data = DiagramData.build(d)
+    build_cf(d, 0, variant=variant, data=data)
+    assert len(calls) == builds

@@ -160,3 +160,10 @@ def test_roundtrip_serialization():
         d = corpus.load_diagram(name)
         d2 = HeegaardDiagram.from_dict(d.to_dict())
         assert d2 == d
+
+
+def test_complement_components_computed_once():
+    d = corpus.load_diagram("grid2")
+    for side in (ALPHA, BETA):
+        assert d.complement_components(side) is d.complement_components(side)
+    assert d.complement_components(ALPHA) != d.complement_components(BETA)

@@ -1,16 +1,27 @@
+import math
+from itertools import product
+
 import pytest
 
 from sfkit import algebra as alg
-from sfkit import corpus
+from sfkit import corpus, linprog
+from sfkit.admissibility import finiteness_certificate
 from sfkit.diskcount import (
     EMPTY_BIGON,
     EMPTY_RECTANGLE,
     UNSUPPORTED,
+    DiskClass,
     classify,
     enumerate_mu1_classes,
     niceness_report,
 )
-from sfkit.domains import DomainCalculator
+from sfkit.domains import (
+    DomainCalculator,
+    marked_multiplicities,
+    maslov_index,
+    maslov_x4,
+)
+from sfkit.stabilize import stabilize_diagram
 
 
 def classes_table(name):
@@ -117,3 +128,143 @@ def test_niceness_reports():
     assert rep3.minus_countable
     shapes = {s["region"]: s["shape"] for s in rep3.region_shapes}
     assert set(shapes.values()) == {"square"}
+
+
+# -- differential test of the sliced enumerator ------------------------------
+#
+# The reference is the enumerator the sliced one replaced: a bounding box from
+# one linear_range per lattice coordinate, every point of the box tested for
+# D >= 0, mu = index and a surviving tilde-monomial.
+
+
+def reference_mu1_classes(d, x, y, tilde, calc, index=1):
+    cert = finiteness_certificate(d, x, y, index, calc)
+    if not cert.exists:
+        return []
+    phi0 = calc.connecting(x, y).particular
+    basis = calc.periodic_basis
+    rank = len(basis)
+    bound = cert.bound if cert.bound is not None else max(max(phi0, default=0), 0)
+    candidates = []
+    if rank == 0:
+        candidates.append(tuple(phi0))
+    else:
+        ineqs = []
+        for r in range(len(d.regions)):
+            coeffs = [basis[b][r] for b in range(rank)]
+            ineqs.append((coeffs, -phi0[r]))
+            ineqs.append(([-c for c in coeffs], phi0[r] - bound))
+        ranges = []
+        for b in range(rank):
+            rng = linprog.linear_range(ineqs, rank, [int(i == b) for i in range(rank)])
+            if rng is None:
+                return []
+            lo, hi = rng
+            if lo is None or hi is None:
+                raise RuntimeError("certificate box is unbounded")
+            ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
+        for t in product(*ranges):
+            D = list(phi0)
+            for c, vec in zip(t, basis):
+                for i in range(len(D)):
+                    D[i] += c * vec[i]
+            candidates.append(tuple(D))
+    out = []
+    for D in sorted(set(candidates)):
+        if any(c < 0 for c in D):
+            continue
+        mu = maslov_index(d, list(D), x, y, calc)
+        if mu != index:
+            continue
+        nz = marked_multiplicities(d, list(D))
+        if not tilde.nf_monomial(tuple(nz)):
+            continue
+        cls, count = classify(d, list(D), x, y)
+        out.append(DiskClass(domain=D, source=x, target=y, mu=mu, n_z=tuple(nz),
+                             classification=cls, count=count))
+    return out
+
+
+def _assert_matches_reference(d, indices=(1,), tilde=None):
+    calc = DomainCalculator(d)
+    tilde = tilde or alg.diagram_algebra(d, variant=alg.TILDE)
+    found = 0
+    for x in d.generators():
+        for y in d.generators():
+            for index in indices:
+                ref = reference_mu1_classes(d, x, y, tilde, calc, index)
+                # DiskClass equality covers domain, n_z, classification,
+                # count, mu and both generators; list equality the order
+                assert enumerate_mu1_classes(d, x, y, tilde, calc, index) == ref
+                found += len(ref)
+    return found
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_sliced_enumerator_matches_reference_on_corpus(name):
+    _assert_matches_reference(corpus.load_diagram(name))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["unknot", "trefoil", "grid2"])
+def test_sliced_enumerator_matches_reference_on_ladder(name, k):
+    d = corpus.load_diagram(name)
+    for _ in range(k):
+        d = stabilize_diagram(d, 0)
+    assert _assert_matches_reference(d) > 0
+
+
+@pytest.mark.parametrize("name", ["trefoil", "grid2", "special_hs", "sphere_split"])
+def test_sliced_enumerator_matches_reference_across_indices(name):
+    # on the trefoil (rank one) every sliced row has no variable left and is
+    # a feasibility check; other indices exercise non-integral t_L
+    assert _assert_matches_reference(corpus.load_diagram(name), range(-2, 4)) > 0
+
+
+def test_sliced_enumerator_keeps_the_survival_check():
+    # the trefoil's four classes have n_z = (1, 0) or (0, 1); killing a
+    # variable drops the classes through its mark
+    d = corpus.load_diagram("trefoil")
+    killing = lambda *kill: alg.AlgebraSpec(names=("l1", "l2"), kill=kill)
+    assert _assert_matches_reference(d, tilde=killing()) == 4
+    assert _assert_matches_reference(d, tilde=killing((1, 0))) == 2
+    assert _assert_matches_reference(d, tilde=killing((1, 0), (0, 1))) == 0
+
+
+def test_constant_index_enumerates_whole_box_or_nothing():
+    # genus2_pair: mu vanishes on the periodic lattice
+    d = corpus.load_diagram("genus2_pair")
+    calc = DomainCalculator(d)
+    gens = d.generators()
+    for x in gens:
+        for y in gens:
+            con = calc.connecting(x, y)
+            points = x.points + y.points
+            assert all(maslov_x4(d, P, points) == 0 for P in calc.periodic_basis)
+            mu0 = maslov_x4(d, con.particular, points) // 4
+            tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+            for index in range(-2, 3):
+                classes = enumerate_mu1_classes(d, x, y, tilde, calc, index)
+                if index != mu0:
+                    assert classes == []
+                assert classes == reference_mu1_classes(d, x, y, tilde, calc, index)
+    # the bigon from x0 to x1 at index one, the constant classes at index zero
+    assert _assert_matches_reference(d, range(-2, 3)) == 3
+
+
+class _RepeatedBasis(DomainCalculator):
+    """A calculator whose lattice basis lists one periodic domain twice."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.periodic_basis = self.periodic_basis + self.periodic_basis[:1]
+
+
+def test_unbounded_box_raises():
+    d = corpus.load_diagram("trefoil")
+    calc = _RepeatedBasis(d)
+    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    gens = d.generators()
+    for fn in (enumerate_mu1_classes, reference_mu1_classes):
+        with pytest.raises(RuntimeError, match="certificate box is unbounded"):
+            fn(d, gens[1], gens[0], tilde, calc)

@@ -221,3 +221,35 @@ def test_is_domain_matches_corner_matrix():
                 assert calc.is_domain(list(vec), x, y) == (snf.mat_vec(A, list(vec)) == tgt)
         for vec in product(range(-1, 2), repeat=len(d.regions)):
             assert calc.is_periodic(vec) == all(v == 0 for v in snf.mat_vec(A, list(vec)))
+
+
+# -- factor-once solving against a fresh factorization per solve --------------
+
+
+# every corpus diagram, and the unknot and the trefoil stabilized once and twice
+CORPUS_AND_LADDER = [(name, 0) for name in corpus.corpus_names()] + [
+    (name, k) for name in ("unknot", "trefoil") for k in (1, 2)
+]
+
+
+def _stabilized(name, k):
+    from sfkit.stabilize import stabilize_diagram
+
+    d = corpus.load_diagram(name)
+    for _ in range(k):
+        d = stabilize_diagram(d, 0)
+    return d
+
+
+@pytest.mark.parametrize("name, k", CORPUS_AND_LADDER)
+def test_factored_corner_system_matches_fresh_solves(name, k):
+    d = _stabilized(name, k)
+    calc = DomainCalculator(d)
+    if not calc.matrix:
+        return
+    assert calc.periodic_basis == snf.kernel_basis(calc.matrix)
+    gens = d.generators()
+    for x in gens:
+        for y in gens:
+            fresh = snf.solve_integer(calc.matrix, corner_target(d, x, y))
+            assert calc.connecting(x, y).particular == fresh

@@ -99,3 +99,49 @@ def test_stabilized_suture_class():
     # so the new class equals the old gamma_2 up to sign
     assert g[3] == pres.group.neg(pres.group.neg(g[1])) or True
     assert g[2] == pres.group.neg(g[1])
+
+
+# -- factor-once solving against a fresh factorization per cycle ---------------
+
+
+def _reference_h1_presentation(d):
+    """h1_presentation with a fresh Smith normal form of K for every cycle."""
+    from sfkit import snf
+    from sfkit.homology1 import build_chain_model
+
+    model = build_chain_model(d)
+    kernel = snf.kernel_basis(model.boundary1)
+    n_edges = len(model.boundary1[0]) if model.boundary1 else 0
+    K = [[kernel[b][e] for b in range(len(kernel))] for e in range(n_edges)]
+
+    def express(cycle):
+        return snf.solve_integer(K, cycle) if kernel else []
+
+    relations = [express(c) for c in model.cell_columns]
+    relations += [express(v) for v in model.curve_cycles.values()]
+    group = snf.cokernel(relations, len(kernel))
+    return group, [group.project(express(v)) for v in model.puncture_cycles]
+
+
+# every corpus diagram, and the unknot and the trefoil stabilized once and twice
+CORPUS_AND_LADDER = [(name, 0) for name in corpus.corpus_names()] + [
+    (name, k) for name in ("unknot", "trefoil") for k in (1, 2)
+]
+
+
+def _stabilized(name, k):
+    from sfkit.stabilize import stabilize_diagram
+
+    d = corpus.load_diagram(name)
+    for _ in range(k):
+        d = stabilize_diagram(d, 0)
+    return d
+
+
+@pytest.mark.parametrize("name, k", CORPUS_AND_LADDER)
+def test_h1_presentation_matches_fresh_solves(name, k):
+    d = _stabilized(name, k)
+    hp = h1_presentation(d)
+    group, pd = _reference_h1_presentation(d)
+    assert hp.group == group
+    assert hp.pd_classes == pd

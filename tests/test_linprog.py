@@ -1,6 +1,8 @@
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import ceil, floor, gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -218,3 +220,74 @@ def test_integer_fm_matches_fraction_reference(system):
         ref_linear_range(ineqs, n, objective)
     )
     assert repr(linprog.feasible_point(ineqs, n)) == repr(ref_feasible_point(ineqs, n))
+
+
+# -- integer points by depth-first search against brute force -----------------
+
+
+def test_integer_points_lexicographic():
+    # 0 <= x <= 2, 0 <= y <= x: a triangle, listed x first
+    ineqs = [([1, 0], 0), ([-1, 0], -2), ([0, 1], 0), ([1, -1], 0)]
+    assert linprog.integer_points(ineqs, 2) == [
+        (0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2),
+    ]
+
+
+def test_integer_points_constant_rows_are_checks():
+    box = [([1], 0), ([-1], -1)]
+    assert linprog.integer_points(box + [([0], -1)], 1) == [(0,), (1,)]
+    assert linprog.integer_points(box + [([0], 1)], 1) == []
+    # with no variables left, the constant rows alone decide
+    assert linprog.integer_points([((), -1)], 0) == [()]
+    assert linprog.integer_points([((), 1)], 0) == []
+
+
+def test_integer_points_rational_but_no_integer_point():
+    # 1/3 <= x <= 2/3
+    assert linprog.integer_points([([3], 1), ([-3], -2)], 1) == []
+
+
+def test_integer_points_unbounded():
+    with pytest.raises(linprog.Unbounded):
+        linprog.integer_points([([1, 0], 0), ([-1, 0], -1), ([0, 1], 0)], 2)
+    # an empty polyhedron is empty, not unbounded
+    assert linprog.integer_points([([1, 0], 1), ([-1, 0], 0)], 2) == []
+
+
+@st.composite
+def _integer_systems(draw):
+    """(nvars, ineqs): random rows, with or without the box -2 <= x_i <= 2."""
+    n = draw(st.integers(1, 3))
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                    st.integers(-6, 6))
+    ineqs = draw(st.lists(row, max_size=6))
+    if draw(st.booleans()):
+        for i in range(n):
+            unit = [1 if j == i else 0 for j in range(n)]
+            ineqs += [(unit, -2), ([-c for c in unit], -2)]
+    return n, list(draw(st.permutations(ineqs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_systems())
+@example((2, []))  # unbounded both ways
+@example((1, [([1], 0), ([-1], -2), ([0], 1)]))  # a constant row that fails
+@example((2, [([1, 0], 1), ([-1, 0], 0), ([0, 1], 0), ([0, -1], 0)]))  # empty
+def test_integer_points_match_brute_force(system):
+    n, ineqs = system
+    # the Fraction reference decides emptiness and boundedness and gives the box
+    ranges = [ref_linear_range(ineqs, n, [int(i == j) for j in range(n)])
+              for i in range(n)]
+    if ranges[0] is None:
+        assert linprog.integer_points(ineqs, n) == []
+        return
+    if any(lo is None or hi is None for lo, hi in ranges):
+        with pytest.raises(linprog.Unbounded):
+            linprog.integer_points(ineqs, n)
+        return
+    box = [range(ceil(lo), floor(hi) + 1) for lo, hi in ranges]
+    expected = [
+        p for p in product(*box)
+        if all(sum(c * v for c, v in zip(coeffs, p)) >= rhs for coeffs, rhs in ineqs)
+    ]
+    assert linprog.integer_points(ineqs, n) == expected
