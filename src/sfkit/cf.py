@@ -18,6 +18,7 @@ from .diskcount import enumerate_mu1_classes
 from .domains import DomainCalculator
 from .homology1 import h1_presentation
 from .spinc import grading_data, spinc_partition
+from .testrings import AlgebraTarget
 
 
 class NotAdmissible(RuntimeError):
@@ -56,7 +57,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
     if not data.partition.blocks:
         spec = alg.diagram_algebra(d, variant=variant, homology=data.homology)
         return FilteredComplex(
-            algebra=spec, gen_names=[], cosets=[], gradings=[], entries={}
+            ring=AlgebraTarget(spec), gen_names=[], cosets=[], gradings=[], entries={}
         )
 
     block = data.partition.blocks[block_index]
@@ -105,7 +106,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
                 entries[(pos[i], pos[j])] = nf
 
     cx = FilteredComplex(
-        algebra=spec,
+        ring=AlgebraTarget(spec),
         gen_names=names,
         cosets=cosets,
         gradings=gradings,

@@ -34,7 +34,16 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 
 
-def load_diagram(path) -> HeegaardDiagram:
+class InvalidDiagram(ValueError):
+    """A diagram that fails ``HeegaardDiagram.validate``."""
+
+    def __init__(self, errors):
+        super().__init__("\n".join(f"  {code}: {msg}" for code, msg in errors))
+        self.errors = errors
+
+
+def read_diagram(path) -> HeegaardDiagram:
+    """A diagram checked against the JSON schema only."""
     import jsonschema
     from importlib import resources
 
@@ -45,6 +54,15 @@ def load_diagram(path) -> HeegaardDiagram:
     )
     jsonschema.validate(data, schema)
     return HeegaardDiagram.from_dict(data)
+
+
+def load_diagram(path) -> HeegaardDiagram:
+    """A diagram that passed validation; raises InvalidDiagram otherwise."""
+    d = read_diagram(path)
+    rep = d.validate()
+    if not rep.ok:
+        raise InvalidDiagram(rep.errors)
+    return d
 
 
 def emit(payload, args, text_lines=None):
@@ -70,7 +88,7 @@ def _hom_for(name, spec, d=None):
 
 
 def cmd_validate(args):
-    d = load_diagram(args.diagram)
+    d = read_diagram(args.diagram)
     rep = d.validate()
     payload = {
         "ok": rep.ok,
@@ -349,11 +367,7 @@ def cmd_stabilize(args):
         ] + [f"  {n}" for n in rep.notes])
         return EXIT_OK if rep.ok else EXIT_FAIL
     dhat = stabilize_diagram(d, args.suture - 1)
-    payload = dhat.to_dict()
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(dhat.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -381,7 +395,7 @@ def cmd_surgery(args):
 def cmd_corpus_check(args):
     from .corpuscheck import run_corpus_check
 
-    ok, lines = run_corpus_check(threads=args.threads)
+    ok, lines = run_corpus_check()
     emit({"ok": ok, "log": lines}, args, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -392,7 +406,6 @@ def main(argv=None):
         description="exact combinatorics of marked Heegaard diagrams and suture algebras",
     )
     parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for corpus-check")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate")
@@ -472,6 +485,9 @@ def main(argv=None):
         return args.func(args)
     except (OSError, json.JSONDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except InvalidDiagram as e:
+        print(f"invalid diagram:\n{e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as e:
         import jsonschema

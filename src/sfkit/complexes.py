@@ -1,18 +1,21 @@
-"""Filtered chain complexes over suture algebras and their homology.
+"""Filtered chain complexes over a coefficient ring and their homology.
 
-A FilteredComplex is a free module over an AlgebraSpec with a differential
-matrix of algebra elements; generators carry a relative Spin^c coset (an
-element of the H group, measured from a base generator) and a relative
-grading.  Tensoring with a test-ring homomorphism produces a TargetComplex
-whose homology is computed exactly: Gauss elimination over fields, Smith
-normal form over Z and F_p[U], and finite (chi, gr)-fiber linear algebra
-over the multivariate algebras themselves.
+A FilteredComplex is a free module over a ``testrings.Target`` with a sparse
+differential {(target i, source j): ring element}.  The complex of a
+diagram lives over its suture algebra (an ``AlgebraTarget``); there each
+generator carries a relative Spin^c coset (an element of the H group,
+measured from a base generator) and a relative grading, and the filtration
+and grading axioms are checked.  Tensoring with a test-ring homomorphism
+maps a complex over the hom's source to the same kind of complex over its
+target, whose homology is computed exactly: Gauss-Jordan elimination over
+fields, Smith normal form over Z and F_p[U], and finite (chi, gr)-fiber
+linear algebra over the multivariate algebras themselves.  Differentials,
+chain maps and their composites all go through one sparse product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 from . import algebra as alg
 from . import linprog, snf
@@ -20,11 +23,8 @@ from .testrings import (
     AlgebraTarget,
     FpUDomain,
     FpURing,
-    QRing,
     Target,
     TestRingHom,
-    ZRing,
-    ZpRing,
 )
 
 
@@ -42,24 +42,55 @@ class TaintRecord:
     note: str = ""
 
 
+def _compose(ring, f, g):
+    """Entries of f o g, for sparse matrices {(row, column): element}."""
+    f_by_col = {}
+    for (i, k), e in f.items():
+        f_by_col.setdefault(k, []).append((i, e))
+    out = {}
+    for (k, j), e1 in g.items():
+        for i, e2 in f_by_col.get(k, ()):
+            prod = ring.mul(e2, e1)
+            out[(i, j)] = ring.add(out[(i, j)], prod) if (i, j) in out else prod
+    return {key: v for key, v in out.items() if not ring.is_zero(v)}
+
+
 @dataclass
 class FilteredComplex:
-    algebra: alg.AlgebraSpec
+    ring: Target
     gen_names: list
     cosets: list  # H elements (relative to the block base) or None
     gradings: list  # ints (relative) or None
-    entries: dict  # (target i, source j) -> algebra element (dict)
+    entries: dict  # (target i, source j) -> ring element
     taints: list = field(default_factory=list)
+    u_grading: int | None = None  # grading of U over F_p[U]
+
+    @property
+    def algebra(self) -> alg.AlgebraSpec:
+        """The suture algebra of a complex over an AlgebraTarget."""
+        return self.ring.spec
 
     @property
     def rank(self):
         return len(self.gen_names)
 
-    def entry(self, i, j):
-        return self.entries.get((i, j), {})
-
     def differential_of(self, j):
         return {i: e for (i, jj), e in self.entries.items() if jj == j and e}
+
+    def matrix(self, rows, cols):
+        R = self.ring
+        return [
+            [self.entries.get((i, j), R.zero()) for j in cols] for i in rows
+        ]
+
+    def require_untainted(self):
+        if self.taints:
+            weights = sorted({tuple(t.weight) for t in self.taints}, reverse=True)
+            raise ComplexError(
+                "TAINTED",
+                f"{len(self.taints)} unsupported classes survive in {self.ring.name}, "
+                f"weights {', '.join(_weight_str(w) for w in weights)}",
+            )
 
     # -- axioms ---------------------------------------------------------
 
@@ -96,27 +127,19 @@ class FilteredComplex:
         return True
 
     def d_squared(self):
-        """Entries of the squared differential (normal forms)."""
-        spec = self.algebra
-        out = {}
-        by_source = {}
-        for (i, j), e in self.entries.items():
-            by_source.setdefault(j, []).append((i, e))
-        for j, cols in by_source.items():
-            acc = {}
-            for k, e1 in cols:
-                for i, e2 in by_source.get(k, []):
-                    prod = spec.mul(e2, e1)
-                    if prod:
-                        acc[i] = spec.add(acc.get(i, {}), prod)
-            for i, v in acc.items():
-                if v:
-                    out[(i, j)] = v
-        return out
+        """Nonzero entries of the squared differential."""
+        return _compose(self.ring, self.entries, self.entries)
+
+    def require_d_squared_zero(self):
+        """Raise D_SQUARED_NONZERO unless d o d = 0 exactly over the ring."""
+        residues = self.d_squared()
+        if residues:
+            i, j = next(iter(residues))
+            raise ComplexError("D_SQUARED_NONZERO", f"at ({i},{j})")
 
     def verify_d_squared(self, mod2=True, plain_spec=None):
-        """Check d^2 = 0; report residues and whether they die in the plain
-        quotient (diagnosing a tilde-vs-plain ring mismatch)."""
+        """Check d^2 = 0 over the algebra; report residues and whether they
+        die in the plain quotient (diagnosing a tilde-vs-plain ring mismatch)."""
         residues = self.d_squared()
         if mod2:
             residues = {
@@ -145,8 +168,8 @@ class FilteredComplex:
         for c in sorted(groups, key=lambda v: (v is None, v)):
             idx = groups[c]
             pos = {g: k for k, g in enumerate(idx)}
-            sub = FilteredComplex(
-                algebra=self.algebra,
+            sub = replace(
+                self,
                 gen_names=[self.gen_names[g] for g in idx],
                 cosets=[self.cosets[g] for g in idx],
                 gradings=[self.gradings[g] for g in idx],
@@ -160,7 +183,8 @@ class FilteredComplex:
             out.append(sub)
         return out
 
-    def tensor(self, hom: TestRingHom) -> "TargetComplex":
+    def tensor(self, hom: TestRingHom) -> "FilteredComplex":
+        """The complex over hom.target; self lives over hom.source."""
         entries = {}
         for (i, j), e in self.entries.items():
             img = hom.apply(e)
@@ -172,7 +196,7 @@ class FilteredComplex:
             if not hom.target.is_zero(img):
                 live_taints.append(t)
         keep_cosets = bool(hom.filtration_compatible)
-        return TargetComplex(
+        return FilteredComplex(
             ring=hom.target,
             gen_names=list(self.gen_names),
             cosets=list(self.cosets) if keep_cosets else [None] * self.rank,
@@ -194,52 +218,7 @@ def _mod2_nf(spec, e):
     return {m: c % 2 for m, c in nf.items() if c % 2}
 
 
-# -- target complexes and homology ------------------------------------------
-
-
-@dataclass
-class TargetComplex:
-    ring: Target
-    gen_names: list
-    cosets: list
-    gradings: list
-    entries: dict  # (i, j) -> ring element
-    taints: list = field(default_factory=list)
-    u_grading: int | None = None
-
-    @property
-    def rank(self):
-        return len(self.gen_names)
-
-    def matrix(self, rows, cols):
-        R = self.ring
-        return [
-            [self.entries.get((i, j), R.zero()) for j in cols] for i in rows
-        ]
-
-    def require_untainted(self):
-        if self.taints:
-            weights = sorted({tuple(t.weight) for t in self.taints}, reverse=True)
-            raise ComplexError(
-                "TAINTED",
-                f"{len(self.taints)} unsupported classes survive in {self.ring.name}, "
-                f"weights {', '.join(_weight_str(w) for w in weights)}",
-            )
-
-    def verify_d_squared(self):
-        R = self.ring
-        by_source = {}
-        for (i, j), e in self.entries.items():
-            by_source.setdefault(j, []).append((i, e))
-        for j, cols in by_source.items():
-            acc = {}
-            for k, e1 in cols:
-                for i, e2 in by_source.get(k, []):
-                    acc[i] = R.add(acc.get(i, R.zero()), R.mul(e2, e1))
-            for i, v in acc.items():
-                if not R.is_zero(v):
-                    raise ComplexError("D_SQUARED_NONZERO", f"at ({i},{j})")
-        return True
+# -- homology ------------------------------------------------------------------
 
 
 @dataclass
@@ -261,7 +240,7 @@ class HomologyResult:
         return out
 
 
-def _grading_blocks(tc: TargetComplex):
+def _grading_blocks(tc: FilteredComplex):
     """Group generator indices by (coset, grading); None gradings collapse."""
     blocks = {}
     for i in range(tc.rank):
@@ -270,24 +249,23 @@ def _grading_blocks(tc: TargetComplex):
     return blocks
 
 
-def homology(tc: TargetComplex, allow_taint=False) -> HomologyResult:
+def homology(tc: FilteredComplex, allow_taint=False) -> HomologyResult:
     if not allow_taint:
         tc.require_untainted()
-    tc.verify_d_squared()
+    tc.require_d_squared_zero()
+    ring = tc.ring
     graded = all(g is not None for g in tc.gradings) and tc.rank > 0
-    if isinstance(tc.ring, (QRing, ZpRing)):
-        compute = lambda out_m, in_m: {"dim": _field_homology_dim(tc.ring, out_m, in_m)}
-    elif isinstance(tc.ring, ZRing):
-        compute = lambda out_m, in_m: _pid_homology(snf.ZZ, out_m, in_m)
-    elif isinstance(tc.ring, FpURing):
-        compute = lambda out_m, in_m: _pid_homology(tc.ring.domain, out_m, in_m)
-        if tc.entries:
+    if ring.kind == "field":
+        compute = lambda out_m, in_m: {"dim": _field_homology_dim(ring.p, out_m, in_m)}
+    elif ring.kind == "pid":
+        compute = lambda out_m, in_m: _pid_homology(ring.domain, out_m, in_m)
+        if isinstance(ring, FpURing) and tc.entries:
             # U-powers may cross generator-grading blocks: compute the module
             # invariants ungraded (fpu_piece_dims gives the graded pieces)
             graded = False
     else:
         raise ComplexError(
-            "UNSUPPORTED_COEFFICIENTS", f"no homology backend for {tc.ring.name}"
+            "UNSUPPORTED_COEFFICIENTS", f"no homology backend for {ring.name}"
         )
 
     pieces = {}
@@ -301,32 +279,20 @@ def homology(tc: TargetComplex, allow_taint=False) -> HomologyResult:
         for (coset, g), idx in sorted(blocks.items(), key=lambda kv: str(kv[0])):
             above = blocks.get((coset, g + 1), [])
             below = blocks.get((coset, g - 1), [])
-            out_m = tc.matrix(below, idx) if below else [[tc.ring.zero()] * len(idx)]
+            out_m = tc.matrix(below, idx) if below else [[ring.zero()] * len(idx)]
             in_m = tc.matrix(idx, above) if above else [
-                [tc.ring.zero()] for _ in idx
+                [ring.zero()] for _ in idx
             ]
             res = compute(out_m, in_m)
             label = f"s={coset} gr={g}"
             pieces[label] = res
     pieces = {k: v for k, v in pieces.items() if v.get("free_rank", v.get("dim", 0)) or v.get("torsion")}
-    return HomologyResult(ring_name=tc.ring.name, pieces=pieces, graded=graded)
+    return HomologyResult(ring_name=ring.name, pieces=pieces, graded=graded)
 
 
-def _field_matrix_rank(ring, M):
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return 0
-    if isinstance(ring, QRing):
-        return snf.rank_over_field([[Fraction(x) for x in row] for row in M])
-    return snf.rank_over_field([[int(x) for x in row] for row in M], p=ring.p)
-
-
-def _field_homology_dim(ring, out_m, in_m):
+def _field_homology_dim(p, out_m, in_m):
     n = len(out_m[0]) if out_m else (len(in_m) if in_m else 0)
-    r_out = _field_matrix_rank(ring, out_m)
-    r_in = _field_matrix_rank(ring, in_m)
-    return n - r_out - r_in
+    return n - snf.rank_over_field(out_m, p) - snf.rank_over_field(in_m, p)
 
 
 def _pid_homology(domain, out_m, in_m):
@@ -344,20 +310,21 @@ def _pid_homology(domain, out_m, in_m):
     kdim = len(kernel_cols)
     if kdim == 0:
         return {"free_rank": 0, "torsion": []}
-    # express image of in_m in kernel coordinates: solve K x = col
-    K = [[kernel_cols[b][i] for b in range(kdim)] for i in range(n)]
-    cols = []
     ncols_in = len(in_m[0]) if in_m and in_m[0] else 0
-    for c in range(ncols_in):
-        col = [in_m[i][c] for i in range(n)]
-        if all(domain.is_zero(v) for v in col):
-            continue
-        sol = _solve_domain(K, col, domain)
+    image = [[in_m[i][c] for i in range(n)] for c in range(ncols_in)]
+    image = [col for col in image if not all(domain.is_zero(v) for v in col)]
+    if not image:
+        return {"free_rank": kdim, "torsion": []}
+    # express the image in kernel coordinates: solve K x = col, K factored once
+    K = snf.smith_normal_form(
+        [[kernel_cols[b][i] for b in range(kdim)] for i in range(n)], domain
+    )
+    cols = []
+    for col in image:
+        sol = snf.solve_integer(K, col, domain)
         if sol is None:
             raise ComplexError("D_SQUARED_NONZERO", "image does not lie in the kernel")
         cols.append(sol)
-    if not cols:
-        return {"free_rank": kdim, "torsion": []}
     rel = [[cols[c][b] for c in range(len(cols))] for b in range(kdim)]
     rel_res = snf.smith_normal_form(rel, domain)
     torsion = []
@@ -369,25 +336,6 @@ def _pid_homology(domain, out_m, in_m):
     return {"free_rank": free, "torsion": torsion}
 
 
-def _solve_domain(A, b, domain):
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    res = snf.smith_normal_form(A, domain)
-    ub = snf.mat_vec(res.U, b, domain)
-    y = [domain.zero] * cols
-    for i in range(rows):
-        d = res.D[i][i] if i < min(rows, cols) else domain.zero
-        if domain.is_zero(d):
-            if not domain.is_zero(ub[i]):
-                return None
-            continue
-        q, r = domain.divmod(ub[i], d)
-        if not domain.is_zero(r):
-            return None
-        y[i] = q
-    return snf.mat_vec(res.V, y, domain)
-
-
 def _describe_torsion(domain, d):
     if isinstance(domain, snf.IntegerDomain):
         return abs(d)
@@ -396,7 +344,7 @@ def _describe_torsion(domain, d):
     return str(d)
 
 
-def fpu_homogeneous(tc: TargetComplex) -> bool:
+def fpu_homogeneous(tc: FilteredComplex) -> bool:
     """Does every entry drop the grading by exactly one (U graded by
     tc.u_grading)?  Required before graded piece computations."""
     if tc.u_grading in (None, 0) or any(g is None for g in tc.gradings):
@@ -408,7 +356,7 @@ def fpu_homogeneous(tc: TargetComplex) -> bool:
     return True
 
 
-def fpu_piece_dims(tc: TargetComplex, window) -> dict:
+def fpu_piece_dims(tc: FilteredComplex, window) -> dict:
     """Homology dimensions over F_p of the graded pieces of an F_p[U] complex.
 
     The piece at grading g has basis {U^k e_i : gr(e_i) + k*gr(U) = g};
@@ -454,8 +402,8 @@ def fpu_piece_dims(tc: TargetComplex, window) -> dict:
         b = basis(g)
         above = basis(g + 1)
         below = basis(g - 1)
-        r_out = _rank_fp(matrix(b, below), p)
-        r_in = _rank_fp(matrix(above, b), p)
+        r_out = snf.rank_over_field(matrix(b, below), p)
+        r_in = snf.rank_over_field(matrix(above, b), p)
         dims[g] = len(b) - r_out - r_in
     return dims
 
@@ -463,7 +411,7 @@ def fpu_piece_dims(tc: TargetComplex, window) -> dict:
 # -- piecewise homology over the algebra itself -----------------------------
 
 
-def monomial_fiber(spec: alg.AlgebraSpec, chi_value, gr_value=None, degree_cap=64):
+def monomial_fiber(spec: alg.AlgebraSpec, chi_value, gr_value=None):
     """All monomials with the given (chi, gr) values; raises if infinite."""
     kappa = spec.nvars
     group = spec.chi_group
@@ -484,33 +432,18 @@ def monomial_fiber(spec: alg.AlgebraSpec, chi_value, gr_value=None, degree_cap=6
     ineqs.append(([1] * kappa, 1))
     if linprog.feasible_point(ineqs, kappa) is not None:
         raise ComplexError("INFINITE_FIBER", "monomial fiber is not finite")
-    # bounded: extract per-coordinate ranges
+    # bounded: list its integer points (lexicographic, hence sorted)
     box_ineqs = [([1 if k == i else 0 for k in range(kappa)], 0) for i in range(kappa)]
     for row, target in zip(rows, rhs):
         box_ineqs.append((row, target))
         box_ineqs.append(([-c for c in row], -target))
-    import math
-    from itertools import product as iproduct
-
-    ranges = []
-    for i in range(kappa):
-        obj = [1 if k == i else 0 for k in range(kappa)]
-        rng = linprog.linear_range(box_ineqs, kappa, obj)
-        if rng is None:
-            return []
-        lo, hi = rng
-        if hi is None:
-            raise ComplexError("INFINITE_FIBER", "unbounded coordinate")
-        ranges.append(range(max(0, math.ceil(lo)), min(int(hi), degree_cap) + 1))
-    out = []
-    for m in iproduct(*ranges):
-        if spec.chi(m) != chi_value:
-            continue
-        if gr_value is not None and spec.gr(m) != gr_value:
-            continue
-        if spec.nf_monomial(m):
-            out.append(tuple(m))
-    return sorted(out)
+    return [
+        m
+        for m in linprog.integer_points(box_ineqs, kappa)
+        if spec.chi(m) == chi_value
+        and (gr_value is None or spec.gr(m) == gr_value)
+        and spec.nf_monomial(m)
+    ]
 
 
 def piecewise_homology(c: FilteredComplex, piece_keys, p=2, allow_taint=False):
@@ -523,7 +456,6 @@ def piecewise_homology(c: FilteredComplex, piece_keys, p=2, allow_taint=False):
         raise ComplexError("TAINTED", "unsupported classes present")
     spec = c.algebra
     group = spec.chi_group
-    ring = ZpRing(p)
 
     def piece_basis(coset, grading):
         basis = []
@@ -543,7 +475,7 @@ def piecewise_homology(c: FilteredComplex, piece_keys, p=2, allow_taint=False):
         below = piece_basis(coset, grading - 1) if grading is not None else basis
         out_m = _piece_matrix(c, basis, below, p)
         in_m = _piece_matrix(c, above, basis, p)
-        dim = len(basis) - _rank_fp(out_m, p) - _rank_fp(in_m, p)
+        dim = len(basis) - snf.rank_over_field(out_m, p) - snf.rank_over_field(in_m, p)
         out[(coset, grading)] = dim
     return out
 
@@ -564,12 +496,6 @@ def _piece_matrix(c, src_basis, dst_basis, p):
     return M
 
 
-def _rank_fp(M, p):
-    if not M or not M[0]:
-        return 0
-    return snf.rank_over_field(M, p=p)
-
-
 # -- chain maps and cones -----------------------------------------------------
 
 
@@ -586,34 +512,12 @@ class ChainMap:
     def entry(self, i, j):
         return self.entries.get((i, j), {})
 
-    def compose_with_differential(self):
-        """(f d_src, d_tgt f) as entry dicts."""
-        spec = self.algebra
-        fd = {}
-        for j in range(self.source.rank):
-            for k, e1 in self.source.differential_of(j).items():
-                for i in range(self.target.rank):
-                    e2 = self.entry(i, k)
-                    if e2:
-                        prod = spec.mul(e2, e1)
-                        if prod:
-                            fd[(i, j)] = spec.add(fd.get((i, j), {}), prod)
-        df = {}
-        for j in range(self.source.rank):
-            for k in range(self.target.rank):
-                e1 = self.entry(k, j)
-                if not e1:
-                    continue
-                for i, e2 in self.target.differential_of(k).items():
-                    prod = spec.mul(e2, e1)
-                    if prod:
-                        df[(i, j)] = spec.add(df.get((i, j), {}), prod)
-        return fd, df
-
     def chain_parity(self):
         """+1 if f d = d f, -1 if f d = -d f, else None."""
         spec = self.algebra
-        fd, df = self.compose_with_differential()
+        ring = self.source.ring
+        fd = _compose(ring, self.entries, self.source.entries)
+        df = _compose(ring, self.target.entries, self.entries)
         keys = set(fd) | set(df)
         if all(spec.equal(fd.get(k, {}), df.get(k, {})) for k in keys):
             return 1
@@ -626,31 +530,6 @@ class ChainMap:
 
     def is_chain_map(self):
         return self.chain_parity() == 1
-
-
-def map_sum(spec, a, b, sign=1):
-    out = dict(a)
-    for k, e in b.items():
-        out[k] = spec.add(out.get(k, {}), alg.poly_scale(e, sign))
-    return {k: v for k, v in out.items() if v}
-
-
-def map_compose(spec, f_entries, g_entries, f_source_rank, g_source_rank, mid_rank):
-    """Entries of f ∘ g."""
-    out = {}
-    for j in range(g_source_rank):
-        for k in range(mid_rank):
-            ge = g_entries.get((k, j), {})
-            if not ge:
-                continue
-            for i, fe in [
-                (i, f_entries.get((i, k), {})) for i in range(f_source_rank)
-            ]:
-                if fe:
-                    prod = spec.mul(fe, ge)
-                    if prod:
-                        out[(i, j)] = spec.add(out.get((i, j), {}), prod)
-    return {k: v for k, v in out.items() if v}
 
 
 def mapping_cone(f: ChainMap, twist_sign=-1) -> FilteredComplex:
@@ -673,7 +552,7 @@ def mapping_cone(f: ChainMap, twist_sign=-1) -> FilteredComplex:
 
     cosets, gradings = _cone_decorations(f)
     return FilteredComplex(
-        algebra=spec,
+        ring=A.ring,
         gen_names=[f"a:{n}" for n in A.gen_names] + [f"b:{n}" for n in B.gen_names],
         cosets=cosets,
         gradings=gradings,
@@ -733,83 +612,15 @@ def multiplication_map(c: FilteredComplex, element) -> ChainMap:
     return ChainMap(source=c, target=c, entries=entries)
 
 
-def zero_complex(spec) -> FilteredComplex:
-    return FilteredComplex(
-        algebra=spec, gen_names=[], cosets=[], gradings=[], entries={}
-    )
-
-
 def free_complex(spec, names, entries=None, cosets=None, gradings=None) -> FilteredComplex:
     n = len(names)
     return FilteredComplex(
-        algebra=spec,
+        ring=AlgebraTarget(spec),
         gen_names=list(names),
         cosets=list(cosets) if cosets else [None] * n,
         gradings=list(gradings) if gradings else [None] * n,
         entries={k: spec.normal_form(v) for k, v in (entries or {}).items()},
     )
-
-
-def _field_elems(ring, M):
-    if isinstance(ring, QRing):
-        return [[Fraction(x) for x in row] for row in M]
-    return [[x % ring.p for x in row] for row in M]
-
-
-def _field_rank(ring, M):
-    if not M or not M[0]:
-        return 0
-    if isinstance(ring, QRing):
-        return snf.rank_over_field(_field_elems(ring, M))
-    return snf.rank_over_field(_field_elems(ring, M), p=ring.p)
-
-
-def _field_kernel_basis(ring, M, n):
-    """Columns spanning ker(M) over the field; M has n columns."""
-    if not M:
-        return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-    # row reduce [M] and extract free columns
-    if isinstance(ring, QRing):
-        A = [[Fraction(x) for x in row] for row in M]
-        inv = lambda a: Fraction(1) / a
-        mul = lambda a, b: a * b
-        sub = lambda a, b: a - b
-    else:
-        p = ring.p
-        A = [[x % p for x in row] for row in M]
-        inv = lambda a: pow(a, -1, p)
-        mul = lambda a, b: (a * b) % p
-        sub = lambda a, b: (a - b) % p
-    rows = len(A)
-    pivots = {}
-    r = 0
-    for j in range(n):
-        piv = None
-        for i in range(r, rows):
-            if A[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        c = inv(A[r][j])
-        A[r] = [mul(x, c) for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][j] != 0:
-                f = A[i][j]
-                A[i] = [sub(x, mul(f, y)) for x, y in zip(A[i], A[r])]
-        pivots[j] = r
-        r += 1
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        v = [ring.zero()] * n
-        v[j] = ring.one()
-        for pj, pr in pivots.items():
-            v[pj] = ring.neg(A[pr][j])
-        basis.append(v)
-    return basis
 
 
 def sum_entries(ring, M, vec, i):
@@ -823,7 +634,7 @@ def sum_entries(ring, M, vec, i):
 def les_check(f: ChainMap, hom) -> dict:
     """Exactness of H(A2) -> H(M(f)) -> H(A1) -> H(A2) over a field hom."""
     ring = hom.target
-    if not isinstance(ring, (QRing, ZpRing)):
+    if ring.kind != "field":
         raise ComplexError("UNSUPPORTED_COEFFICIENTS", "les_check needs a field hom")
     A1, A2 = f.source, f.target
     cone = mapping_cone(f)
@@ -841,7 +652,7 @@ def les_check(f: ChainMap, hom) -> dict:
     p_m = [[ring.one() if (i == j) else ring.zero() for j in range(nM)] for i in range(n1)]
 
     def cycles(M, n):
-        return _field_kernel_basis(ring, M, n)
+        return snf.kernel_over_field(M, n, ring.p)
 
     def boundaries(M, n):
         cols = []
@@ -854,9 +665,9 @@ def les_check(f: ChainMap, hom) -> dict:
 
     z1, z2, zM = cycles(d1, n1), cycles(d2, n2), cycles(dM, nM)
     b1, b2, bM = boundaries(d1, n1), boundaries(d2, n2), boundaries(dM, nM)
-    h1 = len(z1) - _field_rank(ring, _cols_to_matrix(b1, n1))
-    h2 = len(z2) - _field_rank(ring, _cols_to_matrix(b2, n2))
-    hM = len(zM) - _field_rank(ring, _cols_to_matrix(bM, nM))
+    h1 = len(z1) - snf.rank_over_field(_cols_to_matrix(b1, n1), ring.p)
+    h2 = len(z2) - snf.rank_over_field(_cols_to_matrix(b2, n2), ring.p)
+    hM = len(zM) - snf.rank_over_field(_cols_to_matrix(bM, nM), ring.p)
 
     rank_i = _induced_rank_cols(ring, i_m, z2, bM, nM)
     rank_p = _induced_rank_cols(ring, p_m, zM, b1, n1)
@@ -886,10 +697,10 @@ def _induced_rank_cols(ring, g_matrix, src_cycles, tgt_boundary_cols, tgt_dim):
         imgs.append([sum_entries(ring, g_matrix, z, i) for i in range(tgt_dim)])
     stacked = _cols_to_matrix(tgt_boundary_cols + imgs, tgt_dim)
     base = _cols_to_matrix(tgt_boundary_cols, tgt_dim)
-    return _field_rank(ring, stacked) - _field_rank(ring, base)
+    return snf.rank_over_field(stacked, ring.p) - snf.rank_over_field(base, ring.p)
 
 
-def is_acyclic(tc: TargetComplex) -> bool:
+def is_acyclic(tc: FilteredComplex) -> bool:
     res = homology(tc, allow_taint=False)
     return res.total_rank() == 0 and not res.torsion_summands()
 

@@ -97,7 +97,7 @@ def diagram_report(name: str) -> dict:
     return out
 
 
-def run_corpus_check(threads: int = 1):
+def run_corpus_check():
     names = corpus_mod.corpus_names()
     lines = []
     ok = True
@@ -109,15 +109,7 @@ def run_corpus_check(threads: int = 1):
             return name, None, report
         return name, expected, report
 
-    results = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, names))
-    else:
-        results = [one(n) for n in names]
-
+    results = [one(n) for n in names]
     for name, expected, report in sorted(results, key=lambda r: r[0]):
         if expected is None:
             lines.append(f"{name}: SKIP (no expected record)")

@@ -1,8 +1,9 @@
-"""Exact Smith normal form and integer linear algebra.
+"""Exact Smith normal form, integer linear algebra and field elimination.
 
-Everything here works over a Euclidean domain given as a small protocol
-object; the two instances used in the package are the integers and F_p[U].
-No floating point anywhere.
+The Smith normal form and the solver work over a Euclidean domain given as
+a small protocol object; the two instances used in the package are the
+integers and F_p[U].  Ranks and kernels over Q and F_p come from one
+Gauss-Jordan elimination.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -251,33 +252,34 @@ def _dot(row, v, dom):
     return acc
 
 
-def _factored(A) -> SNFResult:
-    return A if isinstance(A, SNFResult) else smith_normal_form(A)
+def _factored(A, dom=ZZ) -> SNFResult:
+    return A if isinstance(A, SNFResult) else smith_normal_form(A, dom)
 
 
-def solve_integer(A, b):
-    """One integer solution x of A x = b, or None if unsolvable over Z.
+def solve_integer(A, b, dom: EuclideanDomain = ZZ):
+    """One solution x of A x = b over the domain, or None if there is none.
 
     A is a list of rows or its ``smith_normal_form``, so a matrix used for
     many right-hand sides is factored once.  With U A V = D, x = V y where
     y_i = (U b)_i / d_i.
     """
-    snf = _factored(A)
+    snf = _factored(A, dom)
     rows, cols = len(snf.U), len(snf.V)
     if rows == 0:
-        return [0] * cols
-    ub = mat_vec(snf.U, b)
-    y = [0] * cols
+        return [dom.zero] * cols
+    ub = mat_vec(snf.U, b, dom)
+    y = [dom.zero] * cols
     for i in range(rows):
-        d = snf.D[i][i] if i < min(rows, cols) else 0
-        if d == 0:
-            if ub[i] != 0:
+        d = snf.D[i][i] if i < min(rows, cols) else dom.zero
+        if dom.is_zero(d):
+            if not dom.is_zero(ub[i]):
                 return None
             continue
-        if ub[i] % d != 0:
+        q, r = dom.divmod(ub[i], d)
+        if not dom.is_zero(r):
             return None
-        y[i] = ub[i] // d
-    return mat_vec(snf.V, y)
+        y[i] = q
+    return mat_vec(snf.V, y, dom)
 
 
 def kernel_basis(A):
@@ -367,41 +369,60 @@ def cokernel(relations, n_generators) -> AbelianGroup:
     return AbelianGroup(moduli=tuple(moduli), proj=proj)
 
 
-def rank_over_field(A, p=None):
-    """Rank of A over Q (p=None) or over F_p."""
-    if not A or not A[0]:
-        return 0
+def _gauss_jordan(A, p):
+    """Reduced row echelon form of A over Q (p=None) or F_p.
+
+    Returns the reduced rows and {pivot column: its row}.
+    """
     if p is None:
         M = [[Fraction(x) for x in row] for row in A]
     else:
         M = [[x % p for x in row] for row in A]
-    rows, cols = len(M), len(M[0])
-    rank = 0
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    pivots = {}
     for j in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if M[i][j] != 0:
-                piv = i
-                break
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if M[i][j]), None)
         if piv is None:
             continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = (
-            Fraction(1, 1) / M[rank][j]
-            if p is None
-            else pow(int(M[rank][j]), -1, p)
-        )
-        M[rank] = [
-            (x * inv) if p is None else (x * inv) % p for x in M[rank]
-        ]
+        M[r], M[piv] = M[piv], M[r]
+        if p is None:
+            inv = 1 / M[r][j]
+            M[r] = [x * inv for x in M[r]]
+        else:
+            inv = pow(M[r][j], -1, p)
+            M[r] = [x * inv % p for x in M[r]]
         for i in range(rows):
-            if i != rank and M[i][j] != 0:
-                c = M[i][j]
-                M[i] = [
-                    (x - c * y) if p is None else (x - c * y) % p
-                    for x, y in zip(M[i], M[rank])
-                ]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+            c = M[i][j]
+            if i != r and c:
+                if p is None:
+                    M[i] = [x - c * y for x, y in zip(M[i], M[r])]
+                else:
+                    M[i] = [(x - c * y) % p for x, y in zip(M[i], M[r])]
+        pivots[j] = r
+    return M, pivots
+
+
+def rank_over_field(A, p=None):
+    """Rank of A over Q (p=None) or over F_p."""
+    return len(_gauss_jordan(A, p)[1])
+
+
+def kernel_over_field(A, ncols, p=None):
+    """Basis of {x : A x = 0} over Q (p=None) or F_p; A has ncols columns
+    (it may have no rows).  Entries are Fractions over Q, ints mod p."""
+    M, pivots = _gauss_jordan(A, p)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1 % p)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [zero] * ncols
+        v[j] = one
+        for pj, pr in pivots.items():
+            v[pj] = -M[pr][j] if p is None else -M[pr][j] % p
+        basis.append(v)
+    return basis

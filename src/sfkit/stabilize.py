@@ -14,20 +14,21 @@ dictates), the cone side from the original diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import algebra as alg
 from .cf import DiagramData, build_cf
 from .complexes import (
     FilteredComplex,
     TaintRecord,
+    fpu_homogeneous,
     fpu_piece_dims,
     homology,
     mapping_cone,
     multiplication_map,
 )
 from .diagram import ALPHA, BETA, HeegaardDiagram, Region, Crossing
-from .testrings import TestRingHom, algebra_hom, to_U
+from .testrings import AlgebraTarget, algebra_hom, to_U
 
 
 class BadSutureError(ValueError):
@@ -97,34 +98,6 @@ def stabilization_products(d: HeegaardDiagram, mark: int):
     return tuple(lam), kappa
 
 
-def extended_plus_spec(d: HeegaardDiagram, gr_weights=None, gr_modulus=0):
-    """R_tau[lambda_new]: the old boundary algebra with one polynomial
-    variable adjoined (variables are indexed 0..kappa, new one last)."""
-    kappa = d.num_marks
-    comps = list(d.complement_components(ALPHA)) + list(d.complement_components(BETA))
-    names = alg.default_names(kappa) + (f"λ{kappa + 1}",)
-    kill = []
-    minus, plus = {}, {}
-    for c in comps:
-        m = alg.component_monomial(c.marks, kappa) + (0,)
-        target = minus if c.side == ALPHA else plus
-        target[m] = target.get(m, 0) + 1
-        if c.genus > 0:
-            kill.append(m)
-    relations = []
-    rel = alg.poly_sub(plus, minus)
-    if rel:
-        relations.append(tuple(sorted(rel.items())))
-    return alg.AlgebraSpec(
-        names=names,
-        variant=alg.CUSTOM,
-        kill=tuple(sorted(set(kill), key=alg.mono_key)),
-        relations=tuple(relations),
-        gr_weights=tuple(gr_weights) if gr_weights is not None else None,
-        gr_modulus=gr_modulus,
-    )
-
-
 @dataclass
 class StabilizationReport:
     ok: bool
@@ -187,24 +160,19 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
             )
         else:
             remaining.append(t)
-    hat = FilteredComplex(
-        algebra=spec_hat,
-        gen_names=hat.gen_names,
-        cosets=hat.cosets,
-        gradings=hat.gradings,
-        entries=patched,
-        taints=remaining,
-    )
+    hat = replace(hat, entries=patched, taints=remaining)
     hat.verify_filtration()
     hat.verify_grading_drop()
 
-    # push down to R_tau[lambda_new]: lambda_{kappa+2} -> lambda_{mark}
+    # push down to R_tau[lambda_new], the old boundary algebra with the new
+    # variable adjoined last: lambda_{kappa+2} -> lambda_{mark}
     weights_hat = spec_hat.gr_weights
     plus_weights = None
     if weights_hat is not None and all(w is not None for w in weights_hat):
         plus_weights = list(weights_hat[:kappa]) + [weights_hat[new_var]]
-    plus_spec = extended_plus_spec(
-        d, gr_weights=plus_weights, gr_modulus=spec_hat.gr_modulus
+    comps = list(d.complement_components(ALPHA)) + list(d.complement_components(BETA))
+    plus_spec = alg.build_algebra(
+        comps, kappa + 1, gr_weights=plus_weights, gr_modulus=spec_hat.gr_modulus
     )
     images = []
     for i in range(kappa + 2):
@@ -220,7 +188,7 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
     hat_plus = hat.tensor(fhat)
     # surviving unsupported classes leave d^2 undecidable: refuse, naming them
     hat_plus.require_untainted()
-    hat_plus.verify_d_squared()
+    hat_plus.require_d_squared_zero()
 
     # cone side: multiplication by (lambda_new - lambda) on the old complex
     old_data = DiagramData.build(d)
@@ -235,7 +203,7 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
         else:
             old_taints.append(t)
     old_plus = FilteredComplex(
-        algebra=plus_spec,
+        ring=AlgebraTarget(plus_spec),
         gen_names=list(old.gen_names),
         cosets=[None] * old.rank,
         gradings=list(old.gradings),
@@ -248,13 +216,8 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
     cone = mapping_cone(cone_map)
 
     # compare over F_p[U] with exponents matched to the grading weights
-    weights = _u_exponents(plus_spec.gr_weights)
-    if weights is None:
-        hom_plus = to_U_on_target(plus_spec, [1] * (kappa + 1), p)
-    else:
-        hom_plus = to_U_on_target(plus_spec, weights, p)
-
-    hat_u = _retarget(hat_plus, hom_plus)
+    hom_plus = to_U(plus_spec, _u_exponents(plus_spec.gr_weights), p)
+    hat_u = hat_plus.tensor(hom_plus)
     cone_u = cone.tensor(hom_plus)
 
     hat_h = homology(hat_u)
@@ -264,8 +227,6 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
     graded_match = None
     hat_dims = cone_dims = None
     shift = None
-    from .complexes import fpu_homogeneous
-
     if fpu_homogeneous(hat_u) and fpu_homogeneous(cone_u):
         window_h = _window(hat_u)
         window_c = _window(cone_u)
@@ -293,34 +254,6 @@ def _u_exponents(gr_weights):
     if any(w > 0 or w % 2 for w in gr_weights):
         return None
     return [(-w) // 2 for w in gr_weights]
-
-
-def to_U_on_target(spec, weights, p=2) -> TestRingHom:
-    return to_U(spec, weights=weights, p=p)
-
-
-def _retarget(tc_on_algebra, hom):
-    """Apply a hom to a TargetComplex whose ring is an AlgebraTarget."""
-    from .complexes import TargetComplex
-
-    entries = {}
-    for k, e in tc_on_algebra.entries.items():
-        img = hom.apply(e)
-        if not hom.target.is_zero(img):
-            entries[k] = img
-    return TargetComplex(
-        ring=hom.target,
-        gen_names=list(tc_on_algebra.gen_names),
-        cosets=[None] * tc_on_algebra.rank,
-        gradings=list(tc_on_algebra.gradings),
-        entries=entries,
-        taints=[
-            t
-            for t in tc_on_algebra.taints
-            if not hom.target.is_zero(hom.apply_monomial(t.weight))
-        ],
-        u_grading=hom.u_grading,
-    )
 
 
 def _window(tc):

@@ -85,6 +85,7 @@ class ZRing(Target):
 class QRing(Target):
     name = "Q"
     kind = "field"
+    p = None  # characteristic zero: the Q branch of the snf field routines
 
     def zero(self):
         return Fraction(0)

@@ -26,8 +26,7 @@ from . import algebra as alg
 from .complexes import (
     ChainMap,
     ComplexError,
-    FilteredComplex,
-    map_compose,
+    _compose,
     mapping_cone,
     quasi_iso_over,
 )
@@ -72,17 +71,9 @@ def _entries_equal(spec, a, b, sign=1):
     return True
 
 
-def _compose(spec, f, g, src, mid, tgt):
-    """f o g with g: src -> mid, f: mid -> tgt (ranks of FilteredComplex)."""
-    return map_compose(spec, f, g, tgt.rank, src.rank, mid.rank)
-
-
-def _d_of(c: FilteredComplex):
-    return dict(c.entries)
-
-
 def triangle_machine(system: TriangleSystem, homs) -> TriangleResult:
     spec = system.complexes[0].algebra
+    ring = system.complexes[0].ring
     for i in range(3):
         A, B = system.complex(i), system.complex(i + 1)
         f = ChainMap(source=A, target=B, entries=system.map_entries(i))
@@ -91,10 +82,10 @@ def triangle_machine(system: TriangleSystem, homs) -> TriangleResult:
 
     # (1) f_{i+1} f_i = H_i d_i + d_{i+2} H_i
     for i in range(3):
-        A, B, C = system.complex(i), system.complex(i + 1), system.complex(i + 2)
-        ff = _compose(spec, system.map_entries(i + 1), system.map_entries(i), A, B, C)
-        Hd = _compose(spec, system.homotopy_entries(i), _d_of(A), A, A, C)
-        dH = _compose(spec, _d_of(C), system.homotopy_entries(i), A, C, C)
+        A, C = system.complex(i), system.complex(i + 2)
+        ff = _compose(ring, system.map_entries(i + 1), system.map_entries(i))
+        Hd = _compose(ring, system.homotopy_entries(i), A.entries)
+        dH = _compose(ring, C.entries, system.homotopy_entries(i))
         rhs = {}
         for k in set(Hd) | set(dH):
             rhs[k] = spec.add(Hd.get(k, {}), dH.get(k, {}))
@@ -107,12 +98,9 @@ def triangle_machine(system: TriangleSystem, homs) -> TriangleResult:
     phis = []
     phi_parity = []
     for i in range(3):
-        A, C, D = system.complex(i), system.complex(i + 2), system.complex(i + 3)
-        fH = _compose(spec, system.map_entries(i + 2), system.homotopy_entries(i), A, C, D)
-        Hf = _compose(
-            spec, system.homotopy_entries(i + 1), system.map_entries(i),
-            A, system.complex(i + 1), D,
-        )
+        A, D = system.complex(i), system.complex(i + 3)
+        fH = _compose(ring, system.map_entries(i + 2), system.homotopy_entries(i))
+        Hf = _compose(ring, system.homotopy_entries(i + 1), system.map_entries(i))
         phi = {}
         for k in set(fH) | set(Hf):
             phi[k] = spec.add(fH.get(k, {}), alg.poly_scale(Hf.get(k, {}), -1))
@@ -154,13 +142,7 @@ def triangle_machine(system: TriangleSystem, homs) -> TriangleResult:
 
     # alpha_{i+1} o beta_i = +- phi_i
     for i in range(3):
-        A = system.complex(i)
-        B, C, D = system.complex(i + 1), system.complex(i + 2), system.complex(i + 3)
-        cone_next = alphas[(i + 1) % 3].source
-        comp = map_compose(
-            spec, alphas[(i + 1) % 3].entries, betas[i],
-            D.rank, A.rank, cone_next.rank,
-        )
+        comp = _compose(ring, alphas[(i + 1) % 3].entries, betas[i])
         if not (
             _entries_equal(spec, comp, phis[i].entries, 1)
             or _entries_equal(spec, comp, phis[i].entries, -1)

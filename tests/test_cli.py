@@ -40,6 +40,52 @@ def test_validate_bad_input(tmp_path):
     assert code == 2
 
 
+def _break_quadrant(data):
+    data["points"][0]["quadrants"][0] = 99
+
+
+def _break_marks(data):
+    data["marks"] = 5
+
+
+def _break_endpoint(data):
+    data["arcs"]["a0.0"][0] = "x77"
+
+
+DIAGRAM_COMMANDS = [
+    ("components", "DIAGRAM"),
+    ("generators", "DIAGRAM"),
+    ("algebra", "DIAGRAM"),
+    ("admissible", "DIAGRAM"),
+    ("classes", "DIAGRAM", "--from", "0", "--to", "0"),
+    ("niceness", "DIAGRAM"),
+    ("complex", "build", "DIAGRAM"),
+    ("complex", "homology", "DIAGRAM"),
+    ("complex", "d2", "DIAGRAM"),
+    ("complex", "cone", "DIAGRAM"),
+    ("homology", "DIAGRAM"),
+    ("stabilize", "DIAGRAM", "--suture", "1"),
+]
+
+
+@pytest.mark.parametrize("command", DIAGRAM_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("mutate", [_break_quadrant, _break_marks, _break_endpoint])
+def test_malformed_diagram_exits_2(tmp_path, capsys, mutate, command):
+    # each mutation of the trefoil passes the schema but not validation
+    with open(corpus_path("trefoil")) as fh:
+        data = json.load(fh)
+    mutate(data)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    code, out = run(*(str(path) if a == "DIAGRAM" else a for a in command))
+    assert code == 2
+    assert out == ""
+    assert "MALFORMED" in capsys.readouterr().err
+    # validate itself still reports the diagram rather than refusing it
+    code, out = run("validate", str(path))
+    assert code == 1 and "MALFORMED" in out
+
+
 def test_components_output():
     code, out = run("components", corpus_path("trefoil"))
     assert code == 0
@@ -143,11 +189,6 @@ def test_corpus_check():
     code, out = run("corpus-check")
     assert code == 0
     assert all(line.endswith(": ok") or "SKIP" in line for line in out.splitlines())
-
-
-def test_corpus_check_threads():
-    code, out = run("--threads", "2", "corpus-check")
-    assert code == 0
 
 
 def test_determinism():

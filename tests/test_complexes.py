@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfkit import algebra as alg
 from sfkit import corpus
@@ -7,6 +9,7 @@ from sfkit.complexes import (
     ChainMap,
     ComplexError,
     FilteredComplex,
+    _compose,
     free_complex,
     homology,
     is_acyclic,
@@ -17,7 +20,15 @@ from sfkit.complexes import (
     piecewise_homology,
     quasi_iso_over,
 )
-from sfkit.testrings import QRing, ZpRing, all_zero, identity_hom, to_U
+from sfkit.testrings import (
+    AlgebraTarget,
+    QRing,
+    ZRing,
+    ZpRing,
+    all_zero,
+    identity_hom,
+    to_U,
+)
 
 TRIVIAL = alg.AlgebraSpec(names=())
 
@@ -70,7 +81,7 @@ def test_grid2_complex_and_d_squared_diagnostics():
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     plain = c.algebra
     c_tilde = FilteredComplex(
-        algebra=tilde,
+        ring=AlgebraTarget(tilde),
         gen_names=c.gen_names,
         cosets=[None] * c.rank,
         gradings=[None] * c.rank,
@@ -88,7 +99,7 @@ def test_perturbation_detected():
     broken = dict(c.entries)
     broken[(0, 1)] = {(1, 0, 0, 0): 1}  # drop one rectangle
     c2 = FilteredComplex(
-        algebra=c.algebra,
+        ring=c.ring,
         gen_names=c.gen_names,
         cosets=c.cosets,
         gradings=c.gradings,
@@ -153,6 +164,8 @@ def test_monomial_fiber_finite_and_infinite():
     # fixing (chi, gr) pins (a - b, a): a unique monomial
     fiber = monomial_fiber(spec, spec.chi((2, 1)), spec.gr((2, 1)))
     assert fiber == [(2, 1)]
+    # no degree cap: a fiber beyond degree 64 is listed in full
+    assert monomial_fiber(spec, spec.chi((70, 69)), spec.gr((70, 69))) == [(70, 69)]
     # chi alone leaves the U-tower: infinite fiber must be refused
     with pytest.raises(ComplexError):
         monomial_fiber(spec, spec.chi((2, 1)), None)
@@ -263,3 +276,41 @@ def test_build_cf_builds_each_algebra_once(monkeypatch, variant, builds):
     data = DiagramData.build(d)
     build_cf(d, 0, variant=variant, data=data)
     assert len(calls) == builds
+
+
+KNOT2 = alg.build_algebra(alg.knot_components(2), 4)  # one relation, 4 variables
+COMPOSE_RINGS = {
+    "Z": (ZRing(), st.integers(-3, 3)),
+    "Z/3": (ZpRing(3), st.integers(0, 2)),
+    "knot algebra": (
+        AlgebraTarget(KNOT2),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 1)] * 4), st.integers(-2, 2), max_size=3
+        ).map(KNOT2.normal_form),
+    ),
+}
+
+
+def _dense_product(ring, f, g, n):
+    """f o g by the triple loop over every index in range(n)."""
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            acc = ring.zero()
+            for k in range(n):
+                a, b = f.get((i, k)), g.get((k, j))
+                if a is not None and b is not None:
+                    acc = ring.add(acc, ring.mul(a, b))
+            if not ring.is_zero(acc):
+                out[(i, j)] = acc
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(COMPOSE_RINGS)), st.data())
+def test_compose_matches_dense_product(name, data):
+    ring, elements = COMPOSE_RINGS[name]
+    index = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    f = data.draw(st.dictionaries(index, elements, max_size=8))
+    g = data.draw(st.dictionaries(index, elements, max_size=8))
+    assert _compose(ring, f, g) == _dense_product(ring, f, g, 4)

@@ -75,6 +75,10 @@ def test_solve_integer_unsolvable():
     assert snf.solve_integer([[2]], [1]) is None
     assert snf.solve_integer([[2, 0], [0, 3]], [1, 1]) is None
     assert snf.solve_integer([[1, 1]], [5]) is not None
+    from sfkit.testrings import FpUDomain
+
+    # U x = 1 has no solution in F_2[U]
+    assert snf.solve_integer([[(0, 1)]], [(1,)], FpUDomain(2)) is None
 
 
 def test_kernel_rank():
@@ -105,3 +109,54 @@ def test_rank_over_field():
     assert snf.rank_over_field([[2, 4], [1, 2]], p=3) == 1
     assert snf.rank_over_field([[2, 0], [0, 2]], p=2) == 0
     assert snf.rank_over_field([[1, 0], [0, 1]]) == 2
+
+
+def _mat_vec_field(M, v, p):
+    out = [sum(a * b for a, b in zip(row, v)) for row in M]
+    return out if p is None else [x % p for x in out]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, None]), small_matrix)
+def test_kernel_over_field_is_a_kernel_basis(p, M):
+    ncols = len(M[0])
+    basis = snf.kernel_over_field(M, ncols, p)
+    rank = snf.rank_over_field(M, p)
+    assert len(basis) == ncols - rank
+    for v in basis:
+        assert len(v) == ncols
+        assert all(x == 0 for x in _mat_vec_field(M, v, p))
+    assert snf.rank_over_field(basis, p) == len(basis)
+    if p is not None:
+        # brute force over F_p^ncols: |ker M| = p^(ncols - rank)
+        from itertools import product
+
+        kernel = [v for v in product(range(p), repeat=ncols)
+                  if all(x == 0 for x in _mat_vec_field(M, v, p))]
+        assert len(kernel) == p ** (ncols - rank)
+
+
+def test_kernel_over_field_without_rows():
+    assert snf.kernel_over_field([], 2, 3) == [[1, 0], [0, 1]]
+    assert snf.kernel_over_field([], 1) == [[Fraction(1)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=1, max_size=3),
+             min_size=1, max_size=3).filter(lambda m: len({len(r) for r in m}) == 1),
+    st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=1, max_size=3),
+)
+def test_solve_integer_over_fpu(M, x):
+    # the same solver over F_3[U]: elements are coefficient tuples
+    from sfkit.testrings import FpUDomain
+
+    dom = FpUDomain(3)
+    M = [[dom.add(tuple(e), ()) for e in row] for row in M]
+    cols = len(M[0])
+    x = [dom.add(tuple(e), ()) for e in (x * cols)[:cols]]
+    b = snf.mat_vec(M, x, dom)
+    sol = snf.solve_integer(M, b, dom)
+    assert sol is not None
+    assert snf.mat_vec(M, sol, dom) == b
+    assert snf.solve_integer(snf.smith_normal_form(M, dom), b, dom) == sol

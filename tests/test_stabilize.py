@@ -3,7 +3,7 @@ import pytest
 from sfkit import algebra as alg
 from sfkit import corpus
 from sfkit.cf import DiagramData, build_cf
-from sfkit.complexes import homology
+from sfkit.complexes import ComplexError, FilteredComplex, homology
 from sfkit.diagram import ALPHA, BETA
 from sfkit.stabilize import (
     BadSutureError,
@@ -63,6 +63,23 @@ def test_verify_stabilization_unknot():
     assert any("degeneration class" in n for n in rep.notes)
 
 
+def test_verify_stabilization_checks_d_squared_exactly(monkeypatch):
+    # an even entry dies in F_2[U], so only the exact d^2 check over
+    # R_tau[lambda_new] sees the residue 2*lambda_1*(lambda_3 - lambda_1)
+    tensor = FilteredComplex.tensor
+
+    def perturbed(self, hom):
+        out = tensor(self, hom)
+        if hom.name == "stabilization-pushdown":
+            out.entries[(0, 1)] = {(1, 0, 0): 2}
+        return out
+
+    monkeypatch.setattr(FilteredComplex, "tensor", perturbed)
+    with pytest.raises(ComplexError) as exc:
+        verify_stabilization(corpus.load_diagram("unknot"), 1)
+    assert exc.value.code == "D_SQUARED_NONZERO"
+
+
 def test_double_stabilization_iterated_cone():
     """Two stabilizations give the iterated cone; under a hom sending the new
     variable and lambda to the same element each cone is cone(0), so the rank
@@ -73,8 +90,7 @@ def test_double_stabilization_iterated_cone():
         mapping_cone,
         multiplication_map,
     )
-    from sfkit.stabilize import extended_plus_spec
-    from sfkit.testrings import to_U
+    from sfkit.testrings import AlgebraTarget, to_U
 
     d = corpus.load_diagram("unknot")
     dhat = stabilize_diagram(d, 1)
@@ -82,7 +98,8 @@ def test_double_stabilization_iterated_cone():
     names = ("λ1", "λ2", "u1", "u2")
     spec = alg.AlgebraSpec(names=names)
     base = FilteredComplex(
-        algebra=spec, gen_names=["x"], cosets=[None], gradings=[None], entries={}
+        ring=AlgebraTarget(spec), gen_names=["x"], cosets=[None], gradings=[None],
+        entries={},
     )
     lam1, _ = stabilization_products(d, 1)  # lambda_1
     cone1 = mapping_cone(
@@ -146,9 +163,10 @@ def test_stabilized_complex_d_squared_mod2_over_rhat():
     # and over the tilde ring the residue lies in the relation ideal
     tilde = alg.diagram_algebra(dhat, variant=alg.TILDE)
     from sfkit.complexes import FilteredComplex
+    from sfkit.testrings import AlgebraTarget
 
     ct = FilteredComplex(
-        algebra=tilde, gen_names=c.gen_names, cosets=[None] * c.rank,
+        ring=AlgebraTarget(tilde), gen_names=c.gen_names, cosets=[None] * c.rank,
         gradings=[None] * c.rank, entries=c.entries,
     )
     rep2 = ct.verify_d_squared(mod2=True, plain_spec=c.algebra)
