@@ -12,12 +12,13 @@ and re-verified.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linprog
 from .diagram import ALPHA, BETA, Generator, HeegaardDiagram
 from .domains import (
+    ConnectingDomains,
     DomainCalculator,
+    PeriodicLattice,
     marked_multiplicities,
     maslov_index,
     maslov_of_periodic,
@@ -106,98 +107,65 @@ def hom_forced_marks(hom, kappa):
     return sorted(set(forced)), supports
 
 
-@dataclass
-class _ConeData:
-    calc: DomainCalculator
-    basis: list
-    mu: list
-    nz: list
-    at: Generator | None
-
-
-def _cone_data(d: HeegaardDiagram, block_gen: Generator | None,
-               calc: DomainCalculator | None = None) -> _ConeData:
-    calc = calc or DomainCalculator(d)
-    basis = calc.periodic_basis
-    mu = [maslov_of_periodic(d, P, block_gen) for P in basis]
-    nz = [list(marked_multiplicities(d, P)) for P in basis]
-    return _ConeData(calc=calc, basis=basis, mu=mu, nz=nz, at=block_gen)
-
-
-def _stratum_ineqs(d, data, stratum, mu_mode):
+def _stratum_ineqs(lattice, stratum, mu_mode):
     """Inequalities over lattice coordinates t.
 
     mu_mode: "zero" (mu = 0) or "nonpos" (mu <= 0).
     """
-    nregions = len(d.regions)
-    rank = len(data.basis)
-    ineqs = []
-    for r in range(nregions):
-        coeffs = [data.basis[b][r] for b in range(rank)]
-        ineqs.append((coeffs, 0))  # P_r >= 0
-    mu_row = list(data.mu)
+    basis = lattice.basis
+    ineqs = [(list(col), 0) for col in zip(*basis)]  # P_r >= 0
+    mu_row = list(lattice.mu)
     if mu_mode == "zero":
         ineqs.append((mu_row, 0))
         ineqs.append(([-c for c in mu_row], 0))
     else:
         ineqs.append(([-c for c in mu_row], 0))  # mu <= 0
     for i in stratum:
-        row = [data.nz[b][i] for b in range(rank)]
+        row = [nz[i] for nz in lattice.n_z]
         ineqs.append((row, 0))
         ineqs.append(([-c for c in row], 0))
     # normalization sum_r P_r = 1 picks a point on each nonzero ray
-    total = [sum(data.basis[b]) for b in range(rank)]
+    total = [sum(P) for P in basis]
     ineqs.append((total, 1))
     ineqs.append(([-c for c in total], -1))
     return ineqs
 
 
-def _check(d: HeegaardDiagram, block_gen, criterion, strata, mu_mode,
-           calc=None) -> AdmissibilityReport:
-    data = _cone_data(d, block_gen, calc)
-    rank = len(data.basis)
+def _check(lattice, criterion, strata, mu_mode) -> AdmissibilityReport:
+    d = lattice.diagram
     report = AdmissibilityReport(
         criterion=criterion,
         admissible=True,
         strata=len(strata),
-        vacuous_generators=block_gen is None,
+        vacuous_generators=lattice.at is None,
     )
-    if rank == 0:
+    if lattice.rank == 0:
         report.notes.append("periodic lattice trivial")
         return report
     for stratum in strata:
-        ineqs = _stratum_ineqs(d, data, stratum, mu_mode)
-        point = linprog.feasible_point(ineqs, rank)
+        ineqs = _stratum_ineqs(lattice, stratum, mu_mode)
+        point = linprog.feasible_point(ineqs, lattice.rank)
         if point is None:
             continue
-        t = linprog.integer_scale(point)
-        P = _lattice_element(data.basis, t)
+        P = lattice.element(linprog.integer_scale(point))
         report.admissible = False
         report.witness = P
         report.witness_marks = marked_multiplicities(d, P)
-        report.witness_mu = maslov_of_periodic(d, P, data.at)
+        report.witness_mu = maslov_of_periodic(d, P, lattice.at)
         report.notes.append(f"stratum {sorted(stratum)} witnesses failure")
-        _verify_witness(d, data, P, stratum, mu_mode)
+        _verify_witness(d, lattice.at, P, stratum, mu_mode)
         break
     return report
 
 
-def _lattice_element(basis, t):
-    n = len(basis[0]) if basis else 0
-    out = [0] * n
-    for c, vec in zip(t, basis):
-        if c:
-            for i in range(n):
-                out[i] += c * vec[i]
-    return out
-
-
-def _verify_witness(d, data, P, stratum, mu_mode):
+def _verify_witness(d, at, P, stratum, mu_mode):
+    """Re-check a witness from the domain itself, not from the lattice rows
+    that produced it."""
     if not any(P):
         raise WitnessError("witness is the zero domain")
     if any(v < 0 for v in P):
         raise WitnessError("witness has a negative coefficient")
-    mu = maslov_of_periodic(d, P, data.at)
+    mu = maslov_of_periodic(d, P, at)
     if (mu != 0) if mu_mode == "zero" else (mu > 0):
         raise WitnessError(f"witness has mu = {mu}")
     nz = marked_multiplicities(d, P)
@@ -205,35 +173,30 @@ def _verify_witness(d, data, P, stratum, mu_mode):
         raise WitnessError("witness does not lie in its stratum")
 
 
-def _block_generator(d, spinc_block=None, partition=None):
+def _default_lattice(d: HeegaardDiagram) -> PeriodicLattice:
+    """The lattice of the Spin^c class of the first generator, or the
+    Euler-only lattice of a diagram without generators."""
     gens = d.generators()
-    if not gens:
-        return None
-    if partition is not None and spinc_block is not None:
-        return partition.generators[partition.blocks[spinc_block][0]]
-    return gens[0]
+    return DomainCalculator(d).lattice(gens[0] if gens else None)
 
 
-def check_s_admissible(d: HeegaardDiagram, partition=None, spinc_block=None,
-                       calc=None) -> AdmissibilityReport:
-    at = _block_generator(d, spinc_block, partition)
+def check_s_admissible(d: HeegaardDiagram,
+                       lattice: PeriodicLattice | None = None) -> AdmissibilityReport:
     strata = survival_strata(d.num_marks, tilde_kill_supports(d))
-    return _check(d, at, "s", strata, "zero", calc)
+    return _check(lattice or _default_lattice(d), "s", strata, "zero")
 
 
-def check_weak_admissible(d: HeegaardDiagram, hom, partition=None,
-                          spinc_block=None, calc=None) -> AdmissibilityReport:
-    at = _block_generator(d, spinc_block, partition)
+def check_weak_admissible(d: HeegaardDiagram, hom,
+                          lattice: PeriodicLattice | None = None) -> AdmissibilityReport:
     forced, supports = hom_forced_marks(hom, d.num_marks)
     strata = survival_strata(d.num_marks, supports, forced)
-    return _check(d, at, f"weak[{hom.name}]", strata, "zero", calc)
+    return _check(lattice or _default_lattice(d), f"weak[{hom.name}]", strata, "zero")
 
 
-def check_strong_admissible(d: HeegaardDiagram, partition=None,
-                            spinc_block=None, calc=None) -> AdmissibilityReport:
-    at = _block_generator(d, spinc_block, partition)
+def check_strong_admissible(d: HeegaardDiagram,
+                            lattice: PeriodicLattice | None = None) -> AdmissibilityReport:
     strata = survival_strata(d.num_marks, tilde_kill_supports(d))
-    return _check(d, at, "strong", strata, "nonpos", calc)
+    return _check(lattice or _default_lattice(d), "strong", strata, "nonpos")
 
 
 @dataclass
@@ -241,45 +204,41 @@ class FinitenessCertificate:
     finite: bool
     bound: int | None
     exists: bool  # was there any connecting class at all
-    mu_shift: int | None = None
 
 
 def finiteness_certificate(d: HeegaardDiagram, x: Generator, y: Generator,
-                           j: int, calc=None) -> FinitenessCertificate:
+                           j: int, lattice: PeriodicLattice,
+                           con: ConnectingDomains) -> FinitenessCertificate:
     """Coefficient bound for positive classes of Maslov index j from x to y
     with surviving tilde-monomial; NotAdmissibleError on an unbounded stratum.
+
+    ``lattice`` is the periodic lattice of the Spin^c class of x and ``con``
+    the connecting solve for (x, y).
     """
-    calc = calc or DomainCalculator(d)
-    con = calc.connecting(x, y)
     if not con.exists:
         return FinitenessCertificate(finite=True, bound=None, exists=False)
     phi0 = con.particular
-    data = _cone_data(d, x, calc)
-    rank = len(data.basis)
-    mu0 = maslov_index(d, phi0, x, y, calc)
-    strata = survival_strata(d.num_marks, tilde_kill_supports(d))
-    nregions = len(d.regions)
+    mu0 = maslov_index(d, phi0, x, y, lattice.calc)
+    rank = lattice.rank
 
     if rank == 0:
         bound = max(max(phi0), 0) if phi0 else 0
-        return FinitenessCertificate(finite=True, bound=bound, exists=True, mu_shift=mu0)
+        return FinitenessCertificate(finite=True, bound=bound, exists=True)
 
+    columns = [list(col) for col in zip(*lattice.basis)]  # region -> row over t
+    strata = survival_strata(d.num_marks, tilde_kill_supports(d))
     best = 0
     for stratum in strata:
-        ineqs = []
-        for r in range(nregions):
-            coeffs = [data.basis[b][r] for b in range(rank)]
-            ineqs.append((coeffs, -phi0[r]))  # phi0 + P >= 0
-        mu_row = list(data.mu)
+        ineqs = [(coeffs, -phi0[r]) for r, coeffs in enumerate(columns)]  # phi0 + P >= 0
+        mu_row = list(lattice.mu)
         ineqs.append((mu_row, j - mu0))
         ineqs.append(([-c for c in mu_row], -(j - mu0)))
         for i in stratum:
-            row = [data.nz[b][i] for b in range(rank)]
+            row = [nz[i] for nz in lattice.n_z]
             target = -phi0[d.mark_region[i]]
             ineqs.append((row, target))
             ineqs.append(([-c for c in row], -target))
-        for r in range(nregions):
-            coeffs = [data.basis[b][r] for b in range(rank)]
+        for r, coeffs in enumerate(columns):
             rng = linprog.linear_range(ineqs, rank, coeffs)
             if rng is None:
                 break  # stratum empty
@@ -289,4 +248,4 @@ def finiteness_certificate(d: HeegaardDiagram, x: Generator, y: Generator,
                     f"unbounded coefficients in stratum {sorted(stratum)}"
                 )
             best = max(best, int(hi) + phi0[r] + 1)
-    return FinitenessCertificate(finite=True, bound=best, exists=True, mu_shift=mu0)
+    return FinitenessCertificate(finite=True, bound=best, exists=True)

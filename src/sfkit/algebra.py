@@ -225,9 +225,6 @@ class AlgebraSpec:
     def add(self, p, q):
         return self.normal_form(poly_add(p, q))
 
-    def element_from_exponents(self, exps, coeff=1):
-        return self.normal_form({tuple(exps): coeff})
-
     def variable(self, i):
         m = [0] * self.nvars
         m[i] = 1
@@ -242,13 +239,6 @@ class AlgebraSpec:
             if a:
                 acc = self.chi_group.add(acc, self.chi_group.scale(a, self.chi_classes[i]))
         return acc
-
-    def chi_of_element(self, p):
-        """Common chi value of the monomials of p, or raise if inhomogeneous."""
-        vals = {self.chi(m) for m in p}
-        if len(vals) > 1:
-            raise ValueError(f"element not chi-homogeneous: {sorted(vals)}")
-        return vals.pop() if vals else None
 
     def gr(self, m):
         if self.gr_weights is None:

@@ -27,19 +27,37 @@ class NotAdmissible(RuntimeError):
 
 @dataclass
 class DiagramData:
-    """Shared exact data for one diagram: lattice, partition, gradings."""
+    """Exact data of one diagram, each piece computed once and shared.
+
+    ``calc`` holds the corner system and the periodic basis with its n_z
+    rows; ``homology`` is H1 of the sutured manifold; ``partition`` groups the
+    generators into Spin^c blocks.  Per block, ``lattices`` holds the periodic
+    lattice with that block's mu row and ``gradings`` its ``GradingData``.  A
+    diagram without generators has no blocks and one lattice, whose mu row is
+    the Euler measure alone.
+    """
 
     diagram: HeegaardDiagram
     calc: DomainCalculator
     homology: object
     partition: object
+    lattices: list
+    gradings: list
 
     @staticmethod
     def build(d: HeegaardDiagram) -> "DiagramData":
         calc = DomainCalculator(d)
         hom = h1_presentation(d)
         part = spinc_partition(d, calc, hom)
-        return DiagramData(diagram=d, calc=calc, homology=hom, partition=part)
+        lattices = [
+            calc.lattice(part.generators[block[0]]) for block in part.blocks
+        ] or [calc.lattice(None)]
+        gradings = [
+            grading_data(d, part, bi, calc, lattices[bi])
+            for bi in range(len(part.blocks))
+        ]
+        return DiagramData(diagram=d, calc=calc, homology=hom, partition=part,
+                           lattices=lattices, gradings=gradings)
 
 
 def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
@@ -47,10 +65,9 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
              signs=None) -> FilteredComplex:
     """The filtered complex of one Spin^c block of the diagram."""
     data = data or DiagramData.build(d)
+    lattice = data.lattices[block_index]
     if require_admissible:
-        rep = check_s_admissible(d, data.partition,
-                                 block_index if data.partition.blocks else None,
-                                 data.calc)
+        rep = check_s_admissible(d, lattice)
         if not rep.admissible:
             raise NotAdmissible(f"diagram is not s-admissible: witness {rep.witness}")
 
@@ -62,7 +79,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
 
     block = data.partition.blocks[block_index]
     gens = data.partition.generators
-    gd = grading_data(d, data.partition, block_index, data.calc)
+    gd = data.gradings[block_index]
     spec = alg.diagram_algebra(
         d, variant=variant, homology=data.homology,
         gr_weights=gd.weights, gr_modulus=gd.d_of_s,
@@ -85,7 +102,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
     for j in block:
         for i in block:
             classes = enumerate_mu1_classes(
-                d, gens[j], gens[i], tilde, data.calc
+                d, gens[j], gens[i], tilde, data.calc, lattice=lattice
             )
             acc = {}
             for c in classes:

@@ -17,21 +17,39 @@ from .admissibility import (
     check_s_admissible,
     check_strong_admissible,
     check_weak_admissible,
-    finiteness_certificate,
 )
 from .cf import DiagramData, NotAdmissible, build_cf
 from .complexes import ComplexError, homology, mapping_cone, multiplication_map
 from .diagram import ALPHA, BETA, HeegaardDiagram
 from .diskcount import enumerate_mu1_classes, niceness_report
 from .homology1 import h1_presentation
-from .spinc import grading_data
 from .stabilize import BadSutureError, stabilize_diagram, verify_stabilization
 from .surgery import BadMultiplicityError, build_surgery_rings
-from .testrings import HomError, all_zero, btau_hom, coefficient_ring, to_U
+from .testrings import (
+    BadRingLabel,
+    HomError,
+    all_zero,
+    btau_hom,
+    coefficient_ring,
+    to_U,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
+
+
+class BadArgument(ValueError):
+    """A command-line value outside what the diagram or the options allow."""
+
+
+def _index_arg(flag, value, count, what, first=0):
+    """The 0-based index of ``value`` among ``count`` items numbered from
+    ``first``; values below ``first`` are refused, not counted from the end."""
+    if not first <= value < first + count:
+        raise BadArgument(f"{flag} {value} is out of range {first}..{first + count - 1}"
+                          if count else f"{flag} {value}: the diagram has no {what}")
+    return value - first
 
 
 class InvalidDiagram(ValueError):
@@ -84,7 +102,9 @@ def _hom_for(name, spec, d=None):
         from .testrings import identity_hom
 
         return identity_hom(spec)
-    raise ValueError(f"unknown hom {name}")
+    raise BadArgument(
+        f"--hom {name}: unknown hom (all-zero, to-U, b-tau or identity)"
+    )
 
 
 def cmd_validate(args):
@@ -161,14 +181,15 @@ def cmd_algebra(args):
 def cmd_admissible(args):
     d = load_diagram(args.diagram)
     data = DiagramData.build(d)
+    lattice = data.lattices[0]
     if args.criterion == "s":
-        rep = check_s_admissible(d, data.partition, None, data.calc)
+        rep = check_s_admissible(d, lattice)
     elif args.criterion == "strong":
-        rep = check_strong_admissible(d, data.partition, None, data.calc)
+        rep = check_strong_admissible(d, lattice)
     else:
         spec = alg.diagram_algebra(d, variant=alg.PLAIN, homology=data.homology)
         hom = _hom_for(args.hom, spec, d)
-        rep = check_weak_admissible(d, hom, data.partition, None, data.calc)
+        rep = check_weak_admissible(d, hom, lattice)
     payload = {
         "criterion": rep.criterion,
         "verdict": rep.verdict,
@@ -194,7 +215,8 @@ def cmd_classes(args):
     data = DiagramData.build(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE, homology=data.homology)
     gens = d.generators()
-    x, y = gens[args.from_gen], gens[args.to_gen]
+    x = gens[_index_arg("--from", args.from_gen, len(gens), "generators")]
+    y = gens[_index_arg("--to", args.to_gen, len(gens), "generators")]
     classes = enumerate_mu1_classes(d, x, y, tilde, data.calc)
     payload = [
         {
@@ -242,9 +264,10 @@ def _homology_payload(res):
 
 
 def cmd_complex(args):
+    ring = coefficient_ring(args.coefficients) if args.coefficients else None
     d = load_diagram(args.diagram)
     data = DiagramData.build(d)
-    block = args.spinc
+    block = _index_arg("--spinc", args.spinc, len(data.lattices), "Spin^c blocks")
     c = build_cf(d, block, data=data)
     spec = c.algebra
     if args.action == "build":
@@ -271,8 +294,8 @@ def cmd_complex(args):
         return EXIT_OK
     if args.action == "homology":
         hom = _hom_for(args.hom, spec, d)
-        if args.coefficients and args.hom in (None, "all-zero"):
-            hom = all_zero(spec, coefficient_ring(args.coefficients))
+        if ring is not None and args.hom in (None, "all-zero"):
+            hom = all_zero(spec, ring)
         tc = c.tensor(hom)
         res = homology(tc)
         payload = _homology_payload(res)
@@ -290,7 +313,8 @@ def cmd_complex(args):
         from .complexes import les_check, mapping_cone, multiplication_map
         from .testrings import QRing
 
-        var = (args.cone_variable or 1) - 1
+        var = _index_arg("--cone-variable", args.cone_variable, spec.nvars,
+                         "suture variables", first=1)
         exps = [0] * spec.nvars
         exps[var] = 1
         f = multiplication_map(c, {tuple(exps): 1})
@@ -352,8 +376,9 @@ def cmd_triangle(args):
 
 def cmd_stabilize(args):
     d = load_diagram(args.diagram)
+    suture = _index_arg("--suture", args.suture, d.num_marks, "sutures", first=1)
     if args.check:
-        rep = verify_stabilization(d, args.suture - 1)
+        rep = verify_stabilization(d, suture)
         payload = {
             "ok": rep.ok,
             "graded_match": rep.graded_match,
@@ -366,7 +391,7 @@ def cmd_stabilize(args):
             f"stabilization vs cone: {'MATCH' if rep.ok else 'MISMATCH'}"
         ] + [f"  {n}" for n in rep.notes])
         return EXIT_OK if rep.ok else EXIT_FAIL
-    dhat = stabilize_diagram(d, args.suture - 1)
+    dhat = stabilize_diagram(d, suture)
     print(json.dumps(dhat.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -449,7 +474,7 @@ def main(argv=None):
     p.add_argument("--hom", default=None)
     p.add_argument("--coefficients", default=None)
     p.add_argument("--spinc", type=int, default=0)
-    p.add_argument("--cone-variable", type=int, default=None,
+    p.add_argument("--cone-variable", type=int, default=1,
                    help="1-based suture variable for the cone action")
     p.set_defaults(func=cmd_complex)
 
@@ -488,6 +513,9 @@ def main(argv=None):
         return EXIT_BAD_INPUT
     except InvalidDiagram as e:
         print(f"invalid diagram:\n{e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except (BadArgument, BadRingLabel) as e:
+        print(f"bad argument: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as e:
         import jsonschema

@@ -528,9 +528,6 @@ class ChainMap:
             return -1
         return None
 
-    def is_chain_map(self):
-        return self.chain_parity() == 1
-
 
 def mapping_cone(f: ChainMap, twist_sign=-1) -> FilteredComplex:
     """M(f) = source + target with differential ((d1, 0), (f, -d2)).

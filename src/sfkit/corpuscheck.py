@@ -21,7 +21,6 @@ from .admissibility import (
 from .cf import DiagramData, build_cf
 from .complexes import homology
 from .diagram import ALPHA, BETA
-from .spinc import grading_data
 from .testrings import all_zero
 
 
@@ -54,10 +53,11 @@ def diagram_report(name: str) -> dict:
     data = DiagramData.build(d)
     out["spinc_blocks"] = [len(b) for b in data.partition.blocks]
 
-    s_rep = check_s_admissible(d, data.partition, None, data.calc)
-    strong_rep = check_strong_admissible(d, data.partition, None, data.calc)
+    lattice = data.lattices[0]
+    s_rep = check_s_admissible(d, lattice)
+    strong_rep = check_strong_admissible(d, lattice)
     spec0 = alg.diagram_algebra(d, homology=data.homology)
-    weak_rep = check_weak_admissible(d, all_zero(spec0), data.partition, None, data.calc)
+    weak_rep = check_weak_admissible(d, all_zero(spec0), lattice)
     out["admissible"] = {
         "s": s_rep.admissible,
         "strong": strong_rep.admissible,
@@ -71,8 +71,7 @@ def diagram_report(name: str) -> dict:
 
     blocks = []
     total = 0
-    for bi in range(len(data.partition.blocks)):
-        gd = grading_data(d, data.partition, bi, data.calc)
+    for bi, gd in enumerate(data.gradings):
         c = build_cf(d, bi, data=data)
         tc = c.tensor(all_zero(c.algebra))
         entry = {

@@ -63,10 +63,6 @@ class Generator:
     perm: tuple
     points: tuple
 
-    @property
-    def point_set(self):
-        return frozenset(self.points)
-
     def label(self) -> str:
         return "{" + ",".join(f"x{p}" for p in self.points) + "}"
 
@@ -78,12 +74,6 @@ class ComplementComponent:
     regions: tuple
     genus: int
     marks: tuple  # boundary sutures = marked points inside the component
-
-    def monomial_exponents(self, num_marks):
-        exps = [0] * num_marks
-        for m in self.marks:
-            exps[m] += 1
-        return tuple(exps)
 
 
 @dataclass
@@ -370,6 +360,14 @@ class HeegaardDiagram:
         for side in (ALPHA, BETA):
             if not homology1.curves_independent(self, side):
                 errors.append(("DEPENDENT_CURVES", f"{side} classes dependent in H1(Sigma - z)"))
+
+    @cached_property
+    def surface_model(self):
+        """The chain model of Sigma - z that every H1 computation reads
+        (``homology1.SurfaceModel``), built on first use."""
+        from . import homology1
+
+        return homology1.build_surface_model(self)
 
     # -- complement components ------------------------------------------
 

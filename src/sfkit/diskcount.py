@@ -21,6 +21,7 @@ from .algebra import AlgebraSpec
 from .diagram import Generator, HeegaardDiagram
 from .domains import (
     DomainCalculator,
+    PeriodicLattice,
     euler_measure,
     generator_measure,
     marked_multiplicities,
@@ -67,26 +68,24 @@ def classify(d: HeegaardDiagram, D, x: Generator, y: Generator) -> tuple:
     return UNSUPPORTED, None
 
 
-def _sliced_box(d: HeegaardDiagram, x: Generator, y: Generator, phi0, basis,
-                bound: int, index: int) -> list:
+def _sliced_box(d: HeegaardDiagram, x: Generator, y: Generator, phi0,
+                lattice: PeriodicLattice, bound: int, index: int) -> list:
     """Lattice coordinates t with 0 <= phi0 + sum t_b P_b <= bound and
     mu = index.
 
-    4 mu = 4 mu(phi0) + sum t_b 4 mu(P_b) is an integer affine equation; the
-    coordinate L with the smallest nonzero |4 mu(P_L)| is solved for and
-    substituted into the box rows, each scaled by |4 mu(P_L)|.  The other
-    coordinates are enumerated exactly and t_L is kept where it comes out
-    integral.
+    4 mu = 4 mu(phi0) + sum t_b 4 mu(P_b) is an integer affine equation whose
+    slope is 4 times the lattice's mu row; the coordinate L with the smallest
+    nonzero |4 mu(P_L)| is solved for and substituted into the box rows, each
+    scaled by |4 mu(P_L)|.  The other coordinates are enumerated exactly and
+    t_L is kept where it comes out integral.
     """
-    points = x.points + y.points
-    target = 4 * index - maslov_x4(d, phi0, points)
-    slope = [maslov_x4(d, P, points) for P in basis]
-    rank = len(basis)
+    target = 4 * index - maslov_x4(d, phi0, x.points + y.points)
+    slope = [4 * m for m in lattice.mu]
+    rank = lattice.rank
     box = []
-    for r in range(len(d.regions)):
-        coeffs = [basis[b][r] for b in range(rank)]
-        box.append((coeffs, -phi0[r]))
-        box.append(([-c for c in coeffs], phi0[r] - bound))
+    for r, col in enumerate(zip(*lattice.basis)):
+        box.append((list(col), -phi0[r]))
+        box.append(([-c for c in col], phi0[r] - bound))
     pivots = [b for b in range(rank) if slope[b]]
     if not pivots:
         # mu is constant on the coset
@@ -113,37 +112,30 @@ def _sliced_box(d: HeegaardDiagram, x: Generator, y: Generator, phi0, basis,
 
 def enumerate_mu1_classes(d: HeegaardDiagram, x: Generator, y: Generator,
                           tilde: AlgebraSpec, calc: DomainCalculator | None = None,
-                          index: int = 1) -> list:
+                          index: int = 1,
+                          lattice: PeriodicLattice | None = None) -> list:
     """All positive classes from x to y with mu = index and surviving
-    tilde-monomial, in deterministic order."""
+    tilde-monomial, in deterministic order.
+
+    ``lattice`` is the periodic lattice of the Spin^c class of x; it is
+    computed from ``calc`` when not given.
+    """
     calc = calc or DomainCalculator(d)
-    cert = finiteness_certificate(d, x, y, index, calc)
+    lattice = lattice or calc.lattice(x)
+    con = calc.connecting(x, y)
+    cert = finiteness_certificate(d, x, y, index, lattice, con)
     if not cert.exists:
         return []
-    con = calc.connecting(x, y)
     phi0 = con.particular
-    basis = calc.periodic_basis
-    bound = cert.bound if cert.bound is not None else max(max(phi0, default=0), 0)
 
     try:
-        coords = _sliced_box(d, x, y, phi0, basis, bound, index)
+        coords = _sliced_box(d, x, y, phi0, lattice, cert.bound, index)
     except linprog.Unbounded:
         raise RuntimeError("certificate box is unbounded") from None
-    candidates = []
-    for t in coords:
-        D = list(phi0)
-        for c, vec in zip(t, basis):
-            if c:
-                for i in range(len(D)):
-                    D[i] += c * vec[i]
-        candidates.append(tuple(D))
+    candidates = {tuple(lattice.element(t, phi0)) for t in coords}
 
     out = []
-    seen = set()
     for D in sorted(candidates):
-        if D in seen:
-            continue
-        seen.add(D)
         if any(c < 0 for c in D):
             continue
         mu = maslov_index(d, list(D), x, y, calc)
@@ -168,8 +160,9 @@ def enumerate_block_classes(d: HeegaardDiagram, generators, tilde: AlgebraSpec,
     calc = calc or DomainCalculator(d)
     out = []
     for x in generators:
+        lattice = calc.lattice(x)
         for y in generators:
-            out.extend(enumerate_mu1_classes(d, x, y, tilde, calc))
+            out.extend(enumerate_mu1_classes(d, x, y, tilde, calc, lattice=lattice))
     return out
 
 

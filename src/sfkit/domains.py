@@ -46,12 +46,11 @@ def corner_target(d: HeegaardDiagram, x: Generator, y: Generator):
 class ConnectingDomains:
     exists: bool
     particular: list | None
-    periodic_basis: list
 
 
 class DomainCalculator:
-    """Per-diagram cache of the corner system, factored once, and the
-    periodic lattice."""
+    """Per-diagram cache of the corner system, factored once, and of the
+    periodic lattice: its basis and the n_z row of each basis domain."""
 
     def __init__(self, d: HeegaardDiagram):
         self.diagram = d
@@ -65,6 +64,9 @@ class DomainCalculator:
             self.periodic_basis = [
                 [1 if i == j else 0 for j in range(n)] for i in range(n)
             ]
+        self.periodic_n_z = [
+            list(marked_multiplicities(d, P)) for P in self.periodic_basis
+        ]
 
     def connecting(self, x: Generator, y: Generator) -> ConnectingDomains:
         if not self.matrix:
@@ -72,11 +74,13 @@ class DomainCalculator:
         else:
             target = corner_target(self.diagram, x, y)
             sol = snf.solve_integer(self.factored, target)
-        return ConnectingDomains(
-            exists=sol is not None,
-            particular=sol,
-            periodic_basis=[list(b) for b in self.periodic_basis],
-        )
+        return ConnectingDomains(exists=sol is not None, particular=sol)
+
+    def lattice(self, at: Generator | None) -> "PeriodicLattice":
+        """The periodic lattice with the mu row of the Spin^c class of ``at``
+        (of the Euler measure alone when ``at`` is None)."""
+        mu = [maslov_of_periodic(self.diagram, P, at) for P in self.periodic_basis]
+        return PeriodicLattice(calc=self, mu=mu, at=at)
 
     def is_domain(self, D, x: Generator, y: Generator) -> bool:
         target = corner_target(self.diagram, x, y)
@@ -157,40 +161,41 @@ def full_surface_domain(d: HeegaardDiagram):
     return [1] * len(d.regions)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodicLattice:
-    """The lattice of periodic domains with its Maslov functional and n_z map.
+    """The lattice of periodic domains in one Spin^c class.
 
-    ``mu`` is linear on the lattice once a Spin^c class is fixed; it is
-    evaluated at a chosen generator of the class (or the bare Euler measure
-    when the diagram has no generators).
+    The basis and its n_z rows belong to the diagram and are shared with its
+    calculator.  ``mu`` holds the Maslov index mu(P) = e(P) + 2 n_x(P) of each
+    basis domain; it is the same for every generator x of the class, so the
+    row is computed once, at the generator ``at``, and mu is linear in t.
     """
 
-    diagram: HeegaardDiagram
-    basis: list
+    calc: DomainCalculator
+    mu: list
     at: Generator | None
+
+    @property
+    def diagram(self) -> HeegaardDiagram:
+        return self.calc.diagram
+
+    @property
+    def basis(self) -> list:
+        return self.calc.periodic_basis
+
+    @property
+    def n_z(self) -> list:
+        return self.calc.periodic_n_z
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
-    def element(self, coeffs):
-        n = len(self.diagram.regions)
-        out = [0] * n
-        for c, vec in zip(coeffs, self.basis):
+    def element(self, t, base=None) -> list:
+        """base + sum_b t_b P_b (base defaults to the zero domain)."""
+        out = list(base) if base is not None else [0] * len(self.diagram.regions)
+        for c, vec in zip(t, self.basis):
             if c:
-                for i in range(n):
-                    out[i] += c * vec[i]
+                for i, v in enumerate(vec):
+                    out[i] += c * v
         return out
-
-    def mu_values(self):
-        return [maslov_of_periodic(self.diagram, b, self.at) for b in self.basis]
-
-    def n_z_rows(self):
-        return [list(marked_multiplicities(self.diagram, b)) for b in self.basis]
-
-
-def periodic_lattice(d: HeegaardDiagram, at: Generator | None,
-                     calculator: DomainCalculator | None = None) -> PeriodicLattice:
-    calc = calculator or DomainCalculator(d)
-    return PeriodicLattice(diagram=d, basis=[list(b) for b in calc.periodic_basis], at=at)

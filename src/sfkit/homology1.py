@@ -10,11 +10,17 @@ region contributes one 2-cell.  From that we present
 in Smith normal form together with the classes PD[gamma_i] of the puncture
 circles, which drive both the H-filtration of the suture algebra and the
 relative Spin^c difference table.
+
+The chain model, its cycle kernel and the cycles expressed in that kernel
+are built once per diagram (``HeegaardDiagram.surface_model``);
+``curves_independent``, ``surface_h1`` and ``h1_presentation`` are views
+over that one model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import snf
 from .diagram import ALPHA, BETA, HeegaardDiagram, _arc_entry
@@ -129,8 +135,25 @@ def build_chain_model(d: HeegaardDiagram) -> ChainModel:
     )
 
 
-def _kernel_coordinates(model: ChainModel):
-    """Basis K of ker(boundary1) and a solver expressing cycles in K."""
+@dataclass
+class SurfaceModel:
+    """The chain model of one diagram with its cycles expressed once in the
+    coordinates of ker(boundary1)."""
+
+    rank: int  # rank of the cycle group ker(boundary1)
+    cells: list  # region boundaries
+    curves: dict  # (side, curve index) -> curve class
+    punctures: list  # mark index -> puncture circle class
+
+    @cached_property
+    def group(self) -> snf.AbelianGroup:
+        """H1(Sigma - z) = cycles / cells."""
+        return snf.cokernel(self.cells, self.rank)
+
+
+def build_surface_model(d: HeegaardDiagram) -> SurfaceModel:
+    """Use ``d.surface_model``, which builds this once per diagram."""
+    model = build_chain_model(d)
     kernel = snf.kernel_basis(model.boundary1)
     # columns of K as a matrix over edges, factored once for every cycle
     n_edges = len(model.boundary1[0]) if model.boundary1 else 0
@@ -143,39 +166,36 @@ def _kernel_coordinates(model: ChainModel):
             raise ValueError("vector is not a 1-cycle")
         return sol
 
-    return kernel, express
+    return SurfaceModel(
+        rank=len(kernel),
+        cells=[express(c) for c in model.cell_columns],
+        curves={key: express(v) for key, v in model.curve_cycles.items()},
+        punctures=[express(v) for v in model.puncture_cycles],
+    )
 
 
 def surface_h1(d: HeegaardDiagram):
     """H1(Sigma - z) with the curve and puncture classes in its coordinates."""
-    model = build_chain_model(d)
-    kernel, express = _kernel_coordinates(model)
-    relations = [express(c) for c in model.cell_columns]
-    group = snf.cokernel(relations, len(kernel))
-    curve_classes = {
-        key: group.project(express(v)) for key, v in model.curve_cycles.items()
-    }
-    puncture_classes = [group.project(express(v)) for v in model.puncture_cycles]
-    return group, curve_classes, puncture_classes
+    m = d.surface_model
+    curve_classes = {key: m.group.project(v) for key, v in m.curves.items()}
+    puncture_classes = [m.group.project(v) for v in m.punctures]
+    return m.group, curve_classes, puncture_classes
 
 
 def curves_independent(d: HeegaardDiagram, side) -> bool:
     """Are the classes of the ``side`` curves linearly independent in
     H1(Sigma - z; Z)?"""
-    model = build_chain_model(d)
-    kernel, express = _kernel_coordinates(model)
-    relations = [express(c) for c in model.cell_columns]
-    group = snf.cokernel(relations, len(kernel))
+    m = d.surface_model
     curves = d.alpha if side == ALPHA else d.beta
     if not curves:
         return True
     # independence is checked rationally: torsion coordinates are dropped
-    free_cols = [i for i, m in enumerate(group.moduli) if m == 0]
+    free_cols = [i for i, mod in enumerate(m.group.moduli) if mod == 0]
     if not free_cols:
         return False
     mat = []
     for ci in range(len(curves)):
-        full = group.project(express(model.curve_cycles[(side, ci)]))
+        full = m.group.project(m.curves[(side, ci)])
         mat.append([full[i] for i in free_cols])
     return snf.rank_over_field(mat) == len(curves)
 
@@ -210,10 +230,7 @@ class HomologyPresentation:
 
 
 def h1_presentation(d: HeegaardDiagram) -> HomologyPresentation:
-    model = build_chain_model(d)
-    kernel, express = _kernel_coordinates(model)
-    relations = [express(c) for c in model.cell_columns]
-    relations += [express(v) for v in model.curve_cycles.values()]
-    group = snf.cokernel(relations, len(kernel))
-    pd = [group.project(express(v)) for v in model.puncture_cycles]
+    m = d.surface_model
+    group = snf.cokernel(m.cells + list(m.curves.values()), m.rank)
+    pd = [group.project(v) for v in m.punctures]
     return HomologyPresentation(group=group, pd_classes=pd)

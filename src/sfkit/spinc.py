@@ -17,14 +17,15 @@ the reported value is a canonical solution and is flagged as conventional.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import snf
 from .diagram import Generator, HeegaardDiagram
 from .domains import (
     DomainCalculator,
+    PeriodicLattice,
     marked_multiplicities,
     maslov_index,
-    maslov_of_periodic,
 )
 from .homology1 import HomologyPresentation, h1_presentation
 
@@ -40,12 +41,6 @@ class SpincPartition:
     blocks: list  # list of lists of generator indices
     generators: tuple
     diffs: dict  # (i, j) -> element of H, for i, j in one block
-
-    def block_of(self, gen_index: int) -> int:
-        for bi, block in enumerate(self.blocks):
-            if gen_index in block:
-                return bi
-        raise KeyError(gen_index)
 
     def diff(self, i: int, j: int):
         if (i, j) not in self.diffs:
@@ -85,8 +80,7 @@ def spinc_partition(d: HeegaardDiagram, calc: DomainCalculator | None = None,
 
     # the H-difference is independent of the connecting domain because the
     # n_z vector of a periodic domain maps to 0 in H; assert that on the basis
-    for basis_vec in calc.periodic_basis:
-        nz = marked_multiplicities(d, basis_vec)
+    for nz in calc.periodic_n_z:
         if hom.chi_of_exponents(nz) != hom.group.zero():
             raise AssertionError("periodic domain with nonzero H-image of n_z")
 
@@ -138,71 +132,36 @@ class GradingData:
 
 
 def grading_data(d: HeegaardDiagram, partition: SpincPartition, block_index: int,
-                 calc: DomainCalculator | None = None) -> GradingData:
+                 calc: DomainCalculator | None = None,
+                 lattice: PeriodicLattice | None = None) -> GradingData:
+    """Gradings of one block; ``lattice`` is the block's periodic lattice,
+    computed from ``calc`` when not given."""
     calc = calc or DomainCalculator(d)
     block = partition.blocks[block_index]
     gens = partition.generators
-    at = gens[block[0]]
-
-    basis = calc.periodic_basis
-    mu_vals = [maslov_of_periodic(d, P, at) for P in basis]
-    nz_rows = [list(marked_multiplicities(d, P)) for P in basis]
+    lattice = lattice or calc.lattice(gens[block[0]])
 
     # d(s): gcd of mu over the sublattice with n_z == 0
-    sub = _kernel_sublattice(nz_rows)
-    d_of_s = 0
-    for coeffs in sub:
-        val = sum(c * m for c, m in zip(coeffs, mu_vals))
-        d_of_s = _gcd(d_of_s, val)
-    d_of_s = abs(d_of_s)
+    d_of_s = gcd(*(sum(c * m for c, m in zip(t, lattice.mu))
+                   for t in _kernel_sublattice(lattice.n_z)))
 
-    weights, pinned = _solve_weights(nz_rows, mu_vals, d.num_marks, d_of_s)
+    weights, pinned = _solve_weights(lattice.n_z, lattice.mu, d.num_marks, d_of_s)
 
-    gr = {}
-    if weights is not None:
-        base = block[0]
-        gr[base] = 0
-        ok = True
-        for i in block[1:]:
-            D = _connecting_domain(partition, calc, gens, i, base)
-            mu = maslov_index(d, D, gens[i], gens[base], calc)
-            w = _apply_weights(weights, marked_multiplicities(d, D))
-            if w is None:
-                ok = False
-                break
-            gr[i] = (mu + w) % d_of_s if d_of_s else mu + w
-        if not ok:
-            gr = {i: None for i in block}
-    else:
-        weights = [None] * d.num_marks
-        pinned = [False] * d.num_marks
-        gr = {i: None for i in block}
-
-    return GradingData(d_of_s=d_of_s, weights=weights, pinned=pinned, gr=gr, block=list(block))
-
-
-def _connecting_domain(partition, calc, gens, i, j):
-    con = calc.connecting(gens[i], gens[j])
-    if not con.exists:
-        raise NoConnectingDomain(f"generators {i}, {j} not connected")
-    return con.particular
-
-
-def _apply_weights(weights, exponents):
-    acc = 0
-    for w, a in zip(weights, exponents):
-        if a:
-            if w is None:
-                return None
-            acc += w * a
-    return acc
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
+    if weights is None:
+        return GradingData(d_of_s=d_of_s, weights=[None] * d.num_marks,
+                           pinned=[False] * d.num_marks,
+                           gr={i: None for i in block}, block=list(block))
+    base = block[0]
+    gd = GradingData(d_of_s=d_of_s, weights=weights, pinned=pinned,
+                     gr={base: 0}, block=list(block))
+    for i in block[1:]:
+        con = calc.connecting(gens[i], gens[base])
+        if not con.exists:
+            raise NoConnectingDomain(f"generators {i}, {base} not connected")
+        mu = maslov_index(d, con.particular, gens[i], gens[base], calc)
+        w = gd.weight_of_monomial(marked_multiplicities(d, con.particular))
+        gd.gr[i] = gd._reduce(mu + w)
+    return gd
 
 
 def _kernel_sublattice(nz_rows):

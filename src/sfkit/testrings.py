@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import algebra as alg
 from . import snf
@@ -422,14 +423,35 @@ def algebra_hom(source: alg.AlgebraSpec, target_spec: alg.AlgebraSpec, images,
     return hom.verify()
 
 
+class BadRingLabel(ValueError):
+    """A --coefficients label that names no supported ring."""
+
+
+# Trial division decides primality in well under a second below this bound.
+_MODULUS_LIMIT = 2 ** 40
+
+
+def _prime_modulus(label: str, digits: str) -> int:
+    if not (digits.isascii() and digits.isdigit()):
+        raise BadRingLabel(f"unknown coefficient ring {label}")
+    p = int(digits)
+    if p >= _MODULUS_LIMIT:
+        raise BadRingLabel(f"{label}: modulus {p} is not below 2^40")
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise BadRingLabel(f"{label}: modulus {p} is not prime, so Z/{p} is not a field")
+    return p
+
+
 def coefficient_ring(label: str) -> Target:
-    """Parse a --coefficients flag: Z | Q | Zp:<p> | F2U | F<p>U."""
+    """Parse a --coefficients flag: Z | Q | Zp:<p> | F<p>U with p prime."""
     if label == "Z":
         return ZRing()
     if label == "Q":
         return QRing()
     if label.startswith("Zp:"):
-        return ZpRing(int(label.split(":", 1)[1]))
+        return ZpRing(_prime_modulus(label, label[3:]))
     if label.endswith("U") and label.startswith("F"):
-        return FpURing(int(label[1:-1]))
-    raise ValueError(f"unknown coefficient ring {label}")
+        return FpURing(_prime_modulus(label, label[1:-1]))
+    raise BadRingLabel(
+        f"unknown coefficient ring {label} (Z, Q, Zp:<p> or F<p>U with p prime)"
+    )

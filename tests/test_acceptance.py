@@ -229,7 +229,8 @@ def test_a5_trefoil():
     gens = d.generators()
     for x in gens:
         for y in gens:
-            cert = finiteness_certificate(d, x, y, 1, data.calc)
+            cert = finiteness_certificate(d, x, y, 1, data.lattices[0],
+                                          data.calc.connecting(x, y))
             bound = (cert.bound or 0) + 1
             tgt = corner_target(d, x, y)
             oracle = []
@@ -337,7 +338,8 @@ def test_a8_admissibility():
         gens = dd.generators()
         for x in gens:
             for y in gens:
-                cert = finiteness_certificate(dd, x, y, 1, calc)
+                cert = finiteness_certificate(dd, x, y, 1, calc.lattice(x),
+                                              calc.connecting(x, y))
                 assert cert.finite
                 bound = (cert.bound or 0) + 1
                 tgt = corner_target(dd, x, y)

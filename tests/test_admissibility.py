@@ -12,7 +12,6 @@ from sfkit import corpus, snf
 from sfkit.admissibility import (
     NotAdmissibleError,
     WitnessError,
-    _cone_data,
     _verify_witness,
     check_s_admissible,
     check_strong_admissible,
@@ -133,7 +132,7 @@ def test_certificate_sound_against_brute_force(name):
     gens = d.generators()
     for x in gens:
         for y in gens:
-            cert = finiteness_certificate(d, x, y, 1, calc)
+            cert = finiteness_certificate(d, x, y, 1, calc.lattice(x), calc.connecting(x, y))
             assert cert.finite
             bound = (cert.bound or 0) + 1
             oracle = brute_force_positive_classes(d, x, y, 1, bound)
@@ -156,7 +155,8 @@ def test_x_equals_y_j0_certificate():
     d = corpus.load_diagram("trefoil")
     calc = DomainCalculator(d)
     gens = d.generators()
-    cert = finiteness_certificate(d, gens[0], gens[0], 0, calc)
+    cert = finiteness_certificate(d, gens[0], gens[0], 0, calc.lattice(gens[0]),
+                                  calc.connecting(gens[0], gens[0]))
     assert cert.finite and cert.exists
     # only the zero class at index 0
     oracle = brute_force_positive_classes(d, gens[0], gens[0], 0, (cert.bound or 0) + 1)
@@ -167,8 +167,7 @@ def test_witness_errors_name_the_condition():
     # sphere_bad has no generators, so mu is the Euler measure alone;
     # its witness is [0, 1, 0] (region 0 has e = 1)
     d = corpus.load_diagram("sphere_bad")
-    data = _cone_data(d, None)
-    _verify_witness(d, data, check_s_admissible(d).witness, (), "zero")
+    _verify_witness(d, None, check_s_admissible(d).witness, (), "zero")
     cases = [
         ([0, 0, 0], (), "zero", "witness is the zero domain"),
         ([-1, 1, 0], (), "zero", "witness has a negative coefficient"),
@@ -178,7 +177,7 @@ def test_witness_errors_name_the_condition():
     ]
     for P, stratum, mu_mode, condition in cases:
         with pytest.raises(WitnessError) as err:
-            _verify_witness(d, data, P, stratum, mu_mode)
+            _verify_witness(d, None, P, stratum, mu_mode)
         assert err.value.condition == condition
         assert isinstance(err.value, NotAdmissibleError)
 
@@ -188,10 +187,10 @@ def test_witness_check_survives_python_O():
 import sys
 assert not __debug__
 from sfkit import corpus
-from sfkit.admissibility import WitnessError, _cone_data, _verify_witness
+from sfkit.admissibility import WitnessError, _verify_witness
 d = corpus.load_diagram("sphere_bad")
 try:
-    _verify_witness(d, _cone_data(d, None), [0, 0, 0], (), "zero")
+    _verify_witness(d, None, [0, 0, 0], (), "zero")
 except WitnessError as e:
     print(e.condition)
     sys.exit(0)

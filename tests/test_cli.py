@@ -86,6 +86,41 @@ def test_malformed_diagram_exits_2(tmp_path, capsys, mutate, command):
     assert code == 1 and "MALFORMED" in out
 
 
+# each value is refused by name; at the parent the out-of-range indices and
+# unknown labels raised tracebacks, and -1, --cone-variable 0, Zp:4 and F4U
+# answered silently
+BAD_ARGUMENTS = [
+    ("homology", "DIAGRAM", "--spinc", "5"),
+    ("homology", "DIAGRAM", "--spinc", "-1"),
+    ("classes", "DIAGRAM", "--from", "0", "--to", "9"),
+    ("classes", "DIAGRAM", "--from", "-1", "--to", "0"),
+    ("homology", "DIAGRAM", "--coefficients", "W"),
+    ("homology", "DIAGRAM", "--coefficients", "F2"),
+    ("homology", "DIAGRAM", "--coefficients", "Zp:4"),
+    ("homology", "DIAGRAM", "--coefficients", "F4U"),
+    ("homology", "DIAGRAM", "--hom", "nonsense"),
+    ("complex", "cone", "DIAGRAM", "--cone-variable", "0"),
+    ("complex", "cone", "DIAGRAM", "--cone-variable", "5"),
+    ("stabilize", "DIAGRAM", "--suture", "0"),
+    ("stabilize", "DIAGRAM", "--suture", "5", "--check"),
+]
+
+
+@pytest.mark.parametrize("command", BAD_ARGUMENTS, ids=" ".join)
+def test_bad_argument_exits_2(capsys, command):
+    code, out = run(*(corpus_path("grid2") if a == "DIAGRAM" else a for a in command))
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("bad argument: ") and "Traceback" not in err
+
+
+def test_prime_moduli_are_accepted():
+    for label, ring in (("Zp:3", "Z/3"), ("F3U", "F3[U]")):
+        code, out = run("--json", "homology", corpus_path("grid2"), "--coefficients", label)
+        assert code == 0 and json.loads(out)["ring"] == ring
+
+
 def test_components_output():
     code, out = run("components", corpus_path("trefoil"))
     assert code == 0

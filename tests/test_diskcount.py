@@ -138,10 +138,11 @@ def test_niceness_reports():
 
 
 def reference_mu1_classes(d, x, y, tilde, calc, index=1):
-    cert = finiteness_certificate(d, x, y, index, calc)
+    con = calc.connecting(x, y)
+    cert = finiteness_certificate(d, x, y, index, calc.lattice(x), con)
     if not cert.exists:
         return []
-    phi0 = calc.connecting(x, y).particular
+    phi0 = con.particular
     basis = calc.periodic_basis
     rank = len(basis)
     bound = cert.bound if cert.bound is not None else max(max(phi0, default=0), 0)
@@ -258,6 +259,7 @@ class _RepeatedBasis(DomainCalculator):
     def __init__(self, d):
         super().__init__(d)
         self.periodic_basis = self.periodic_basis + self.periodic_basis[:1]
+        self.periodic_n_z = self.periodic_n_z + self.periodic_n_z[:1]
 
 
 def test_unbounded_box_raises():

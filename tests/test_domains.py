@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfkit import corpus, snf
+from sfkit.cf import DiagramData
 from sfkit.diagram import ALPHA, BETA
 from sfkit.domains import (
     DomainCalculator,
@@ -18,6 +19,7 @@ from sfkit.domains import (
     marked_multiplicities,
     maslov_index,
     maslov_of_periodic,
+    maslov_x4,
 )
 
 CORPUS = [
@@ -76,10 +78,10 @@ def test_connecting_solution_set_matches_brute_force(name):
                 continue
             # reproduce the box contents from particular + lattice
             found = set()
-            rank = len(con.periodic_basis)
+            rank = len(calc.periodic_basis)
             for t in product(range(-6, 7), repeat=rank):
                 vec = list(con.particular)
-                for c, b in zip(t, con.periodic_basis):
+                for c, b in zip(t, calc.periodic_basis):
                     for k in range(len(vec)):
                         vec[k] += c * b[k]
                 if all(-2 <= v <= 2 for v in vec):
@@ -253,3 +255,39 @@ def test_factored_corner_system_matches_fresh_solves(name, k):
         for y in gens:
             fresh = snf.solve_integer(calc.matrix, corner_target(d, x, y))
             assert calc.connecting(x, y).particular == fresh
+
+
+# -- one periodic lattice per Spin^c block ------------------------------------
+#
+# DiagramData keeps one mu row per block and the enumerator takes its slope as
+# 4 times that row.  Both rest on mu(P) = e(P) + 2 n_x(P) being the same for
+# every generator x of a block, and on n_x(P) = n_y(P) for connected x, y.
+
+LATTICE_CASES = [(name, 0) for name in corpus.corpus_names()] + [
+    (name, k) for name in ("unknot", "trefoil", "grid2") for k in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name, k", LATTICE_CASES)
+def test_block_mu_row_is_every_generators_mu(name, k):
+    d = _stabilized(name, k)
+    data = DiagramData.build(d)
+    basis = data.calc.periodic_basis
+    assert all(lat.basis is basis for lat in data.lattices)
+    assert data.lattices[0].n_z == [list(marked_multiplicities(d, P)) for P in basis]
+    if not data.partition.blocks:
+        # no generators: the single lattice carries the Euler measure alone
+        assert [lat.mu for lat in data.lattices] == [
+            [maslov_of_periodic(d, P, None) for P in basis]
+        ]
+        return
+    gens = data.partition.generators
+    for block, lat in zip(data.partition.blocks, data.lattices, strict=True):
+        for i in block:
+            assert [maslov_of_periodic(d, P, gens[i]) for P in basis] == lat.mu
+            for j in block:
+                x, y = gens[i], gens[j]
+                assert data.calc.connecting(x, y).exists
+                slope = [maslov_x4(d, P, x.points + y.points) for P in basis]
+                assert slope == [4 * m for m in lat.mu]
+

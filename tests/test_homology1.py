@@ -145,3 +145,25 @@ def test_h1_presentation_matches_fresh_solves(name, k):
     group, pd = _reference_h1_presentation(d)
     assert hp.group == group
     assert hp.pd_classes == pd
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_chain_model_built_once_per_diagram(name, monkeypatch):
+    # validate() asks curves_independent about both sides and DiagramData
+    # asks for H1; all three read one chain model
+    from sfkit import homology1
+    from sfkit.cf import DiagramData
+
+    built = []
+    original = homology1.build_chain_model
+
+    def counting(d):
+        built.append(d)
+        return original(d)
+
+    monkeypatch.setattr(homology1, "build_chain_model", counting)
+    d = corpus.load_diagram(name)
+    assert d.validate().ok
+    DiagramData.build(d)
+    surface_h1(d)
+    assert len(built) == 1

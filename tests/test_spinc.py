@@ -144,3 +144,21 @@ def test_gr_weight_monoid_map(a, b, c, d_):
     assert gd.weight_of_monomial((a + c, b + d_)) == gd.weight_of_monomial(
         (a, b)
     ) + gd.weight_of_monomial((c, d_))
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_corpus_report_grades_each_block_once(name, monkeypatch):
+    from sfkit import cf, corpuscheck, spinc
+
+    calls = []
+    original = spinc.grading_data
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    for module in (spinc, cf, corpuscheck):
+        if getattr(module, "grading_data", None) is original:
+            monkeypatch.setattr(module, "grading_data", counting)
+    report = corpuscheck.diagram_report(name)
+    assert sorted(calls) == list(range(len(report["spinc_blocks"])))
