@@ -11,6 +11,7 @@ and re-verified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import linprog
@@ -107,28 +108,27 @@ def hom_forced_marks(hom, kappa):
     return sorted(set(forced)), supports
 
 
-def _stratum_ineqs(lattice, stratum, mu_mode):
-    """Inequalities over lattice coordinates t.
+def _cone_rows(lattice, stratum, base):
+    """Rows over lattice coordinates t: base + P >= 0, and n_i(base + P) = 0
+    for every mark i of the stratum."""
+    rows = [(list(col), -base[r]) for r, col in enumerate(zip(*lattice.basis))]
+    for i in stratum:
+        row, c = [nz[i] for nz in lattice.n_z], -base[lattice.diagram.mark_region[i]]
+        rows += [(row, c), ([-v for v in row], -c)]
+    return rows
 
-    mu_mode: "zero" (mu = 0) or "nonpos" (mu <= 0).
-    """
-    basis = lattice.basis
-    ineqs = [(list(col), 0) for col in zip(*basis)]  # P_r >= 0
+
+def _stratum_ineqs(lattice, stratum, mu_mode):
+    """Inequalities over lattice coordinates t: P >= 0 in the stratum, with
+    mu = 0 (mu_mode "zero") or mu <= 0 ("nonpos"), normalized by
+    sum_r P_r = 1, which picks a point on each nonzero ray."""
     mu_row = list(lattice.mu)
+    total = [sum(P) for P in lattice.basis]
+    ineqs = _cone_rows(lattice, stratum, [0] * len(lattice.diagram.regions))
+    ineqs.append(([-c for c in mu_row], 0))  # mu <= 0
     if mu_mode == "zero":
         ineqs.append((mu_row, 0))
-        ineqs.append(([-c for c in mu_row], 0))
-    else:
-        ineqs.append(([-c for c in mu_row], 0))  # mu <= 0
-    for i in stratum:
-        row = [nz[i] for nz in lattice.n_z]
-        ineqs.append((row, 0))
-        ineqs.append(([-c for c in row], 0))
-    # normalization sum_r P_r = 1 picks a point on each nonzero ray
-    total = [sum(P) for P in basis]
-    ineqs.append((total, 1))
-    ineqs.append(([-c for c in total], -1))
-    return ineqs
+    return ineqs + [(total, 1), ([-c for c in total], -1)]
 
 
 def _check(lattice, criterion, strata, mu_mode) -> AdmissibilityReport:
@@ -209,43 +209,35 @@ class FinitenessCertificate:
 def finiteness_certificate(d: HeegaardDiagram, x: Generator, y: Generator,
                            j: int, lattice: PeriodicLattice,
                            con: ConnectingDomains) -> FinitenessCertificate:
-    """Coefficient bound for positive classes of Maslov index j from x to y
-    with surviving tilde-monomial; NotAdmissibleError on an unbounded stratum.
-
+    """Bound on the total multiplicity sum_r D_r, hence on every coefficient,
+    of the positive classes D = phi0 + P of Maslov index j from x to y with
+    surviving tilde-monomial: per survival stratum, one ``linear_range`` of
+    it on the slice mu = j; NotAdmissibleError on an unbounded stratum.
     ``lattice`` is the periodic lattice of the Spin^c class of x and ``con``
     the connecting solve for (x, y).
     """
     if not con.exists:
         return FinitenessCertificate(finite=True, bound=None, exists=False)
     phi0 = con.particular
-    mu0 = maslov_index(d, phi0, x, y, lattice.calc)
-    rank = lattice.rank
-
-    if rank == 0:
-        bound = max(max(phi0), 0) if phi0 else 0
-        return FinitenessCertificate(finite=True, bound=bound, exists=True)
-
-    columns = [list(col) for col in zip(*lattice.basis)]  # region -> row over t
-    strata = survival_strata(d.num_marks, tilde_kill_supports(d))
+    shift = j - maslov_index(d, phi0, x, y, lattice.calc)
+    total = ([sum(P) for P in lattice.basis], 0)  # sum_r D_r - sum(phi0) >= 0
     best = 0
-    for stratum in strata:
-        ineqs = [(coeffs, -phi0[r]) for r, coeffs in enumerate(columns)]  # phi0 + P >= 0
-        mu_row = list(lattice.mu)
-        ineqs.append((mu_row, j - mu0))
-        ineqs.append(([-c for c in mu_row], -(j - mu0)))
-        for i in stratum:
-            row = [nz[i] for nz in lattice.n_z]
-            target = -phi0[d.mark_region[i]]
-            ineqs.append((row, target))
-            ineqs.append(([-c for c in row], -target))
-        for r, coeffs in enumerate(columns):
-            rng = linprog.linear_range(ineqs, rank, coeffs)
-            if rng is None:
-                break  # stratum empty
-            lo, hi = rng
-            if hi is None:
-                raise NotAdmissibleError(
-                    f"unbounded coefficients in stratum {sorted(stratum)}"
-                )
-            best = max(best, int(hi) + phi0[r] + 1)
+    for stratum in survival_strata(d.num_marks, tilde_kill_supports(d)):
+        rows = _cone_rows(lattice, stratum, phi0) + [total]
+        # restricted to mu = j, the last row (o, c) reads
+        # |mu_k| (sum_r D_r - sum(phi0)) = o . s - c
+        sliced = linprog.substitute(rows, lattice.mu, shift)
+        if sliced is None and shift:
+            continue  # mu is constant on the lattice and never j
+        k, rows = sliced or (None, rows)
+        o, c = rows.pop()
+        rng = linprog.linear_range(rows, len(o), o)
+        if rng is None:
+            continue  # stratum empty
+        if rng[1] is None:
+            raise NotAdmissibleError(
+                f"unbounded coefficients in stratum {sorted(stratum)}"
+            )
+        scale = abs(lattice.mu[k]) if sliced else 1
+        best = max(best, math.floor((rng[1] - c) / scale) + sum(phi0))
     return FinitenessCertificate(finite=True, bound=best, exists=True)

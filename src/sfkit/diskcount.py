@@ -1,9 +1,10 @@
 """Enumeration and combinatorial counting of Maslov-index-1 disk classes.
 
-Inside the box provided by the finiteness certificate, all positive classes
-of index one with surviving tilde-monomial are enumerated exactly: the
-Maslov index is affine on the lattice of classes, so only the integer points
-of the box on the hyperplane mu = 1 are visited.  A class
+The finiteness certificate bounds the total multiplicity of the positive
+classes of index one with surviving tilde-monomial; inside the polytope
+D >= 0, sum_r D_r <= bound, all of them are enumerated exactly: the Maslov
+index is affine on the lattice of classes, so only the integer points of the
+polytope on the hyperplane mu = 1 are visited.  A class
 is assigned a count only when its shape forces the holomorphic count: an
 embedded empty bigon or an embedded empty rectangle contributes one point
 (mod 2).  Every other class is reported UNSUPPORTED and taints whatever
@@ -70,36 +71,27 @@ def classify(d: HeegaardDiagram, D, x: Generator, y: Generator) -> tuple:
 
 def _sliced_box(d: HeegaardDiagram, x: Generator, y: Generator, phi0,
                 lattice: PeriodicLattice, bound: int, index: int) -> list:
-    """Lattice coordinates t with 0 <= phi0 + sum t_b P_b <= bound and
-    mu = index.
+    """Lattice coordinates t with D = phi0 + sum t_b P_b >= 0,
+    sum_r D_r <= bound and mu = index.
 
     4 mu = 4 mu(phi0) + sum t_b 4 mu(P_b) is an integer affine equation whose
-    slope is 4 times the lattice's mu row; the coordinate L with the smallest
-    nonzero |4 mu(P_L)| is solved for and substituted into the box rows, each
-    scaled by |4 mu(P_L)|.  The other coordinates are enumerated exactly and
-    t_L is kept where it comes out integral.
+    slope is 4 times the lattice's mu row; ``linprog.substitute`` solves it
+    for the coordinate L with the smallest nonzero |4 mu(P_L)| and restricts
+    the rows to 4 mu = target.  The other coordinates are enumerated exactly
+    and t_L is kept where it comes out integral.
     """
     target = 4 * index - maslov_x4(d, phi0, x.points + y.points)
     slope = [4 * m for m in lattice.mu]
     rank = lattice.rank
-    box = []
-    for r, col in enumerate(zip(*lattice.basis)):
-        box.append((list(col), -phi0[r]))
-        box.append(([-c for c in col], phi0[r] - bound))
-    pivots = [b for b in range(rank) if slope[b]]
-    if not pivots:
+    box = [(list(col), -phi0[r]) for r, col in enumerate(zip(*lattice.basis))]
+    box.append(([-sum(P) for P in lattice.basis], sum(phi0) - bound))
+    sub = linprog.substitute(box, slope, target)
+    if sub is None:
         # mu is constant on the coset
         return linprog.integer_points(box, rank) if target == 0 else []
-    L = min(pivots, key=lambda b: abs(slope[b]))
+    L, sliced = sub
     m = slope[L]
-    sign = 1 if m > 0 else -1
     rest = [b for b in range(rank) if b != L]
-    # a.t >= c with t_L = (target - sum_{b != L} slope_b t_b) / m, times |m|
-    sliced = [
-        ([sign * (a[b] * m - a[L] * slope[b]) for b in rest],
-         sign * (c * m - a[L] * target))
-        for a, c in box
-    ]
     out = []
     for s in linprog.integer_points(sliced, rank - 1):
         num = target - sum(slope[b] * v for b, v in zip(rest, s))

@@ -49,8 +49,9 @@ class ConnectingDomains:
 
 
 class DomainCalculator:
-    """Per-diagram cache of the corner system, factored once, and of the
-    periodic lattice: its basis and the n_z row of each basis domain."""
+    """Per-diagram cache of the corner system, factored once, of the
+    periodic lattice (its basis and the n_z row of each basis domain) and of
+    the connecting solve of each ordered generator pair."""
 
     def __init__(self, d: HeegaardDiagram):
         self.diagram = d
@@ -67,14 +68,17 @@ class DomainCalculator:
         self.periodic_n_z = [
             list(marked_multiplicities(d, P)) for P in self.periodic_basis
         ]
+        self._connecting = {}
 
     def connecting(self, x: Generator, y: Generator) -> ConnectingDomains:
-        if not self.matrix:
-            sol = [0] * len(self.diagram.regions)
-        else:
-            target = corner_target(self.diagram, x, y)
-            sol = snf.solve_integer(self.factored, target)
-        return ConnectingDomains(exists=sol is not None, particular=sol)
+        """The connecting solve for (x, y), made once per ordered pair and
+        shared by the Spin^c partition, the gradings and the enumerator."""
+        key = (x.points, y.points)
+        if key not in self._connecting:
+            sol = (snf.solve_integer(self.factored, corner_target(self.diagram, x, y))
+                   if self.matrix else [0] * len(self.diagram.regions))
+            self._connecting[key] = ConnectingDomains(exists=sol is not None, particular=sol)
+        return self._connecting[key]
 
     def lattice(self, at: Generator | None) -> "PeriodicLattice":
         """The periodic lattice with the mu row of the Spin^c class of ``at``

@@ -10,7 +10,9 @@ only the tightest, which leaves every projection unchanged.
 One eliminator builds the projection chain (``_project``) and one routine
 reads bounds off it (``_bounds``); all three entry points share them:
 
-* ``linear_range`` projects onto the objective and reads its range;
+* ``linear_range`` turns the objective into a coordinate u by the exact
+  change of variables of ``substitute`` (no extra variable, no extra rows),
+  eliminates the other coordinates and reads u's range;
 * ``feasible_point`` back-substitutes a rational point, lowest coordinate
   first, each at its lower bound given the coordinates already fixed;
 * ``integer_points`` walks the same bounds depth-first over integers and
@@ -191,22 +193,46 @@ def integer_points(ineqs, nvars):
     return out
 
 
+def substitute(ineqs, objective, value=None):
+    """Change of variables u = objective . x.
+
+    The coordinate k with the smallest nonzero |objective_k| is solved for,
+    x_k = (u - sum_{b != k} objective_b x_b) / objective_k, and each row is
+    scaled by |objective_k|, so integer rows stay integer.  Returns (k, rows)
+    with rows over the other coordinates in order, then u, or None for a zero
+    objective.  With ``value`` given, u is fixed to it and dropped: the rows
+    are restricted to the hyperplane objective . x = value.
+    """
+    pivots = [b for b, c in enumerate(objective) if c]
+    if not pivots:
+        return None
+    k = min(pivots, key=lambda b: abs(objective[b]))
+    m, rest = objective[k], [b for b in range(len(objective)) if b != k]
+    sign = 1 if m > 0 else -1
+    rows = [([sign * (a[b] * m - a[k] * objective[b]) for b in rest] + [sign * a[k]],
+             sign * c * m) for a, c in ineqs]
+    if value is not None:
+        rows = [(a[:-1], c - a[-1] * value) for a, c in rows]
+    return k, rows
+
+
 def linear_range(ineqs, nvars, objective):
     """Exact range of objective . x over the polyhedron.
 
     Returns (lo, hi) where either end is a Fraction or None (unbounded), or
     None if the polyhedron is empty.
     """
-    # introduce t = objective . x as variable index nvars, then eliminate x
-    rows = [_row([*coeffs, 0], rhs) for coeffs, rhs in ineqs]
-    rows.append(_row([*objective, -1], 0))
-    rows.append(_row([-c for c in objective] + [1], 0))
+    sub = substitute(ineqs, objective)
     try:
-        rows = _project(rows, nvars)[-1]
+        if sub is None:
+            # a zero objective is 0 wherever the polyhedron is nonempty
+            _project([_row(coeffs, rhs) for coeffs, rhs in ineqs], nvars)
+            return (Fraction(0), Fraction(0))
+        rows = _project([_row(coeffs, rhs) for coeffs, rhs in sub[1]], nvars - 1)[-1]
     except Infeasible:
         return None
-    # every row now reads c * t >= rhs
-    lo, hi = map(_fraction, _bounds(rows, nvars, [0] * nvars))
+    # every row now reads c * u >= rhs, u being the last coordinate
+    lo, hi = map(_fraction, _bounds(rows, nvars - 1, [0] * (nvars - 1)))
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)

@@ -63,12 +63,20 @@ def spinc_partition(d: HeegaardDiagram, calc: DomainCalculator | None = None,
             a = parent[a]
         return a
 
-    connect = {}
+    # the H-difference is independent of the connecting domain because the
+    # n_z vector of a periodic domain maps to 0 in H; assert that on the basis
+    for nz in calc.periodic_n_z:
+        if hom.chi_of_exponents(nz) != hom.group.zero():
+            raise AssertionError("periodic domain with nonzero H-image of n_z")
+
+    # connecting domains add up, so every pair of a block is solved directly
+    diffs = {(i, i): hom.group.zero() for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
             con = calc.connecting(gens[i], gens[j])
             if con.exists:
-                connect[(i, j)] = con.particular
+                val = hom.chi_of_exponents(marked_multiplicities(d, con.particular))
+                diffs[(i, j)], diffs[(j, i)] = val, hom.group.neg(val)
                 ra, rb = find(i), find(j)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
@@ -77,30 +85,6 @@ def spinc_partition(d: HeegaardDiagram, calc: DomainCalculator | None = None,
     for i in range(n):
         blocks_map.setdefault(find(i), []).append(i)
     blocks = [sorted(v) for _, v in sorted(blocks_map.items())]
-
-    # the H-difference is independent of the connecting domain because the
-    # n_z vector of a periodic domain maps to 0 in H; assert that on the basis
-    for nz in calc.periodic_n_z:
-        if hom.chi_of_exponents(nz) != hom.group.zero():
-            raise AssertionError("periodic domain with nonzero H-image of n_z")
-
-    diffs = {}
-    for i in range(n):
-        diffs[(i, i)] = hom.group.zero()
-    for (i, j), D in connect.items():
-        val = hom.chi_of_exponents(marked_multiplicities(d, D))
-        diffs[(i, j)] = val
-        diffs[(j, i)] = hom.group.neg(val)
-    # close transitively inside blocks
-    for block in blocks:
-        for i in block:
-            for j in block:
-                if (i, j) in diffs:
-                    continue
-                for k in block:
-                    if (i, k) in diffs and (k, j) in diffs:
-                        diffs[(i, j)] = hom.group.add(diffs[(i, k)], diffs[(k, j)])
-                        break
     return SpincPartition(
         diagram=d, homology=hom, blocks=blocks, generators=gens, diffs=diffs
     )

@@ -5,7 +5,11 @@ import pytest
 
 from sfkit import algebra as alg
 from sfkit import corpus, linprog
-from sfkit.admissibility import finiteness_certificate
+from sfkit.admissibility import (
+    NotAdmissibleError,
+    survival_strata,
+    tilde_kill_supports,
+)
 from sfkit.diskcount import (
     EMPTY_BIGON,
     EMPTY_RECTANGLE,
@@ -132,20 +136,55 @@ def test_niceness_reports():
 
 # -- differential test of the sliced enumerator ------------------------------
 #
-# The reference is the enumerator the sliced one replaced: a bounding box from
-# one linear_range per lattice coordinate, every point of the box tested for
-# D >= 0, mu = index and a surviving tilde-monomial.
+# The reference is the enumerator the sliced one replaced: a per-region
+# certificate bound, a bounding box from one linear_range per lattice
+# coordinate, every point of the box tested for D >= 0, mu = index and a
+# surviving tilde-monomial.
+
+
+def reference_certificate_bound(d, x, y, j, lattice, con):
+    """The certificate the total-multiplicity one replaced: per survival
+    stratum, one linear_range per region, each coefficient bounded apart
+    (None when x and y are not connected; NotAdmissibleError when a stratum
+    is unbounded)."""
+    if not con.exists:
+        return None
+    phi0 = con.particular
+    mu0 = maslov_index(d, phi0, x, y, lattice.calc)
+    rank = lattice.rank
+    if rank == 0:
+        return max(max(phi0), 0) if phi0 else 0
+    columns = [list(col) for col in zip(*lattice.basis)]
+    best = 0
+    for stratum in survival_strata(d.num_marks, tilde_kill_supports(d)):
+        ineqs = [(coeffs, -phi0[r]) for r, coeffs in enumerate(columns)]
+        mu_row = list(lattice.mu)
+        ineqs.append((mu_row, j - mu0))
+        ineqs.append(([-c for c in mu_row], -(j - mu0)))
+        for i in stratum:
+            row = [nz[i] for nz in lattice.n_z]
+            target = -phi0[d.mark_region[i]]
+            ineqs.append((row, target))
+            ineqs.append(([-c for c in row], -target))
+        for r, coeffs in enumerate(columns):
+            rng = linprog.linear_range(ineqs, rank, coeffs)
+            if rng is None:
+                break  # stratum empty
+            if rng[1] is None:
+                raise NotAdmissibleError(
+                    f"unbounded coefficients in stratum {sorted(stratum)}")
+            best = max(best, int(rng[1]) + phi0[r] + 1)
+    return best
 
 
 def reference_mu1_classes(d, x, y, tilde, calc, index=1):
     con = calc.connecting(x, y)
-    cert = finiteness_certificate(d, x, y, index, calc.lattice(x), con)
-    if not cert.exists:
+    bound = reference_certificate_bound(d, x, y, index, calc.lattice(x), con)
+    if bound is None:
         return []
     phi0 = con.particular
     basis = calc.periodic_basis
     rank = len(basis)
-    bound = cert.bound if cert.bound is not None else max(max(phi0, default=0), 0)
     candidates = []
     if rank == 0:
         candidates.append(tuple(phi0))

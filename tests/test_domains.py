@@ -291,3 +291,30 @@ def test_block_mu_row_is_every_generators_mu(name, k):
                 slope = [maslov_x4(d, P, x.points + y.points) for P in basis]
                 assert slope == [4 * m for m in lat.mu]
 
+
+
+# -- one connecting solve per ordered pair ------------------------------------
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in ("unknot", "trefoil")
+                                     for k in (0, 1, 2)])
+def test_connecting_solved_once_per_ordered_pair(name, k, monkeypatch):
+    # the Spin^c partition, the gradings and the enumerator all ask for
+    # connecting solves; each ordered pair is solved once (210 solves over
+    # these six diagrams, whose generators form one block each)
+    from sfkit.cf import build_cf
+
+    systems = []
+    original = snf.solve_integer
+
+    def counting(A, b, *rest):
+        systems.append(A)
+        return original(A, b, *rest)
+
+    monkeypatch.setattr(snf, "solve_integer", counting)
+    d = _stabilized(name, k)
+    data = DiagramData.build(d)
+    build_cf(d, 0, data=data)
+    n = len(d.generators())
+    assert data.partition.blocks == [list(range(n))]
+    assert sum(1 for A in systems if A is data.calc.factored) == n * n

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfkit import linprog
+from sfkit import admissibility, corpus, linprog
+from sfkit.domains import DomainCalculator, maslov_index
+from sfkit.stabilize import stabilize_diagram
 
 
 def test_feasible_simple():
@@ -213,6 +215,11 @@ def _systems(draw):
 @example((1, [([1], 0)], [1]))  # unbounded above
 @example((2, [([1, 1], 1), ([-1, -1], -1), ([1, -1], 0), ([-1, 1], 0)], [1, 0]))
 @example((1, [([0], 1)], [1]))  # a constant row that fails
+@example((2, [([1, 0], 0), ([-1, 0], -1)], [0, 0]))  # zero objective, feasible
+@example((1, [([1], 1), ([-1], 0)], [0]))  # zero objective, infeasible
+@example((2, [([1, 0], 0), ([0, 1], 0), ([-1, -1], -3)], [0, Fraction(1, 2)]))
+@example((3, [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), ([-1, -1, -1], -2)],
+          [3, -1, 2]))  # the smallest |coefficient| is neither first nor positive
 def test_integer_fm_matches_fraction_reference(system):
     n, ineqs, objective = system
     # repr pins the types too: Fraction bounds and coordinates, never ints
@@ -291,3 +298,51 @@ def test_integer_points_match_brute_force(system):
         if all(sum(c * v for c, v in zip(coeffs, p)) >= rhs for coeffs, rhs in ineqs)
     ]
     assert linprog.integer_points(ineqs, n) == expected
+
+
+# -- the certificate's systems against the Fraction reference -----------------
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", ["unknot", "trefoil"])
+def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
+    # every linear_range the certificate makes (on the mu slice), and its
+    # bound against the reference range of the total multiplicity over the
+    # unsliced system, with the mu equation as two rows
+    d = corpus.load_diagram(name)
+    for _ in range(k):
+        d = stabilize_diagram(d, 0)
+    calls = []
+    original = linprog.linear_range
+
+    def recording(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(linprog, "linear_range", recording)
+    calc = DomainCalculator(d)
+    strata = admissibility.survival_strata(d.num_marks, admissibility.tilde_kill_supports(d))
+    gens = d.generators()
+    for x in gens:
+        lattice = calc.lattice(x)
+        total = [sum(P) for P in lattice.basis]
+        for y in gens:
+            con = calc.connecting(x, y)
+            cert = admissibility.finiteness_certificate(d, x, y, 1, lattice, con)
+            phi0 = con.particular
+            shift = 1 - maslov_index(d, phi0, x, y, calc)
+            best = 0
+            for stratum in strata:
+                ineqs = [(list(col), -phi0[r]) for r, col in enumerate(zip(*lattice.basis))]
+                for i in stratum:
+                    row = [nz[i] for nz in lattice.n_z]
+                    ineqs += [(row, -phi0[d.mark_region[i]]),
+                              ([-v for v in row], phi0[d.mark_region[i]])]
+                ineqs += [(lattice.mu, shift), ([-v for v in lattice.mu], -shift)]
+                rng = ref_linear_range(ineqs, lattice.rank, total)
+                if rng is not None:
+                    best = max(best, floor(rng[1]) + sum(phi0))
+            assert cert.bound == best
+    assert len(calls) == len(gens) ** 2  # one survival stratum, one LP per pair
+    for (ineqs, n, objective), rng in calls:
+        assert repr(rng) == repr(ref_linear_range(ineqs, n, objective))

@@ -174,8 +174,11 @@ def test_stabilized_complex_d_squared_mod2_over_rhat():
     assert rep2["residue_in_relation_ideal"] is True
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
-@pytest.mark.parametrize("name, base_rank", [("unknot", 1), ("trefoil", 3)])
+@pytest.mark.parametrize("name, base_rank, k", [
+    (name, base_rank, k)
+    for name, base_rank, top in [("unknot", 1, 4), ("trefoil", 3, 3)]
+    for k in range(top + 1)
+])
 def test_ladder_all_zero_f2_rank(name, base_rank, k):
     # each stabilization at z0 tensors SFH with a 2-dimensional space
     d = corpus.load_diagram(name)
