@@ -108,14 +108,18 @@ def hom_forced_marks(hom, kappa):
     return sorted(set(forced)), supports
 
 
-def _cone_rows(lattice, stratum, base):
-    """Rows over lattice coordinates t: base + P >= 0, and n_i(base + P) = 0
-    for every mark i of the stratum."""
-    rows = [(list(col), -base[r]) for r, col in enumerate(zip(*lattice.basis))]
+def cone_rows(lattice, stratum=()):
+    """Coefficient rows over lattice coordinates t of base + P >= 0 and
+    n_i(base + P) = 0 for every mark i of the stratum, and per row the
+    (region, sign) whose base coefficient gives its right-hand side,
+    sign * base[region]."""
+    rows = [list(col) for col in zip(*lattice.basis)]
+    sources = [(r, -1) for r in range(len(rows))]
     for i in stratum:
-        row, c = [nz[i] for nz in lattice.n_z], -base[lattice.diagram.mark_region[i]]
-        rows += [(row, c), ([-v for v in row], -c)]
-    return rows
+        row, r = [nz[i] for nz in lattice.n_z], lattice.diagram.mark_region[i]
+        rows += [row, [-v for v in row]]
+        sources += [(r, -1), (r, 1)]
+    return rows, sources
 
 
 def _stratum_ineqs(lattice, stratum, mu_mode):
@@ -124,7 +128,7 @@ def _stratum_ineqs(lattice, stratum, mu_mode):
     sum_r P_r = 1, which picks a point on each nonzero ray."""
     mu_row = list(lattice.mu)
     total = [sum(P) for P in lattice.basis]
-    ineqs = _cone_rows(lattice, stratum, [0] * len(lattice.diagram.regions))
+    ineqs = [(row, 0) for row in cone_rows(lattice, stratum)[0]]
     ineqs.append(([-c for c in mu_row], 0))  # mu <= 0
     if mu_mode == "zero":
         ineqs.append((mu_row, 0))
@@ -202,8 +206,31 @@ def check_strong_admissible(d: HeegaardDiagram,
 @dataclass
 class FinitenessCertificate:
     finite: bool
-    bound: int | None
+    bound: int | None  # None: no positive class of the index in any stratum
     exists: bool  # was there any connecting class at all
+
+
+@dataclass
+class CertificateSystem:
+    """One survival stratum's certificate system, compiled once per block:
+    the cone rows of the stratum plus the total multiplicity, restricted to
+    the mu slice, and the sources of the cone rows' right-hand sides."""
+
+    stratum: frozenset
+    sources: list
+    slice: linprog.Slice
+
+
+def certificate_systems(lattice: PeriodicLattice) -> list:
+    """The certificate systems of every survival stratum of the block."""
+    d = lattice.diagram
+    total = [sum(P) for P in lattice.basis]
+    out = []
+    for stratum in survival_strata(d.num_marks, tilde_kill_supports(d)):
+        rows, sources = cone_rows(lattice, stratum)
+        out.append(CertificateSystem(stratum, sources,
+                                     linprog.Slice(rows + [total], lattice.mu)))
+    return out
 
 
 def finiteness_certificate(d: HeegaardDiagram, x: Generator, y: Generator,
@@ -212,32 +239,33 @@ def finiteness_certificate(d: HeegaardDiagram, x: Generator, y: Generator,
     """Bound on the total multiplicity sum_r D_r, hence on every coefficient,
     of the positive classes D = phi0 + P of Maslov index j from x to y with
     surviving tilde-monomial: per survival stratum, one ``linear_range`` of
-    it on the slice mu = j; NotAdmissibleError on an unbounded stratum.
-    ``lattice`` is the periodic lattice of the Spin^c class of x and ``con``
-    the connecting solve for (x, y).
+    it on the slice mu = j; NotAdmissibleError on an unbounded stratum.  The
+    bound is None when every stratum is empty.  ``lattice`` is the periodic
+    lattice of the Spin^c class of x and ``con`` the connecting solve for
+    (x, y); the stratum systems are compiled once per lattice, so a pair
+    only supplies their right-hand sides.
     """
     if not con.exists:
         return FinitenessCertificate(finite=True, bound=None, exists=False)
     phi0 = con.particular
     shift = j - maslov_index(d, phi0, x, y, lattice.calc)
-    total = ([sum(P) for P in lattice.basis], 0)  # sum_r D_r - sum(phi0) >= 0
-    best = 0
-    for stratum in survival_strata(d.num_marks, tilde_kill_supports(d)):
-        rows = _cone_rows(lattice, stratum, phi0) + [total]
-        # restricted to mu = j, the last row (o, c) reads
-        # |mu_k| (sum_r D_r - sum(phi0)) = o . s - c
-        sliced = linprog.substitute(rows, lattice.mu, shift)
-        if sliced is None and shift:
+    best = None
+    for system in lattice.compiled("certificate", certificate_systems):
+        sliced = system.slice
+        if sliced.pivot is None and shift:
             continue  # mu is constant on the lattice and never j
-        k, rows = sliced or (None, rows)
+        # the last row, the total multiplicity sum_r D_r - sum(phi0) >= 0,
+        # is the objective (o, c): on the slice it reads
+        # scale (sum_r D_r - sum(phi0)) = o . s - c
+        rows = sliced.ineqs([sign * phi0[r] for r, sign in system.sources] + [0], shift)
         o, c = rows.pop()
-        rng = linprog.linear_range(rows, len(o), o)
+        rng = linprog.linear_range(rows, len(o), o, sliced.recording)
         if rng is None:
             continue  # stratum empty
         if rng[1] is None:
             raise NotAdmissibleError(
-                f"unbounded coefficients in stratum {sorted(stratum)}"
+                f"unbounded coefficients in stratum {sorted(system.stratum)}"
             )
-        scale = abs(lattice.mu[k]) if sliced else 1
-        best = max(best, math.floor((rng[1] - c) / scale) + sum(phi0))
+        bound = math.floor((rng[1] - c) / sliced.scale) + sum(phi0)
+        best = bound if best is None else max(best, bound)
     return FinitenessCertificate(finite=True, bound=best, exists=True)

@@ -4,12 +4,18 @@ The finiteness certificate bounds the total multiplicity of the positive
 classes of index one with surviving tilde-monomial; inside the polytope
 D >= 0, sum_r D_r <= bound, all of them are enumerated exactly: the Maslov
 index is affine on the lattice of classes, so only the integer points of the
-polytope on the hyperplane mu = 1 are visited.  A class
-is assigned a count only when its shape forces the holomorphic count: an
-embedded empty bigon or an embedded empty rectangle contributes one point
-(mod 2).  Every other class is reported UNSUPPORTED and taints whatever
-complex is built from the enumeration; the taint is waived ring-by-ring when
-the class's weight dies under the coefficient homomorphism.
+polytope on the hyperplane mu = 1 are visited.  Every generator pair of a
+Spin^c block shares the certificate's and the box's coefficient rows, so
+both are compiled once per block (``PeriodicLattice.compiled``) and a pair
+supplies only their right-hand sides; a pair whose certificate finds every
+stratum empty lists no box at all.
+
+A class is assigned a count only when its shape forces the holomorphic
+count: an embedded empty bigon or an embedded empty rectangle contributes
+one point (mod 2).  Every other class is reported UNSUPPORTED and taints
+whatever complex is built from the enumeration; the taint is waived
+ring-by-ring when the class's weight dies under the coefficient
+homomorphism.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .admissibility import finiteness_certificate
+from .admissibility import cone_rows, finiteness_certificate
 from .algebra import AlgebraSpec
 from .diagram import Generator, HeegaardDiagram
 from .domains import (
@@ -69,31 +75,41 @@ def classify(d: HeegaardDiagram, D, x: Generator, y: Generator) -> tuple:
     return UNSUPPORTED, None
 
 
+def _box_slice(lattice: PeriodicLattice) -> tuple:
+    """The enumerator's box for the block, compiled once: the rows
+    D = phi0 + sum t_b P_b >= 0 and sum_r D_r <= bound, with the sources of
+    their right-hand sides, restricted to the slice 4 mu = target."""
+    rows, sources = cone_rows(lattice)
+    total = [-sum(P) for P in lattice.basis]
+    return sources, linprog.Slice(rows + [total], [4 * m for m in lattice.mu])
+
+
 def _sliced_box(d: HeegaardDiagram, x: Generator, y: Generator, phi0,
                 lattice: PeriodicLattice, bound: int, index: int) -> list:
     """Lattice coordinates t with D = phi0 + sum t_b P_b >= 0,
     sum_r D_r <= bound and mu = index.
 
     4 mu = 4 mu(phi0) + sum t_b 4 mu(P_b) is an integer affine equation whose
-    slope is 4 times the lattice's mu row; ``linprog.substitute`` solves it
-    for the coordinate L with the smallest nonzero |4 mu(P_L)| and restricts
-    the rows to 4 mu = target.  The other coordinates are enumerated exactly
-    and t_L is kept where it comes out integral.
+    slope is 4 times the lattice's mu row; ``linprog.Slice`` solves it for
+    the coordinate L with the smallest nonzero |4 mu(P_L)| and restricts the
+    rows to 4 mu = target.  The other coordinates are enumerated exactly and
+    t_L is kept where it comes out integral.
     """
     target = 4 * index - maslov_x4(d, phi0, x.points + y.points)
-    slope = [4 * m for m in lattice.mu]
-    rank = lattice.rank
-    box = [(list(col), -phi0[r]) for r, col in enumerate(zip(*lattice.basis))]
-    box.append(([-sum(P) for P in lattice.basis], sum(phi0) - bound))
-    sub = linprog.substitute(box, slope, target)
-    if sub is None:
+    sources, box = lattice.compiled("box", _box_slice)
+    rhs = [sign * phi0[r] for r, sign in sources] + [sum(phi0) - bound]
+    L = box.pivot
+    if L is None:
         # mu is constant on the coset
-        return linprog.integer_points(box, rank) if target == 0 else []
-    L, sliced = sub
+        if target:
+            return []
+        return linprog.integer_points(box.ineqs(rhs, 0), lattice.rank, box.recording)
+    slope = [4 * m for m in lattice.mu]
     m = slope[L]
-    rest = [b for b in range(rank) if b != L]
+    rest = [b for b in range(lattice.rank) if b != L]
     out = []
-    for s in linprog.integer_points(sliced, rank - 1):
+    for s in linprog.integer_points(box.ineqs(rhs, target), lattice.rank - 1,
+                                    box.recording):
         num = target - sum(slope[b] * v for b, v in zip(rest, s))
         if num % m == 0:
             t = list(s)
@@ -110,13 +126,14 @@ def enumerate_mu1_classes(d: HeegaardDiagram, x: Generator, y: Generator,
     tilde-monomial, in deterministic order.
 
     ``lattice`` is the periodic lattice of the Spin^c class of x; it is
-    computed from ``calc`` when not given.
+    computed from ``calc`` when not given.  A pair whose certificate finds
+    every stratum empty has no such class and lists no box.
     """
     calc = calc or DomainCalculator(d)
     lattice = lattice or calc.lattice(x)
     con = calc.connecting(x, y)
     cert = finiteness_certificate(d, x, y, index, lattice, con)
-    if not cert.exists:
+    if not cert.exists or cert.bound is None:
         return []
     phi0 = con.particular
 

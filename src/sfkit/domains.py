@@ -9,7 +9,7 @@ matrix is the lattice of periodic domains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import snf
@@ -50,8 +50,14 @@ class ConnectingDomains:
 
 class DomainCalculator:
     """Per-diagram cache of the corner system, factored once, of the
-    periodic lattice (its basis and the n_z row of each basis domain) and of
-    the connecting solve of each ordered generator pair."""
+    periodic lattice (its basis and the n_z row of each basis domain), of
+    one ``PeriodicLattice`` per mu row and of the connecting solve of each
+    ordered generator pair.
+
+    The corner target of (x, y) is e(x) - e(y), e(g) being the indicator of
+    g's points among the crossings, so with U A V = D factored once, U is
+    applied to e(g) once per generator and each pair's solve starts from
+    the difference of two such images."""
 
     def __init__(self, d: HeegaardDiagram):
         self.diagram = d
@@ -68,23 +74,43 @@ class DomainCalculator:
         self.periodic_n_z = [
             list(marked_multiplicities(d, P)) for P in self.periodic_basis
         ]
+        self._images = {}
         self._connecting = {}
+        self._lattices = {}
+
+    def _image(self, g: Generator) -> list:
+        """U e(g), computed once per generator."""
+        image = self._images.get(g.points)
+        if image is None:
+            e = [0] * len(self.diagram.crossings)
+            for p in g.points:
+                e[p] += 1
+            image = self._images[g.points] = snf.mat_vec(self.factored.U, e)
+        return image
 
     def connecting(self, x: Generator, y: Generator) -> ConnectingDomains:
         """The connecting solve for (x, y), made once per ordered pair and
-        shared by the Spin^c partition, the gradings and the enumerator."""
+        shared by the Spin^c partition, the gradings and the enumerator; it
+        equals ``snf.solve_integer(self.factored, corner_target(d, x, y))``."""
         key = (x.points, y.points)
         if key not in self._connecting:
-            sol = (snf.solve_integer(self.factored, corner_target(self.diagram, x, y))
-                   if self.matrix else [0] * len(self.diagram.regions))
+            if self.matrix:
+                ub = [a - b for a, b in zip(self._image(x), self._image(y))]
+                sol = snf.solve_transformed(self.factored, ub)
+            else:
+                sol = [0] * len(self.diagram.regions)
             self._connecting[key] = ConnectingDomains(exists=sol is not None, particular=sol)
         return self._connecting[key]
 
     def lattice(self, at: Generator | None) -> "PeriodicLattice":
         """The periodic lattice with the mu row of the Spin^c class of ``at``
-        (of the Euler measure alone when ``at`` is None)."""
+        (of the Euler measure alone when ``at`` is None).  Generators with
+        one mu row share one lattice, and so its compiled systems."""
         mu = [maslov_of_periodic(self.diagram, P, at) for P in self.periodic_basis]
-        return PeriodicLattice(calc=self, mu=mu, at=at)
+        key = (at is None, tuple(mu))
+        if key not in self._lattices:
+            self._lattices[key] = PeriodicLattice(calc=self, mu=mu, at=at)
+        return self._lattices[key]
 
     def is_domain(self, D, x: Generator, y: Generator) -> bool:
         target = corner_target(self.diagram, x, y)
@@ -173,11 +199,14 @@ class PeriodicLattice:
     calculator.  ``mu`` holds the Maslov index mu(P) = e(P) + 2 n_x(P) of each
     basis domain; it is the same for every generator x of the class, so the
     row is computed once, at the generator ``at``, and mu is linear in t.
+    The systems that all generator pairs of the class share (see
+    ``compiled``) are kept with the lattice and freed with it.
     """
 
     calc: DomainCalculator
     mu: list
     at: Generator | None
+    _compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def diagram(self) -> HeegaardDiagram:
@@ -194,6 +223,13 @@ class PeriodicLattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+    def compiled(self, key, build):
+        """``build(self)``, made on first request and kept with the lattice:
+        the systems every generator pair of the block shares."""
+        if key not in self._compiled:
+            self._compiled[key] = build(self)
+        return self._compiled[key]
 
     def element(self, t, base=None) -> list:
         """base + sum_b t_b P_b (base defaults to the zero domain)."""

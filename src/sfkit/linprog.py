@@ -1,9 +1,10 @@
 """Exact rational linear feasibility via Fourier-Motzkin elimination.
 
 Inequalities are (coeffs, rhs) pairs meaning sum(coeffs[i] * x[i]) >= rhs;
-coefficients may be ints or Fractions.  Internally each inequality is one
-integer row (coeffs..., rhs), cleared of denominators once on input and
-divided by the gcd of its entries, so elimination runs in plain integer
+coefficients may be ints or Fractions.  Internally each inequality is a
+primitive integer direction q (its coefficients over their gcd) and a bound
+r / s, a reduced rational, meaning q . x >= r / s; the pair stands for the
+primitive integer row (s q, r), so elimination runs in plain integer
 arithmetic.  Each elimination step keeps, of the rows with one direction,
 only the tightest, which leaves every projection unchanged.
 
@@ -18,6 +19,18 @@ reads bounds off it (``_bounds``); all three entry points share them:
 * ``integer_points`` walks the same bounds depth-first over integers and
   lists every integer point in lexicographic order.
 
+Recorded eliminations.  The directions of every projection, which rows each
+step combines and with which multipliers, and which rows share a direction
+depend on the coefficients alone; only the bounds depend on the right-hand
+sides.  A caller that solves one coefficient matrix for many right-hand
+sides passes a ``Recording`` to any entry point: the first call records that
+structure while it eliminates, and later calls only recompute bounds from
+it.  The recording belongs to the caller's system and lives as long as its
+owner; in this package that is the compiled block systems of a
+``PeriodicLattice`` (the finiteness certificate's strata and the enumerator's
+box), one recording each.  Nothing is cached at module level, and one-shot
+systems (admissibility checks, monomial fibers) pass no recording.
+
 Fractions appear only where a ratio is returned.  Problem sizes in this
 package are tiny (a handful of lattice coordinates), so elimination gives
 exact witnesses and exact unboundedness certificates quickly.
@@ -27,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 class Infeasible(Exception):
@@ -37,79 +51,196 @@ class Unbounded(Exception):
     pass
 
 
-def _row(coeffs, rhs):
-    """The primitive integer row (coeffs..., rhs); orientation preserved."""
-    row = (*coeffs, rhs)
-    if not all(type(v) is int for v in row):
-        row = [Fraction(v) for v in row]
-        scale = lcm(*(v.denominator for v in row))
-        row = tuple(int(v * scale) for v in row)
-    g = gcd(*row)
-    if g > 1:
-        row = tuple(v // g for v in row)
-    return row
+class Recording:
+    """The elimination structure of one system, kept for replay.
+
+    It is made for one variable count, one list of coefficient rows and,
+    for ``linear_range``, one objective; a call with another system raises
+    ValueError.  A step is stored only once it has run to its end, so a
+    call cut short by Infeasible leaves the recording partial and the next
+    call records the remaining steps.
+    """
+
+    __slots__ = ("key", "start", "steps")
+
+    def __init__(self):
+        self.key = None  # (nvars, coefficient rows, objective)
+        self.start = None  # (directions, bound multipliers, substituted) of the inputs
+        self.steps = []  # per eliminated variable: (directions, checks, carried, combos)
 
 
-def _eliminate(rows, var):
-    """Fourier-Motzkin step removing variable ``var``.
+def _reduced(num, den):
+    g = gcd(num, den)
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
+def _start(coeffs, objective):
+    """The input rows' structure: per row its primitive direction q and the
+    multiplier (a, b) turning its right-hand side into its bound, rhs * a / b.
+    With a nonzero objective the rows are those of ``substitute``, whose
+    right-hand sides are the given ones times |objective_k|.  A row without
+    variables has b = 0: only the sign of its right-hand side counts.
+    Returns (directions, multipliers, substituted)."""
+    scale_num = scale_den = 1
+    sub = None if objective is None else substitute([(a, 0) for a in coeffs], objective)
+    if sub is not None:
+        k, rows = sub
+        coeffs = [a for a, _ in rows]
+        scale = abs(objective[k])
+        scale_num, scale_den = scale.numerator, scale.denominator
+    dirs, mults = [], []
+    for a in coeffs:
+        if all(type(v) is int for v in a):
+            den = 1
+        else:
+            a = [Fraction(v) for v in a]
+            den = lcm(*(v.denominator for v in a))
+            a = [int(v * den) for v in a]
+        h = gcd(*a)
+        if h == 0:
+            dirs.append(tuple(a))
+            mults.append((1, 0))
+            continue
+        # a = (h / den) q, so a . x >= rhs reads q . x >= rhs * den / h
+        dirs.append(tuple([v // h for v in a]) if h > 1 else tuple(a))
+        num, den = scale_num * den, scale_den * h
+        mults.append((num, den) if num == 1 else _reduced(num, den))
+    return dirs, mults, sub is not None
+
+
+def _inputs(ineqs, nvars, objective, recording):
+    """The input system (directions, bound numerators, bound denominators)
+    and whether the objective was substituted, recording or checking the
+    structure as asked."""
+    if recording is None:
+        start = _start([a for a, _ in ineqs], objective)
+    else:
+        key = (nvars, [tuple(a) for a, _ in ineqs],
+               None if objective is None else tuple(objective))
+        if recording.key is None:
+            recording.key, recording.start = key, _start(key[1], key[2])
+        elif recording.key != key:
+            raise ValueError("recording made for another system")
+        start = recording.start
+    dirs, mults, substituted = start
+    nums, dens = [], []
+    for (_, rhs), (a, b) in zip(ineqs, mults):
+        if b == 1 and type(rhs) is int:
+            nums.append(rhs * a)
+            dens.append(1)
+            continue
+        if b == 0:
+            num, den = (rhs > 0) - (rhs < 0), 1
+        else:
+            num, den = _reduced(rhs.numerator * a, rhs.denominator * b)
+        nums.append(num)
+        dens.append(den)
+    return (dirs, nums, dens), substituted
+
+
+def _eliminate(system, var, record):
+    """Fourier-Motzkin step removing variable ``var``; returns the new system
+    and, when ``record`` is set, the step's structure for ``_replay``.
 
     Rows keep their order: first those without ``var``, then the combinations
     of each positive row with each negative one.  Of rows with the same
     direction only the tightest is kept, in the place of the first; the
-    others are implied by it.
+    others are implied by it.  Combining q_p . x >= b_p with q_n . x >= b_n
+    gives (u q_p + v q_n) / h . x >= (u b_p + v b_n) / h, where u and v clear
+    ``var`` and h is the gcd of the combined direction.
     """
-    pos, neg, out = [], [], []
-    tightest = {}  # direction (coefficients over their gcd) -> (index, gcd)
+    dirs, nums, dens = system
+    out_dirs, out_n, out_d = [], [], []
+    slots = {}
+    checks, carried, combos = [], [], []
 
-    def keep(row):
-        direction = row[:-1]
-        g = gcd(*direction) or 1
-        if g > 1:
-            direction = tuple(v // g for v in direction)
-        hit = tightest.get(direction)
-        if hit is None:
-            tightest[direction] = (len(out), g)
-            out.append(row)
-        elif row[-1] * hit[1] > out[hit[0]][-1] * g:
-            out[hit[0]] = row
-            tightest[direction] = (hit[0], g)
+    def keep(q, r, s):
+        slot = slots.get(q)
+        if slot is None:
+            slot = slots[q] = len(out_dirs)
+            out_dirs.append(q)
+            out_n.append(r)
+            out_d.append(s)
+        elif r * out_d[slot] > out_n[slot] * s:
+            out_n[slot], out_d[slot] = r, s
+        return slot
 
-    for row in rows:
-        c = row[var]
+    pos, neg = [], []
+    for i, q in enumerate(dirs):
+        c = q[var]
         if c > 0:
-            pos.append(row)
+            pos.append((i, q, c, nums[i], dens[i]))
         elif c < 0:
-            neg.append(row)
+            neg.append((i, q, -c, nums[i], dens[i]))
         else:
-            keep(row)
-    for p in pos:
-        cp = p[var]
-        for n in neg:
-            cn = -n[var]
+            slot = keep(q, nums[i], dens[i])
+            if record:
+                carried.append((slot, i))
+    for p, qp, cp, rp, sp in pos:
+        for n, qn, cn, rn, sn in neg:
             g = gcd(cp, cn)
-            a, b = cp // g, cn // g
-            row = tuple(b * u + a * v for u, v in zip(p, n))
-            g = gcd(*row[:-1])
-            if g == 0:
-                if row[-1] > 0:
+            u, v = cn // g, cp // g
+            q = [u * a + v * b for a, b in zip(qp, qn)]
+            h = gcd(*q)
+            if h == 0:
+                # opposite directions (u = v = 1): a check, no new row
+                if rp * sn + rn * sp > 0:
                     raise Infeasible
+                if record:
+                    checks.append((p, n))
                 continue
-            g = gcd(g, row[-1])
-            if g > 1:
-                row = tuple(v // g for v in row)
-            keep(row)
-    return out
+            r, s = u * rp * sn + v * rn * sp, sp * sn * h
+            if s > 1:
+                r, s = _reduced(r, s)
+            slot = keep(tuple([x // h for x in q]) if h > 1 else tuple(q), r, s)
+            if record:
+                combos.append((slot, p, n, u, v, h))
+    step = (out_dirs, checks, carried, combos) if record else None
+    return (out_dirs, out_n, out_d), step
 
 
-def _project(rows, nvars):
-    """The Fourier-Motzkin chain of ``rows``: entry k has variables
+def _replay(step, system):
+    """``_eliminate`` from a recorded structure: only the bounds are new."""
+    out_dirs, checks, carried, combos = step
+    _, nums, dens = system
+    for p, n in checks:
+        if nums[p] * dens[n] + nums[n] * dens[p] > 0:
+            raise Infeasible
+    out_n = [None] * len(out_dirs)
+    out_d = [1] * len(out_dirs)
+    for slot, i in carried:
+        r, s = nums[i], dens[i]
+        old = out_n[slot]
+        if old is None or r * out_d[slot] > old * s:
+            out_n[slot], out_d[slot] = r, s
+    for slot, p, n, u, v, h in combos:
+        sp, sn = dens[p], dens[n]
+        r, s = u * nums[p] * sn + v * nums[n] * sp, sp * sn * h
+        if s > 1:
+            r, s = _reduced(r, s)
+        old = out_n[slot]
+        if old is None or r * out_d[slot] > old * s:
+            out_n[slot], out_d[slot] = r, s
+    return out_dirs, out_n, out_d
+
+
+def _project(system, nvars, recording):
+    """The Fourier-Motzkin chain of ``system``: entry k has variables
     nvars-1, ..., nvars-k eliminated, so entry nvars-1-var bounds ``var``
     in terms of the variables below it.  Raises Infeasible, also when a
-    row with no variable left reads 0 >= rhs > 0."""
-    systems = [rows]
-    for var in range(nvars - 1, -1, -1):
-        systems.append(_eliminate(systems[-1], var))
-    if any(row[-1] > 0 for row in systems[-1] if not any(row[:-1])):
+    row with no variable left has a positive bound.  With a recording,
+    recorded steps are replayed and the others recorded."""
+    systems = [system]
+    for step_index, var in enumerate(range(nvars - 1, -1, -1)):
+        if recording is not None and step_index < len(recording.steps):
+            systems.append(_replay(recording.steps[step_index], systems[-1]))
+            continue
+        out, step = _eliminate(systems[-1], var, recording is not None)
+        if recording is not None:
+            recording.steps.append(step)
+        systems.append(out)
+    dirs, nums, _ = systems[-1]
+    if any(r > 0 for q, r in zip(dirs, nums) if not any(q)):
         raise Infeasible
     return systems
 
@@ -120,11 +251,16 @@ def _bounds(system, var, point):
     num / den, or None when that side is unbounded.  Pairs are compared by
     cross-multiplication, so integer points give integer arithmetic."""
     lo, hi = None, None
-    for row in system:
-        c = row[var]
+    fixed = point[:var]
+    for q, r, s in zip(*system):
+        c = q[var]
         if c == 0:
             continue
-        rhs = row[-1] - sum(row[j] * point[j] for j in range(var))
+        # the primitive integer row (s q, r)
+        dot = sum(map(mul, q, fixed))
+        if s != 1:
+            c, dot = c * s, dot * s
+        rhs = r - dot
         if c > 0:
             if lo is None or rhs * lo[1] > lo[0] * c:
                 lo = (rhs, c)
@@ -137,14 +273,15 @@ def _fraction(bound):
     return None if bound is None else Fraction(*bound)
 
 
-def feasible_point(ineqs, nvars):
+def feasible_point(ineqs, nvars, recording: Recording | None = None):
     """A rational point satisfying all inequalities, or None.
 
     ``ineqs`` is a list of (coeffs, rhs) with len(coeffs) == nvars, meaning
     coeffs . x >= rhs.
     """
     try:
-        systems = _project([_row(coeffs, rhs) for coeffs, rhs in ineqs], nvars)
+        system, _ = _inputs(ineqs, nvars, None, recording)
+        systems = _project(system, nvars, recording)
     except Infeasible:
         return None
     point = [Fraction(0)] * nvars
@@ -160,7 +297,7 @@ def feasible_point(ineqs, nvars):
     return point
 
 
-def integer_points(ineqs, nvars):
+def integer_points(ineqs, nvars, recording: Recording | None = None):
     """Every integer point of the polyhedron, in lexicographic order.
 
     The system is projected once; a depth-first search then gives each
@@ -168,13 +305,14 @@ def integer_points(ineqs, nvars):
     Raises Unbounded when the polyhedron is nonempty and unbounded.
     """
     try:
-        systems = _project([_row(coeffs, rhs) for coeffs, rhs in ineqs], nvars)
+        system, _ = _inputs(ineqs, nvars, None, recording)
+        systems = _project(system, nvars, recording)
     except Infeasible:
         return []
     # a nonempty polyhedron is bounded exactly when every projection bounds
     # its last coordinate on both sides
     for var in range(nvars):
-        signs = {row[var] > 0 for row in systems[nvars - 1 - var] if row[var]}
+        signs = {q[var] > 0 for q in systems[nvars - 1 - var][0] if q[var]}
         if len(signs) < 2:
             raise Unbounded
     out = []
@@ -193,15 +331,14 @@ def integer_points(ineqs, nvars):
     return out
 
 
-def substitute(ineqs, objective, value=None):
+def substitute(ineqs, objective):
     """Change of variables u = objective . x.
 
     The coordinate k with the smallest nonzero |objective_k| is solved for,
     x_k = (u - sum_{b != k} objective_b x_b) / objective_k, and each row is
     scaled by |objective_k|, so integer rows stay integer.  Returns (k, rows)
     with rows over the other coordinates in order, then u, or None for a zero
-    objective.  With ``value`` given, u is fixed to it and dropped: the rows
-    are restricted to the hyperplane objective . x = value.
+    objective.
     """
     pivots = [b for b, c in enumerate(objective) if c]
     if not pivots:
@@ -209,26 +346,54 @@ def substitute(ineqs, objective, value=None):
     k = min(pivots, key=lambda b: abs(objective[b]))
     m, rest = objective[k], [b for b in range(len(objective)) if b != k]
     sign = 1 if m > 0 else -1
-    rows = [([sign * (a[b] * m - a[k] * objective[b]) for b in rest] + [sign * a[k]],
-             sign * c * m) for a, c in ineqs]
-    if value is not None:
-        rows = [(a[:-1], c - a[-1] * value) for a, c in rows]
-    return k, rows
+    return k, [([sign * (a[b] * m - a[k] * objective[b]) for b in rest] + [sign * a[k]],
+                sign * c * m) for a, c in ineqs]
 
 
-def linear_range(ineqs, nvars, objective):
+class Slice:
+    """Rows a . x >= c restricted to the hyperplane objective . x = value,
+    for one coefficient matrix and many right-hand sides and values.
+
+    ``substitute`` runs once: ``pivot`` is the coordinate it solves for (None
+    for a zero objective, when nothing is substituted), ``rows`` the
+    coefficient rows over the other coordinates, and a right-hand side c
+    becomes scale * c - w * value, w being the row's coefficient of u.
+    ``recording`` serves every elimination of the sliced rows.
+    """
+
+    def __init__(self, rows, objective):
+        sub = substitute([(a, 0) for a in rows], objective)
+        if sub is None:
+            self.pivot, self.scale = None, 1
+            self.rows = [tuple(a) for a in rows]
+            self.weights = [0] * len(rows)
+        else:
+            self.pivot, sliced = sub
+            self.scale = abs(objective[self.pivot])
+            self.rows = [tuple(a[:-1]) for a, _ in sliced]
+            self.weights = [a[-1] for a, _ in sliced]
+        self.recording = Recording()
+
+    def ineqs(self, rhs, value):
+        """The sliced rows for right-hand sides ``rhs`` at objective = value."""
+        scale = self.scale
+        return [(a, scale * c - w * value)
+                for a, c, w in zip(self.rows, rhs, self.weights, strict=True)]
+
+
+def linear_range(ineqs, nvars, objective, recording: Recording | None = None):
     """Exact range of objective . x over the polyhedron.
 
     Returns (lo, hi) where either end is a Fraction or None (unbounded), or
     None if the polyhedron is empty.
     """
-    sub = substitute(ineqs, objective)
     try:
-        if sub is None:
+        system, substituted = _inputs(ineqs, nvars, objective, recording)
+        if not substituted:
             # a zero objective is 0 wherever the polyhedron is nonempty
-            _project([_row(coeffs, rhs) for coeffs, rhs in ineqs], nvars)
+            _project(system, nvars, recording)
             return (Fraction(0), Fraction(0))
-        rows = _project([_row(coeffs, rhs) for coeffs, rhs in sub[1]], nvars - 1)[-1]
+        rows = _project(system, nvars - 1, recording)[-1]
     except Infeasible:
         return None
     # every row now reads c * u >= rhs, u being the last coordinate

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 
 class EuclideanDomain:
@@ -245,6 +246,8 @@ def mat_vec(A, v, dom: EuclideanDomain = ZZ):
 
 
 def _dot(row, v, dom):
+    if dom is ZZ:
+        return sum(map(mul, row, v))
     acc = dom.zero
     for a, b in zip(row, v):
         if not dom.is_zero(a) and not dom.is_zero(b):
@@ -264,17 +267,23 @@ def solve_integer(A, b, dom: EuclideanDomain = ZZ):
     y_i = (U b)_i / d_i.
     """
     snf = _factored(A, dom)
+    if not snf.U:
+        return [dom.zero] * len(snf.V)
+    return solve_transformed(snf, mat_vec(snf.U, b, dom), dom)
+
+
+def solve_transformed(snf: SNFResult, ub, dom: EuclideanDomain = ZZ):
+    """``solve_integer`` from U b instead of b, for a caller that keeps U b
+    of the parts of its right-hand sides: x = V y with y_i = (U b)_i / d_i,
+    or None when some division is not exact."""
     rows, cols = len(snf.U), len(snf.V)
-    if rows == 0:
-        return [dom.zero] * cols
-    ub = mat_vec(snf.U, b, dom)
     y = [dom.zero] * cols
     for i in range(rows):
+        if dom.is_zero(ub[i]):
+            continue  # y_i = 0 whatever d_i is
         d = snf.D[i][i] if i < min(rows, cols) else dom.zero
         if dom.is_zero(d):
-            if not dom.is_zero(ub[i]):
-                return None
-            continue
+            return None
         q, r = dom.divmod(ub[i], d)
         if not dom.is_zero(r):
             return None

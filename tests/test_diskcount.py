@@ -4,9 +4,11 @@ from itertools import product
 import pytest
 
 from sfkit import algebra as alg
-from sfkit import corpus, linprog
+from sfkit import corpus, diskcount, linprog
 from sfkit.admissibility import (
     NotAdmissibleError,
+    certificate_systems,
+    finiteness_certificate,
     survival_strata,
     tilde_kill_supports,
 )
@@ -15,6 +17,7 @@ from sfkit.diskcount import (
     EMPTY_RECTANGLE,
     UNSUPPORTED,
     DiskClass,
+    _box_slice,
     classify,
     enumerate_mu1_classes,
     niceness_report,
@@ -225,8 +228,8 @@ def reference_mu1_classes(d, x, y, tilde, calc, index=1):
     return out
 
 
-def _assert_matches_reference(d, indices=(1,), tilde=None):
-    calc = DomainCalculator(d)
+def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None):
+    calc = calc or DomainCalculator(d)
     tilde = tilde or alg.diagram_algebra(d, variant=alg.TILDE)
     found = 0
     for x in d.generators():
@@ -245,13 +248,64 @@ def test_sliced_enumerator_matches_reference_on_corpus(name):
     _assert_matches_reference(corpus.load_diagram(name))
 
 
-@pytest.mark.parametrize("k", [1, 2])
-@pytest.mark.parametrize("name", ["unknot", "trefoil", "grid2"])
-def test_sliced_enumerator_matches_reference_on_ladder(name, k):
+def _stabilized(name, k):
     d = corpus.load_diagram(name)
     for _ in range(k):
         d = stabilize_diagram(d, 0)
-    assert _assert_matches_reference(d) > 0
+    return d
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", ["unknot", "trefoil", "grid2"])
+def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
+    # the enumerator runs through the block's compiled systems: every
+    # certificate LP and every box replays one of their recordings
+    d = _stabilized(name, k)
+    used = []
+    for fn, at in (("linear_range", 3), ("integer_points", 2)):
+        original = getattr(linprog, fn)
+
+        def spy(*args, original=original, at=at):
+            if len(args) > at:
+                used.append(args[at])
+            return original(*args)
+
+        monkeypatch.setattr(linprog, fn, spy)
+    calc = DomainCalculator(d)
+    assert _assert_matches_reference(d, calc=calc) > 0
+    (lattice,) = {id(calc.lattice(x)): calc.lattice(x) for x in d.generators()}.values()
+    compiled = [s.slice.recording
+                for s in lattice.compiled("certificate", certificate_systems)]
+    compiled.append(lattice.compiled("box", _box_slice)[1].recording)
+    assert {id(r) for r in used} == {id(r) for r in compiled}
+
+
+@pytest.mark.parametrize("name, k, empty", [("trefoil", 2, 68), ("unknot", 2, 3),
+                                            ("trefoil", 1, 13)])
+def test_empty_certificate_lists_no_box(name, k, empty, monkeypatch):
+    # a pair whose certificate finds every stratum empty has no class; the
+    # enumerator returns [] without listing a box, as the reference agrees
+    d = _stabilized(name, k)
+    calc = DomainCalculator(d)
+    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    boxes = []
+    original = diskcount._sliced_box
+    monkeypatch.setattr(diskcount, "_sliced_box",
+                        lambda *args: boxes.append(args) or original(*args))
+    found = 0
+    for x in d.generators():
+        for y in d.generators():
+            con = calc.connecting(x, y)
+            cert = finiteness_certificate(d, x, y, 1, calc.lattice(x), con)
+            before = len(boxes)
+            classes = enumerate_mu1_classes(d, x, y, tilde, calc)
+            assert classes == reference_mu1_classes(d, x, y, tilde, calc)
+            if not cert.exists or cert.bound is None:
+                assert classes == [] and len(boxes) == before
+                found += cert.exists
+            else:
+                assert len(boxes) == before + 1
+    assert found == empty
 
 
 @pytest.mark.parametrize("name", ["trefoil", "grid2", "special_hs", "sphere_split"])

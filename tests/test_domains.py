@@ -253,8 +253,14 @@ def test_factored_corner_system_matches_fresh_solves(name, k):
     gens = d.generators()
     for x in gens:
         for y in gens:
-            fresh = snf.solve_integer(calc.matrix, corner_target(d, x, y))
-            assert calc.connecting(x, y).particular == fresh
+            # U is applied once per generator; each pair's solve must still
+            # equal a fresh one and one on the factored system
+            target = corner_target(d, x, y)
+            fresh = snf.solve_integer(calc.matrix, target)
+            assert snf.solve_integer(calc.factored, target) == fresh
+            con = calc.connecting(x, y)
+            assert con.particular == fresh
+            assert con.exists == (fresh is not None)
 
 
 # -- one periodic lattice per Spin^c block ------------------------------------
@@ -300,21 +306,24 @@ def test_block_mu_row_is_every_generators_mu(name, k):
                                      for k in (0, 1, 2)])
 def test_connecting_solved_once_per_ordered_pair(name, k, monkeypatch):
     # the Spin^c partition, the gradings and the enumerator all ask for
-    # connecting solves; each ordered pair is solved once (210 solves over
-    # these six diagrams, whose generators form one block each)
+    # connecting solves; the corner target e(x) - e(y) is linear, so U is
+    # applied to e(g) once per generator (28 products over these six
+    # diagrams, whose generators form one block each, where solving each
+    # ordered pair took 210)
     from sfkit.cf import build_cf
 
-    systems = []
-    original = snf.solve_integer
+    products = []
+    original = snf.mat_vec
 
-    def counting(A, b, *rest):
-        systems.append(A)
-        return original(A, b, *rest)
+    def counting(A, v, *rest):
+        products.append(A)
+        return original(A, v, *rest)
 
-    monkeypatch.setattr(snf, "solve_integer", counting)
+    monkeypatch.setattr(snf, "mat_vec", counting)
     d = _stabilized(name, k)
     data = DiagramData.build(d)
     build_cf(d, 0, data=data)
     n = len(d.generators())
     assert data.partition.blocks == [list(range(n))]
-    assert sum(1 for A in systems if A is data.calc.factored) == n * n
+    assert sum(1 for A in products if A is data.calc.factored.U) == n
+

@@ -209,7 +209,7 @@ def _systems(draw):
     return n, list(ineqs), objective
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(_systems())
 @example((2, [], [1, 0]))  # empty system: unbounded both ways, point at 0
 @example((1, [([1], 0)], [1]))  # unbounded above
@@ -275,6 +275,36 @@ def _integer_systems(draw):
     return n, list(draw(st.permutations(ineqs)))
 
 
+def ref_integer_points(ineqs, n):
+    """Brute force over the box the Fraction reference gives: the integer
+    points in lexicographic order, or linprog.Unbounded raised."""
+    ranges = [ref_linear_range(ineqs, n, [int(i == j) for j in range(n)])
+              for i in range(n)]
+    if n and ranges[0] is None:
+        return []
+    if any(lo is None or hi is None for lo, hi in ranges):
+        raise linprog.Unbounded
+    box = [range(ceil(lo), floor(hi) + 1) for lo, hi in ranges]
+    return [
+        p for p in product(*box)
+        if all(sum(c * v for c, v in zip(coeffs, p)) >= rhs for coeffs, rhs in ineqs)
+    ]
+
+
+def _integer_points_or_unbounded(*args):
+    try:
+        return linprog.integer_points(*args)
+    except linprog.Unbounded:
+        return "unbounded"
+
+
+def _ref_integer_points_or_unbounded(ineqs, n):
+    try:
+        return ref_integer_points(ineqs, n)
+    except linprog.Unbounded:
+        return "unbounded"
+
+
 @settings(max_examples=200, deadline=None)
 @given(_integer_systems())
 @example((2, []))  # unbounded both ways
@@ -283,21 +313,88 @@ def _integer_systems(draw):
 def test_integer_points_match_brute_force(system):
     n, ineqs = system
     # the Fraction reference decides emptiness and boundedness and gives the box
-    ranges = [ref_linear_range(ineqs, n, [int(i == j) for j in range(n)])
-              for i in range(n)]
-    if ranges[0] is None:
-        assert linprog.integer_points(ineqs, n) == []
-        return
-    if any(lo is None or hi is None for lo, hi in ranges):
-        with pytest.raises(linprog.Unbounded):
-            linprog.integer_points(ineqs, n)
-        return
-    box = [range(ceil(lo), floor(hi) + 1) for lo, hi in ranges]
-    expected = [
-        p for p in product(*box)
-        if all(sum(c * v for c, v in zip(coeffs, p)) >= rhs for coeffs, rhs in ineqs)
+    assert _integer_points_or_unbounded(ineqs, n) == _ref_integer_points_or_unbounded(ineqs, n)
+
+
+# -- recorded eliminations against the unrecorded calls and the reference ------
+
+
+@st.composite
+def _recorded_systems(draw):
+    """(nvars, coefficient rows, objective, right-hand sides): one matrix
+    for several right-hand sides.  The matrix holds a row q and its opposite
+    -q, and the first right-hand sides ask q . x >= 1 and -q . x >= 0, so
+    the first call stops with Infeasible when the variable of q eliminated
+    first comes up, with the steps before it recorded."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(_coef, min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=4))
+    j = draw(st.integers(0, n - 1))
+    q = draw(row.filter(lambda r: r[j] != 0 and not any(r[j + 1:])))
+    rows = rows + [q, [-c for c in q]]
+    order = draw(st.permutations(range(len(rows))))
+    rows = [rows[i] for i in order]
+    # the box -2 <= x_i <= 2 keeps the integer points finite and few
+    for i in range(n):
+        unit = [int(i == k) for k in range(n)]
+        rows += [unit, [-c for c in unit]]
+    objective = draw(row)
+    first = [draw(_coef) for _ in rows]
+    first[order.index(len(order) - 2)], first[order.index(len(order) - 1)] = 1, 0
+    rhs = [first] + draw(st.lists(st.lists(_coef, min_size=len(rows), max_size=len(rows)),
+                                  min_size=4, max_size=6))
+    for b in rhs:
+        b[-2 * n:] = [-2] * (2 * n)
+    return n, rows, objective, rhs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_recorded_systems())
+def test_recorded_elimination_matches_unrecorded_and_reference(system):
+    n, rows, objective, rhs = system
+    ranges, points, fibers = (linprog.Recording() for _ in range(3))
+    feasible = False
+    for call, b in enumerate(rhs):
+        ineqs = [(a, c) for a, c in zip(rows, b)]
+        expected = ref_linear_range(ineqs, n, objective)
+        assert repr(linprog.linear_range(ineqs, n, objective, ranges)) == repr(expected)
+        assert repr(linprog.linear_range(ineqs, n, objective)) == repr(expected)
+        expected = ref_feasible_point(ineqs, n)
+        feasible = feasible or expected is not None
+        assert repr(linprog.feasible_point(ineqs, n, points)) == repr(expected)
+        assert repr(linprog.feasible_point(ineqs, n)) == repr(expected)
+        expected = _ref_integer_points_or_unbounded(ineqs, n)
+        assert _integer_points_or_unbounded(ineqs, n, fibers) == expected
+        assert _integer_points_or_unbounded(ineqs, n) == expected
+        if call == 0:
+            # cut short by Infeasible: not every step was recorded
+            assert expected == []
+            assert len(points.steps) < n and len(fibers.steps) < n
+    if feasible:
+        # a call that ran to the end recorded the remaining steps
+        assert len(points.steps) == len(fibers.steps) == n
+
+
+def test_recording_belongs_to_one_system():
+    # an empty row list at nvars = 1 and at nvars = 3 are different systems,
+    # and so are other rows or another objective
+    cases = [
+        (linprog.linear_range, ([], 1, [1]), (None, None),
+         [([], 3, [1, 0, 0]), ([([1], 0)], 1, [1]), ([], 1, [2])]),
+        (linprog.feasible_point, ([], 1), [Fraction(0)],
+         [([], 3), ([([1], 0)], 1)]),
+        (linprog.integer_points, ([([1], 0), ([-1], -1)], 1), [(0,), (1,)],
+         [([([1], 0), ([-1], -1)], 2), ([([2], 0), ([-1], -1)], 1)]),
     ]
-    assert linprog.integer_points(ineqs, n) == expected
+    for call, args, expected, others in cases:
+        recording = linprog.Recording()
+        assert call(*args, recording) == expected
+        assert call(*args, recording) == expected  # replayed
+        for other in others:
+            with pytest.raises(ValueError, match="another system"):
+                call(*other, recording)
+    assert linprog.linear_range([], 3, [1, 0, 0], linprog.Recording()) == (None, None)
+    assert linprog.feasible_point([], 3, linprog.Recording()) == [Fraction(0)] * 3
 
 
 # -- the certificate's systems against the Fraction reference -----------------
@@ -306,9 +403,11 @@ def test_integer_points_match_brute_force(system):
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("name", ["unknot", "trefoil"])
 def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
-    # every linear_range the certificate makes (on the mu slice), and its
-    # bound against the reference range of the total multiplicity over the
-    # unsliced system, with the mu equation as two rows
+    # every linear_range the certificate makes (on the mu slice, replayed
+    # from the block's compiled stratum systems), against the unrecorded call
+    # and the reference; and its bound against the reference range of the
+    # total multiplicity over the unsliced system, with the mu equation as
+    # two rows (None when every stratum is empty)
     d = corpus.load_diagram(name)
     for _ in range(k):
         d = stabilize_diagram(d, 0)
@@ -331,7 +430,7 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
             cert = admissibility.finiteness_certificate(d, x, y, 1, lattice, con)
             phi0 = con.particular
             shift = 1 - maslov_index(d, phi0, x, y, calc)
-            best = 0
+            best = None
             for stratum in strata:
                 ineqs = [(list(col), -phi0[r]) for r, col in enumerate(zip(*lattice.basis))]
                 for i in stratum:
@@ -341,8 +440,16 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
                 ineqs += [(lattice.mu, shift), ([-v for v in lattice.mu], -shift)]
                 rng = ref_linear_range(ineqs, lattice.rank, total)
                 if rng is not None:
-                    best = max(best, floor(rng[1]) + sum(phi0))
+                    bound = floor(rng[1]) + sum(phi0)
+                    best = bound if best is None else max(best, bound)
             assert cert.bound == best
     assert len(calls) == len(gens) ** 2  # one survival stratum, one LP per pair
-    for (ineqs, n, objective), rng in calls:
+    # the generators form one block: its one stratum system serves every pair
+    systems = calc.lattice(gens[0]).compiled("certificate", admissibility.certificate_systems)
+    assert [s.stratum for s in systems] == strata
+    for (ineqs, n, objective, rec), rng in calls:
+        assert rec is systems[0].slice.recording
+        assert repr(rng) == repr(original(ineqs, n, objective))
         assert repr(rng) == repr(ref_linear_range(ineqs, n, objective))
+    (_, n, objective, _), _ = calls[0]
+    assert len(systems[0].slice.recording.steps) == (n - 1 if any(objective) else n)
