@@ -105,7 +105,11 @@ class DomainCalculator:
     def lattice(self, at: Generator | None) -> "PeriodicLattice":
         """The periodic lattice with the mu row of the Spin^c class of ``at``
         (of the Euler measure alone when ``at`` is None).  Generators with
-        one mu row share one lattice, and so its compiled systems."""
+        one mu row share one lattice, and so its compiled systems; its
+        ``at`` is the first of them asked for.  mu(P) is linear in P, so
+        equal rows give equal mu on the whole lattice, and whatever reads
+        ``at`` (the admissibility witnesses' mu and their re-check) gives
+        the same answer for any generator whose row matches."""
         mu = [maslov_of_periodic(self.diagram, P, at) for P in self.periodic_basis]
         key = (at is None, tuple(mu))
         if key not in self._lattices:
@@ -199,6 +203,10 @@ class PeriodicLattice:
     calculator.  ``mu`` holds the Maslov index mu(P) = e(P) + 2 n_x(P) of each
     basis domain; it is the same for every generator x of the class, so the
     row is computed once, at the generator ``at``, and mu is linear in t.
+    Classes with equal rows share one lattice (``DomainCalculator.lattice``),
+    so ``at`` is any generator whose row matches: by linearity mu agrees
+    with that row on every lattice element, whichever generator it is
+    computed at.
     The systems that all generator pairs of the class share (see
     ``compiled``) are kept with the lattice and freed with it.
     """

@@ -19,17 +19,20 @@ reads bounds off it (``_bounds``); all three entry points share them:
 * ``integer_points`` walks the same bounds depth-first over integers and
   lists every integer point in lexicographic order.
 
-Recorded eliminations.  The directions of every projection, which rows each
-step combines and with which multipliers, and which rows share a direction
-depend on the coefficients alone; only the bounds depend on the right-hand
-sides.  A caller that solves one coefficient matrix for many right-hand
-sides passes a ``Recording`` to any entry point: the first call records that
-structure while it eliminates, and later calls only recompute bounds from
-it.  The recording belongs to the caller's system and lives as long as its
-owner; in this package that is the compiled block systems of a
-``PeriodicLattice`` (the finiteness certificate's strata and the enumerator's
-box), one recording each.  Nothing is cached at module level, and one-shot
-systems (admissibility checks, monomial fibers) pass no recording.
+Recorded eliminations.  Each Fourier-Motzkin step has two parts: which rows
+it combines and with which multipliers, which rows share a direction, and
+so the directions of the projection, all depend on the coefficients alone
+(``_structure``); the bounds follow from that structure and the right-hand
+sides (``_eliminate``).  Every step goes through both, and the bounds have
+one computation.  A caller that solves one coefficient matrix for many
+right-hand sides passes a ``Recording`` to any entry point, which keeps the
+structure of each step once it is built, so later calls only recompute
+bounds.  The recording belongs to the caller's system and lives as long as
+its owner; in this package that is the compiled block systems of a
+``PeriodicLattice`` (the finiteness certificate's strata and the
+enumerator's box), one recording each.  Nothing is cached at module level,
+and one-shot systems (admissibility checks, monomial fibers) pass no
+recording.
 
 Fractions appear only where a ratio is returned.  Problem sizes in this
 package are tiny (a handful of lattice coordinates), so elimination gives
@@ -56,9 +59,9 @@ class Recording:
 
     It is made for one variable count, one list of coefficient rows and,
     for ``linear_range``, one objective; a call with another system raises
-    ValueError.  A step is stored only once it has run to its end, so a
-    call cut short by Infeasible leaves the recording partial and the next
-    call records the remaining steps.
+    ValueError.  A step's structure does not depend on the bounds, so a
+    call cut short by Infeasible leaves the steps it reached, and the next
+    call adds the rest.
     """
 
     __slots__ = ("key", "start", "steps")
@@ -66,7 +69,7 @@ class Recording:
     def __init__(self):
         self.key = None  # (nvars, coefficient rows, objective)
         self.start = None  # (directions, bound multipliers, substituted) of the inputs
-        self.steps = []  # per eliminated variable: (directions, checks, carried, combos)
+        self.steps = []  # per eliminated variable: (directions, entries of _structure)
 
 
 def _reduced(num, den):
@@ -138,107 +141,98 @@ def _inputs(ineqs, nvars, objective, recording):
     return (dirs, nums, dens), substituted
 
 
-def _eliminate(system, var, record):
-    """Fourier-Motzkin step removing variable ``var``; returns the new system
-    and, when ``record`` is set, the step's structure for ``_replay``.
+def _structure(dirs, var, out_dirs):
+    """The part of the Fourier-Motzkin step removing variable ``var`` that
+    depends on the directions alone, as a stream of entries
+    (slot, p, n, u, v, h); the directions of the projection are appended to
+    ``out_dirs`` as they first come up, and ``slot`` indexes them.
 
-    Rows keep their order: first those without ``var``, then the combinations
-    of each positive row with each negative one.  Of rows with the same
-    direction only the tightest is kept, in the place of the first; the
-    others are implied by it.  Combining q_p . x >= b_p with q_n . x >= b_n
-    gives (u q_p + v q_n) / h . x >= (u b_p + v b_n) / h, where u and v clear
-    ``var`` and h is the gcd of the combined direction.
+    Rows without ``var`` come first, each carried as (slot, i, i, 1, 0, 1);
+    then each positive row p with each negative row n, combined as
+    (u q_p + v q_n) / h, where u and v clear ``var`` and h is the gcd of the
+    combined direction.  Opposite directions (h = 0) give no row, only a
+    check, with slot None.
     """
-    dirs, nums, dens = system
-    out_dirs, out_n, out_d = [], [], []
     slots = {}
-    checks, carried, combos = [], [], []
 
-    def keep(q, r, s):
-        slot = slots.get(q)
-        if slot is None:
-            slot = slots[q] = len(out_dirs)
+    def slot(q):
+        k = slots.get(q)
+        if k is None:
+            k = slots[q] = len(out_dirs)
             out_dirs.append(q)
-            out_n.append(r)
-            out_d.append(s)
-        elif r * out_d[slot] > out_n[slot] * s:
-            out_n[slot], out_d[slot] = r, s
-        return slot
+        return k
 
     pos, neg = [], []
     for i, q in enumerate(dirs):
         c = q[var]
         if c > 0:
-            pos.append((i, q, c, nums[i], dens[i]))
+            pos.append((i, q, c))
         elif c < 0:
-            neg.append((i, q, -c, nums[i], dens[i]))
+            neg.append((i, q, -c))
         else:
-            slot = keep(q, nums[i], dens[i])
-            if record:
-                carried.append((slot, i))
-    for p, qp, cp, rp, sp in pos:
-        for n, qn, cn, rn, sn in neg:
+            yield slot(q), i, i, 1, 0, 1
+    for p, qp, cp in pos:
+        for n, qn, cn in neg:
             g = gcd(cp, cn)
             u, v = cn // g, cp // g
             q = [u * a + v * b for a, b in zip(qp, qn)]
             h = gcd(*q)
             if h == 0:
-                # opposite directions (u = v = 1): a check, no new row
-                if rp * sn + rn * sp > 0:
+                yield None, p, n, u, v, h
+            else:
+                yield slot(tuple([x // h for x in q]) if h > 1 else tuple(q)), p, n, u, v, h
+
+
+def _eliminate(entries, system):
+    """The bounds of the Fourier-Motzkin step with structure ``entries``
+    (see ``_structure``) applied to ``system``: (numerators, denominators)
+    per slot.
+
+    Combining q_p . x >= b_p with q_n . x >= b_n gives
+    (u q_p + v q_n) / h . x >= (u b_p + v b_n) / h.  Of the rows in one slot
+    only the tightest is kept, the others being implied by it.  An opposite
+    pair with b_p + b_n > 0 raises Infeasible.
+    """
+    _, nums, dens = system
+    out_n, out_d = [], []
+    for slot, p, n, u, v, h in entries:
+        if v:
+            sp, sn = dens[p], dens[n]
+            if slot is None:
+                if nums[p] * sn + nums[n] * sp > 0:
                     raise Infeasible
-                if record:
-                    checks.append((p, n))
                 continue
-            r, s = u * rp * sn + v * rn * sp, sp * sn * h
+            r, s = u * nums[p] * sn + v * nums[n] * sp, sp * sn * h
             if s > 1:
                 r, s = _reduced(r, s)
-            slot = keep(tuple([x // h for x in q]) if h > 1 else tuple(q), r, s)
-            if record:
-                combos.append((slot, p, n, u, v, h))
-    step = (out_dirs, checks, carried, combos) if record else None
-    return (out_dirs, out_n, out_d), step
-
-
-def _replay(step, system):
-    """``_eliminate`` from a recorded structure: only the bounds are new."""
-    out_dirs, checks, carried, combos = step
-    _, nums, dens = system
-    for p, n in checks:
-        if nums[p] * dens[n] + nums[n] * dens[p] > 0:
-            raise Infeasible
-    out_n = [None] * len(out_dirs)
-    out_d = [1] * len(out_dirs)
-    for slot, i in carried:
-        r, s = nums[i], dens[i]
-        old = out_n[slot]
-        if old is None or r * out_d[slot] > old * s:
+        else:
+            r, s = nums[p], dens[p]
+        if slot == len(out_n):
+            out_n.append(r)
+            out_d.append(s)
+        elif r * out_d[slot] > out_n[slot] * s:
             out_n[slot], out_d[slot] = r, s
-    for slot, p, n, u, v, h in combos:
-        sp, sn = dens[p], dens[n]
-        r, s = u * nums[p] * sn + v * nums[n] * sp, sp * sn * h
-        if s > 1:
-            r, s = _reduced(r, s)
-        old = out_n[slot]
-        if old is None or r * out_d[slot] > old * s:
-            out_n[slot], out_d[slot] = r, s
-    return out_dirs, out_n, out_d
+    return out_n, out_d
 
 
 def _project(system, nvars, recording):
     """The Fourier-Motzkin chain of ``system``: entry k has variables
     nvars-1, ..., nvars-k eliminated, so entry nvars-1-var bounds ``var``
     in terms of the variables below it.  Raises Infeasible, also when a
-    row with no variable left has a positive bound.  With a recording,
-    recorded steps are replayed and the others recorded."""
+    row with no variable left has a positive bound.  A recording supplies
+    the structure of the steps it holds and keeps those it lacks; without
+    one, each step's structure is streamed and not kept."""
     systems = [system]
-    for step_index, var in enumerate(range(nvars - 1, -1, -1)):
-        if recording is not None and step_index < len(recording.steps):
-            systems.append(_replay(recording.steps[step_index], systems[-1]))
-            continue
-        out, step = _eliminate(systems[-1], var, recording is not None)
-        if recording is not None:
-            recording.steps.append(step)
-        systems.append(out)
+    for k, var in enumerate(range(nvars - 1, -1, -1)):
+        if recording is not None and k < len(recording.steps):
+            dirs, entries = recording.steps[k]
+        else:
+            dirs = []
+            entries = _structure(systems[-1][0], var, dirs)
+            if recording is not None:
+                entries = list(entries)
+                recording.steps.append((dirs, entries))
+        systems.append((dirs, *_eliminate(entries, systems[-1])))
     dirs, nums, _ = systems[-1]
     if any(r > 0 for q, r in zip(dirs, nums) if not any(q)):
         raise Infeasible

@@ -12,22 +12,28 @@ from sfkit import corpus, snf
 from sfkit.admissibility import (
     NotAdmissibleError,
     WitnessError,
+    _check,
     _verify_witness,
     check_s_admissible,
     check_strong_admissible,
     check_weak_admissible,
     finiteness_certificate,
     survival_strata,
+    tilde_kill_supports,
 )
+from sfkit.cf import DiagramData
 from sfkit.diskcount import enumerate_mu1_classes
 from sfkit.domains import (
     DomainCalculator,
     corner_matrix,
     corner_target,
+    PeriodicLattice,
     marked_multiplicities,
     maslov_index,
+    maslov_of_periodic,
 )
 from sfkit.homology1 import h1_presentation
+from sfkit.stabilize import stabilize_diagram
 from sfkit.testrings import all_zero, btau_hom
 
 ADMISSIBLE = ["torus_min", "unknot", "trefoil", "grid2", "torus_lens",
@@ -205,3 +211,42 @@ sys.exit(3)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "witness is the zero domain"
+
+
+def _witness_verdict(d, at, P, stratum, mu_mode):
+    try:
+        _verify_witness(d, at, P, stratum, mu_mode)
+    except WitnessError as e:
+        return e.condition
+    return None
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_blocks_sharing_a_mu_row_share_witness_checks(k):
+    # torus_lens has two Spin^c blocks with one mu row, so they share one
+    # lattice whose ``at`` is the first block's generator.  mu(P) is linear
+    # in P, so at each block's own generator mu agrees with the shared row on
+    # the whole lattice, and the admissibility reports and witness checks
+    # equal those made at the shared ``at``
+    d = corpus.load_diagram("torus_lens")
+    for _ in range(k):
+        d = stabilize_diagram(d, 0)
+    data = DiagramData.build(d)
+    gens, blocks = data.partition.generators, data.partition.blocks
+    shared = data.lattices[0]
+    assert len(blocks) == 2 and data.lattices[1] is shared
+    strata = survival_strata(d.num_marks, tilde_kill_supports(d))
+    modes = ("zero", "nonpos")
+    for block in blocks:
+        own = PeriodicLattice(calc=data.calc, mu=list(shared.mu), at=gens[block[0]])
+        for mode in modes:
+            assert _check(own, "s", strata, mode) == _check(shared, "s", strata, mode)
+        for t in product(range(-2, 3), repeat=shared.rank):
+            P = shared.element(t)
+            mu = sum(m * v for m, v in zip(shared.mu, t))
+            assert all(maslov_of_periodic(d, P, gens[i]) == mu for i in block)
+            for stratum in strata:
+                for mode in modes:
+                    assert (_witness_verdict(d, own.at, P, stratum, mode)
+                            == _witness_verdict(d, shared.at, P, stratum, mode))
+    assert shared.at == gens[blocks[0][0]] != gens[blocks[1][0]]

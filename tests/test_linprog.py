@@ -321,11 +321,11 @@ def test_integer_points_match_brute_force(system):
 
 @st.composite
 def _recorded_systems(draw):
-    """(nvars, coefficient rows, objective, right-hand sides): one matrix
-    for several right-hand sides.  The matrix holds a row q and its opposite
-    -q, and the first right-hand sides ask q . x >= 1 and -q . x >= 0, so
-    the first call stops with Infeasible when the variable of q eliminated
-    first comes up, with the steps before it recorded."""
+    """(nvars, coefficient rows, objective, right-hand sides, j): one
+    matrix for several right-hand sides.  The matrix holds a row q and its
+    opposite -q, whose last nonzero coefficient is that of x_j, and the
+    first right-hand sides ask q . x >= 1 and -q . x >= 0, so the first call
+    stops with Infeasible at the latest when x_j is eliminated."""
     n = draw(st.integers(1, 3))
     row = st.lists(_coef, min_size=n, max_size=n)
     rows = draw(st.lists(row, max_size=4))
@@ -345,14 +345,20 @@ def _recorded_systems(draw):
                                   min_size=4, max_size=6))
     for b in rhs:
         b[-2 * n:] = [-2] * (2 * n)
-    return n, rows, objective, rhs
+    return n, rows, objective, rhs, j
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_recorded_systems())
 def test_recorded_elimination_matches_unrecorded_and_reference(system):
-    n, rows, objective, rhs = system
+    n, rows, objective, rhs, j = system
     ranges, points, fibers = (linprog.Recording() for _ in range(3))
+    # the structure of every step, built without any right-hand side
+    dirs, chain = linprog._start(rows, None)[0], []
+    for var in range(n - 1, -1, -1):
+        out = []
+        chain.append((out, list(linprog._structure(dirs, var, out))))
+        dirs = out
     feasible = False
     for call, b in enumerate(rhs):
         ineqs = [(a, c) for a, c in zip(rows, b)]
@@ -367,12 +373,15 @@ def test_recorded_elimination_matches_unrecorded_and_reference(system):
         assert _integer_points_or_unbounded(ineqs, n, fibers) == expected
         assert _integer_points_or_unbounded(ineqs, n) == expected
         if call == 0:
-            # cut short by Infeasible: not every step was recorded
+            # cut short by Infeasible: at most the steps up to x_j are kept,
+            # each of them whole
             assert expected == []
-            assert len(points.steps) < n and len(fibers.steps) < n
+            for rec in (points, fibers):
+                assert len(rec.steps) <= n - j
+                assert rec.steps == chain[:len(rec.steps)]
     if feasible:
         # a call that ran to the end recorded the remaining steps
-        assert len(points.steps) == len(fibers.steps) == n
+        assert points.steps == fibers.steps == chain
 
 
 def test_recording_belongs_to_one_system():
