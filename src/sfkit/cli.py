@@ -165,9 +165,13 @@ def cmd_generators(args):
 
 
 def cmd_algebra(args):
-    if args.knot_sutures:
-        n = args.knot_sutures
+    n = args.knot_sutures
+    if n is not None:
+        if n < 1:
+            raise BadArgument(f"--knot-sutures {n}: N must be at least 1")
         spec = alg.build_algebra(alg.knot_components(n), 2 * n)
+    elif args.diagram is None:
+        raise BadArgument("algebra needs a diagram or --knot-sutures N")
     else:
         d = load_diagram(args.diagram)
         variant = {"tilde": alg.TILDE, "plain": alg.PLAIN, "hat": alg.HAT}[
@@ -397,9 +401,7 @@ def cmd_stabilize(args):
 
 
 def cmd_surgery(args):
-    comps = alg.knot_components(args.knot_sutures or 1)
-    kappa = 2 * (args.knot_sutures or 1)
-    sr = build_surgery_rings(comps, kappa, *args.multiplicities)
+    sr = build_surgery_rings(alg.knot_components(1), 2, *args.multiplicities)
     payload = {
         "R_hat": sr.rhat.describe(),
         "R": sr.r.describe(),
@@ -499,7 +501,6 @@ def main(argv=None):
 
     p = sub.add_parser("surgery")
     p.add_argument("multiplicities", type=int, nargs=3, metavar="m")
-    p.add_argument("--knot-sutures", type=int, default=1)
     p.set_defaults(func=cmd_surgery)
 
     p = sub.add_parser("corpus-check")

@@ -10,7 +10,11 @@ maps a complex over the hom's source to the same kind of complex over its
 target, whose homology is computed exactly: Gauss-Jordan elimination over
 fields, Smith normal form over Z and F_p[U], and finite (chi, gr)-fiber
 linear algebra over the multivariate algebras themselves.  Differentials,
-chain maps and their composites all go through one sparse product.
+chain maps and their composites all go through one sparse product.  Every
+homology here (``homology``, ``fpu_piece_dims``, ``piecewise_homology`` and
+the dimensions of ``les_check``) is a loop over pieces with bases (below,
+here, above): ``_piece_matrix`` builds the matrix of d between two bases and
+``_piece_homology`` hands each piece's two matrices to the ring's backend.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .testrings import (
     FpURing,
     Target,
     TestRingHom,
+    ZpRing,
 )
 
 
@@ -73,15 +78,6 @@ class FilteredComplex:
     @property
     def rank(self):
         return len(self.gen_names)
-
-    def differential_of(self, j):
-        return {i: e for (i, jj), e in self.entries.items() if jj == j and e}
-
-    def matrix(self, rows, cols):
-        R = self.ring
-        return [
-            [self.entries.get((i, j), R.zero()) for j in cols] for i in rows
-        ]
 
     def require_untainted(self):
         if self.taints:
@@ -240,15 +236,6 @@ class HomologyResult:
         return out
 
 
-def _grading_blocks(tc: FilteredComplex):
-    """Group generator indices by (coset, grading); None gradings collapse."""
-    blocks = {}
-    for i in range(tc.rank):
-        key = (tc.cosets[i], tc.gradings[i])
-        blocks.setdefault(key, []).append(i)
-    return blocks
-
-
 def homology(tc: FilteredComplex, allow_taint=False) -> HomologyResult:
     if not allow_taint:
         tc.require_untainted()
@@ -256,9 +243,10 @@ def homology(tc: FilteredComplex, allow_taint=False) -> HomologyResult:
     ring = tc.ring
     graded = all(g is not None for g in tc.gradings) and tc.rank > 0
     if ring.kind == "field":
-        compute = lambda out_m, in_m: {"dim": _field_homology_dim(ring.p, out_m, in_m)}
+        dim = _field_dim(ring.p)
+        compute = lambda n, out_m, in_m: {"dim": dim(n, out_m, in_m)}
     elif ring.kind == "pid":
-        compute = lambda out_m, in_m: _pid_homology(ring.domain, out_m, in_m)
+        compute = lambda n, out_m, in_m: _pid_homology(ring.domain, n, out_m, in_m)
         if isinstance(ring, FpURing) and tc.entries:
             # U-powers may cross generator-grading blocks: compute the module
             # invariants ungraded (fpu_piece_dims gives the graded pieces)
@@ -268,36 +256,68 @@ def homology(tc: FilteredComplex, allow_taint=False) -> HomologyResult:
             "UNSUPPORTED_COEFFICIENTS", f"no homology backend for {ring.name}"
         )
 
-    pieces = {}
-    if not graded:
-        idx = list(range(tc.rank))
-        M = tc.matrix(idx, idx)
-        res = compute(M, M)
-        pieces["*"] = res
+    if graded:
+        blocks = {}
+        for i, key in enumerate(zip(tc.cosets, tc.gradings)):
+            blocks.setdefault(key, []).append(i)
+        near = lambda coset, g: blocks.get((coset, g), [])
+        pieces = {
+            f"s={coset} gr={g}": (near(coset, g - 1), idx, near(coset, g + 1))
+            for (coset, g), idx in sorted(blocks.items(), key=lambda kv: str(kv[0]))
+        }
     else:
-        blocks = _grading_blocks(tc)
-        for (coset, g), idx in sorted(blocks.items(), key=lambda kv: str(kv[0])):
-            above = blocks.get((coset, g + 1), [])
-            below = blocks.get((coset, g - 1), [])
-            out_m = tc.matrix(below, idx) if below else [[ring.zero()] * len(idx)]
-            in_m = tc.matrix(idx, above) if above else [
-                [ring.zero()] for _ in idx
-            ]
-            res = compute(out_m, in_m)
-            label = f"s={coset} gr={g}"
-            pieces[label] = res
+        idx = list(range(tc.rank))
+        pieces = {"*": (idx, idx, idx)}
+    pieces = _piece_homology(ring, pieces, _column_image(tc.entries), compute)
     pieces = {k: v for k, v in pieces.items() if v.get("free_rank", v.get("dim", 0)) or v.get("torsion")}
     return HomologyResult(ring_name=ring.name, pieces=pieces, graded=graded)
 
 
-def _field_homology_dim(p, out_m, in_m):
-    n = len(out_m[0]) if out_m else (len(in_m) if in_m else 0)
-    return n - snf.rank_over_field(out_m, p) - snf.rank_over_field(in_m, p)
+def _column_image(entries):
+    """``image`` for ``_piece_matrix`` from sparse entries {(i, j): element}:
+    the terms (i, element) of d(j)."""
+    by_col = {}
+    for (i, j), e in entries.items():
+        by_col.setdefault(j, []).append((i, e))
+    return lambda j: by_col.get(j, ())
 
 
-def _pid_homology(domain, out_m, in_m):
-    """(free rank, torsion invariants) of ker(out)/im(in) over a PID."""
-    n = len(out_m[0]) if out_m else 0
+def _piece_matrix(ring, src, dst, image):
+    """Matrix of d from basis ``src`` to basis ``dst``; ``image(b)`` yields
+    the (label, coefficient) terms of d(b), and labels outside ``dst`` drop."""
+    index = {b: t for t, b in enumerate(dst)}
+    M = [[ring.zero()] * len(src) for _ in dst]
+    for col, b in enumerate(src):
+        for label, coeff in image(b):
+            row = index.get(label)
+            if row is not None:
+                M[row][col] = ring.add(M[row][col], coeff)
+    return M
+
+
+def _piece_homology(ring, pieces, image, compute):
+    """``compute(n, out_m, in_m)`` for each key of ``pieces``, which maps it
+    to the bases (below, here, above) of its piece: n = len(here), out_m is
+    d from here to below and in_m is d from above to here."""
+    return {
+        key: compute(
+            len(here),
+            _piece_matrix(ring, here, below, image),
+            _piece_matrix(ring, above, here, image),
+        )
+        for key, (below, here, above) in pieces.items()
+    }
+
+
+def _field_dim(p):
+    """``compute`` for ``_piece_homology`` over Q (p=None) or F_p: the
+    dimension n - rank(out) - rank(in)."""
+    return lambda n, out_m, in_m: n - snf.rank_over_field(out_m, p) - snf.rank_over_field(in_m, p)
+
+
+def _pid_homology(domain, n, out_m, in_m):
+    """(free rank, torsion invariants) of ker(out)/im(in) over a PID, for a
+    piece of rank n."""
     if n == 0:
         return {"free_rank": 0, "torsion": []}
     # kernel of out
@@ -370,42 +390,18 @@ def fpu_piece_dims(tc: FilteredComplex, window) -> dict:
     if any(g is None for g in tc.gradings):
         raise ComplexError("UNSUPPORTED_COEFFICIENTS", "ungraded generators")
     gu = tc.u_grading
-    p = ring.p
+    columns = _column_image(tc.entries)
 
     def basis(g):
-        out = []
-        for i, gi in enumerate(tc.gradings):
-            diff = g - gi
-            if diff % gu == 0:
-                k = diff // gu
-                if k >= 0:
-                    out.append((i, k))
-        return out
+        return [(i, (g - gi) // gu) for i, gi in enumerate(tc.gradings)
+                if (g - gi) % gu == 0 and (g - gi) // gu >= 0]
 
-    def matrix(src, dst):
-        index = {b: t for t, b in enumerate(dst)}
-        M = [[0] * len(src) for _ in range(len(dst))]
-        for col, (j, kj) in enumerate(src):
-            for (i, jj), poly in tc.entries.items():
-                if jj != j:
-                    continue
-                for deg, coeff in enumerate(poly):
-                    if not coeff:
-                        continue
-                    key = (i, kj + deg)
-                    if key in index:
-                        M[index[key]][col] = (M[index[key]][col] + coeff) % p
-        return M
+    def image(b):
+        j, k = b
+        return (((i, k + deg), c) for i, poly in columns(j) for deg, c in enumerate(poly) if c)
 
-    dims = {}
-    for g in window:
-        b = basis(g)
-        above = basis(g + 1)
-        below = basis(g - 1)
-        r_out = snf.rank_over_field(matrix(b, below), p)
-        r_in = snf.rank_over_field(matrix(above, b), p)
-        dims[g] = len(b) - r_out - r_in
-    return dims
+    pieces = {g: (basis(g - 1), basis(g), basis(g + 1)) for g in window}
+    return _piece_homology(ZpRing(ring.p), pieces, image, _field_dim(ring.p))
 
 
 # -- piecewise homology over the algebra itself -----------------------------
@@ -461,39 +457,26 @@ def piecewise_homology(c: FilteredComplex, piece_keys, p=2, allow_taint=False):
         basis = []
         for gi in range(c.rank):
             delta = group.add(coset, group.neg(c.cosets[gi]))
-            gval = None
-            if grading is not None and c.gradings[gi] is not None:
-                gval = grading - c.gradings[gi]
-            for m in monomial_fiber(spec, delta, gval):
-                basis.append((gi, m))
+            g = c.gradings[gi]
+            gval = None if grading is None or g is None else grading - g
+            basis.extend((gi, m) for m in monomial_fiber(spec, delta, gval))
         return basis
 
-    out = {}
-    for coset, grading in piece_keys:
-        basis = piece_basis(coset, grading)
-        above = piece_basis(coset, grading + 1) if grading is not None else basis
-        below = piece_basis(coset, grading - 1) if grading is not None else basis
-        out_m = _piece_matrix(c, basis, below, p)
-        in_m = _piece_matrix(c, above, basis, p)
-        dim = len(basis) - snf.rank_over_field(out_m, p) - snf.rank_over_field(in_m, p)
-        out[(coset, grading)] = dim
-    return out
+    columns = _column_image(c.entries)
 
-
-def _piece_matrix(c, src_basis, dst_basis, p):
-    """Matrix of the differential from the src piece to the dst piece."""
-    spec = c.algebra
-    index = {b: k for k, b in enumerate(dst_basis)}
-    M = [[0] * len(src_basis) for _ in range(len(dst_basis))]
-    for col, (gj, mj) in enumerate(src_basis):
-        for i, e in c.differential_of(gj).items():
+    def image(b):
+        gj, mj = b
+        for i, e in columns(gj):
             for m, coeff in e.items():
-                prod = spec.nf_monomial(alg.mono_mul(m, mj))
-                for mm, cc in prod.items():
-                    key = (i, mm)
-                    if key in index:
-                        M[index[key]][col] = (M[index[key]][col] + coeff * cc) % p
-    return M
+                for mm, cc in spec.nf_monomial(alg.mono_mul(m, mj)).items():
+                    yield (i, mm), coeff * cc
+
+    pieces = {
+        (coset, g): (piece_basis(coset, g),) * 3 if g is None
+        else tuple(piece_basis(coset, g + t) for t in (-1, 0, 1))
+        for coset, g in piece_keys
+    }
+    return _piece_homology(ZpRing(p), pieces, image, _field_dim(p))
 
 
 # -- chain maps and cones -----------------------------------------------------
@@ -566,20 +549,13 @@ def _cone_decorations(f: ChainMap):
     """Cosets and gradings of M(f), shifted so the f-block obeys the axioms."""
     A, B = f.source, f.target
     spec = f.algebra
-    cosets = None
-    gradings = None
-    group = spec.chi_group
-    if group is not None and all(c is not None for c in A.cosets + B.cosets):
-        shifts = set()
-        for (i, j), e in f.entries.items():
-            for m in e:
-                # want  coset_A(j) = coset_M(b_i) + chi(m) = coset_B(i)+shift+chi(m)
-                shifts.add(
-                    group.add(A.cosets[j], group.neg(group.add(B.cosets[i], spec.chi(m))))
-                )
-        if len(shifts) <= 1:
-            shift = shifts.pop() if shifts else group.zero()
-            cosets = list(A.cosets) + [group.add(c, shift) for c in B.cosets]
+    n = A.rank + B.rank
+    cosets, gradings = [None] * n, [None] * n
+    shifts = _chi_shifts(A, B, f.entries)
+    if shifts is not None and len(shifts) <= 1:
+        group = spec.chi_group
+        shift = shifts.pop() if shifts else group.zero()
+        cosets = list(A.cosets) + [group.add(c, shift) for c in B.cosets]
     if all(g is not None for g in A.gradings + B.gradings):
         drops = set()
         for (i, j), e in f.entries.items():
@@ -591,11 +567,22 @@ def _cone_decorations(f: ChainMap):
         if None not in drops and len(drops) <= 1:
             delta = drops.pop() if drops else 1
             gradings = list(A.gradings) + [g + delta - 1 for g in B.gradings]
-    if cosets is None:
-        cosets = [None] * (A.rank + B.rank)
-    if gradings is None:
-        gradings = [None] * (A.rank + B.rank)
     return cosets, gradings
+
+
+def _chi_shifts(src: FilteredComplex, tgt: FilteredComplex, entries):
+    """The cosets s(src j) - s(tgt i) - chi(m) over the monomials m of the
+    entries (i, j) of a map src -> tgt: one value when it shifts chi by a
+    constant.  None without a chi group or when a coset is unknown."""
+    spec = src.algebra
+    group = spec.chi_group
+    if group is None or any(c is None for c in src.cosets + tgt.cosets):
+        return None
+    return {
+        group.add(src.cosets[j], group.neg(group.add(tgt.cosets[i], spec.chi(m))))
+        for (i, j), e in entries.items()
+        for m in e
+    }
 
 
 def multiplication_map(c: FilteredComplex, element) -> ChainMap:
@@ -620,55 +607,35 @@ def free_complex(spec, names, entries=None, cosets=None, gradings=None) -> Filte
     )
 
 
-def sum_entries(ring, M, vec, i):
-    acc = ring.zero()
-    for j, v in enumerate(vec):
-        if not ring.is_zero(v):
-            acc = ring.add(acc, ring.mul(M[i][j], v))
-    return acc
-
-
 def les_check(f: ChainMap, hom) -> dict:
     """Exactness of H(A2) -> H(M(f)) -> H(A1) -> H(A2) over a field hom."""
     ring = hom.target
     if ring.kind != "field":
         raise ComplexError("UNSUPPORTED_COEFFICIENTS", "les_check needs a field hom")
+    p = ring.p
     A1, A2 = f.source, f.target
-    cone = mapping_cone(f)
-    n1, n2, nM = A1.rank, A2.rank, cone.rank
+    n1 = A1.rank
 
-    def matrix_of(c):
-        tcx = c.tensor(hom)
-        idx = list(range(c.rank))
-        return tcx.matrix(idx, idx)
+    def d_matrix(c):
+        idx = range(c.rank)
+        return _piece_matrix(ring, idx, idx, _column_image(c.tensor(hom).entries))
 
-    d1, d2, dM = matrix_of(A1), matrix_of(A2), matrix_of(cone)
-    f_m = [[hom.apply(f.entry(i, j)) for j in range(n1)] for i in range(n2)]
-    # inclusion A2 -> M and projection M -> A1
-    i_m = [[ring.one() if (i == n1 + j) else ring.zero() for j in range(n2)] for i in range(nM)]
-    p_m = [[ring.one() if (i == j) else ring.zero() for j in range(nM)] for i in range(n1)]
+    d1, d2, dM = (d_matrix(c) for c in (A1, A2, mapping_cone(f)))
+    z1, z2, zM = (snf.kernel_over_field(d, len(d), p) for d in (d1, d2, dM))
+    r1, r2, rM = (len(d) - len(z) for d, z in ((d1, z1), (d2, z2), (dM, zM)))
+    h1, h2, hM = len(z1) - r1, len(z2) - r2, len(zM) - rM
 
-    def cycles(M, n):
-        return snf.kernel_over_field(M, n, ring.p)
+    def induced_rank(d_tgt, r_tgt, images):
+        """rank of [d_tgt | images] beyond rank d_tgt: the rank of the map on
+        homology whose cycle images these are."""
+        stacked = [row + [img[i] for img in images] for i, row in enumerate(d_tgt)]
+        return snf.rank_over_field(stacked, p) - r_tgt
 
-    def boundaries(M, n):
-        cols = []
-        for j in range(n):
-            col = [M[i][j] for i in range(len(M))]
-            if any(not ring.is_zero(x) for x in col):
-                cols.append(col)
-        # reduce to independent set lazily; rank computations handle spans
-        return cols
-
-    z1, z2, zM = cycles(d1, n1), cycles(d2, n2), cycles(dM, nM)
-    b1, b2, bM = boundaries(d1, n1), boundaries(d2, n2), boundaries(dM, nM)
-    h1 = len(z1) - snf.rank_over_field(_cols_to_matrix(b1, n1), ring.p)
-    h2 = len(z2) - snf.rank_over_field(_cols_to_matrix(b2, n2), ring.p)
-    hM = len(zM) - snf.rank_over_field(_cols_to_matrix(bM, nM), ring.p)
-
-    rank_i = _induced_rank_cols(ring, i_m, z2, bM, nM)
-    rank_p = _induced_rank_cols(ring, p_m, zM, b1, n1)
-    rank_f = _induced_rank_cols(ring, f_m, z1, b2, n2)
+    # inclusion A2 -> M(f) and projection M(f) -> A1
+    rank_i = induced_rank(dM, rM, [[ring.zero()] * n1 + z for z in z2])
+    rank_p = induced_rank(d1, r1, [z[:n1] for z in zM])
+    f_m = [[hom.apply(f.entry(i, j)) for j in range(n1)] for i in range(A2.rank)]
+    rank_f = induced_rank(d2, r2, [snf.mat_vec(f_m, z) for z in z1])
 
     ok = (
         h2 - rank_i == rank_f  # exactness at H(A2): ker i* = im f*
@@ -680,21 +647,6 @@ def les_check(f: ChainMap, hom) -> dict:
         "dims": {"H(A1)": h1, "H(A2)": h2, "H(M)": hM},
         "ranks": {"i*": rank_i, "p*": rank_p, "f*": rank_f},
     }
-
-
-def _cols_to_matrix(cols, nrows):
-    if not cols:
-        return []
-    return [[col[i] for col in cols] for i in range(nrows)]
-
-
-def _induced_rank_cols(ring, g_matrix, src_cycles, tgt_boundary_cols, tgt_dim):
-    imgs = []
-    for z in src_cycles:
-        imgs.append([sum_entries(ring, g_matrix, z, i) for i in range(tgt_dim)])
-    stacked = _cols_to_matrix(tgt_boundary_cols + imgs, tgt_dim)
-    base = _cols_to_matrix(tgt_boundary_cols, tgt_dim)
-    return snf.rank_over_field(stacked, ring.p) - snf.rank_over_field(base, ring.p)
 
 
 def is_acyclic(tc: FilteredComplex) -> bool:

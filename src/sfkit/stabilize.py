@@ -117,6 +117,22 @@ def _lift_entries(entries, pad):
     return out
 
 
+def _fold_taints(c, weights):
+    """Count each taint of c whose weight is in ``weights`` once, with
+    coefficient -1, in its entry: (entries, remaining taints, folded taints)."""
+    entries = dict(c.entries)
+    remaining, folded = [], []
+    for t in c.taints:
+        w = tuple(t.weight)
+        if w in weights:
+            key = (t.target, t.source)
+            entries[key] = c.algebra.add(entries.get(key, {}), {w: -1})
+            folded.append(t)
+        else:
+            remaining.append(t)
+    return entries, remaining, folded
+
+
 def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
                          p: int = 2, patch_weights=()) -> StabilizationReport:
     """Check the stabilized complex against cone(lambda_new - lambda).
@@ -145,21 +161,12 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
     W_domain = tuple(1 if i == n_reg else 0 for i in range(n_reg + 3))
     hat = build_cf(dhat, block_index, data=hat_data, signs={W_domain: -1})
     spec_hat = hat.algebra
-    patched = dict(hat.entries)
-    remaining = []
-    for t in hat.taints:
-        w = tuple(t.weight)
-        if w == lam or w in lifted_patches:
-            add = {w: -1}
-            patched[(t.target, t.source)] = spec_hat.add(
-                patched.get((t.target, t.source), {}), add
-            )
-            notes.append(
-                f"degeneration class {t.source}->{t.target} counted once "
-                "(stabilization analysis; not combinatorially supported)"
-            )
-        else:
-            remaining.append(t)
+    patched, remaining, folded = _fold_taints(hat, {lam} | lifted_patches)
+    notes.extend(
+        f"degeneration class {t.source}->{t.target} counted once "
+        "(stabilization analysis; not combinatorially supported)"
+        for t in folded
+    )
     hat = replace(hat, entries=patched, taints=remaining)
     hat.verify_filtration()
     hat.verify_grading_drop()
@@ -193,15 +200,7 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
     # cone side: multiplication by (lambda_new - lambda) on the old complex
     old_data = DiagramData.build(d)
     old = build_cf(d, block_index, data=old_data)
-    old_entries = dict(old.entries)
-    old_taints = []
-    for t in old.taints:
-        if tuple(t.weight) in patch_set:
-            old_entries[(t.target, t.source)] = old.algebra.add(
-                old_entries.get((t.target, t.source), {}), {tuple(t.weight): -1}
-            )
-        else:
-            old_taints.append(t)
+    old_entries, old_taints, _ = _fold_taints(old, patch_set)
     old_plus = FilteredComplex(
         ring=AlgebraTarget(plus_spec),
         gen_names=list(old.gen_names),

@@ -80,45 +80,25 @@ def _scale_vec(v, c):
 
 def _substituted_ideal(components, kappa):
     """Kill monomials and the plus-minus relation of the base, with
-    zeta_1 zeta_2 -> lambda_0 lambda_1 lambda_2 and zeta_j -> lambda_j.
+    zeta_1 zeta_2 -> lambda_p lambda_0 lambda_1 lambda_2 and zeta_j -> lambda_j.
 
     Base variables are 1-indexed sutures 1..kappa (marks 0..kappa-1); the
-    new exponent order is (lambda_p, lambda_0, lambda_1, ..., lambda_kappa).
+    new exponent order is (lambda_p, lambda_0, lambda_1, ..., lambda_kappa),
+    so the pair of marks {0, 1} becomes {0, 1, 2, 3} (matching
+    iota^i(zeta_1 zeta_2); the m = (1,1,1) case collapses lambda_p) and
+    every other mark k becomes 2 + k.  ``build_algebra`` over the kappa + 2
+    new variables assembles the ideal.
     """
-    nv = kappa + 2  # lambda_p, lambda_0 .. lambda_kappa
-
-    def substitute(marks):
-        uses_pair = 0 in marks and 1 in marks
+    comps = []
+    for side, genus, marks in components:
         if (0 in marks) != (1 in marks):
             raise ValueError(
                 "component uses exactly one of the distinguished sutures"
             )
-        m = [0] * nv
-        if uses_pair:
-            # zeta_1 zeta_2 -> lambda_p lambda_0 lambda_1 lambda_2, matching
-            # iota^i(zeta_1 zeta_2); the m = (1,1,1) case collapses lambda_p
-            m[0] += 1  # lambda_p
-            m[1] += 1  # lambda_0
-            m[2] += 1  # lambda_1
-            m[3] += 1  # lambda_2
-        for k in marks:
-            if k >= 2:
-                m[2 + k] += 1  # lambda_k for k >= 2 (0-indexed mark k)
-        return tuple(m)
-
-    kill = []
-    minus, plus = {}, {}
-    for side, genus, marks in components:
-        mono = substitute(tuple(marks))
-        target = minus if side == "alpha" else plus
-        target[mono] = target.get(mono, 0) + 1
-        if genus > 0:
-            kill.append(mono)
-    relations = []
-    rel = alg.poly_sub(plus, minus)
-    if rel:
-        relations.append(tuple(sorted(rel.items())))
-    return tuple(sorted(set(kill), key=alg.mono_key)), tuple(relations)
+        pair = (0, 1, 2, 3) if 0 in marks else ()
+        comps.append((side, genus, pair + tuple(2 + k for k in marks if k >= 2)))
+    spec = alg.build_algebra(comps, kappa + 2)
+    return spec.kill, spec.relations
 
 
 def _surgery_chi(kappa, m0, m1, m2, extra_relations=()):

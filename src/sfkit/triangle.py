@@ -26,6 +26,7 @@ from . import algebra as alg
 from .complexes import (
     ChainMap,
     ComplexError,
+    _chi_shifts,
     _compose,
     mapping_cone,
     quasi_iso_over,
@@ -167,17 +168,6 @@ def verify_filtered_system(system: TriangleSystem):
 
 
 def _assert_constant_shift(src, tgt, entries, label):
-    spec = src.algebra
-    group = spec.chi_group
-    if group is None:
-        return
-    if any(c is None for c in src.cosets + tgt.cosets):
-        return
-    shifts = set()
-    for (i, j), e in entries.items():
-        for m in e:
-            shifts.add(
-                group.add(src.cosets[j], group.neg(group.add(tgt.cosets[i], spec.chi(m))))
-            )
-    if len(shifts) > 1:
+    shifts = _chi_shifts(src, tgt, entries)
+    if shifts is not None and len(shifts) > 1:
         raise ComplexError("FILTRATION", f"{label} has inhomogeneous chi-shift {shifts}")

@@ -86,9 +86,10 @@ def test_malformed_diagram_exits_2(tmp_path, capsys, mutate, command):
     assert code == 1 and "MALFORMED" in out
 
 
-# each value is refused by name; at the parent the out-of-range indices and
-# unknown labels raised tracebacks, and -1, --cone-variable 0, Zp:4 and F4U
-# answered silently
+# each value is refused by name; before these refusals the out-of-range
+# indices, unknown labels, a missing algebra diagram and --knot-sutures 0
+# raised tracebacks, and -1, --cone-variable 0, Zp:4, F4U and
+# --knot-sutures -1 answered silently
 BAD_ARGUMENTS = [
     ("homology", "DIAGRAM", "--spinc", "5"),
     ("homology", "DIAGRAM", "--spinc", "-1"),
@@ -103,6 +104,9 @@ BAD_ARGUMENTS = [
     ("complex", "cone", "DIAGRAM", "--cone-variable", "5"),
     ("stabilize", "DIAGRAM", "--suture", "0"),
     ("stabilize", "DIAGRAM", "--suture", "5", "--check"),
+    ("algebra",),
+    ("algebra", "--knot-sutures", "0"),
+    ("algebra", "--knot-sutures", "-1"),
 ]
 
 
@@ -113,6 +117,16 @@ def test_bad_argument_exits_2(capsys, command):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("bad argument: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["0", "1", "2", "-1"])
+def test_surgery_has_no_knot_sutures_option(capsys, n):
+    # only the default 1 ever worked; the option is gone, so argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        run("surgery", "1", "1", "1", "--knot-sutures", n)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --knot-sutures" in err and "Traceback" not in err
 
 
 def test_prime_moduli_are_accepted():

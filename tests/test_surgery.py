@@ -1,7 +1,12 @@
 import pytest
 
 from sfkit import algebra as alg
-from sfkit.surgery import BadMultiplicityError, SurgeryRings, build_surgery_rings
+from sfkit.surgery import (
+    BadMultiplicityError,
+    SurgeryRings,
+    _substituted_ideal,
+    build_surgery_rings,
+)
 
 
 def rings(n=1, m=(1, 1, 1)):
@@ -61,6 +66,25 @@ def synthetic_base():
         ("beta", 0, (2, 3)),
         ("alpha", 0, (0, 1, 2, 3)),
     ]
+
+
+def test_substituted_ideal_by_hand():
+    # exponents over (lambda_p, lambda_0, lambda_1, lambda_2, lambda_3, lambda_4):
+    # the pair z1 z2 becomes lambda_p l0 l1 l2, and z3, z4 become l3, l4
+    comps = [
+        ("beta", 2, (0, 1, 2)),
+        ("alpha", 0, (0, 1, 3)),
+        ("alpha", 1, (2, 3)),
+        ("beta", 0, (3, 3)),
+    ]
+    kill, relations = _substituted_ideal(comps, 4)
+    assert kill == ((0, 0, 0, 0, 1, 1), (1, 1, 1, 1, 1, 0))
+    (rel,) = relations
+    assert dict(rel) == {
+        (1, 1, 1, 1, 1, 0): 1, (0, 0, 0, 0, 0, 2): 1,
+        (1, 1, 1, 1, 0, 1): -1, (0, 0, 0, 0, 1, 1): -1,
+    }
+    assert _substituted_ideal(alg.knot_components(1), 2) == ((), ())
 
 
 def test_iota_base_relation_killed():
