@@ -61,15 +61,13 @@ class DiagramData:
 
 
 def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
-             data: DiagramData | None = None, require_admissible=True,
-             signs=None) -> FilteredComplex:
+             data: DiagramData | None = None, signs=None) -> FilteredComplex:
     """The filtered complex of one Spin^c block of the diagram."""
     data = data or DiagramData.build(d)
     lattice = data.lattices[block_index]
-    if require_admissible:
-        rep = check_s_admissible(d, lattice)
-        if not rep.admissible:
-            raise NotAdmissible(f"diagram is not s-admissible: witness {rep.witness}")
+    rep = check_s_admissible(d, lattice)
+    if not rep.admissible:
+        raise NotAdmissible(f"diagram is not s-admissible: witness {rep.witness}")
 
     if not data.partition.blocks:
         spec = alg.diagram_algebra(d, variant=variant, homology=data.homology)

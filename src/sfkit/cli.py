@@ -107,6 +107,21 @@ def _hom_for(name, spec, d=None):
     )
 
 
+def _tensor_hom(args):
+    """The hom named by --hom and --coefficients, as a function of the
+    algebra and the diagram.  --coefficients picks the target ring of the
+    all-zero hom, the one hom with a choice of ring; both flags are checked
+    before the diagram is read."""
+    if args.coefficients is None:
+        return lambda spec, d: _hom_for(args.hom, spec, d)
+    ring = coefficient_ring(args.coefficients)
+    if args.hom not in (None, "all-zero"):
+        raise BadArgument(
+            f"--coefficients {args.coefficients} applies to the all-zero hom, not --hom {args.hom}"
+        )
+    return lambda spec, d: all_zero(spec, ring)
+
+
 def cmd_validate(args):
     d = read_diagram(args.diagram)
     rep = d.validate()
@@ -166,18 +181,17 @@ def cmd_generators(args):
 
 def cmd_algebra(args):
     n = args.knot_sutures
+    variant = {"tilde": alg.TILDE, "plain": alg.PLAIN, "hat": alg.HAT}[args.variant]
     if n is not None:
+        if args.diagram is not None:
+            raise BadArgument("algebra takes a diagram or --knot-sutures N, not both")
         if n < 1:
             raise BadArgument(f"--knot-sutures {n}: N must be at least 1")
-        spec = alg.build_algebra(alg.knot_components(n), 2 * n)
+        spec = alg.build_algebra(alg.knot_components(n), 2 * n, variant=variant)
     elif args.diagram is None:
         raise BadArgument("algebra needs a diagram or --knot-sutures N")
     else:
-        d = load_diagram(args.diagram)
-        variant = {"tilde": alg.TILDE, "plain": alg.PLAIN, "hat": alg.HAT}[
-            args.variant
-        ]
-        spec = alg.diagram_algebra(d, variant=variant)
+        spec = alg.diagram_algebra(load_diagram(args.diagram), variant=variant)
     emit(spec.to_json_dict(), args, [spec.describe()])
     return EXIT_OK
 
@@ -268,7 +282,7 @@ def _homology_payload(res):
 
 
 def cmd_complex(args):
-    ring = coefficient_ring(args.coefficients) if args.coefficients else None
+    tensor_hom = _tensor_hom(args)
     d = load_diagram(args.diagram)
     data = DiagramData.build(d)
     block = _index_arg("--spinc", args.spinc, len(data.lattices), "Spin^c blocks")
@@ -297,9 +311,7 @@ def cmd_complex(args):
         emit(payload, args, lines)
         return EXIT_OK
     if args.action == "homology":
-        hom = _hom_for(args.hom, spec, d)
-        if ring is not None and args.hom in (None, "all-zero"):
-            hom = all_zero(spec, ring)
+        hom = tensor_hom(spec, d)
         tc = c.tensor(hom)
         res = homology(tc)
         payload = _homology_payload(res)
@@ -309,13 +321,13 @@ def cmd_complex(args):
         emit(payload, args, lines)
         return EXIT_OK
     if args.action == "d2":
-        rep = c.verify_d_squared(mod2=True, plain_spec=spec)
+        rep = c.verify_d_squared(plain_spec=spec)
         payload = {"ok": rep["ok"]}
         emit(payload, args, [f"d^2 = 0 mod 2: {rep['ok']}"])
         return EXIT_OK if rep["ok"] else EXIT_FAIL
     if args.action == "cone":
-        from .complexes import les_check, mapping_cone, multiplication_map
-        from .testrings import QRing
+        from .complexes import les_check
+        from .snf import QRing
 
         var = _index_arg("--cone-variable", args.cone_variable, spec.nvars,
                          "suture variables", first=1)
@@ -324,7 +336,7 @@ def cmd_complex(args):
         f = multiplication_map(c, {tuple(exps): 1})
         cone = mapping_cone(f)
         les = les_check(f, all_zero(spec, QRing()))
-        tc = cone.tensor(_hom_for(args.hom, spec, d))
+        tc = cone.tensor(tensor_hom(spec, d))
         res = homology(tc)
         payload = {
             "cone_of": spec.names[var],
@@ -344,7 +356,7 @@ def cmd_complex(args):
 def cmd_triangle(args):
     """Run the mapping-cone comparison on the bundled synthetic system."""
     from .complexes import ChainMap, free_complex, mapping_cone
-    from .testrings import ZpRing
+    from .snf import ZpRing
     from .triangle import HypothesisFailed, TriangleSystem, triangle_machine
 
     spec = alg.AlgebraSpec(names=())

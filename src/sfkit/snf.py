@@ -1,9 +1,10 @@
-"""Exact Smith normal form, integer linear algebra and field elimination.
+"""Exact coefficient rings, Smith normal form and field elimination.
 
-The Smith normal form and the solver work over a Euclidean domain given as
-a small protocol object; the two instances used in the package are the
-integers and F_p[U].  Ranks and kernels over Q and F_p come from one
-Gauss-Jordan elimination.  No floating point anywhere.
+Each coefficient ring of the package is one ``Ring``: the same object
+tensors complexes down and eliminates over.  ``ZZ`` (the integers) and
+``FpURing`` (F_p[U]) are Euclidean, so ``smith_normal_form`` and the solvers
+work over them; ``QRing`` and ``ZpRing`` are the fields, whose ranks and
+kernels come from one Gauss-Jordan elimination.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -13,40 +14,32 @@ from fractions import Fraction
 from operator import mul
 
 
-class EuclideanDomain:
-    """Protocol for the coefficient domains accepted by ``smith_normal_form``."""
+class Ring:
+    """A commutative coefficient ring.
 
-    zero = 0
-    one = 1
+    A ring gives ``zero()``, ``one()`` and ``from_int(n)``; ``add``, ``neg``
+    and ``mul`` default to Python's operators, which serve Z and Q.  A
+    Euclidean ring (``kind`` "pid") also gives ``divmod(a, b)`` with a
+    remainder of smaller ``norm`` (a size that is 0 only for 0, used to pick
+    pivots), ``is_unit``, ``normalize_unit(a)`` = (u, b) with a = u*b, u a
+    unit and b canonical, ``unit_inverse`` and ``torsion_label(d)``, the name
+    of a torsion summand R/d in homology.  ``variable`` names the graded
+    polynomial variable of F_p[U], whose powers cross a complex's gradings.
+    """
 
-    def add(self, a, b):
+    name = "?"
+    kind = "field"  # "field" | "pid" | "algebra"
+    variable = None
+
+    def zero(self):
         raise NotImplementedError
 
-    def neg(self, a):
+    def one(self):
         raise NotImplementedError
 
-    def mul(self, a, b):
+    def from_int(self, n):
         raise NotImplementedError
 
-    def divmod(self, a, b):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        raise NotImplementedError
-
-    def is_unit(self, a):
-        raise NotImplementedError
-
-    def norm(self, a):
-        """Non-negative size used for pivot selection; 0 only for 0."""
-        raise NotImplementedError
-
-    def normalize_unit(self, a):
-        """Return (u, b) with a = u*b, u a unit and b in canonical form."""
-        raise NotImplementedError
-
-
-class IntegerDomain(EuclideanDomain):
     def add(self, a, b):
         return a + b
 
@@ -55,6 +48,43 @@ class IntegerDomain(EuclideanDomain):
 
     def mul(self, a, b):
         return a * b
+
+    def is_zero(self, a):
+        return a == self.zero()
+
+    def power(self, a, n):
+        out = self.one()
+        for _ in range(n):
+            out = self.mul(out, a)
+        return out
+
+    def dot(self, row, v):
+        """sum(row[i] * v[i]): one entry of ``mat_vec``."""
+        acc = self.zero()
+        for a, b in zip(row, v):
+            if not self.is_zero(a) and not self.is_zero(b):
+                acc = self.add(acc, self.mul(a, b))
+        return acc
+
+
+class ZRing(Ring):
+    name = "Z"
+    kind = "pid"
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def from_int(self, n):
+        return n
+
+    def is_zero(self, a):
+        return a == 0
+
+    def dot(self, row, v):
+        return sum(map(mul, row, v))
 
     def divmod(self, a, b):
         # round to nearest: python's r has the sign of b, so subtracting b
@@ -65,9 +95,6 @@ class IntegerDomain(EuclideanDomain):
             r -= b
         return q, r
 
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         return a in (1, -1)
 
@@ -75,16 +102,147 @@ class IntegerDomain(EuclideanDomain):
         return abs(a)
 
     def normalize_unit(self, a):
-        if a < 0:
-            return -1, -a
-        return 1, a
+        return (-1, -a) if a < 0 else (1, a)
+
+    def unit_inverse(self, u):
+        return u  # 1 and -1 are their own inverses
+
+    def torsion_label(self, d):
+        return abs(d)
 
 
-ZZ = IntegerDomain()
+ZZ = ZRing()
 
 
-def _identity(n, dom):
-    return [[dom.one if i == j else dom.zero for j in range(n)] for i in range(n)]
+class QRing(Ring):
+    name = "Q"
+    p = None  # characteristic zero: the Q branch of the field routines
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def from_int(self, n):
+        return Fraction(n)
+
+
+class ZpRing(Ring):
+    def __init__(self, p):
+        self.p = p
+        self.name = f"Z/{p}"
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1 % self.p
+
+    def from_int(self, n):
+        return n % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+
+def _trim(t):
+    while t and t[-1] == 0:
+        t = t[:-1]
+    return t
+
+
+class FpURing(Ring):
+    """F_p[U]; elements are coefficient tuples, constant term first, with no
+    trailing zeros."""
+
+    kind = "pid"
+    variable = "U"
+
+    def __init__(self, p=2):
+        self.p = p
+        self.name = f"F{p}[U]"
+
+    def zero(self):
+        return ()
+
+    def one(self):
+        return (1 % self.p,)
+
+    def from_int(self, n):
+        return _trim(((n % self.p),))
+
+    def U(self, k=1):
+        return tuple([0] * k + [1])
+
+    def add(self, a, b):
+        n = max(len(a), len(b))
+        out = [0] * n
+        for i, c in enumerate(a):
+            out[i] = c
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % self.p
+        return _trim(tuple(out))
+
+    def neg(self, a):
+        return tuple((-c) % self.p for c in a)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if not c:
+                continue
+            for j, e in enumerate(b):
+                out[i + j] = (out[i + j] + c * e) % self.p
+        return _trim(tuple(out))
+
+    def divmod(self, a, b):
+        if not b:
+            raise ZeroDivisionError
+        a = list(a)
+        q = [0] * max(len(a) - len(b) + 1, 0)
+        inv = pow(b[-1], -1, self.p)
+        for i in range(len(a) - len(b), -1, -1):
+            c = (a[i + len(b) - 1] * inv) % self.p
+            if c:
+                q[i] = c
+                for j, e in enumerate(b):
+                    a[i + j] = (a[i + j] - c * e) % self.p
+        return _trim(tuple(q)), _trim(tuple(a))
+
+    def is_zero(self, a):
+        return not a
+
+    def is_unit(self, a):
+        return len(a) == 1
+
+    def norm(self, a):
+        return len(a)
+
+    def normalize_unit(self, a):
+        if not a or a[-1] == 1:
+            return self.one(), a
+        lead = a[-1]
+        inv = pow(lead, -1, self.p)
+        return (lead,), tuple((c * inv) % self.p for c in a)
+
+    def unit_inverse(self, u):
+        return (pow(u[0], -1, self.p),)
+
+    def torsion_label(self, d):
+        return f"U^{len(d) - 1}" if len(d) > 1 else "1"
+
+
+def _identity(n, ring):
+    return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
 
 
 def _swap_rows(m, i, j):
@@ -96,20 +254,20 @@ def _swap_cols(m, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _addmul_row(m, dst, src, c, dom):
+def _addmul_row(m, dst, src, c, ring):
     row_d, row_s = m[dst], m[src]
     for k in range(len(row_d)):
-        row_d[k] = dom.add(row_d[k], dom.mul(c, row_s[k]))
+        row_d[k] = ring.add(row_d[k], ring.mul(c, row_s[k]))
 
 
-def _addmul_col(m, dst, src, c, dom):
+def _addmul_col(m, dst, src, c, ring):
     for row in m:
-        row[dst] = dom.add(row[dst], dom.mul(c, row[src]))
+        row[dst] = ring.add(row[dst], ring.mul(c, row[src]))
 
 
 @dataclass
 class SNFResult:
-    """U * A * V = D with U, V invertible over the domain, D diagonal.
+    """U * A * V = D with U, V invertible over the ring, D diagonal.
 
     ``diag`` lists the nonzero diagonal entries d_1 | d_2 | ... in order.
     """
@@ -121,20 +279,20 @@ class SNFResult:
     rank: int
 
 
-def smith_normal_form(A, dom: EuclideanDomain = ZZ) -> SNFResult:
+def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
     rows = len(A)
     cols = len(A[0]) if rows else 0
     D = [list(r) for r in A]
-    U = _identity(rows, dom)
-    V = _identity(cols, dom)
+    U = _identity(rows, ring)
+    V = _identity(cols, ring)
 
     def pivot_search(t):
         best = None
         for i in range(t, rows):
             for j in range(t, cols):
                 a = D[i][j]
-                if not dom.is_zero(a):
-                    n = dom.norm(a)
+                if not ring.is_zero(a):
+                    n = ring.norm(a)
                     if best is None or n < best[0]:
                         best = (n, i, j)
         return best
@@ -159,22 +317,22 @@ def smith_normal_form(A, dom: EuclideanDomain = ZZ) -> SNFResult:
         while dirty:
             dirty = False
             for i in range(t + 1, rows):
-                if dom.is_zero(D[i][t]):
+                if ring.is_zero(D[i][t]):
                     continue
-                q, r = dom.divmod(D[i][t], D[t][t])
-                _addmul_row(D, i, t, dom.neg(q), dom)
-                _addmul_row(U, i, t, dom.neg(q), dom)
-                if not dom.is_zero(r):
+                q, r = ring.divmod(D[i][t], D[t][t])
+                _addmul_row(D, i, t, ring.neg(q), ring)
+                _addmul_row(U, i, t, ring.neg(q), ring)
+                if not ring.is_zero(r):
                     _swap_rows(D, t, i)
                     _swap_rows(U, t, i)
                     dirty = True
             for j in range(t + 1, cols):
-                if dom.is_zero(D[t][j]):
+                if ring.is_zero(D[t][j]):
                     continue
-                q, r = dom.divmod(D[t][j], D[t][t])
-                _addmul_col(D, j, t, dom.neg(q), dom)
-                _addmul_col(V, j, t, dom.neg(q), dom)
-                if not dom.is_zero(r):
+                q, r = ring.divmod(D[t][j], D[t][t])
+                _addmul_col(D, j, t, ring.neg(q), ring)
+                _addmul_col(V, j, t, ring.neg(q), ring)
+                if not ring.is_zero(r):
                     _swap_cols(D, t, j)
                     _swap_cols(V, t, j)
                     dirty = True
@@ -183,112 +341,90 @@ def smith_normal_form(A, dom: EuclideanDomain = ZZ) -> SNFResult:
         offender = None
         for i in range(t + 1, rows):
             for j in range(t + 1, cols):
-                if dom.is_zero(D[i][j]):
+                if ring.is_zero(D[i][j]):
                     continue
-                _, r = dom.divmod(D[i][j], D[t][t])
-                if not dom.is_zero(r):
+                _, r = ring.divmod(D[i][j], D[t][t])
+                if not ring.is_zero(r):
                     offender = i
                     break
             if offender is not None:
                 break
         if offender is not None:
-            _addmul_row(D, t, offender, dom.one, dom)
-            _addmul_row(U, t, offender, dom.one, dom)
+            _addmul_row(D, t, offender, ring.one(), ring)
+            _addmul_row(U, t, offender, ring.one(), ring)
             continue
 
-        u, canon = dom.normalize_unit(D[t][t])
-        if not dom.is_unit(u):
+        u, canon = ring.normalize_unit(D[t][t])
+        if not ring.is_unit(u):
             raise ArithmeticError("unit normalization failed")
         if canon != D[t][t]:
-            # multiply row t by u^{-1}: for our domains u is +-1 or a field scalar
-            inv = _unit_inverse(u, dom)
+            # multiply row t by u^{-1}
+            inv = ring.unit_inverse(u)
             for k in range(cols):
-                D[t][k] = dom.mul(inv, D[t][k])
+                D[t][k] = ring.mul(inv, D[t][k])
             for k in range(rows):
-                U[t][k] = dom.mul(inv, U[t][k])
+                U[t][k] = ring.mul(inv, U[t][k])
         t += 1
 
-    diag = [D[i][i] for i in range(min(rows, cols)) if not dom.is_zero(D[i][i])]
+    diag = [D[i][i] for i in range(min(rows, cols)) if not ring.is_zero(D[i][i])]
     return SNFResult(U=U, V=V, D=D, diag=diag, rank=len(diag))
 
 
-def _unit_inverse(u, dom):
-    if u == dom.one:
-        return dom.one
-    if dom is ZZ or isinstance(dom, IntegerDomain):
-        return u  # only unit is -1, self-inverse
-    # field-of-fractions style units implement their own inverse
-    return dom.unit_inverse(u)
-
-
-def mat_mul(A, B, dom: EuclideanDomain = ZZ):
+def mat_mul(A, B, ring: Ring = ZZ):
     n, m = len(A), len(B[0]) if B else 0
     k = len(B)
-    out = [[dom.zero] * m for _ in range(n)]
+    out = [[ring.zero()] * m for _ in range(n)]
     for i in range(n):
         Ai = A[i]
         for t in range(k):
             a = Ai[t]
-            if dom.is_zero(a):
+            if ring.is_zero(a):
                 continue
             Bt = B[t]
             row = out[i]
             for j in range(m):
-                row[j] = dom.add(row[j], dom.mul(a, Bt[j]))
+                row[j] = ring.add(row[j], ring.mul(a, Bt[j]))
     return out
 
 
-def mat_vec(A, v, dom: EuclideanDomain = ZZ):
-    return [
-        _dot(row, v, dom)
-        for row in A
-    ]
+def mat_vec(A, v, ring: Ring = ZZ):
+    return [ring.dot(row, v) for row in A]
 
 
-def _dot(row, v, dom):
-    if dom is ZZ:
-        return sum(map(mul, row, v))
-    acc = dom.zero
-    for a, b in zip(row, v):
-        if not dom.is_zero(a) and not dom.is_zero(b):
-            acc = dom.add(acc, dom.mul(a, b))
-    return acc
+def _factored(A, ring=ZZ) -> SNFResult:
+    return A if isinstance(A, SNFResult) else smith_normal_form(A, ring)
 
 
-def _factored(A, dom=ZZ) -> SNFResult:
-    return A if isinstance(A, SNFResult) else smith_normal_form(A, dom)
-
-
-def solve_integer(A, b, dom: EuclideanDomain = ZZ):
-    """One solution x of A x = b over the domain, or None if there is none.
+def solve_integer(A, b, ring: Ring = ZZ):
+    """One solution x of A x = b over the ring, or None if there is none.
 
     A is a list of rows or its ``smith_normal_form``, so a matrix used for
     many right-hand sides is factored once.  With U A V = D, x = V y where
     y_i = (U b)_i / d_i.
     """
-    snf = _factored(A, dom)
+    snf = _factored(A, ring)
     if not snf.U:
-        return [dom.zero] * len(snf.V)
-    return solve_transformed(snf, mat_vec(snf.U, b, dom), dom)
+        return [ring.zero()] * len(snf.V)
+    return solve_transformed(snf, mat_vec(snf.U, b, ring), ring)
 
 
-def solve_transformed(snf: SNFResult, ub, dom: EuclideanDomain = ZZ):
+def solve_transformed(snf: SNFResult, ub, ring: Ring = ZZ):
     """``solve_integer`` from U b instead of b, for a caller that keeps U b
     of the parts of its right-hand sides: x = V y with y_i = (U b)_i / d_i,
     or None when some division is not exact."""
     rows, cols = len(snf.U), len(snf.V)
-    y = [dom.zero] * cols
+    y = [ring.zero()] * cols
     for i in range(rows):
-        if dom.is_zero(ub[i]):
+        if ring.is_zero(ub[i]):
             continue  # y_i = 0 whatever d_i is
-        d = snf.D[i][i] if i < min(rows, cols) else dom.zero
-        if dom.is_zero(d):
+        d = snf.D[i][i] if i < min(rows, cols) else ring.zero()
+        if ring.is_zero(d):
             return None
-        q, r = dom.divmod(ub[i], d)
-        if not dom.is_zero(r):
+        q, r = ring.divmod(ub[i], d)
+        if not ring.is_zero(r):
             return None
         y[i] = q
-    return mat_vec(snf.V, y, dom)
+    return mat_vec(snf.V, y, ring)
 
 
 def kernel_basis(A):
@@ -352,22 +488,15 @@ class AbelianGroup:
 
 def cokernel(relations, n_generators) -> AbelianGroup:
     """Z^n / <column span of relations>, relations given as a list of columns."""
-    if not relations:
-        A = [[0] for _ in range(n_generators)] if n_generators else [[0]]
-        if n_generators == 0:
-            return AbelianGroup(moduli=(), proj=[])
-        snf = smith_normal_form(A)
-    else:
-        A = [[col[i] for col in relations] for i in range(n_generators)]
-        if n_generators == 0:
-            return AbelianGroup(moduli=(), proj=[])
-        snf = smith_normal_form(A)
+    if n_generators == 0:
+        return AbelianGroup(moduli=(), proj=[])
+    cols = relations or [[0] * n_generators]
+    snf = smith_normal_form([[col[i] for col in cols] for i in range(n_generators)])
     # U A V = D; quotient coords are (U x) entries beyond the unit diagonal part
     moduli = []
     keep = []
-    ncols = len(relations) if relations else 1
     for i in range(n_generators):
-        d = snf.D[i][i] if i < min(n_generators, ncols) else 0
+        d = snf.D[i][i] if i < len(cols) else 0
         if d == 0:
             moduli.append(0)
             keep.append(i)

@@ -117,30 +117,24 @@ def _lift_entries(entries, pad):
     return out
 
 
-def _fold_taints(c, weights):
-    """Count each taint of c whose weight is in ``weights`` once, with
-    coefficient -1, in its entry: (entries, remaining taints, folded taints)."""
+def _fold_taints(c, weight):
+    """Count each taint of c of the given weight once, with coefficient -1,
+    in its entry: (entries, remaining taints, folded taints)."""
     entries = dict(c.entries)
     remaining, folded = [], []
     for t in c.taints:
-        w = tuple(t.weight)
-        if w in weights:
+        if tuple(t.weight) == weight:
             key = (t.target, t.source)
-            entries[key] = c.algebra.add(entries.get(key, {}), {w: -1})
+            entries[key] = c.algebra.add(entries.get(key, {}), {weight: -1})
             folded.append(t)
         else:
             remaining.append(t)
     return entries, remaining, folded
 
 
-def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
-                         p: int = 2, patch_weights=()) -> StabilizationReport:
-    """Check the stabilized complex against cone(lambda_new - lambda).
-
-    ``patch_weights``: marking monomials (exponent vectors over d's marks) of
-    degeneration classes already known on d itself, e.g. from an earlier
-    stabilization; they are counted once on both sides.
-    """
+def verify_stabilization(d: HeegaardDiagram, mark: int) -> StabilizationReport:
+    """Check the stabilized complex of Spin^c block 0 against
+    cone(lambda_new - lambda), comparing homology over F_2[U]."""
     notes = []
     dhat = stabilize_diagram(d, mark)
     rep = dhat.validate()
@@ -149,8 +143,6 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
 
     lam, new_var = stabilization_products(d, mark)
     kappa = d.num_marks
-    patch_set = {tuple(w) for w in patch_weights}
-    lifted_patches = {w + (0, 0) for w in patch_set}
 
     # stabilized side: honest enumeration with the orientation signs of the
     # stabilization analysis: the two new bigons carry opposite signs, and
@@ -159,9 +151,9 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
     hat_data = DiagramData.build(dhat)
     n_reg = len(d.regions)
     W_domain = tuple(1 if i == n_reg else 0 for i in range(n_reg + 3))
-    hat = build_cf(dhat, block_index, data=hat_data, signs={W_domain: -1})
+    hat = build_cf(dhat, 0, data=hat_data, signs={W_domain: -1})
     spec_hat = hat.algebra
-    patched, remaining, folded = _fold_taints(hat, {lam} | lifted_patches)
+    patched, remaining, folded = _fold_taints(hat, lam)
     notes.extend(
         f"degeneration class {t.source}->{t.target} counted once "
         "(stabilization analysis; not combinatorially supported)"
@@ -198,24 +190,22 @@ def verify_stabilization(d: HeegaardDiagram, mark: int, block_index: int = 0,
     hat_plus.require_d_squared_zero()
 
     # cone side: multiplication by (lambda_new - lambda) on the old complex
-    old_data = DiagramData.build(d)
-    old = build_cf(d, block_index, data=old_data)
-    old_entries, old_taints, _ = _fold_taints(old, patch_set)
+    old = build_cf(d, 0)
     old_plus = FilteredComplex(
         ring=AlgebraTarget(plus_spec),
         gen_names=list(old.gen_names),
         cosets=[None] * old.rank,
         gradings=list(old.gradings),
-        entries=_lift_entries(old_entries, 1),
-        taints=[TaintRecord(t.source, t.target, t.weight + (0,), t.note) for t in old_taints],
+        entries=_lift_entries(old.entries, 1),
+        taints=[TaintRecord(t.source, t.target, t.weight + (0,), t.note) for t in old.taints],
     )
     u_mono = tuple([0] * kappa + [1])
     lam_plus = tuple(lam[:kappa]) + (0,)
     cone_map = multiplication_map(old_plus, {u_mono: 1, lam_plus: -1})
     cone = mapping_cone(cone_map)
 
-    # compare over F_p[U] with exponents matched to the grading weights
-    hom_plus = to_U(plus_spec, _u_exponents(plus_spec.gr_weights), p)
+    # compare over F_2[U] with exponents matched to the grading weights
+    hom_plus = to_U(plus_spec, _u_exponents(plus_spec.gr_weights))
     hat_u = hat_plus.tensor(hom_plus)
     cone_u = cone.tensor(hom_plus)
 

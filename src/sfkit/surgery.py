@@ -51,22 +51,17 @@ class SurgeryRings:
         relations = tuple(
             tuple(sorted(rel.items())) for rel in (rel1, rel2) if rel
         )
-        extra = [0] * (kappa + 1)
-        extra[0] = m
-        cols = [list(c) for c in self.chi_relation_cols] + [extra]
-        group = snf.cokernel(cols, kappa + 1)
-        classes = [
-            group.project([1 if i == k else 0 for i in range(kappa + 1)])
-            for k in range(kappa + 1)
-        ]
-        chi_p = group.neg(group.add(classes[0], group.add(classes[1], classes[2])))
+        extra = [m] + [0] * kappa
+        group, classes = _chi_classes(
+            [list(c) for c in self.chi_relation_cols] + [extra], kappa + 1
+        )
         return alg.AlgebraSpec(
             names=self.rhat.names,
             variant="RING_M",
             kill=self.rhat.kill,
             relations=self.rhat.relations + relations,
             chi_group=group,
-            chi_classes=tuple([chi_p] + classes),
+            chi_classes=classes,
         )
 
 
@@ -101,23 +96,14 @@ def _substituted_ideal(components, kappa):
     return spec.kill, spec.relations
 
 
-def _surgery_chi(kappa, m0, m1, m2, extra_relations=()):
-    """H generated by chi_0..chi_kappa modulo m0 chi0 + m1 chi1 + m2 chi2
-    and the component-boundary relations; classes for (lambda_p, lambda_0,
-    ..., lambda_kappa)."""
-    ngens = kappa + 1
-    cols = [[0] * ngens]
-    cols[0][0] = m0
-    cols[0][1] = m1
-    cols[0][2] = m2
-    for rel in extra_relations:
-        cols.append(list(rel))
+def _chi_classes(cols, ngens):
+    """H generated by chi_0..chi_kappa (ngens = kappa + 1) modulo the
+    relation columns ``cols``, and the classes of (lambda_p, lambda_0, ...,
+    lambda_kappa), with chi(lambda_p) = -(chi_0 + chi_1 + chi_2)."""
     group = snf.cokernel(cols, ngens)
     classes = [group.project([1 if i == k else 0 for i in range(ngens)]) for k in range(ngens)]
-    chi_p = group.neg(
-        group.add(classes[0], group.add(classes[1], classes[2]))
-    )
-    return group, tuple([chi_p] + classes), cols
+    chi_p = group.neg(group.add(classes[0], group.add(classes[1], classes[2])))
+    return group, tuple([chi_p] + classes)
 
 
 def _component_chi_relations(components, kappa):
@@ -154,9 +140,10 @@ def build_surgery_rings(base_components, kappa, m0, m1, m2,
     nv = kappa + 2
     names = ("λp",) + tuple(f"λ{i}" for i in range(kappa + 1))
     kill, relations = _substituted_ideal(base_components, kappa)
-    chi_group, chi_classes, chi_cols = _surgery_chi(
-        kappa, m0, m1, m2, _component_chi_relations(base_components, kappa)
-    )
+    # m0 chi_0 + m1 chi_1 + m2 chi_2 = 0 and the component-boundary relations
+    chi_cols = [[m0, m1, m2] + [0] * (kappa - 2)]
+    chi_cols += [list(rel) for rel in _component_chi_relations(base_components, kappa)]
+    chi_group, chi_classes = _chi_classes(chi_cols, kappa + 1)
 
     rhat = alg.AlgebraSpec(
         names=names, variant="SURGERY_RHAT", kill=kill, relations=relations,

@@ -1,20 +1,23 @@
-"""Test rings: coefficient targets for tensoring complexes down.
+"""Test rings: homomorphisms from a suture algebra to a coefficient ring.
 
 A test ring is a ring together with a homomorphism from a suture algebra
 (built-ins: the all-variables-to-zero map recovering sutured Floer homology
-over Z, the U-power maps into F_p[U], and the quotient onto B_tau).  Each
-target also knows how to do the exact linear algebra used by the homology
-backends (field Gauss or PID Smith normal form).
+over Z, the U-power maps into F_p[U], and the quotient onto B_tau).  The
+rings themselves (Z, Q, Z/p, F_p[U]) are ``snf.Ring`` objects, the same ones
+the Smith normal form eliminates over; ``AlgebraTarget`` makes a suture
+algebra a ring, for maps between algebras.  ``coefficient_ring`` parses a
+--coefficients label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from . import algebra as alg
 from . import snf
+# the coefficient rings live in snf; importing them from here keeps working
+from .snf import ZZ, FpURing, QRing, Ring, ZpRing, ZRing
 
 
 class HomError(ValueError):
@@ -23,225 +26,7 @@ class HomError(ValueError):
         self.code = code
 
 
-# -- target rings ----------------------------------------------------------
-
-
-class Target:
-    name = "?"
-    kind = "field"  # "field" | "pid" | "algebra"
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def is_zero(self, a):
-        return a == self.zero()
-
-    def power(self, a, n):
-        out = self.one()
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
-
-class ZRing(Target):
-    name = "Z"
-    kind = "pid"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    domain = snf.ZZ
-
-
-class QRing(Target):
-    name = "Q"
-    kind = "field"
-    p = None  # characteristic zero: the Q branch of the snf field routines
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-
-class ZpRing(Target):
-    kind = "field"
-
-    def __init__(self, p):
-        self.p = p
-        self.name = f"Z/{p}"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1 % self.p
-
-    def from_int(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        return pow(a, -1, self.p)
-
-
-def _trim(t):
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
-
-
-class FpUDomain(snf.EuclideanDomain):
-    """F_p[U] as a Euclidean domain; elements are coefficient tuples."""
-
-    def __init__(self, p):
-        self.p = p
-        self.zero = ()
-        self.one = (1 % p,)
-
-    def add(self, a, b):
-        n = max(len(a), len(b))
-        out = [0] * n
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return _trim(tuple(out))
-
-    def neg(self, a):
-        return tuple((-c) % self.p for c in a)
-
-    def mul(self, a, b):
-        if not a or not b:
-            return ()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            for j, e in enumerate(b):
-                out[i + j] = (out[i + j] + c * e) % self.p
-        return _trim(tuple(out))
-
-    def divmod(self, a, b):
-        if not b:
-            raise ZeroDivisionError
-        a = list(a)
-        q = [0] * max(len(a) - len(b) + 1, 0)
-        inv = pow(b[-1], -1, self.p)
-        for i in range(len(a) - len(b), -1, -1):
-            c = (a[i + len(b) - 1] * inv) % self.p
-            if c:
-                q[i] = c
-                for j, e in enumerate(b):
-                    a[i + j] = (a[i + j] - c * e) % self.p
-        return _trim(tuple(q)), _trim(tuple(a))
-
-    def is_zero(self, a):
-        return not a
-
-    def is_unit(self, a):
-        return len(a) == 1
-
-    def norm(self, a):
-        return len(a)
-
-    def normalize_unit(self, a):
-        if not a:
-            return self.one, a
-        lead = a[-1]
-        if lead == 1:
-            return self.one, a
-        inv = pow(lead, -1, self.p)
-        return (lead,), tuple((c * inv) % self.p for c in a)
-
-    def unit_inverse(self, u):
-        return (pow(u[0], -1, self.p),)
-
-
-class FpURing(Target):
-    kind = "pid"
-
-    def __init__(self, p=2):
-        self.p = p
-        self.name = f"F{p}[U]"
-        self.domain = FpUDomain(p)
-
-    def zero(self):
-        return ()
-
-    def one(self):
-        return (1 % self.p,)
-
-    def from_int(self, n):
-        return _trim(((n % self.p),))
-
-    def U(self, k=1):
-        if k == 0:
-            return self.one()
-        return tuple([0] * k + [1])
-
-    def add(self, a, b):
-        return self.domain.add(a, b)
-
-    def neg(self, a):
-        return self.domain.neg(a)
-
-    def mul(self, a, b):
-        return self.domain.mul(a, b)
-
-
-class AlgebraTarget(Target):
+class AlgebraTarget(Ring):
     kind = "algebra"
 
     def __init__(self, spec: alg.AlgebraSpec, name=None):
@@ -276,7 +61,7 @@ class AlgebraTarget(Target):
 @dataclass
 class TestRingHom:
     source: alg.AlgebraSpec
-    target: Target
+    target: Ring
     images: list
     name: str
     filtration_compatible: bool | None = None
@@ -307,9 +92,9 @@ class TestRingHom:
         return self
 
 
-def all_zero(spec: alg.AlgebraSpec, target: Target | None = None) -> TestRingHom:
+def all_zero(spec: alg.AlgebraSpec, target: Ring | None = None) -> TestRingHom:
     """lambda_i -> 0: the Juhasz specialization (SFH over the target)."""
-    target = target or ZRing()
+    target = target or ZZ
     hom = TestRingHom(
         source=spec,
         target=target,
@@ -442,10 +227,10 @@ def _prime_modulus(label: str, digits: str) -> int:
     return p
 
 
-def coefficient_ring(label: str) -> Target:
+def coefficient_ring(label: str) -> Ring:
     """Parse a --coefficients flag: Z | Q | Zp:<p> | F<p>U with p prime."""
     if label == "Z":
-        return ZRing()
+        return ZZ
     if label == "Q":
         return QRing()
     if label.startswith("Zp:"):

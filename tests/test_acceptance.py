@@ -162,7 +162,7 @@ def test_a3_d_squared_and_perturbation():
             c = build_cf(d, bi, data=data)
             if c.taints:
                 continue
-            assert c.verify_d_squared(mod2=True, plain_spec=c.algebra)["ok"]
+            assert c.verify_d_squared(plain_spec=c.algebra)["ok"]
             untainted += 1
     assert untainted >= 6
     # plus the stabilized-unknot complex with the degeneration term
@@ -178,13 +178,13 @@ def test_a3_d_squared_and_perturbation():
     entry[lam] = entry.get(lam, 0) - 1
     c.entries[(t.target, t.source)] = c.algebra.normal_form(entry)
     c.taints.clear()
-    assert c.verify_d_squared(mod2=True, plain_spec=c.algebra)["ok"]
+    assert c.verify_d_squared(plain_spec=c.algebra)["ok"]
 
     # perturbation: one deleted class is detected
     dg = corpus.load_diagram("grid2")
     cg = build_cf(dg, 0)
     cg.entries[(0, 1)] = {(1, 0, 0, 0): 1}
-    assert not cg.verify_d_squared(mod2=True, plain_spec=cg.algebra)["ok"]
+    assert not cg.verify_d_squared(plain_spec=cg.algebra)["ok"]
 
 
 @timed(1.0)

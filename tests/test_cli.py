@@ -88,8 +88,9 @@ def test_malformed_diagram_exits_2(tmp_path, capsys, mutate, command):
 
 # each value is refused by name; before these refusals the out-of-range
 # indices, unknown labels, a missing algebra diagram and --knot-sutures 0
-# raised tracebacks, and -1, --cone-variable 0, Zp:4, F4U and
-# --knot-sutures -1 answered silently
+# raised tracebacks, and -1, --cone-variable 0, Zp:4, F4U,
+# --knot-sutures -1, a diagram beside --knot-sutures and --coefficients
+# beside a hom other than all-zero answered with one input ignored
 BAD_ARGUMENTS = [
     ("homology", "DIAGRAM", "--spinc", "5"),
     ("homology", "DIAGRAM", "--spinc", "-1"),
@@ -107,6 +108,11 @@ BAD_ARGUMENTS = [
     ("algebra",),
     ("algebra", "--knot-sutures", "0"),
     ("algebra", "--knot-sutures", "-1"),
+    ("algebra", "/nonexistent.json", "--knot-sutures", "1"),
+    ("algebra", "DIAGRAM", "--knot-sutures", "2"),
+    ("homology", "DIAGRAM", "--hom", "to-U", "--coefficients", "Q"),
+    ("homology", "DIAGRAM", "--hom", "b-tau", "--coefficients", "F2U"),
+    ("complex", "cone", "DIAGRAM", "--hom", "identity", "--coefficients", "Z"),
 ]
 
 
@@ -135,6 +141,14 @@ def test_prime_moduli_are_accepted():
         assert code == 0 and json.loads(out)["ring"] == ring
 
 
+def test_cone_takes_coefficients():
+    # the cone's homology was over Z whatever --coefficients said
+    for extra, ring in (((), "Z"), (("--coefficients", "Zp:3"), "Z/3"),
+                        (("--hom", "all-zero", "--coefficients", "Q"), "Q")):
+        code, out = run("--json", "complex", "cone", corpus_path("unknot"), *extra)
+        assert code == 0 and json.loads(out)["homology"]["ring"] == ring
+
+
 def test_components_output():
     code, out = run("components", corpus_path("trefoil"))
     assert code == 0
@@ -156,6 +170,19 @@ def test_algebra_knot_presets():
     assert out.strip() == "Z[λ1,λ2,λ3,λ4] / < λ1*λ2 + λ3*λ4 = λ1*λ4 + λ2*λ3 >"
     code, out = run("algebra", "--knot-sutures", "1")
     assert out.strip() == "Z[λ1,λ2]"
+
+
+def test_algebra_knot_sutures_takes_variant():
+    # --variant was ignored beside --knot-sutures
+    from sfkit import algebra as alg
+
+    for name, variant in (("plain", alg.PLAIN), ("tilde", alg.TILDE), ("hat", alg.HAT)):
+        code, out = run("algebra", "--knot-sutures", "2", "--variant", name)
+        want = alg.build_algebra(alg.knot_components(2), 4, variant=variant).describe()
+        assert code == 0 and out.strip() == want
+    _, plain = run("algebra", "--knot-sutures", "2")
+    _, hat = run("algebra", "--knot-sutures", "2", "--variant", "hat")
+    assert plain != hat
 
 
 def test_admissible_exit_codes():

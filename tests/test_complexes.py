@@ -74,7 +74,7 @@ def test_grid2_complex_and_d_squared_diagnostics():
     c = build_cf(d, 0)
     assert c.entries[(0, 1)] == {(1, 0, 0, 0): 1, (0, 0, 0, 1): 1}
     assert c.entries[(1, 0)] == {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1}
-    rep = c.verify_d_squared(mod2=True, plain_spec=c.algebra)
+    rep = c.verify_d_squared(plain_spec=c.algebra)
     assert rep["ok"]
     # the same differential over the tilde ring leaves the residue
     # lambda^+ + lambda^-, which lies in the relation ideal
@@ -87,7 +87,7 @@ def test_grid2_complex_and_d_squared_diagnostics():
         gradings=[None] * c.rank,
         entries=c.entries,
     )
-    rep2 = c_tilde.verify_d_squared(mod2=True, plain_spec=plain)
+    rep2 = c_tilde.verify_d_squared(plain_spec=plain)
     assert not rep2["ok"]
     assert rep2["residue_in_relation_ideal"] is True
 
@@ -105,7 +105,7 @@ def test_perturbation_detected():
         gradings=c.gradings,
         entries=broken,
     )
-    rep = c2.verify_d_squared(mod2=True, plain_spec=c.algebra)
+    rep = c2.verify_d_squared(plain_spec=c.algebra)
     assert not rep["ok"]
 
 
@@ -141,9 +141,8 @@ def test_tensor_to_U_kills_doubled_entry():
     assert h.total_rank() == 2 and not h.torsion_summands()
 
 
-def test_unknot_piecewise_free_rank_one():
-    d = corpus.load_diagram("unknot")
-    c = build_cf(d, 0)
+def _unknot_pieces():
+    c = build_cf(corpus.load_diagram("unknot"), 0)
     spec = c.algebra
     group = spec.chi_group
     pieces = []
@@ -152,9 +151,34 @@ def test_unknot_piecewise_free_rank_one():
             coset = group.add(c.cosets[0], spec.chi((a, b)))
             g = c.gradings[0] + spec.gr((a, b))
             pieces.append((coset, g))
+    return c, pieces
+
+
+def test_unknot_piecewise_free_rank_one():
+    c, pieces = _unknot_pieces()
     dims = piecewise_homology(c, pieces)
     assert all(v == 1 for v in dims.values())
     assert len(dims) == len(set(pieces))
+
+
+def test_piecewise_homology_lists_each_basis_once(monkeypatch):
+    # neighbouring pieces share the bases at g - 1, g and g + 1: the 16
+    # unknot pieces made 48 monomial_fiber calls for 39 distinct arguments
+    import sfkit.complexes as cx
+
+    c, pieces = _unknot_pieces()
+    calls = []
+
+    def counting(spec, chi_value, gr_value=None):
+        calls.append((chi_value, gr_value))
+        return monomial_fiber(spec, chi_value, gr_value)
+
+    monkeypatch.setattr(cx, "monomial_fiber", counting)
+    piecewise_homology(c, pieces)
+    assert len(calls) == len(set(calls)) == 39
+    calls.clear()
+    piecewise_homology(c, pieces)  # the memo lives within one call
+    assert len(calls) == 39
 
 
 def test_monomial_fiber_finite_and_infinite():

@@ -57,8 +57,8 @@ def _ref_field_homology_dim(p, out_m, in_m):
     return n - snf.rank_over_field(out_m, p) - snf.rank_over_field(in_m, p)
 
 
-def _ref_pid_homology(domain, out_m, in_m):
-    return _pid_homology(domain, len(out_m[0]) if out_m else 0, out_m, in_m)
+def _ref_pid_homology(ring, out_m, in_m):
+    return _pid_homology(ring, len(out_m[0]) if out_m else 0, out_m, in_m)
 
 
 def ref_homology(tc, allow_taint=False):
@@ -70,7 +70,7 @@ def ref_homology(tc, allow_taint=False):
     if ring.kind == "field":
         compute = lambda out_m, in_m: {"dim": _ref_field_homology_dim(ring.p, out_m, in_m)}
     elif ring.kind == "pid":
-        compute = lambda out_m, in_m: _ref_pid_homology(ring.domain, out_m, in_m)
+        compute = lambda out_m, in_m: _ref_pid_homology(ring, out_m, in_m)
         if isinstance(ring, FpURing) and tc.entries:
             graded = False
     else:

@@ -75,10 +75,8 @@ def test_solve_integer_unsolvable():
     assert snf.solve_integer([[2]], [1]) is None
     assert snf.solve_integer([[2, 0], [0, 3]], [1, 1]) is None
     assert snf.solve_integer([[1, 1]], [5]) is not None
-    from sfkit.testrings import FpUDomain
-
     # U x = 1 has no solution in F_2[U]
-    assert snf.solve_integer([[(0, 1)]], [(1,)], FpUDomain(2)) is None
+    assert snf.solve_integer([[(0, 1)]], [(1,)], snf.FpURing(2)) is None
 
 
 def test_kernel_rank():
@@ -149,9 +147,7 @@ def test_kernel_over_field_without_rows():
 )
 def test_solve_integer_over_fpu(M, x):
     # the same solver over F_3[U]: elements are coefficient tuples
-    from sfkit.testrings import FpUDomain
-
-    dom = FpUDomain(3)
+    dom = snf.FpURing(3)
     M = [[dom.add(tuple(e), ()) for e in row] for row in M]
     cols = len(M[0])
     x = [dom.add(tuple(e), ()) for e in (x * cols)[:cols]]

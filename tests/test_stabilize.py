@@ -158,7 +158,7 @@ def test_stabilized_complex_d_squared_mod2_over_rhat():
     entry[lam] = entry.get(lam, 0) + 1
     c.entries[(t.target, t.source)] = c.algebra.normal_form(entry)
     c.taints.clear()
-    rep = c.verify_d_squared(mod2=True, plain_spec=c.algebra)
+    rep = c.verify_d_squared(plain_spec=c.algebra)
     assert rep["ok"]
     # and over the tilde ring the residue lies in the relation ideal
     tilde = alg.diagram_algebra(dhat, variant=alg.TILDE)
@@ -169,7 +169,7 @@ def test_stabilized_complex_d_squared_mod2_over_rhat():
         ring=AlgebraTarget(tilde), gen_names=c.gen_names, cosets=[None] * c.rank,
         gradings=[None] * c.rank, entries=c.entries,
     )
-    rep2 = ct.verify_d_squared(mod2=True, plain_spec=c.algebra)
+    rep2 = ct.verify_d_squared(plain_spec=c.algebra)
     assert not rep2["ok"]
     assert rep2["residue_in_relation_ideal"] is True
 
