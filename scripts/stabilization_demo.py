@@ -8,9 +8,8 @@ formula.
 
 import sys
 
-from sfkit import algebra as alg
 from sfkit import corpus
-from sfkit.cf import DiagramData, build_cf
+from sfkit.cf import DiagramData
 from sfkit.diskcount import enumerate_mu1_classes
 from sfkit.stabilize import stabilize_diagram, verify_stabilization
 
@@ -22,11 +21,10 @@ def main():
           len(dhat.regions), "regions,", dhat.num_marks, "marked points")
 
     data = DiagramData.build(dhat)
-    tilde = alg.diagram_algebra(dhat, variant=alg.TILDE, homology=data.homology)
     gens = dhat.generators()
     for x in gens:
         for y in gens:
-            for c in enumerate_mu1_classes(dhat, x, y, tilde, data.calc):
+            for c in enumerate_mu1_classes(data.calc.lattice(x), x, y, data.tilde):
                 print(f"  {x.label()} -> {y.label()}: {c.classification:16s}"
                       f" D={list(c.domain)} n_z={list(c.n_z)}")
 

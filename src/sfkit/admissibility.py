@@ -6,7 +6,8 @@ surviving marking monomial.  Survival is a union of linear strata: for every
 positive-genus complement component (whose boundary monomial is killed) one
 of its marked-point multiplicities must vanish.  Each stratum is an exact
 rational cone feasibility problem; witnesses are cleared to integer domains
-and re-verified.
+and re-verified.  Every check and certificate takes the periodic lattice of
+one Spin^c block (``domains.PeriodicLattice``), which also holds the diagram.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from . import linprog
 from .diagram import ALPHA, BETA, Generator, HeegaardDiagram
 from .domains import (
     ConnectingDomains,
-    DomainCalculator,
     PeriodicLattice,
     marked_multiplicities,
     maslov_index,
@@ -66,7 +66,7 @@ def tilde_kill_supports(d: HeegaardDiagram):
     return supports
 
 
-def survival_strata(kappa, kill_supports=(), forced=()):
+def survival_strata(kill_supports=(), forced=()):
     """Strata of 'the marking monomial survives': sets of marks forced to 0."""
     strata = [frozenset(forced)]
     for support in kill_supports:
@@ -177,30 +177,20 @@ def _verify_witness(d, at, P, stratum, mu_mode):
         raise WitnessError("witness does not lie in its stratum")
 
 
-def _default_lattice(d: HeegaardDiagram) -> PeriodicLattice:
-    """The lattice of the Spin^c class of the first generator, or the
-    Euler-only lattice of a diagram without generators."""
-    gens = d.generators()
-    return DomainCalculator(d).lattice(gens[0] if gens else None)
+def check_s_admissible(lattice: PeriodicLattice) -> AdmissibilityReport:
+    strata = survival_strata(tilde_kill_supports(lattice.diagram))
+    return _check(lattice, "s", strata, "zero")
 
 
-def check_s_admissible(d: HeegaardDiagram,
-                       lattice: PeriodicLattice | None = None) -> AdmissibilityReport:
-    strata = survival_strata(d.num_marks, tilde_kill_supports(d))
-    return _check(lattice or _default_lattice(d), "s", strata, "zero")
+def check_weak_admissible(lattice: PeriodicLattice, hom) -> AdmissibilityReport:
+    forced, supports = hom_forced_marks(hom, lattice.diagram.num_marks)
+    strata = survival_strata(supports, forced)
+    return _check(lattice, f"weak[{hom.name}]", strata, "zero")
 
 
-def check_weak_admissible(d: HeegaardDiagram, hom,
-                          lattice: PeriodicLattice | None = None) -> AdmissibilityReport:
-    forced, supports = hom_forced_marks(hom, d.num_marks)
-    strata = survival_strata(d.num_marks, supports, forced)
-    return _check(lattice or _default_lattice(d), f"weak[{hom.name}]", strata, "zero")
-
-
-def check_strong_admissible(d: HeegaardDiagram,
-                            lattice: PeriodicLattice | None = None) -> AdmissibilityReport:
-    strata = survival_strata(d.num_marks, tilde_kill_supports(d))
-    return _check(lattice or _default_lattice(d), "strong", strata, "nonpos")
+def check_strong_admissible(lattice: PeriodicLattice) -> AdmissibilityReport:
+    strata = survival_strata(tilde_kill_supports(lattice.diagram))
+    return _check(lattice, "strong", strata, "nonpos")
 
 
 @dataclass
@@ -223,32 +213,31 @@ class CertificateSystem:
 
 def certificate_systems(lattice: PeriodicLattice) -> list:
     """The certificate systems of every survival stratum of the block."""
-    d = lattice.diagram
     total = [sum(P) for P in lattice.basis]
     out = []
-    for stratum in survival_strata(d.num_marks, tilde_kill_supports(d)):
+    for stratum in survival_strata(tilde_kill_supports(lattice.diagram)):
         rows, sources = cone_rows(lattice, stratum)
         out.append(CertificateSystem(stratum, sources,
                                      linprog.Slice(rows + [total], lattice.mu)))
     return out
 
 
-def finiteness_certificate(d: HeegaardDiagram, x: Generator, y: Generator,
-                           j: int, lattice: PeriodicLattice,
-                           con: ConnectingDomains) -> FinitenessCertificate:
+def finiteness_certificate(lattice: PeriodicLattice, x: Generator, y: Generator,
+                           j: int, con: ConnectingDomains) -> FinitenessCertificate:
     """Bound on the total multiplicity sum_r D_r, hence on every coefficient,
     of the positive classes D = phi0 + P of Maslov index j from x to y with
     surviving tilde-monomial: per survival stratum, one ``linear_range`` of
     it on the slice mu = j; NotAdmissibleError on an unbounded stratum.  The
     bound is None when every stratum is empty.  ``lattice`` is the periodic
-    lattice of the Spin^c class of x and ``con`` the connecting solve for
-    (x, y); the stratum systems are compiled once per lattice, so a pair
-    only supplies their right-hand sides.
+    lattice of the Spin^c class of x, which also gives the diagram, and
+    ``con`` the connecting solve for (x, y); the stratum systems are
+    compiled once per lattice, so a pair only supplies their right-hand
+    sides.
     """
     if not con.exists:
         return FinitenessCertificate(finite=True, bound=None, exists=False)
     phi0 = con.particular
-    shift = j - maslov_index(d, phi0, x, y, lattice.calc)
+    shift = j - maslov_index(lattice.diagram, phi0, x, y)
     best = None
     for system in lattice.compiled("certificate", certificate_systems):
         sliced = system.slice

@@ -174,12 +174,9 @@ class AlgebraSpec:
         return rules
 
     def _killed(self, m):
-        for k in self.kill:
-            if mono_divides(k, m):
-                return True
-        if self.kill_predicate is not None and self.kill_predicate(m):
-            return True
-        return False
+        # the kill monomials lead the rules with tail 0 (see _complete), so
+        # only the B_tau predicate kills a monomial outside the rules
+        return self.kill_predicate is not None and self.kill_predicate(m)
 
     def _reduce(self, p, rules):
         p = dict(p)
@@ -295,24 +292,11 @@ class AlgebraSpec:
         for rel in self.relations:
             pos = {m: c for m, c in rel if c > 0}
             neg = {m: -c for m, c in rel if c < 0}
-            lhs = self._sum_str(pos)
-            rhs = self._sum_str(neg)
-            if not pos and not neg:
-                continue
-            out.append(f"{lhs} = {rhs}")
+            if pos or neg:
+                out.append(f"{self.poly_str(pos)} = {self.poly_str(neg)}")
         for m in self.kill:
             out.append(f"{self.mono_str(m)} = 0")
         return out
-
-    def _sum_str(self, terms):
-        if not terms:
-            return "0"
-        parts = []
-        for m in sorted(terms, key=mono_key, reverse=True):
-            c = terms[m]
-            s = self.mono_str(m)
-            parts.append(s if c == 1 else f"{c}*{s}")
-        return " + ".join(parts)
 
     def describe(self):
         header = f"Z[{','.join(self.names)}]"

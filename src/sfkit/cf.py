@@ -9,6 +9,7 @@ homology refuses coefficient rings in which that weight survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import algebra as alg
 from .admissibility import check_s_admissible
@@ -34,7 +35,8 @@ class DiagramData:
     generators into Spin^c blocks.  Per block, ``lattices`` holds the periodic
     lattice with that block's mu row and ``gradings`` its ``GradingData``.  A
     diagram without generators has no blocks and one lattice, whose mu row is
-    the Euler measure alone.
+    the Euler measure alone.  ``tilde``, the algebra whose normal form decides
+    which classes survive, is built on first use and shared by every block.
     """
 
     diagram: HeegaardDiagram
@@ -48,16 +50,20 @@ class DiagramData:
     def build(d: HeegaardDiagram) -> "DiagramData":
         calc = DomainCalculator(d)
         hom = h1_presentation(d)
-        part = spinc_partition(d, calc, hom)
+        part = spinc_partition(calc, hom)
         lattices = [
             calc.lattice(part.generators[block[0]]) for block in part.blocks
         ] or [calc.lattice(None)]
         gradings = [
-            grading_data(d, part, bi, calc, lattices[bi])
+            grading_data(part, bi, lattices[bi])
             for bi in range(len(part.blocks))
         ]
         return DiagramData(diagram=d, calc=calc, homology=hom, partition=part,
                            lattices=lattices, gradings=gradings)
+
+    @cached_property
+    def tilde(self) -> alg.AlgebraSpec:
+        return alg.diagram_algebra(self.diagram, variant=alg.TILDE, homology=self.homology)
 
 
 def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
@@ -65,7 +71,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
     """The filtered complex of one Spin^c block of the diagram."""
     data = data or DiagramData.build(d)
     lattice = data.lattices[block_index]
-    rep = check_s_admissible(d, lattice)
+    rep = check_s_admissible(lattice)
     if not rep.admissible:
         raise NotAdmissible(f"diagram is not s-admissible: witness {rep.witness}")
 
@@ -82,12 +88,6 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
         d, variant=variant, homology=data.homology,
         gr_weights=gd.weights, gr_modulus=gd.d_of_s,
     )
-    # survival of a monomial does not depend on the grading weights
-    tilde = (
-        spec
-        if variant == alg.TILDE
-        else alg.diagram_algebra(d, variant=alg.TILDE, homology=data.homology)
-    )
 
     base = block[0]
     names = [gens[i].label() for i in block]
@@ -99,9 +99,8 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
     pos = {g: k for k, g in enumerate(block)}
     for j in block:
         for i in block:
-            classes = enumerate_mu1_classes(
-                d, gens[j], gens[i], tilde, data.calc, lattice=lattice
-            )
+            # survival of a monomial does not depend on the grading weights
+            classes = enumerate_mu1_classes(lattice, gens[j], gens[i], data.tilde)
             acc = {}
             for c in classes:
                 if not c.supported:

@@ -22,7 +22,6 @@ from .cf import DiagramData, NotAdmissible, build_cf
 from .complexes import ComplexError, homology, mapping_cone, multiplication_map
 from .diagram import ALPHA, BETA, HeegaardDiagram
 from .diskcount import enumerate_mu1_classes, niceness_report
-from .homology1 import h1_presentation
 from .stabilize import BadSutureError, stabilize_diagram, verify_stabilization
 from .surgery import BadMultiplicityError, build_surgery_rings
 from .testrings import (
@@ -91,13 +90,13 @@ def emit(payload, args, text_lines=None):
             print(line)
 
 
-def _hom_for(name, spec, d=None):
+def _hom_for(name, spec, homology):
     if name in (None, "all-zero"):
         return all_zero(spec)
     if name == "to-U":
         return to_U(spec)
     if name == "b-tau":
-        return btau_hom(spec, h1_presentation(d))
+        return btau_hom(spec, homology)
     if name == "identity":
         from .testrings import identity_hom
 
@@ -109,17 +108,17 @@ def _hom_for(name, spec, d=None):
 
 def _tensor_hom(args):
     """The hom named by --hom and --coefficients, as a function of the
-    algebra and the diagram.  --coefficients picks the target ring of the
+    algebra and the diagram's H1.  --coefficients picks the target ring of the
     all-zero hom, the one hom with a choice of ring; both flags are checked
     before the diagram is read."""
     if args.coefficients is None:
-        return lambda spec, d: _hom_for(args.hom, spec, d)
+        return lambda spec, homology: _hom_for(args.hom, spec, homology)
     ring = coefficient_ring(args.coefficients)
     if args.hom not in (None, "all-zero"):
         raise BadArgument(
             f"--coefficients {args.coefficients} applies to the all-zero hom, not --hom {args.hom}"
         )
-    return lambda spec, d: all_zero(spec, ring)
+    return lambda spec, homology: all_zero(spec, ring)
 
 
 def cmd_validate(args):
@@ -201,13 +200,12 @@ def cmd_admissible(args):
     data = DiagramData.build(d)
     lattice = data.lattices[0]
     if args.criterion == "s":
-        rep = check_s_admissible(d, lattice)
+        rep = check_s_admissible(lattice)
     elif args.criterion == "strong":
-        rep = check_strong_admissible(d, lattice)
+        rep = check_strong_admissible(lattice)
     else:
         spec = alg.diagram_algebra(d, variant=alg.PLAIN, homology=data.homology)
-        hom = _hom_for(args.hom, spec, d)
-        rep = check_weak_admissible(d, hom, lattice)
+        rep = check_weak_admissible(lattice, _hom_for(args.hom, spec, data.homology))
     payload = {
         "criterion": rep.criterion,
         "verdict": rep.verdict,
@@ -231,11 +229,10 @@ def cmd_admissible(args):
 def cmd_classes(args):
     d = load_diagram(args.diagram)
     data = DiagramData.build(d)
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE, homology=data.homology)
     gens = d.generators()
     x = gens[_index_arg("--from", args.from_gen, len(gens), "generators")]
     y = gens[_index_arg("--to", args.to_gen, len(gens), "generators")]
-    classes = enumerate_mu1_classes(d, x, y, tilde, data.calc)
+    classes = enumerate_mu1_classes(data.calc.lattice(x), x, y, data.tilde)
     payload = [
         {
             "domain": list(c.domain),
@@ -255,8 +252,7 @@ def cmd_classes(args):
 def cmd_niceness(args):
     d = load_diagram(args.diagram)
     data = DiagramData.build(d)
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE, homology=data.homology)
-    rep = niceness_report(d, tilde, data.calc)
+    rep = niceness_report(data.calc, data.tilde)
     payload = {
         "regions": rep.region_shapes,
         "classes": rep.total_classes,
@@ -282,6 +278,10 @@ def _homology_payload(res):
 
 
 def cmd_complex(args):
+    if args.action in ("build", "d2") and (args.hom, args.coefficients) != (None, None):
+        raise BadArgument(f"complex {args.action} takes neither --hom nor --coefficients")
+    if args.action != "cone" and args.cone_variable is not None:
+        raise BadArgument(f"--cone-variable applies to complex cone, not to {args.action}")
     tensor_hom = _tensor_hom(args)
     d = load_diagram(args.diagram)
     data = DiagramData.build(d)
@@ -311,7 +311,7 @@ def cmd_complex(args):
         emit(payload, args, lines)
         return EXIT_OK
     if args.action == "homology":
-        hom = tensor_hom(spec, d)
+        hom = tensor_hom(spec, data.homology)
         tc = c.tensor(hom)
         res = homology(tc)
         payload = _homology_payload(res)
@@ -329,14 +329,14 @@ def cmd_complex(args):
         from .complexes import les_check
         from .snf import QRing
 
-        var = _index_arg("--cone-variable", args.cone_variable, spec.nvars,
-                         "suture variables", first=1)
+        given = 1 if args.cone_variable is None else args.cone_variable
+        var = _index_arg("--cone-variable", given, spec.nvars, "suture variables", first=1)
         exps = [0] * spec.nvars
         exps[var] = 1
         f = multiplication_map(c, {tuple(exps): 1})
         cone = mapping_cone(f)
         les = les_check(f, all_zero(spec, QRing()))
-        tc = cone.tensor(tensor_hom(spec, d))
+        tc = cone.tensor(tensor_hom(spec, data.homology))
         res = homology(tc)
         payload = {
             "cone_of": spec.names[var],
@@ -488,8 +488,8 @@ def main(argv=None):
     p.add_argument("--hom", default=None)
     p.add_argument("--coefficients", default=None)
     p.add_argument("--spinc", type=int, default=0)
-    p.add_argument("--cone-variable", type=int, default=1,
-                   help="1-based suture variable for the cone action")
+    p.add_argument("--cone-variable", type=int, default=None,
+                   help="1-based suture variable for the cone action (default 1)")
     p.set_defaults(func=cmd_complex)
 
     p = sub.add_parser("triangle")
@@ -502,7 +502,7 @@ def main(argv=None):
     p.add_argument("--hom", default=None)
     p.add_argument("--coefficients", default=None)
     p.add_argument("--spinc", type=int, default=0)
-    p.set_defaults(func=cmd_complex, action="homology")
+    p.set_defaults(func=cmd_complex, action="homology", cone_variable=None)
 
     p = sub.add_parser("stabilize")
     p.add_argument("diagram")

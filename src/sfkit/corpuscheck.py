@@ -54,10 +54,10 @@ def diagram_report(name: str) -> dict:
     out["spinc_blocks"] = [len(b) for b in data.partition.blocks]
 
     lattice = data.lattices[0]
-    s_rep = check_s_admissible(d, lattice)
-    strong_rep = check_strong_admissible(d, lattice)
+    s_rep = check_s_admissible(lattice)
+    strong_rep = check_strong_admissible(lattice)
     spec0 = alg.diagram_algebra(d, homology=data.homology)
-    weak_rep = check_weak_admissible(d, all_zero(spec0), lattice)
+    weak_rep = check_weak_admissible(lattice, all_zero(spec0))
     out["admissible"] = {
         "s": s_rep.admissible,
         "strong": strong_rep.admissible,

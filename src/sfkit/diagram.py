@@ -27,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -257,6 +258,18 @@ class HeegaardDiagram:
     def _structural_errors(self):
         errors = []
         arc_map = self.arc_map
+        # every arc lies on exactly one curve, every cycle names known arcs
+        on_curves = Counter(arc for curve in self.alpha + self.beta for arc in curve)
+        for name in sorted(set(on_curves) | set(arc_map)):
+            if name not in arc_map:
+                errors.append(("MALFORMED", f"curve arc {name} is not listed in arcs"))
+            elif on_curves[name] != 1:
+                errors.append(("MALFORMED", f"arc {name} lies on {on_curves[name]} curves"))
+        for ri, region in enumerate(self.regions):
+            for cycle in region.cycles:
+                for entry in cycle if len(cycle) == 1 else cycle[1::2]:
+                    if _arc_entry(entry)[0] not in arc_map:
+                        errors.append(("MALFORMED", f"region {ri} names unknown arc {entry}"))
         # curve structure: consecutive arcs share endpoints head-to-tail
         for curves, tag in ((self.alpha, ALPHA), (self.beta, BETA)):
             for ci, curve in enumerate(curves):
@@ -308,8 +321,6 @@ class HeegaardDiagram:
                         errors.append(("MALFORMED", f"arc {name} cycle endpoints mismatch"))
 
         # corner incidences from cycles match quadrant lists
-        from collections import Counter
-
         cycle_corners = Counter()
         for ri, region in enumerate(self.regions):
             for cycle in region.cycles:

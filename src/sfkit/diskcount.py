@@ -8,7 +8,8 @@ polytope on the hyperplane mu = 1 are visited.  Every generator pair of a
 Spin^c block shares the certificate's and the box's coefficient rows, so
 both are compiled once per block (``PeriodicLattice.compiled``) and a pair
 supplies only their right-hand sides; a pair whose certificate finds every
-stratum empty lists no box at all.
+stratum empty lists no box at all.  The enumerator takes the block's
+lattice, which also holds the diagram and its calculator.
 
 A class is assigned a count only when its shape forces the holomorphic
 count: an embedded empty bigon or an embedded empty rectangle contributes
@@ -84,8 +85,8 @@ def _box_slice(lattice: PeriodicLattice) -> tuple:
     return sources, linprog.Slice(rows + [total], [4 * m for m in lattice.mu])
 
 
-def _sliced_box(d: HeegaardDiagram, x: Generator, y: Generator, phi0,
-                lattice: PeriodicLattice, bound: int, index: int) -> list:
+def _sliced_box(lattice: PeriodicLattice, x: Generator, y: Generator, phi0,
+                bound: int, index: int) -> list:
     """Lattice coordinates t with D = phi0 + sum t_b P_b >= 0,
     sum_r D_r <= bound and mu = index.
 
@@ -95,7 +96,7 @@ def _sliced_box(d: HeegaardDiagram, x: Generator, y: Generator, phi0,
     rows to 4 mu = target.  The other coordinates are enumerated exactly and
     t_L is kept where it comes out integral.
     """
-    target = 4 * index - maslov_x4(d, phi0, x.points + y.points)
+    target = 4 * index - maslov_x4(lattice.diagram, phi0, x.points + y.points)
     sources, box = lattice.compiled("box", _box_slice)
     rhs = [sign * phi0[r] for r, sign in sources] + [sum(phi0) - bound]
     L = box.pivot
@@ -118,27 +119,25 @@ def _sliced_box(d: HeegaardDiagram, x: Generator, y: Generator, phi0,
     return out
 
 
-def enumerate_mu1_classes(d: HeegaardDiagram, x: Generator, y: Generator,
-                          tilde: AlgebraSpec, calc: DomainCalculator | None = None,
-                          index: int = 1,
-                          lattice: PeriodicLattice | None = None) -> list:
+def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
+                          tilde: AlgebraSpec, index: int = 1) -> list:
     """All positive classes from x to y with mu = index and surviving
     tilde-monomial, in deterministic order.
 
-    ``lattice`` is the periodic lattice of the Spin^c class of x; it is
-    computed from ``calc`` when not given.  A pair whose certificate finds
-    every stratum empty has no such class and lists no box.
+    ``lattice`` is the periodic lattice of the Spin^c class of x; its
+    calculator holds the diagram and the connecting solve of the pair.  A
+    pair whose certificate finds every stratum empty has no such class and
+    lists no box.
     """
-    calc = calc or DomainCalculator(d)
-    lattice = lattice or calc.lattice(x)
-    con = calc.connecting(x, y)
-    cert = finiteness_certificate(d, x, y, index, lattice, con)
+    d = lattice.diagram
+    con = lattice.calc.connecting(x, y)
+    cert = finiteness_certificate(lattice, x, y, index, con)
     if not cert.exists or cert.bound is None:
         return []
     phi0 = con.particular
 
     try:
-        coords = _sliced_box(d, x, y, phi0, lattice, cert.bound, index)
+        coords = _sliced_box(lattice, x, y, phi0, cert.bound, index)
     except linprog.Unbounded:
         raise RuntimeError("certificate box is unbounded") from None
     candidates = {tuple(lattice.element(t, phi0)) for t in coords}
@@ -147,7 +146,7 @@ def enumerate_mu1_classes(d: HeegaardDiagram, x: Generator, y: Generator,
     for D in sorted(candidates):
         if any(c < 0 for c in D):
             continue
-        mu = maslov_index(d, list(D), x, y, calc)
+        mu = maslov_index(d, list(D), x, y)
         if mu != index:
             continue
         nz = marked_multiplicities(d, list(D))
@@ -163,15 +162,14 @@ def enumerate_mu1_classes(d: HeegaardDiagram, x: Generator, y: Generator,
     return out
 
 
-def enumerate_block_classes(d: HeegaardDiagram, generators, tilde: AlgebraSpec,
-                            calc: DomainCalculator | None = None) -> list:
+def enumerate_block_classes(calc: DomainCalculator, generators,
+                            tilde: AlgebraSpec) -> list:
     """All index-1 classes between ordered pairs of the given generators."""
-    calc = calc or DomainCalculator(d)
     out = []
     for x in generators:
         lattice = calc.lattice(x)
         for y in generators:
-            out.extend(enumerate_mu1_classes(d, x, y, tilde, calc, lattice=lattice))
+            out.extend(enumerate_mu1_classes(lattice, x, y, tilde))
     return out
 
 
@@ -194,9 +192,8 @@ def region_shape(d: HeegaardDiagram, ri: int) -> str:
     return "other"
 
 
-def niceness_report(d: HeegaardDiagram, tilde: AlgebraSpec,
-                    calc: DomainCalculator | None = None) -> NicenessReport:
-    calc = calc or DomainCalculator(d)
+def niceness_report(calc: DomainCalculator, tilde: AlgebraSpec) -> NicenessReport:
+    d = calc.diagram
     shapes = []
     for ri, region in enumerate(d.regions):
         shapes.append(
@@ -206,8 +203,7 @@ def niceness_report(d: HeegaardDiagram, tilde: AlgebraSpec,
                 "marked": bool(region.marks),
             }
         )
-    gens = d.generators()
-    classes = enumerate_block_classes(d, gens, tilde, calc)
+    classes = enumerate_block_classes(calc, d.generators(), tilde)
     unsupported = [c for c in classes if not c.supported]
     hat_ok = all(c.supported for c in classes if all(v == 0 for v in c.n_z))
     return NicenessReport(

@@ -3,8 +3,10 @@
 A domain is an integer coefficient vector over the regions.  The corner
 operator at a crossing (see ``diagram``) gives one linear equation per
 crossing; a vector D is the domain of a class connecting x to y exactly when
-c_p(D) = [p in x] - [p in y] for every crossing p.  The kernel of the corner
-matrix is the lattice of periodic domains.
+c_p(D) = [p in x] - [p in y] for every crossing p (``is_domain``, which, like
+``maslov_index``, reads the diagram alone).  The kernel of the corner matrix
+is the lattice of periodic domains, factored once per diagram by
+``DomainCalculator`` and viewed per Spin^c class as a ``PeriodicLattice``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,18 @@ def corner_target(d: HeegaardDiagram, x: Generator, y: Generator):
     for p in y.points:
         tgt[p] -= 1
     return tgt
+
+
+def is_domain(d: HeegaardDiagram, D, x: Generator, y: Generator) -> bool:
+    """D satisfies the corner conditions of a class from x to y."""
+    return all(
+        D[q1] + D[q3] - D[q0] - D[q2] == t
+        for (q0, q1, q2, q3), t in zip(d.crossing_quadrants, corner_target(d, x, y))
+    )
+
+
+def is_periodic(d: HeegaardDiagram, D) -> bool:
+    return all(D[q1] + D[q3] == D[q0] + D[q2] for q0, q1, q2, q3 in d.crossing_quadrants)
 
 
 @dataclass
@@ -116,19 +130,6 @@ class DomainCalculator:
             self._lattices[key] = PeriodicLattice(calc=self, mu=mu, at=at)
         return self._lattices[key]
 
-    def is_domain(self, D, x: Generator, y: Generator) -> bool:
-        target = corner_target(self.diagram, x, y)
-        return all(
-            D[q1] + D[q3] - D[q0] - D[q2] == t
-            for (q0, q1, q2, q3), t in zip(self.diagram.crossing_quadrants, target)
-        )
-
-    def is_periodic(self, D) -> bool:
-        return all(
-            D[q1] + D[q3] == D[q0] + D[q2]
-            for q0, q1, q2, q3 in self.diagram.crossing_quadrants
-        )
-
 
 # Measures are quarter-integers: 4 e(D) = sum_r D_r (4 chi_r - corners_r) and
 # 4 n_p(D) is the sum of D over the four quadrants at p, so the Maslov index
@@ -169,11 +170,9 @@ def generator_measure(d: HeegaardDiagram, D, g: Generator) -> Fraction:
     return Fraction(_corners_x4(d, D, g.points), 4)
 
 
-def maslov_index(d: HeegaardDiagram, D, x: Generator, y: Generator,
-                 calculator: DomainCalculator | None = None) -> int:
+def maslov_index(d: HeegaardDiagram, D, x: Generator, y: Generator) -> int:
     """Lipshitz formula mu(D) = e(D) + n_x(D) + n_y(D), in exact integers."""
-    calc = calculator or DomainCalculator(d)
-    if not calc.is_domain(D, x, y):
+    if not is_domain(d, D, x, y):
         raise NonDomainError("coefficient vector violates the corner conditions")
     return _maslov(d, D, x.points + y.points)
 

@@ -12,6 +12,8 @@ that mu(P) + sum_i d_i n_{z_i}(P) vanish mod d(s) for every periodic domain P
 (the filtered-complex axiom "the differential drops the grading by one",
 applied to the lattice).  When the lattice leaves some d_i underdetermined,
 the reported value is a canonical solution and is flagged as conventional.
+The partition reads the diagram's ``DomainCalculator`` and the gradings the
+block's ``PeriodicLattice``, so neither solves a corner system again.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .domains import (
     marked_multiplicities,
     maslov_index,
 )
-from .homology1 import HomologyPresentation, h1_presentation
+from .homology1 import HomologyPresentation
 
 
 class NoConnectingDomain(ValueError):
@@ -48,10 +50,10 @@ class SpincPartition:
         return self.diffs[(i, j)]
 
 
-def spinc_partition(d: HeegaardDiagram, calc: DomainCalculator | None = None,
-                    homology: HomologyPresentation | None = None) -> SpincPartition:
-    calc = calc or DomainCalculator(d)
-    hom = homology or h1_presentation(d)
+def spinc_partition(calc: DomainCalculator,
+                    homology: HomologyPresentation) -> SpincPartition:
+    """The Spin^c blocks of the calculator's diagram; ``homology`` is its H1."""
+    d = calc.diagram
     gens = d.generators()
     n = len(gens)
 
@@ -66,17 +68,17 @@ def spinc_partition(d: HeegaardDiagram, calc: DomainCalculator | None = None,
     # the H-difference is independent of the connecting domain because the
     # n_z vector of a periodic domain maps to 0 in H; assert that on the basis
     for nz in calc.periodic_n_z:
-        if hom.chi_of_exponents(nz) != hom.group.zero():
+        if homology.chi_of_exponents(nz) != homology.group.zero():
             raise AssertionError("periodic domain with nonzero H-image of n_z")
 
     # connecting domains add up, so every pair of a block is solved directly
-    diffs = {(i, i): hom.group.zero() for i in range(n)}
+    diffs = {(i, i): homology.group.zero() for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
             con = calc.connecting(gens[i], gens[j])
             if con.exists:
-                val = hom.chi_of_exponents(marked_multiplicities(d, con.particular))
-                diffs[(i, j)], diffs[(j, i)] = val, hom.group.neg(val)
+                val = homology.chi_of_exponents(marked_multiplicities(d, con.particular))
+                diffs[(i, j)], diffs[(j, i)] = val, homology.group.neg(val)
                 ra, rb = find(i), find(j)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
@@ -86,7 +88,7 @@ def spinc_partition(d: HeegaardDiagram, calc: DomainCalculator | None = None,
         blocks_map.setdefault(find(i), []).append(i)
     blocks = [sorted(v) for _, v in sorted(blocks_map.items())]
     return SpincPartition(
-        diagram=d, homology=hom, blocks=blocks, generators=gens, diffs=diffs
+        diagram=d, homology=homology, blocks=blocks, generators=gens, diffs=diffs
     )
 
 
@@ -115,15 +117,12 @@ class GradingData:
         return self._reduce(self.gr[i] - self.gr[j])
 
 
-def grading_data(d: HeegaardDiagram, partition: SpincPartition, block_index: int,
-                 calc: DomainCalculator | None = None,
-                 lattice: PeriodicLattice | None = None) -> GradingData:
-    """Gradings of one block; ``lattice`` is the block's periodic lattice,
-    computed from ``calc`` when not given."""
-    calc = calc or DomainCalculator(d)
+def grading_data(partition: SpincPartition, block_index: int,
+                 lattice: PeriodicLattice) -> GradingData:
+    """Gradings of one block; ``lattice`` is the block's periodic lattice."""
+    d = lattice.diagram
     block = partition.blocks[block_index]
     gens = partition.generators
-    lattice = lattice or calc.lattice(gens[block[0]])
 
     # d(s): gcd of mu over the sublattice with n_z == 0
     d_of_s = gcd(*(sum(c * m for c, m in zip(t, lattice.mu))
@@ -139,10 +138,10 @@ def grading_data(d: HeegaardDiagram, partition: SpincPartition, block_index: int
     gd = GradingData(d_of_s=d_of_s, weights=weights, pinned=pinned,
                      gr={base: 0}, block=list(block))
     for i in block[1:]:
-        con = calc.connecting(gens[i], gens[base])
+        con = lattice.calc.connecting(gens[i], gens[base])
         if not con.exists:
             raise NoConnectingDomain(f"generators {i}, {base} not connected")
-        mu = maslov_index(d, con.particular, gens[i], gens[base], calc)
+        mu = maslov_index(d, con.particular, gens[i], gens[base])
         w = gd.weight_of_monomial(marked_multiplicities(d, con.particular))
         gd.gr[i] = gd._reduce(mu + w)
     return gd

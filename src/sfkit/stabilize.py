@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, replace
 from . import algebra as alg
 from .cf import DiagramData, build_cf
 from .complexes import (
-    FilteredComplex,
-    TaintRecord,
     fpu_homogeneous,
     fpu_piece_dims,
     homology,
@@ -28,7 +26,7 @@ from .complexes import (
     multiplication_map,
 )
 from .diagram import ALPHA, BETA, HeegaardDiagram, Region, Crossing
-from .testrings import AlgebraTarget, algebra_hom, to_U
+from .testrings import algebra_hom, to_U
 
 
 class BadSutureError(ValueError):
@@ -110,13 +108,6 @@ class StabilizationReport:
     notes: list = field(default_factory=list)
 
 
-def _lift_entries(entries, pad):
-    out = {}
-    for k, e in entries.items():
-        out[k] = {m + (0,) * pad: c for m, c in e.items()}
-    return out
-
-
 def _fold_taints(c, weight):
     """Count each taint of c of the given weight once, with coefficient -1,
     in its entry: (entries, remaining taints, folded taints)."""
@@ -189,16 +180,10 @@ def verify_stabilization(d: HeegaardDiagram, mark: int) -> StabilizationReport:
     hat_plus.require_untainted()
     hat_plus.require_d_squared_zero()
 
-    # cone side: multiplication by (lambda_new - lambda) on the old complex
+    # cone side: multiplication by (lambda_new - lambda) on the old complex,
+    # carried into R_tau[lambda_new] along lambda_i -> lambda_i (images[:kappa])
     old = build_cf(d, 0)
-    old_plus = FilteredComplex(
-        ring=AlgebraTarget(plus_spec),
-        gen_names=list(old.gen_names),
-        cosets=[None] * old.rank,
-        gradings=list(old.gradings),
-        entries=_lift_entries(old.entries, 1),
-        taints=[TaintRecord(t.source, t.target, t.weight + (0,), t.note) for t in old.taints],
-    )
+    old_plus = old.tensor(algebra_hom(old.algebra, plus_spec, images[:kappa]))
     u_mono = tuple([0] * kappa + [1])
     lam_plus = tuple(lam[:kappa]) + (0,)
     cone_map = multiplication_map(old_plus, {u_mono: 1, lam_plus: -1})

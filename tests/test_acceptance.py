@@ -146,7 +146,7 @@ def test_a2_index_identities():
                 coords = snf.solve_integer(basis_matrix, P)
                 assert coords is not None, (g, h, vec)
                 a_sum = sum(coords[2:])
-                assert maslov_index(d, list(vec), g, h, calc) == 2 * a_sum + 2 * l1 - l2
+                assert maslov_index(d, list(vec), g, h) == 2 * a_sum + 2 * l1 - l2
                 checked += 1
     assert checked > 40
 
@@ -216,7 +216,7 @@ def test_a5_trefoil():
     assert [len(b) for b in data.partition.blocks] == [3]
     c = build_cf(d, 0, data=data)
     assert [s.rank for s in c.decompose()] == [1, 1, 1]
-    gd = grading_data(d, data.partition, 0, data.calc)
+    gd = grading_data(data.partition, 0, data.lattices[0])
     gr = sorted(gd.gr.values())
     # relative gradings {0, -1, -2} up to global shift
     assert [g - gr[2] for g in gr] == [-2, -1, 0]
@@ -229,7 +229,7 @@ def test_a5_trefoil():
     gens = d.generators()
     for x in gens:
         for y in gens:
-            cert = finiteness_certificate(d, x, y, 1, data.lattices[0],
+            cert = finiteness_certificate(data.lattices[0], x, y, 1,
                                           data.calc.connecting(x, y))
             bound = (cert.bound or 0) + 1
             tgt = corner_target(d, x, y)
@@ -237,13 +237,13 @@ def test_a5_trefoil():
             for vec in product(range(0, bound + 1), repeat=3):
                 if snf.mat_vec(A, list(vec)) != tgt:
                     continue
-                if maslov_index(d, list(vec), x, y, data.calc) != 1:
+                if maslov_index(d, list(vec), x, y) != 1:
                     continue
                 if tilde.nf_monomial(marked_multiplicities(d, list(vec))) == {}:
                     continue
                 oracle.append(vec)
             listed = [tuple(cl.domain) for cl in
-                      enumerate_mu1_classes(d, x, y, tilde, data.calc)]
+                      enumerate_mu1_classes(data.lattices[0], x, y, tilde)]
             assert sorted(oracle) == sorted(listed)
 
 
@@ -308,7 +308,7 @@ def test_a7_triangle_machine():
 def test_a8_admissibility():
     # sphere fixture flagged with a verifiable witness
     d = corpus.load_diagram("sphere_bad")
-    rep = check_s_admissible(d)
+    rep = check_s_admissible(DiagramData.build(d).lattices[0])
     assert not rep.admissible
     assert all(v >= 0 for v in rep.witness) and any(rep.witness)
     assert rep.witness_mu == 0
@@ -319,10 +319,11 @@ def test_a8_admissibility():
         dd = corpus.load_diagram(name)
         pres = h1_presentation(dd)
         spec = alg.diagram_algebra(dd, homology=pres)
-        strong = check_strong_admissible(dd).admissible
-        s_adm = check_s_admissible(dd).admissible
-        weak = check_weak_admissible(dd, all_zero(spec)).admissible
-        weak_bt = check_weak_admissible(dd, btau_hom(spec, pres)).admissible
+        lattice = DiagramData.build(dd).lattices[0]
+        strong = check_strong_admissible(lattice).admissible
+        s_adm = check_s_admissible(lattice).admissible
+        weak = check_weak_admissible(lattice, all_zero(spec)).admissible
+        weak_bt = check_weak_admissible(lattice, btau_hom(spec, pres)).admissible
         assert s_adm, name
         if strong:
             assert s_adm
@@ -338,7 +339,7 @@ def test_a8_admissibility():
         gens = dd.generators()
         for x in gens:
             for y in gens:
-                cert = finiteness_certificate(dd, x, y, 1, calc.lattice(x),
+                cert = finiteness_certificate(calc.lattice(x), x, y, 1,
                                               calc.connecting(x, y))
                 assert cert.finite
                 bound = (cert.bound or 0) + 1
@@ -347,13 +348,13 @@ def test_a8_admissibility():
                 for vec in product(range(0, bound + 1), repeat=len(dd.regions)):
                     if snf.mat_vec(A, list(vec)) != tgt:
                         continue
-                    if maslov_index(dd, list(vec), x, y, calc) != 1:
+                    if maslov_index(dd, list(vec), x, y) != 1:
                         continue
                     if tildd.nf_monomial(marked_multiplicities(dd, list(vec))) == {}:
                         continue
                     oracle.append(vec)
                 listed = [tuple(cl.domain) for cl in
-                          enumerate_mu1_classes(dd, x, y, tildd, calc)]
+                          enumerate_mu1_classes(calc.lattice(x), x, y, tildd)]
                 assert sorted(oracle) == sorted(listed), (name, x, y)
 
 

@@ -1,12 +1,15 @@
 import io
 import json
 import os
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfkit import cli
-from sfkit.corpus import corpus_path
+from sfkit.corpus import corpus_names, corpus_path
 
 
 def run(*argv):
@@ -52,6 +55,15 @@ def _break_endpoint(data):
     data["arcs"]["a0.0"][0] = "x77"
 
 
+def _orphan_arc(data):
+    # a0.0 lies on no curve and b0.0 on two
+    data["alpha"][0][0] = "b0.0"
+
+
+def _unknown_cycle_arc(data):
+    data["regions"][0]["cycles"][0][1] = "a9.9"
+
+
 DIAGRAM_COMMANDS = [
     ("components", "DIAGRAM"),
     ("generators", "DIAGRAM"),
@@ -69,7 +81,8 @@ DIAGRAM_COMMANDS = [
 
 
 @pytest.mark.parametrize("command", DIAGRAM_COMMANDS, ids=" ".join)
-@pytest.mark.parametrize("mutate", [_break_quadrant, _break_marks, _break_endpoint])
+@pytest.mark.parametrize("mutate", [_break_quadrant, _break_marks, _break_endpoint,
+                                    _orphan_arc, _unknown_cycle_arc])
 def test_malformed_diagram_exits_2(tmp_path, capsys, mutate, command):
     # each mutation of the trefoil passes the schema but not validation
     with open(corpus_path("trefoil")) as fh:
@@ -89,8 +102,10 @@ def test_malformed_diagram_exits_2(tmp_path, capsys, mutate, command):
 # each value is refused by name; before these refusals the out-of-range
 # indices, unknown labels, a missing algebra diagram and --knot-sutures 0
 # raised tracebacks, and -1, --cone-variable 0, Zp:4, F4U,
-# --knot-sutures -1, a diagram beside --knot-sutures and --coefficients
-# beside a hom other than all-zero answered with one input ignored
+# --knot-sutures -1, a diagram beside --knot-sutures, --coefficients
+# beside a hom other than all-zero, --hom or --coefficients given to complex
+# build or d2, and --cone-variable given to an action other than cone
+# answered with one input ignored
 BAD_ARGUMENTS = [
     ("homology", "DIAGRAM", "--spinc", "5"),
     ("homology", "DIAGRAM", "--spinc", "-1"),
@@ -113,6 +128,12 @@ BAD_ARGUMENTS = [
     ("homology", "DIAGRAM", "--hom", "to-U", "--coefficients", "Q"),
     ("homology", "DIAGRAM", "--hom", "b-tau", "--coefficients", "F2U"),
     ("complex", "cone", "DIAGRAM", "--hom", "identity", "--coefficients", "Z"),
+    ("complex", "d2", "DIAGRAM", "--hom", "to-U"),
+    ("complex", "build", "DIAGRAM", "--hom", "bogus", "--cone-variable", "7"),
+    ("complex", "build", "DIAGRAM", "--coefficients", "Q"),
+    ("complex", "d2", "DIAGRAM", "--coefficients", "Zp:3"),
+    ("complex", "homology", "DIAGRAM", "--cone-variable", "7"),
+    ("complex", "d2", "DIAGRAM", "--cone-variable", "1"),
 ]
 
 
@@ -289,3 +310,53 @@ def test_corpus_env_override(tmp_path, monkeypatch):
     from sfkit import corpus as corpus_mod
 
     assert corpus_mod.corpus_names() == ["unknot"]
+
+
+# -- fuzzing: mutated corpus diagrams -----------------------------------------
+
+
+def _mutation_sites(data):
+    """(path, values) for every value of a diagram that a mutation may replace:
+    a curve arc, a region-cycle entry, a quadrant, a crossing's alpha or beta
+    index, an arc endpoint or a region's marks."""
+    arcs = sorted(data["arcs"])
+    points = [f"x{i}" for i in range(len(data["points"]))]
+    entries = st.sampled_from(arcs + ["-" + a for a in arcs] + points + ["a9.9", "x99"])
+    sites = []
+    for side in ("alpha", "beta"):
+        for ci, curve in enumerate(data[side]):
+            sites += [((side, ci, k), st.sampled_from(arcs + ["a9.9"])) for k in range(len(curve))]
+    for ri, region in enumerate(data["regions"]):
+        sites.append((("regions", ri, "marks"), st.lists(st.integers(0, data["marks"]), max_size=3)))
+        for cj, cycle in enumerate(region["cycles"]):
+            sites += [(("regions", ri, "cycles", cj, k), entries) for k in range(len(cycle))]
+    for pi in range(len(points)):
+        sites += [(("points", pi, "quadrants", k), st.integers(0, len(data["regions"])))
+                  for k in range(4)]
+        sites += [(("points", pi, side), st.integers(0, len(data["alpha"])))
+                  for side in ("alpha", "beta")]
+    for name in arcs:
+        if data["arcs"][name] is not None:
+            sites += [(("arcs", name, k), st.sampled_from(points + ["x99"])) for k in range(2)]
+    return sites
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_mutated_diagrams_exit_0_1_or_2(data):
+    name = data.draw(st.sampled_from(corpus_names()))
+    with open(corpus_path(name)) as fh:
+        diagram = json.load(fh)
+    path, values = data.draw(st.sampled_from(_mutation_sites(diagram)))
+    target = diagram
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = os.path.join(tmp, "mutated.json")
+        with open(mutated, "w") as fh:
+            json.dump(diagram, fh)
+        for command in ("validate", "homology"):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main([command, mutated])
+            assert code in (0, 1, 2), (name, path, command)

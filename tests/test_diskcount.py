@@ -12,6 +12,7 @@ from sfkit.admissibility import (
     survival_strata,
     tilde_kill_supports,
 )
+from sfkit.cf import DiagramData
 from sfkit.diskcount import (
     EMPTY_BIGON,
     EMPTY_RECTANGLE,
@@ -39,7 +40,7 @@ def classes_table(name):
     out = {}
     for i, x in enumerate(gens):
         for j, y in enumerate(gens):
-            cls = enumerate_mu1_classes(d, x, y, tilde, calc)
+            cls = enumerate_mu1_classes(calc.lattice(x), x, y, tilde)
             if cls:
                 out[(i, j)] = [(tuple(c.domain), c.classification, c.n_z) for c in cls]
     return out
@@ -119,19 +120,19 @@ def test_special_fixture_bigon_pairs_found():
 def test_niceness_reports():
     d = corpus.load_diagram("torus_min")
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
-    rep = niceness_report(d, tilde)
+    rep = niceness_report(DiagramData.build(d).calc, tilde)
     assert rep.hat_countable and rep.minus_countable
 
     d2 = corpus.load_diagram("trefoil")
     tilde2 = alg.diagram_algebra(d2, variant=alg.TILDE)
-    rep2 = niceness_report(d2, tilde2)
+    rep2 = niceness_report(DiagramData.build(d2).calc, tilde2)
     assert rep2.hat_countable  # every n_z = 0 class is supported (there are none)
     assert not rep2.minus_countable  # the annular classes are unsupported
     assert len(rep2.unsupported) == 2
 
     d3 = corpus.load_diagram("grid2")
     tilde3 = alg.diagram_algebra(d3, variant=alg.TILDE)
-    rep3 = niceness_report(d3, tilde3)
+    rep3 = niceness_report(DiagramData.build(d3).calc, tilde3)
     assert rep3.minus_countable
     shapes = {s["region"]: s["shape"] for s in rep3.region_shapes}
     assert set(shapes.values()) == {"square"}
@@ -153,13 +154,13 @@ def reference_certificate_bound(d, x, y, j, lattice, con):
     if not con.exists:
         return None
     phi0 = con.particular
-    mu0 = maslov_index(d, phi0, x, y, lattice.calc)
+    mu0 = maslov_index(d, phi0, x, y)
     rank = lattice.rank
     if rank == 0:
         return max(max(phi0), 0) if phi0 else 0
     columns = [list(col) for col in zip(*lattice.basis)]
     best = 0
-    for stratum in survival_strata(d.num_marks, tilde_kill_supports(d)):
+    for stratum in survival_strata(tilde_kill_supports(d)):
         ineqs = [(coeffs, -phi0[r]) for r, coeffs in enumerate(columns)]
         mu_row = list(lattice.mu)
         ineqs.append((mu_row, j - mu0))
@@ -216,7 +217,7 @@ def reference_mu1_classes(d, x, y, tilde, calc, index=1):
     for D in sorted(set(candidates)):
         if any(c < 0 for c in D):
             continue
-        mu = maslov_index(d, list(D), x, y, calc)
+        mu = maslov_index(d, list(D), x, y)
         if mu != index:
             continue
         nz = marked_multiplicities(d, list(D))
@@ -238,7 +239,7 @@ def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None):
                 ref = reference_mu1_classes(d, x, y, tilde, calc, index)
                 # DiskClass equality covers domain, n_z, classification,
                 # count, mu and both generators; list equality the order
-                assert enumerate_mu1_classes(d, x, y, tilde, calc, index) == ref
+                assert enumerate_mu1_classes(calc.lattice(x), x, y, tilde, index) == ref
                 found += len(ref)
     return found
 
@@ -296,9 +297,9 @@ def test_empty_certificate_lists_no_box(name, k, empty, monkeypatch):
     for x in d.generators():
         for y in d.generators():
             con = calc.connecting(x, y)
-            cert = finiteness_certificate(d, x, y, 1, calc.lattice(x), con)
+            cert = finiteness_certificate(calc.lattice(x), x, y, 1, con)
             before = len(boxes)
-            classes = enumerate_mu1_classes(d, x, y, tilde, calc)
+            classes = enumerate_mu1_classes(calc.lattice(x), x, y, tilde)
             assert classes == reference_mu1_classes(d, x, y, tilde, calc)
             if not cert.exists or cert.bound is None:
                 assert classes == [] and len(boxes) == before
@@ -338,7 +339,7 @@ def test_constant_index_enumerates_whole_box_or_nothing():
             mu0 = maslov_x4(d, con.particular, points) // 4
             tilde = alg.diagram_algebra(d, variant=alg.TILDE)
             for index in range(-2, 3):
-                classes = enumerate_mu1_classes(d, x, y, tilde, calc, index)
+                classes = enumerate_mu1_classes(calc.lattice(x), x, y, tilde, index)
                 if index != mu0:
                     assert classes == []
                 assert classes == reference_mu1_classes(d, x, y, tilde, calc, index)
@@ -360,6 +361,7 @@ def test_unbounded_box_raises():
     calc = _RepeatedBasis(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
-    for fn in (enumerate_mu1_classes, reference_mu1_classes):
-        with pytest.raises(RuntimeError, match="certificate box is unbounded"):
-            fn(d, gens[1], gens[0], tilde, calc)
+    with pytest.raises(RuntimeError, match="certificate box is unbounded"):
+        enumerate_mu1_classes(calc.lattice(gens[1]), gens[1], gens[0], tilde)
+    with pytest.raises(RuntimeError, match="certificate box is unbounded"):
+        reference_mu1_classes(d, gens[1], gens[0], tilde, calc)

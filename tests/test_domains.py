@@ -16,6 +16,8 @@ from sfkit.domains import (
     euler_measure,
     full_surface_domain,
     generator_measure,
+    is_domain,
+    is_periodic,
     marked_multiplicities,
     maslov_index,
     maslov_of_periodic,
@@ -46,20 +48,18 @@ def test_component_maslov_identity(name):
     d = corpus.load_diagram(name)
     gens = d.generators()
     at = gens[0] if gens else None
-    calc = DomainCalculator(d)
     for side in (ALPHA, BETA):
         for comp in d.complement_components(side):
             P = d.component_domain(comp)
-            assert calc.is_periodic(P)
+            assert is_periodic(d, P)
             assert maslov_of_periodic(d, P, at) == 2 - 2 * comp.genus
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_full_surface_domain_periodic_allones_marks(name):
     d = corpus.load_diagram(name)
-    calc = DomainCalculator(d)
     S = full_surface_domain(d)
-    assert calc.is_periodic(S)
+    assert is_periodic(d, S)
     assert marked_multiplicities(d, S) == tuple([1] * d.num_marks)
 
 
@@ -98,8 +98,8 @@ def test_trefoil_bigon_is_particular_solution():
     assert con.exists
     # the visible bigon D1 = region 0 solves the system
     bigon = [1, 0, 0]
-    assert calc.is_domain(bigon, x1, x0)
-    assert maslov_index(d, bigon, x1, x0, calc) == 1
+    assert is_domain(d, bigon, x1, x0)
+    assert maslov_index(d, bigon, x1, x0) == 1
     assert marked_multiplicities(d, bigon) == (0, 1)
 
 
@@ -134,13 +134,12 @@ def test_non_domain_rejected():
 def test_maslov_additive_under_periodic(a, b):
     # mu(D + P) = mu(D) + mu_s(P) for P in the periodic lattice
     d = corpus.load_diagram("trefoil")
-    calc = DomainCalculator(d)
     gens = d.generators()
     x, y = gens[1], gens[0]
     D = [1, 0, 0]
     P = [a + b, a + b, a + b]  # lattice is Z * Sigma
     DP = [u + v for u, v in zip(D, P)]
-    assert maslov_index(d, DP, x, y, calc) == maslov_index(d, D, x, y, calc) + maslov_of_periodic(d, P, x)
+    assert maslov_index(d, DP, x, y) == maslov_index(d, D, x, y) + maslov_of_periodic(d, P, x)
 
 
 def test_connecting_is_equivalence():
@@ -197,7 +196,7 @@ def test_quarter_integer_maslov_matches_fraction_formula(name):
                 mu = _reference_maslov(d, D, x, y)
                 assert mu == euler_measure(d, D) + generator_measure(d, D, x) + generator_measure(d, D, y)
                 assert mu.denominator == 1
-                assert maslov_index(d, D, x, y, calc) == mu
+                assert maslov_index(d, D, x, y) == mu
                 checked += 1
     assert checked or not gens
 
@@ -214,15 +213,14 @@ def test_is_domain_matches_corner_matrix():
     # the quadrant form of the corner conditions against the dense matrix
     for name in CORPUS:
         d = corpus.load_diagram(name)
-        calc = DomainCalculator(d)
         A = corner_matrix(d)
         gens = d.generators()
         for x, y in product(gens, repeat=2):
             tgt = corner_target(d, x, y)
             for vec in product(range(-1, 2), repeat=len(d.regions)):
-                assert calc.is_domain(list(vec), x, y) == (snf.mat_vec(A, list(vec)) == tgt)
+                assert is_domain(d, list(vec), x, y) == (snf.mat_vec(A, list(vec)) == tgt)
         for vec in product(range(-1, 2), repeat=len(d.regions)):
-            assert calc.is_periodic(vec) == all(v == 0 for v in snf.mat_vec(A, list(vec)))
+            assert is_periodic(d, vec) == all(v == 0 for v in snf.mat_vec(A, list(vec)))
 
 
 # -- factor-once solving against a fresh factorization per solve --------------
@@ -327,3 +325,54 @@ def test_connecting_solved_once_per_ordered_pair(name, k, monkeypatch):
     assert data.partition.blocks == [list(range(n))]
     assert sum(1 for A in products if A is data.calc.factored.U) == n
 
+
+
+# -- one calculator per diagram -----------------------------------------------
+
+
+@pytest.mark.parametrize("name, k", CORPUS_AND_LADDER)
+def test_one_calculator_per_diagram(name, k, monkeypatch):
+    # every stage reaches the corner system through DiagramData: its
+    # calculator, or a block's lattice, which holds the same calculator
+    from sfkit import algebra as alg
+    from sfkit.admissibility import (
+        NotAdmissibleError,
+        check_s_admissible,
+        check_strong_admissible,
+        check_weak_admissible,
+    )
+    from sfkit.cf import NotAdmissible, build_cf
+    from sfkit.diskcount import niceness_report
+    from sfkit.testrings import all_zero
+
+    built = []
+    original = DomainCalculator.__init__
+
+    def counting(self, d):
+        built.append(d)
+        original(self, d)
+
+    monkeypatch.setattr(DomainCalculator, "__init__", counting)
+    d = _stabilized(name, k)
+    data = DiagramData.build(d)
+    hom = all_zero(alg.diagram_algebra(d, homology=data.homology))
+    for lattice in data.lattices:
+        check_s_admissible(lattice)
+        check_strong_admissible(lattice)
+        check_weak_admissible(lattice, hom)
+    for bi in range(len(data.lattices)):
+        try:
+            build_cf(d, bi, data=data)
+        except NotAdmissible:
+            pass
+    try:
+        niceness_report(data.calc, data.tilde)
+    except NotAdmissibleError:
+        pass
+    gens = d.generators()
+    for x in gens:
+        for y in gens:
+            con = data.calc.connecting(x, y)
+            if con.exists:
+                maslov_index(d, con.particular, x, y)
+    assert built == [d]

@@ -429,16 +429,16 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
 
     monkeypatch.setattr(linprog, "linear_range", recording)
     calc = DomainCalculator(d)
-    strata = admissibility.survival_strata(d.num_marks, admissibility.tilde_kill_supports(d))
+    strata = admissibility.survival_strata(admissibility.tilde_kill_supports(d))
     gens = d.generators()
     for x in gens:
         lattice = calc.lattice(x)
         total = [sum(P) for P in lattice.basis]
         for y in gens:
             con = calc.connecting(x, y)
-            cert = admissibility.finiteness_certificate(d, x, y, 1, lattice, con)
+            cert = admissibility.finiteness_certificate(lattice, x, y, 1, con)
             phi0 = con.particular
-            shift = 1 - maslov_index(d, phi0, x, y, calc)
+            shift = 1 - maslov_index(d, phi0, x, y)
             best = None
             for stratum in strata:
                 ineqs = [(list(col), -phi0[r]) for r, col in enumerate(zip(*lattice.basis))]

@@ -3,20 +3,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfkit import corpus
-from sfkit.domains import DomainCalculator, marked_multiplicities, maslov_of_periodic
+from sfkit.cf import DiagramData
+from sfkit.domains import marked_multiplicities, maslov_of_periodic
 from sfkit.spinc import NoConnectingDomain, grading_data, spinc_partition
+
+
+def _partition(d):
+    data = DiagramData.build(d)
+    return spinc_partition(data.calc, data.homology), data.lattices
 
 
 def test_single_generator_single_class():
     for name in ["torus_min", "unknot"]:
-        part = spinc_partition(corpus.load_diagram(name))
+        part, _ = _partition(corpus.load_diagram(name))
         assert part.blocks == [[0]]
         assert part.diff(0, 0) == part.homology.group.zero()
 
 
 def test_trefoil_one_class_with_alexander_spread():
     d = corpus.load_diagram("trefoil")
-    part = spinc_partition(d)
+    part, _ = _partition(d)
     assert part.blocks == [[0, 1, 2]]
     diffs = {part.diff(i, j) for i in range(3) for j in range(3) if i != j}
     # pairwise differences are distinct nonzero multiples of the meridian
@@ -26,14 +32,14 @@ def test_trefoil_one_class_with_alexander_spread():
 
 def test_torus_lens_two_classes():
     d = corpus.load_diagram("torus_lens")
-    part = spinc_partition(d)
+    part, _ = _partition(d)
     assert part.blocks == [[0], [1]]
     with pytest.raises(NoConnectingDomain):
         part.diff(0, 1)
 
 
 def test_nomatch_empty_partition():
-    part = spinc_partition(corpus.load_diagram("nomatch_genus2"))
+    part, _ = _partition(corpus.load_diagram("nomatch_genus2"))
     assert part.blocks == []
 
 
@@ -41,7 +47,7 @@ def test_diff_is_cocycle():
     # diff(x, z) = diff(x, y) + diff(y, z) within a block
     for name in ["trefoil", "grid2", "special_hs", "sphere_split"]:
         d = corpus.load_diagram(name)
-        part = spinc_partition(d)
+        part, _ = _partition(d)
         H = part.homology.group
         for block in part.blocks:
             for i in block:
@@ -52,7 +58,7 @@ def test_diff_is_cocycle():
 
 def test_diff_antisymmetric():
     d = corpus.load_diagram("special_hs")
-    part = spinc_partition(d)
+    part, _ = _partition(d)
     H = part.homology.group
     for block in part.blocks:
         for i in block:
@@ -62,8 +68,8 @@ def test_diff_antisymmetric():
 
 def test_unknot_grading():
     d = corpus.load_diagram("unknot")
-    part = spinc_partition(d)
-    gd = grading_data(d, part, 0)
+    part, lattices = _partition(d)
+    gd = grading_data(part, 0, lattices[0])
     assert gd.d_of_s == 0
     # the lattice pins only the sum d_1 + d_2 = -2; the canonical solution
     # puts the whole drop on the first variable (classical U/V convention)
@@ -75,8 +81,8 @@ def test_unknot_grading():
 
 def test_trefoil_gradings_chain():
     d = corpus.load_diagram("trefoil")
-    part = spinc_partition(d)
-    gd = grading_data(d, part, 0)
+    part, lattices = _partition(d)
+    gd = grading_data(part, 0, lattices[0])
     assert gd.d_of_s == 0
     values = sorted(gd.gr.values())
     # three consecutive gradings: {0,-1,-2} up to a global shift
@@ -87,16 +93,16 @@ def test_trefoil_gradings_chain():
 def test_torus_min_weight_pinned():
     # the delta-system is solvable: the full region has n_z = e_1
     d = corpus.load_diagram("torus_min")
-    part = spinc_partition(d)
-    gd = grading_data(d, part, 0)
+    part, lattices = _partition(d)
+    gd = grading_data(part, 0, lattices[0])
     assert gd.weights == [-2]
     assert gd.pinned == [True]
 
 
 def test_genus2_pair_weight_zero():
     d = corpus.load_diagram("genus2_pair")
-    part = spinc_partition(d)
-    gd = grading_data(d, part, 0)
+    part, lattices = _partition(d)
+    gd = grading_data(part, 0, lattices[0])
     # mu(Sigma-domain) = 0 here, so the single weight is pinned to 0
     assert gd.weights == [0]
     assert gd.pinned == [True]
@@ -107,14 +113,14 @@ def test_weights_satisfy_lattice_constraints():
     for name in ["unknot", "trefoil", "grid2", "special_hs", "sphere_split",
                  "torus_min", "torus_lens", "genus2_pair"]:
         d = corpus.load_diagram(name)
-        calc = DomainCalculator(d)
-        part = spinc_partition(d, calc)
+        data = DiagramData.build(d)
+        part = spinc_partition(data.calc, data.homology)
         for bi, block in enumerate(part.blocks):
-            gd = grading_data(d, part, bi, calc)
+            gd = grading_data(part, bi, data.lattices[bi])
             if any(w is None for w in gd.weights):
                 continue
             at = part.generators[block[0]]
-            for P in calc.periodic_basis:
+            for P in data.calc.periodic_basis:
                 total = sum(
                     w * n for w, n in zip(gd.weights, marked_multiplicities(d, P))
                 )
@@ -127,8 +133,8 @@ def test_weights_satisfy_lattice_constraints():
 
 def test_gr_weight_additive():
     d = corpus.load_diagram("unknot")
-    part = spinc_partition(d)
-    gd = grading_data(d, part, 0)
+    part, lattices = _partition(d)
+    gd = grading_data(part, 0, lattices[0])
     for a in range(3):
         for b in range(3):
             w = gd.weight_of_monomial((a, b))
@@ -139,8 +145,8 @@ def test_gr_weight_additive():
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 def test_gr_weight_monoid_map(a, b, c, d_):
     d = corpus.load_diagram("unknot")
-    part = spinc_partition(d)
-    gd = grading_data(d, part, 0)
+    part, lattices = _partition(d)
+    gd = grading_data(part, 0, lattices[0])
     assert gd.weight_of_monomial((a + c, b + d_)) == gd.weight_of_monomial(
         (a, b)
     ) + gd.weight_of_monomial((c, d_))
@@ -154,7 +160,7 @@ def test_corpus_report_grades_each_block_once(name, monkeypatch):
     original = spinc.grading_data
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return original(*args, **kwargs)
 
     for module in (spinc, cf, corpuscheck):
