@@ -91,7 +91,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
 
     base = block[0]
     names = [gens[i].label() for i in block]
-    cosets = [data.partition.diffs[(i, base)] for i in block]
+    cosets = [data.partition.diff(i, base) for i in block]
     gradings = [gd.gr[i] for i in block]
 
     entries = {}

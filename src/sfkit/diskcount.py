@@ -22,7 +22,6 @@ homomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .admissibility import cone_rows, finiteness_certificate
 from .algebra import AlgebraSpec
@@ -30,8 +29,8 @@ from .diagram import Generator, HeegaardDiagram
 from .domains import (
     DomainCalculator,
     PeriodicLattice,
-    euler_measure,
-    generator_measure,
+    _corners_x4,
+    _euler_x4,
     marked_multiplicities,
     maslov_index,
     maslov_x4,
@@ -66,12 +65,13 @@ def classify(d: HeegaardDiagram, D, x: Generator, y: Generator) -> tuple:
     """Shape classification of a positive index-1 class."""
     if any(c not in (0, 1) for c in D):
         return UNSUPPORTED, None
-    e = euler_measure(d, D)
-    corners = generator_measure(d, D, x) + generator_measure(d, D, y)
+    # in quarters: a bigon has e = n_x + n_y = 1/2, a rectangle e = 0, n_x + n_y = 1
+    e4 = _euler_x4(d, D)
+    corners4 = _corners_x4(d, D, x.points + y.points)
     moved = _moved_coordinates(x, y)
-    if e == Fraction(1, 2) and corners == Fraction(1, 2) and moved == 1:
+    if e4 == 2 and corners4 == 2 and moved == 1:
         return EMPTY_BIGON, 1
-    if e == 0 and corners == 1 and moved == 2:
+    if e4 == 0 and corners4 == 4 and moved == 2:
         return EMPTY_RECTANGLE, 1
     return UNSUPPORTED, None
 

@@ -65,13 +65,14 @@ class ConnectingDomains:
 class DomainCalculator:
     """Per-diagram cache of the corner system, factored once, of the
     periodic lattice (its basis and the n_z row of each basis domain), of
-    one ``PeriodicLattice`` per mu row and of the connecting solve of each
-    ordered generator pair.
+    one ``PeriodicLattice`` per mu row and of each generator's split.
 
     The corner target of (x, y) is e(x) - e(y), e(g) being the indicator of
-    g's points among the crossings, so with U A V = D factored once, U is
-    applied to e(g) once per generator and each pair's solve starts from
-    the difference of two such images."""
+    g's points among the crossings.  With U A V = D factored once, each
+    generator's U e(g) = D q + r is split once (``snf.split_transformed``):
+    ``key(g)`` is r and p(g) = V q.  Remainders are canonical, so x and y
+    are connected exactly when their keys are equal, and then p(x) - p(y)
+    is the solve of their pair."""
 
     def __init__(self, d: HeegaardDiagram):
         self.diagram = d
@@ -88,33 +89,34 @@ class DomainCalculator:
         self.periodic_n_z = [
             list(marked_multiplicities(d, P)) for P in self.periodic_basis
         ]
-        self._images = {}
-        self._connecting = {}
+        self._splits = {}
         self._lattices = {}
 
-    def _image(self, g: Generator) -> list:
-        """U e(g), computed once per generator."""
-        image = self._images.get(g.points)
-        if image is None:
+    def _split(self, g: Generator) -> tuple:
+        """(key(g), p(g)), computed once per generator."""
+        got = self._splits.get(g.points)
+        if got is None:
             e = [0] * len(self.diagram.crossings)
             for p in g.points:
                 e[p] += 1
-            image = self._images[g.points] = snf.mat_vec(self.factored.U, e)
-        return image
+            q, r = snf.split_transformed(self.factored, snf.mat_vec(self.factored.U, e))
+            got = self._splits[g.points] = (tuple(r), snf.mat_vec(self.factored.V, q))
+        return got
+
+    def key(self, g: Generator) -> tuple:
+        """Equal for two generators exactly when a domain connects them."""
+        return self._split(g)[0] if self.matrix else ()
 
     def connecting(self, x: Generator, y: Generator) -> ConnectingDomains:
-        """The connecting solve for (x, y), made once per ordered pair and
-        shared by the Spin^c partition, the gradings and the enumerator; it
-        equals ``snf.solve_integer(self.factored, corner_target(d, x, y))``."""
-        key = (x.points, y.points)
-        if key not in self._connecting:
-            if self.matrix:
-                ub = [a - b for a, b in zip(self._image(x), self._image(y))]
-                sol = snf.solve_transformed(self.factored, ub)
-            else:
-                sol = [0] * len(self.diagram.regions)
-            self._connecting[key] = ConnectingDomains(exists=sol is not None, particular=sol)
-        return self._connecting[key]
+        """The connecting solve for (x, y), one vector subtraction from the
+        generators' splits; it equals ``snf.solve_integer(self.factored,
+        corner_target(d, x, y))``."""
+        if not self.matrix:
+            return ConnectingDomains(exists=True, particular=[0] * len(self.diagram.regions))
+        (kx, px), (ky, py) = self._split(x), self._split(y)
+        if kx != ky:
+            return ConnectingDomains(exists=False, particular=None)
+        return ConnectingDomains(exists=True, particular=[a - b for a, b in zip(px, py)])
 
     def lattice(self, at: Generator | None) -> "PeriodicLattice":
         """The periodic lattice with the mu row of the Spin^c class of ``at``

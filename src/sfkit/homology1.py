@@ -11,10 +11,11 @@ in Smith normal form together with the classes PD[gamma_i] of the puncture
 circles, which drive both the H-filtration of the suture algebra and the
 relative Spin^c difference table.
 
-The chain model, its cycle kernel and the cycles expressed in that kernel
-are built once per diagram (``HeegaardDiagram.surface_model``);
-``curves_independent``, ``surface_h1`` and ``h1_presentation`` are views
-over that one model.
+The chain model and a spanning forest of its 1-skeleton are built once per
+diagram (``HeegaardDiagram.surface_model``).  The fundamental cycles of the
+non-forest edges are a Z-basis of the cycles, so a cycle's coordinates are
+its entries on those edges; ``curves_independent``, ``surface_h1`` and
+``h1_presentation`` are views over that one model.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .diagram import ALPHA, BETA, HeegaardDiagram, _arc_entry
 
 @dataclass
 class ChainModel:
-    edge_index: dict  # edge id -> position
-    boundary1: list  # rows = vertices, cols = edges
+    vertices: int  # number of vertices
+    edges: list  # position -> (tail vertex, head vertex)
+    cotree: list  # positions of the edges outside the spanning forest
     cell_columns: list  # one column per region (over edges)
     curve_cycles: dict  # (side, curve index) -> edge-coefficient vector
     puncture_cycles: list  # mark index -> edge vector
@@ -97,12 +99,24 @@ def build_chain_model(d: HeegaardDiagram) -> ChainModel:
             bump(f"g{m}", 1)
         cell_columns.append(col)
 
+    # spanning forest of the 1-skeleton, by union-find in edge order
+    root = list(range(len(vertices)))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    cotree = []
+    for pos, (tail, head) in enumerate(edges):
+        a, b = find(tail), find(head)
+        if a == b:
+            cotree.append(pos)
+        else:
+            root[a] = b
+
     n_edges = len(edges)
-    boundary1 = [[0] * n_edges for _ in range(len(vertices))]
-    for eid, pos in edge_index.items():
-        tail, head = edges[pos]
-        boundary1[head][pos] += 1
-        boundary1[tail][pos] -= 1
 
     def col_vector(col):
         v = [0] * n_edges
@@ -127,8 +141,9 @@ def build_chain_model(d: HeegaardDiagram) -> ChainModel:
         punctures.append(v)
 
     return ChainModel(
-        edge_index=edge_index,
-        boundary1=boundary1,
+        vertices=len(vertices),
+        edges=edges,
+        cotree=cotree,
         cell_columns=cells,
         curve_cycles=curve_cycles,
         puncture_cycles=punctures,
@@ -137,10 +152,10 @@ def build_chain_model(d: HeegaardDiagram) -> ChainModel:
 
 @dataclass
 class SurfaceModel:
-    """The chain model of one diagram with its cycles expressed once in the
-    coordinates of ker(boundary1)."""
+    """The cycles of one diagram's chain model, expressed once in the basis
+    of fundamental cycles: by their entries on the non-forest edges."""
 
-    rank: int  # rank of the cycle group ker(boundary1)
+    rank: int  # rank of the cycle group: the number of non-forest edges
     cells: list  # region boundaries
     curves: dict  # (side, curve index) -> curve class
     punctures: list  # mark index -> puncture circle class
@@ -154,20 +169,18 @@ class SurfaceModel:
 def build_surface_model(d: HeegaardDiagram) -> SurfaceModel:
     """Use ``d.surface_model``, which builds this once per diagram."""
     model = build_chain_model(d)
-    kernel = snf.kernel_basis(model.boundary1)
-    # columns of K as a matrix over edges, factored once for every cycle
-    n_edges = len(model.boundary1[0]) if model.boundary1 else 0
-    K = [[kernel[b][e] for b in range(len(kernel))] for e in range(n_edges)]
-    factored = snf.smith_normal_form(K) if kernel else None
 
     def express(cycle):
-        sol = snf.solve_integer(factored, cycle) if kernel else []
-        if sol is None:
+        ends = [0] * model.vertices
+        for (tail, head), c in zip(model.edges, cycle):
+            ends[head] += c
+            ends[tail] -= c
+        if any(ends):
             raise ValueError("vector is not a 1-cycle")
-        return sol
+        return [cycle[e] for e in model.cotree]
 
     return SurfaceModel(
-        rank=len(kernel),
+        rank=len(model.cotree),
         cells=[express(c) for c in model.cell_columns],
         curves={key: express(v) for key, v in model.curve_cycles.items()},
         punctures=[express(v) for v in model.puncture_cycles],

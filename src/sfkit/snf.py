@@ -337,9 +337,9 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
                     _swap_cols(V, t, j)
                     dirty = True
 
-        # enforce divisibility d_t | D[i][j] for the trailing block
+        # enforce d_t | D[i][j] on the trailing block (a unit pivot divides all)
         offender = None
-        for i in range(t + 1, rows):
+        for i in range(t + 1, rows) if not ring.is_unit(D[t][t]) else ():
             for j in range(t + 1, cols):
                 if ring.is_zero(D[i][j]):
                     continue
@@ -403,28 +403,23 @@ def solve_integer(A, b, ring: Ring = ZZ):
     y_i = (U b)_i / d_i.
     """
     snf = _factored(A, ring)
-    if not snf.U:
-        return [ring.zero()] * len(snf.V)
-    return solve_transformed(snf, mat_vec(snf.U, b, ring), ring)
-
-
-def solve_transformed(snf: SNFResult, ub, ring: Ring = ZZ):
-    """``solve_integer`` from U b instead of b, for a caller that keeps U b
-    of the parts of its right-hand sides: x = V y with y_i = (U b)_i / d_i,
-    or None when some division is not exact."""
-    rows, cols = len(snf.U), len(snf.V)
-    y = [ring.zero()] * cols
-    for i in range(rows):
-        if ring.is_zero(ub[i]):
-            continue  # y_i = 0 whatever d_i is
-        d = snf.D[i][i] if i < min(rows, cols) else ring.zero()
-        if ring.is_zero(d):
-            return None
-        q, r = ring.divmod(ub[i], d)
-        if not ring.is_zero(r):
-            return None
-        y[i] = q
+    y, rem = split_transformed(snf, mat_vec(snf.U, b, ring), ring)
+    if not all(ring.is_zero(r) for r in rem):
+        return None
     return mat_vec(snf.V, y, ring)
+
+
+def split_transformed(snf: SNFResult, ub, ring: Ring = ZZ):
+    """(y, r) with (U b)_i = d_i y_i + r_i on the rank rows, r_i = (U b)_i and
+    y_i = 0 beyond them: A x = b is solvable exactly when r = 0, by x = V y.
+    ``ring.divmod`` leaves canonical remainders, so A x = b1 - b2 is
+    solvable exactly when b1 and b2 leave equal r, by x = V y1 - V y2."""
+    y = [ring.zero()] * len(snf.V)
+    rem = list(ub)
+    for i, d in enumerate(snf.diag):
+        if not ring.is_zero(ub[i]):
+            y[i], rem[i] = ring.divmod(ub[i], d)
+    return y, rem
 
 
 def kernel_basis(A):

@@ -1,11 +1,13 @@
 """Relative Spin^c classes of generators and the associated gradings.
 
 Generators are grouped by the equivalence "some domain connects x to y"
-(classes of Spin^c structures on the filled manifold).  Within a class the
-difference s(x) - s(y) in H = H^2(X, dX; Z) is the image of the marked-point
-multiplicity vector of any connecting domain; the relative Maslov grading is
-defined modulo d(s), the gcd of mu over the periodic domains missing all
-marked points.
+(classes of Spin^c structures on the filled manifold), read from the
+calculator's per-generator keys.  Within a class the difference s(x) - s(y)
+in H = H^2(X, dX; Z) is the image of the marked-point multiplicity vector
+of any connecting domain, so it is c(x) - c(y), with c(x) = s(x) - s(first
+generator of the block) from one solve per generator.  The relative Maslov
+grading is defined modulo d(s), the gcd of mu over the periodic domains
+missing all marked points.
 
 Grading weights d_i of the suture variables are pinned by the requirement
 that mu(P) + sum_i d_i n_{z_i}(P) vanish mod d(s) for every periodic domain P
@@ -42,28 +44,23 @@ class SpincPartition:
     homology: HomologyPresentation
     blocks: list  # list of lists of generator indices
     generators: tuple
-    diffs: dict  # (i, j) -> element of H, for i, j in one block
+    classes: dict  # generator index -> (block index, s(x) - s(block[0]) in H)
 
     def diff(self, i: int, j: int):
-        if (i, j) not in self.diffs:
+        (bi, ci), (bj, cj) = self.classes[i], self.classes[j]
+        if bi != bj:
             raise NoConnectingDomain(f"generators {i} and {j} are in different classes")
-        return self.diffs[(i, j)]
+        return self.homology.group.add(ci, self.homology.group.neg(cj))
 
 
 def spinc_partition(calc: DomainCalculator,
                     homology: HomologyPresentation) -> SpincPartition:
-    """The Spin^c blocks of the calculator's diagram; ``homology`` is its H1."""
+    """The Spin^c blocks of the calculator's diagram; ``homology`` is its H1.
+
+    Generators with equal ``calc.key`` form one block, in index order, and
+    each is solved once against its block's first generator."""
     d = calc.diagram
     gens = d.generators()
-    n = len(gens)
-
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
     # the H-difference is independent of the connecting domain because the
     # n_z vector of a periodic domain maps to 0 in H; assert that on the basis
@@ -71,25 +68,18 @@ def spinc_partition(calc: DomainCalculator,
         if homology.chi_of_exponents(nz) != homology.group.zero():
             raise AssertionError("periodic domain with nonzero H-image of n_z")
 
-    # connecting domains add up, so every pair of a block is solved directly
-    diffs = {(i, i): homology.group.zero() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            con = calc.connecting(gens[i], gens[j])
-            if con.exists:
-                val = homology.chi_of_exponents(marked_multiplicities(d, con.particular))
-                diffs[(i, j)], diffs[(j, i)] = val, homology.group.neg(val)
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-    blocks_map = {}
-    for i in range(n):
-        blocks_map.setdefault(find(i), []).append(i)
-    blocks = [sorted(v) for _, v in sorted(blocks_map.items())]
-    return SpincPartition(
-        diagram=d, homology=homology, blocks=blocks, generators=gens, diffs=diffs
-    )
+    by_key = {}
+    for i, g in enumerate(gens):
+        by_key.setdefault(calc.key(g), []).append(i)
+    blocks = list(by_key.values())
+    classes = {}
+    for bi, block in enumerate(blocks):
+        classes[block[0]] = (bi, homology.group.zero())
+        for i in block[1:]:
+            con = calc.connecting(gens[i], gens[block[0]])
+            classes[i] = (bi, homology.chi_of_exponents(marked_multiplicities(d, con.particular)))
+    return SpincPartition(diagram=d, homology=homology, blocks=blocks,
+                          generators=gens, classes=classes)
 
 
 @dataclass

@@ -2,7 +2,7 @@ import pytest
 
 from sfkit import corpus
 from sfkit.diagram import ALPHA, BETA
-from sfkit.homology1 import h1_presentation, surface_h1
+from sfkit.homology1 import build_chain_model, h1_presentation, surface_h1
 
 
 def test_torus_min_h1_trivial():
@@ -101,26 +101,7 @@ def test_stabilized_suture_class():
     assert g[2] == pres.group.neg(g[1])
 
 
-# -- factor-once solving against a fresh factorization per cycle ---------------
-
-
-def _reference_h1_presentation(d):
-    """h1_presentation with a fresh Smith normal form of K for every cycle."""
-    from sfkit import snf
-    from sfkit.homology1 import build_chain_model
-
-    model = build_chain_model(d)
-    kernel = snf.kernel_basis(model.boundary1)
-    n_edges = len(model.boundary1[0]) if model.boundary1 else 0
-    K = [[kernel[b][e] for b in range(len(kernel))] for e in range(n_edges)]
-
-    def express(cycle):
-        return snf.solve_integer(K, cycle) if kernel else []
-
-    relations = [express(c) for c in model.cell_columns]
-    relations += [express(v) for v in model.curve_cycles.values()]
-    group = snf.cokernel(relations, len(kernel))
-    return group, [group.project(express(v)) for v in model.puncture_cycles]
+# -- spanning-forest coordinates against a fresh factorization per cycle ------
 
 
 # every corpus diagram, and the unknot and the trefoil stabilized once and twice
@@ -138,13 +119,161 @@ def _stabilized(name, k):
     return d
 
 
+def _boundary1(model):
+    """The dense boundary matrix of the chain model: rows vertices, columns
+    edges."""
+    rows = [[0] * len(model.edges) for _ in range(model.vertices)]
+    for pos, (tail, head) in enumerate(model.edges):
+        rows[head][pos] += 1
+        rows[tail][pos] -= 1
+    return rows
+
+
+def _model_cycles(model):
+    """Every cycle the surface model expresses, cells, curves, punctures."""
+    return (list(model.cell_columns) + list(model.curve_cycles.values())
+            + list(model.puncture_cycles))
+
+
+def _reference_h1_presentation(d):
+    """h1_presentation in the coordinates of the Smith-form kernel basis K of
+    boundary1, with a fresh Smith normal form of K for every cycle.
+
+    Returns K (a list of kernel vectors over the edges), the coordinates of
+    every model cycle in that basis, the group and the pd classes."""
+    from sfkit import snf
+
+    model = build_chain_model(d)
+    kernel = snf.kernel_basis(_boundary1(model)) if model.edges else []
+    K = [[kernel[b][e] for b in range(len(kernel))] for e in range(len(model.edges))]
+
+    def express(cycle):
+        return snf.solve_integer(K, cycle) if kernel else []
+
+    coords = [express(c) for c in _model_cycles(model)]
+    n_cells, n_curves = len(model.cell_columns), len(model.curve_cycles)
+    group = snf.cokernel(coords[:n_cells + n_curves], len(kernel))
+    pd = [group.project(v) for v in coords[n_cells + n_curves:]]
+    return kernel, coords, group, pd
+
+
+def _det(M):
+    from fractions import Fraction
+
+    A = [[Fraction(x) for x in row] for row in M]
+    out = Fraction(1)
+    for j in range(len(A)):
+        piv = next((i for i in range(j, len(A)) if A[i][j]), None)
+        if piv is None:
+            return 0
+        if piv != j:
+            A[j], A[piv] = A[piv], A[j]
+            out = -out
+        out *= A[j][j]
+        for i in range(j + 1, len(A)):
+            f = A[i][j] / A[j][j]
+            A[i] = [x - f * y for x, y in zip(A[i], A[j])]
+    return out
+
+
 @pytest.mark.parametrize("name, k", CORPUS_AND_LADDER)
 def test_h1_presentation_matches_fresh_solves(name, k):
+    # the forest basis and the Smith-form basis K of ker(boundary1) differ by
+    # M, the rows of K at the non-forest edges: M must be unimodular, carry
+    # every cycle's old coordinates to its new ones, and so induce an
+    # isomorphism of H that carries the old pd classes to the new ones
+    from sfkit import snf
+
     d = _stabilized(name, k)
     hp = h1_presentation(d)
-    group, pd = _reference_h1_presentation(d)
-    assert hp.group == group
-    assert hp.pd_classes == pd
+    m = d.surface_model
+    kernel, old, group, pd = _reference_h1_presentation(d)
+    cotree = build_chain_model(d).cotree
+    M = [[vec[e] for vec in kernel] for e in cotree]
+    assert len(M) == m.rank == len(kernel)
+    assert abs(_det(M)) == 1
+    new = m.cells + list(m.curves.values()) + m.punctures
+    assert [snf.mat_vec(M, v) for v in old] == new
+    assert hp.group.moduli == group.moduli
+    n_rel = len(m.cells) + len(m.curves)
+    zero = hp.group.zero()
+    for rel in old[:n_rel]:
+        assert hp.group.project(snf.mat_vec(M, rel)) == zero
+    for v, old_class, new_class in zip(old[n_rel:], pd, hp.pd_classes, strict=True):
+        assert hp.group.project(snf.mat_vec(M, v)) == new_class
+        assert (old_class == group.zero()) == (new_class == zero)
+    for a in range(len(pd)):
+        for b in range(len(pd)):
+            assert (pd[a] == pd[b]) == (hp.pd_classes[a] == hp.pd_classes[b])
+            assert (group.add(pd[a], pd[b]) == group.zero()) == (
+                hp.group.add(hp.pd_classes[a], hp.pd_classes[b]) == zero)
+
+
+def _fundamental_cycles(model):
+    """The cycle of each non-forest edge: the edge and the forest path from
+    its head back to its tail, as edge-coefficient vectors."""
+    forest = {}
+    for pos, (tail, head) in enumerate(model.edges):
+        if pos not in model.cotree:
+            forest.setdefault(tail, []).append((head, pos, 1))
+            forest.setdefault(head, []).append((tail, pos, -1))
+
+    def path(src, dst):
+        # depth-first search in the forest: src -> dst as a chain
+        stack, seen = [(src, [0] * len(model.edges))], {src}
+        while stack:
+            v, chain = stack.pop()
+            if v == dst:
+                return chain
+            for w, pos, sign in forest.get(v, ()):
+                if w not in seen:
+                    seen.add(w)
+                    step = list(chain)
+                    step[pos] += sign
+                    stack.append((w, step))
+        raise AssertionError("non-forest edge joins two trees")
+
+    cycles = []
+    for pos in model.cotree:
+        tail, head = model.edges[pos]
+        chain = path(head, tail)
+        chain[pos] += 1
+        cycles.append(chain)
+    return cycles
+
+
+@pytest.mark.parametrize("name, k", CORPUS_AND_LADDER)
+def test_forest_coordinates_form_a_basis(name, k):
+    # each model cycle is the sum of the fundamental cycles weighted by its
+    # coordinates, every fundamental cycle is a cycle, and their number is
+    # the rank E - V + components of the cycle group
+    from sfkit import snf
+
+    d = _stabilized(name, k)
+    model = build_chain_model(d)
+    fundamental = _fundamental_cycles(model)
+    boundary = _boundary1(model)
+    for z in fundamental:
+        assert not any(snf.mat_vec(boundary, z))
+    root = list(range(model.vertices))
+
+    def find(a):
+        while root[a] != a:
+            a = root[a]
+        return a
+
+    for tail, head in model.edges:
+        root[find(tail)] = find(head)
+    components = sum(1 for v in range(model.vertices) if find(v) == v)
+    assert len(model.cotree) == len(model.edges) - model.vertices + components
+    m = d.surface_model
+    assert m.rank == len(model.cotree)
+    new = m.cells + list(m.curves.values()) + m.punctures
+    for cycle, coords in zip(_model_cycles(model), new, strict=True):
+        rebuilt = [0] * len(model.edges)
+        for c, z in zip(coords, fundamental, strict=True):
+            rebuilt = [a + c * b for a, b in zip(rebuilt, z)]
+        assert rebuilt == cycle
 
 
 @pytest.mark.parametrize("name", corpus.corpus_names())

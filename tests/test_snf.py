@@ -156,3 +156,49 @@ def test_solve_integer_over_fpu(M, x):
     assert sol is not None
     assert snf.mat_vec(M, sol, dom) == b
     assert snf.solve_integer(snf.smith_normal_form(M, dom), b, dom) == sol
+
+
+def _ring_det(M, ring):
+    """Leibniz determinant over any ring (the matrices here are at most 4x4)."""
+    from itertools import permutations
+
+    n = len(M)
+    acc = ring.zero()
+    for perm in permutations(range(n)):
+        inversions = sum(1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b])
+        term = ring.one() if inversions % 2 == 0 else ring.neg(ring.one())
+        for i, j in enumerate(perm):
+            term = ring.mul(term, M[i][j])
+        acc = ring.add(acc, term)
+    return acc
+
+
+def _fpu_matrix(p):
+    entry = st.lists(st.integers(0, p - 1), max_size=3).map(
+        lambda c: snf.FpURing(p).add(tuple(c), ()))
+    return st.integers(1, 4).flatmap(lambda cols: st.lists(
+        st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(snf.ZZ), small_matrix),
+    st.tuples(st.just(snf.FpURing(2)), _fpu_matrix(2)),
+    st.tuples(st.just(snf.FpURing(3)), _fpu_matrix(3)),
+))
+def test_snf_factorization_over_euclidean_rings(case):
+    # U A V = D with D diagonal, d_1 | d_2 | ..., and U, V invertible: the
+    # divisibility sweep is skipped after a unit pivot, which must change none
+    # of this
+    ring, A = case
+    res = snf.smith_normal_form(A, ring)
+    assert snf.mat_mul(snf.mat_mul(res.U, A, ring), res.V, ring) == res.D
+    for i, row in enumerate(res.D):
+        for j, v in enumerate(row):
+            if i != j:
+                assert ring.is_zero(v)
+    assert res.diag == [res.D[i][i] for i in range(res.rank)]
+    for a, b in zip(res.diag, res.diag[1:]):
+        assert ring.is_zero(ring.divmod(b, a)[1])
+    assert ring.is_unit(_ring_det(res.U, ring))
+    assert ring.is_unit(_ring_det(res.V, ring))

@@ -168,3 +168,68 @@ def test_corpus_report_grades_each_block_once(name, monkeypatch):
             monkeypatch.setattr(module, "grading_data", counting)
     report = corpuscheck.diagram_report(name)
     assert sorted(calls) == list(range(len(report["spinc_blocks"])))
+
+
+# -- blocks by key against the all-pairs partition -----------------------------
+
+
+def _reference_partition(d, calc, homology):
+    """The partition by an all-pairs solve and union-find: every pair is
+    solved afresh on the corner matrix, and the H-difference of a connected
+    pair is the image of its connecting domain's n_z."""
+    from sfkit import snf
+    from sfkit.domains import corner_target
+
+    gens = d.generators()
+    n = len(gens)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    group = homology.group
+    diffs = {(i, i): group.zero() for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if calc.matrix:
+                sol = snf.solve_integer(calc.matrix, corner_target(d, gens[i], gens[j]))
+            else:
+                sol = [0] * len(d.regions)
+            if sol is not None:
+                val = homology.chi_of_exponents(marked_multiplicities(d, sol))
+                diffs[(i, j)], diffs[(j, i)] = val, group.neg(val)
+                ra, rb = find(i), find(j)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    blocks = {}
+    for i in range(n):
+        blocks.setdefault(find(i), []).append(i)
+    return [sorted(v) for _, v in sorted(blocks.items())], diffs
+
+
+PARTITION_CASES = [(name, 0) for name in corpus.corpus_names()] + [
+    (name, k) for name in ("unknot", "trefoil", "grid2") for k in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name, k", PARTITION_CASES)
+def test_partition_by_key_matches_all_pairs(name, k):
+    from sfkit.stabilize import stabilize_diagram
+
+    d = corpus.load_diagram(name)
+    for _ in range(k):
+        d = stabilize_diagram(d, 0)
+    data = DiagramData.build(d)
+    part = data.partition
+    blocks, diffs = _reference_partition(d, data.calc, data.homology)
+    assert part.blocks == blocks
+    n = len(part.generators)
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in diffs:
+                assert part.diff(i, j) == diffs[(i, j)]
+            else:
+                with pytest.raises(NoConnectingDomain):
+                    part.diff(i, j)
