@@ -177,9 +177,16 @@ def _verify_witness(d, at, P, stratum, mu_mode):
         raise WitnessError("witness does not lie in its stratum")
 
 
-def check_s_admissible(lattice: PeriodicLattice) -> AdmissibilityReport:
+def _s_report(lattice: PeriodicLattice) -> AdmissibilityReport:
     strata = survival_strata(tilde_kill_supports(lattice.diagram))
     return _check(lattice, "s", strata, "zero")
+
+
+def check_s_admissible(lattice: PeriodicLattice) -> AdmissibilityReport:
+    """The s-admissibility report of the lattice, checked once and kept with
+    it: every block that shares the lattice, and every caller, reads the
+    same report."""
+    return lattice.compiled("s-admissible", _s_report)
 
 
 def check_weak_admissible(lattice: PeriodicLattice, hom) -> AdmissibilityReport:

@@ -196,6 +196,8 @@ def cmd_algebra(args):
 
 
 def cmd_admissible(args):
+    if args.hom is not None and args.criterion != "weak":
+        raise BadArgument(f"--hom applies to --criterion weak, not to --criterion {args.criterion}")
     d = load_diagram(args.diagram)
     data = DiagramData.build(d)
     lattice = data.lattices[0]

@@ -208,8 +208,9 @@ class PeriodicLattice:
     so ``at`` is any generator whose row matches: by linearity mu agrees
     with that row on every lattice element, whichever generator it is
     computed at.
-    The systems that all generator pairs of the class share (see
-    ``compiled``) are kept with the lattice and freed with it.
+    The systems that all generator pairs of the class share and the
+    s-admissibility report (see ``compiled``) are kept with the lattice and
+    freed with it.
     """
 
     calc: DomainCalculator
@@ -235,7 +236,7 @@ class PeriodicLattice:
 
     def compiled(self, key, build):
         """``build(self)``, made on first request and kept with the lattice:
-        the systems every generator pair of the block shares."""
+        what every generator pair of the block shares."""
         if key not in self._compiled:
             self._compiled[key] = build(self)
         return self._compiled[key]

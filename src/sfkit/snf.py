@@ -279,6 +279,24 @@ class SNFResult:
     rank: int
 
 
+def _pivot(D, t, ring):
+    """(i, j) of the first entry of least norm in the block D[t:][t:], or
+    None when the block is zero.  Over ZZ and F_p[U] a unit has the least
+    norm, so the scan ends at the first unit."""
+    best = at = None
+    for i in range(t, len(D)):
+        row = D[i]
+        for j in range(t, len(row)):
+            a = row[j]
+            if not ring.is_zero(a):
+                if ring.is_unit(a):
+                    return i, j
+                n = ring.norm(a)
+                if best is None or n < best:
+                    best, at = n, (i, j)
+    return at
+
+
 def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
     rows = len(A)
     cols = len(A[0]) if rows else 0
@@ -286,25 +304,14 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
     U = _identity(rows, ring)
     V = _identity(cols, ring)
 
-    def pivot_search(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = D[i][j]
-                if not ring.is_zero(a):
-                    n = ring.norm(a)
-                    if best is None or n < best[0]:
-                        best = (n, i, j)
-        return best
-
     t = 0
     while True:
         if t >= rows or t >= cols:
             break
-        found = pivot_search(t)
+        found = _pivot(D, t, ring)
         if found is None:
             break
-        _, pi, pj = found
+        pi, pj = found
         if pi != t:
             _swap_rows(D, t, pi)
             _swap_rows(U, t, pi)

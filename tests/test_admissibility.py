@@ -8,7 +8,7 @@ import pytest
 
 import sfkit
 from sfkit import algebra as alg
-from sfkit import corpus, snf
+from sfkit import corpus, linprog, snf
 from sfkit.admissibility import (
     NotAdmissibleError,
     WitnessError,
@@ -21,7 +21,7 @@ from sfkit.admissibility import (
     survival_strata,
     tilde_kill_supports,
 )
-from sfkit.cf import DiagramData
+from sfkit.cf import DiagramData, build_cf
 from sfkit.diskcount import enumerate_mu1_classes
 from sfkit.domains import (
     DomainCalculator,
@@ -48,6 +48,31 @@ def _lattice(d):
 @pytest.mark.parametrize("name", ADMISSIBLE)
 def test_corpus_s_admissible(name):
     assert check_s_admissible(_lattice(corpus.load_diagram(name))).admissible
+
+
+@pytest.mark.parametrize("name", ["trefoil", "grid2", "torus_lens", "special_hs"])
+def test_s_admissibility_is_checked_once_per_lattice(name, monkeypatch):
+    # the report is kept with the lattice: build_cf after check_s_admissible
+    # on the same lattice solves no further system, and the report equals a
+    # fresh check of the same lattice
+    d = corpus.load_diagram(name)
+    data = DiagramData.build(d)
+    first = check_s_admissible(data.lattices[0])
+    calls = []
+    original = linprog.feasible_point
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linprog, "feasible_point", counting)
+    for bi in range(len(data.lattices)):
+        build_cf(d, bi, data=data)
+    assert calls == []
+    assert check_s_admissible(data.lattices[0]) == first
+    strata = survival_strata(tilde_kill_supports(d))
+    assert _check(data.lattices[0], "s", strata, "zero") == first
+    assert len(calls) == len(strata) and first.admissible
 
 
 def test_sphere_fixture_not_admissible_with_witness():

@@ -104,8 +104,8 @@ def test_malformed_diagram_exits_2(tmp_path, capsys, mutate, command):
 # raised tracebacks, and -1, --cone-variable 0, Zp:4, F4U,
 # --knot-sutures -1, a diagram beside --knot-sutures, --coefficients
 # beside a hom other than all-zero, --hom or --coefficients given to complex
-# build or d2, and --cone-variable given to an action other than cone
-# answered with one input ignored
+# build or d2, --cone-variable given to an action other than cone, and --hom
+# given to admissible without --criterion weak answered with one input ignored
 BAD_ARGUMENTS = [
     ("homology", "DIAGRAM", "--spinc", "5"),
     ("homology", "DIAGRAM", "--spinc", "-1"),
@@ -134,6 +134,8 @@ BAD_ARGUMENTS = [
     ("complex", "d2", "DIAGRAM", "--coefficients", "Zp:3"),
     ("complex", "homology", "DIAGRAM", "--cone-variable", "7"),
     ("complex", "d2", "DIAGRAM", "--cone-variable", "1"),
+    ("admissible", "DIAGRAM", "--hom", "to-U"),
+    ("admissible", "DIAGRAM", "--criterion", "strong", "--hom", "nonsense"),
 ]
 
 
@@ -360,3 +362,89 @@ def test_mutated_diagrams_exit_0_1_or_2(data):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = cli.main([command, mutated])
             assert code in (0, 1, 2), (name, path, command)
+
+
+# -- fuzzing: mutated command-line arguments ----------------------------------
+
+FUZZ_DIAGRAMS = ["unknot", "trefoil", "torus_min", "torus_lens", "sphere_bad", "grid2"]
+
+# (words, options the subcommand takes); "D" stands for a diagram path and
+# "N" for a number
+_COMPLEX_OPTIONS = ("--hom", "--coefficients", "--spinc")
+FUZZ_COMMANDS = [
+    (("validate", "D"), ()),
+    (("components", "D"), ()),
+    (("generators", "D"), ()),
+    (("algebra", "D"), ("--variant", "--knot-sutures")),
+    (("algebra", "--knot-sutures", "N"), ("--variant",)),
+    (("admissible", "D"), ("--criterion", "--hom")),
+    (("classes", "D", "--from", "N", "--to", "N"), ()),
+    (("niceness", "D"), ()),
+    (("complex", "build", "D"), _COMPLEX_OPTIONS + ("--cone-variable",)),
+    (("complex", "homology", "D"), _COMPLEX_OPTIONS + ("--cone-variable",)),
+    (("complex", "d2", "D"), _COMPLEX_OPTIONS + ("--cone-variable",)),
+    (("complex", "cone", "D"), _COMPLEX_OPTIONS + ("--cone-variable",)),
+    (("homology", "D"), _COMPLEX_OPTIONS),
+    (("triangle",), ("--multiplier", "--sabotage")),
+    (("stabilize", "D", "--suture", "N"), ("--check",)),
+    (("surgery", "N", "N", "N"), ()),
+]
+
+_numbers = st.sampled_from([str(i) for i in range(-3, 10)] + ["", "x", "1.5"])
+_rings = st.sampled_from([
+    "Q", "Z", "F2", "F2U", "F3U", "F4U", "Zp:2", "Zp:3", "Zp:4", "Zp:0",
+    "Zp:-3", "Zp:x", "W", "",
+])
+_VALUES = {
+    "--spinc": _numbers, "--from": _numbers, "--to": _numbers,
+    "--suture": _numbers, "--cone-variable": _numbers, "--knot-sutures": _numbers,
+    "--multiplier": _numbers, "--coefficients": _rings,
+    "--hom": st.sampled_from(["all-zero", "to-U", "b-tau", "identity", "nonsense", ""]),
+    "--criterion": st.sampled_from(["s", "weak", "strong", "nonsense"]),
+    "--variant": st.sampled_from(["plain", "tilde", "hat", "nonsense"]),
+}
+_ALL_OPTIONS = sorted(_VALUES) + ["--check", "--sabotage"]
+
+
+@st.composite
+def _argument_vectors(draw):
+    """A subcommand's argument vector with its values replaced (out-of-range
+    numbers, unknown labels, missing diagrams), now and then a word dropped,
+    and options added: mostly ones the subcommand takes, sometimes any."""
+    paths = [corpus_path(n) for n in FUZZ_DIAGRAMS] + ["/nonexistent.json", "src"]
+    words, options = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = []
+    for word in words:
+        if word == "D":
+            word = draw(st.sampled_from(paths))
+        elif word == "N":
+            word = draw(_numbers)
+        argv.append(word)
+    if len(argv) > 1 and draw(st.integers(0, 5)) == 0:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        foreign = draw(st.integers(0, 4)) == 0
+        if not (foreign or options):
+            continue
+        option = draw(st.sampled_from(_ALL_OPTIONS if foreign else options))
+        argv.append(option)
+        if option in _VALUES:
+            argv.append(draw(_VALUES[option]))
+    if draw(st.booleans()):
+        argv.insert(0, "--json")
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_argument_vectors())
+def test_mutated_arguments_exit_0_1_or_2(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses what it cannot parse
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 2:
+        assert err.getvalue(), argv

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -202,3 +204,46 @@ def test_snf_factorization_over_euclidean_rings(case):
         assert ring.is_zero(ring.divmod(b, a)[1])
     assert ring.is_unit(_ring_det(res.U, ring))
     assert ring.is_unit(_ring_det(res.V, ring))
+
+
+def _full_scan_pivot(D, t, ring):
+    """The reference pivot search: scan the whole block D[t:][t:] and keep
+    the first entry of least norm."""
+    best = at = None
+    for i in range(t, len(D)):
+        for j in range(t, len(D[i])):
+            a = D[i][j]
+            if not ring.is_zero(a):
+                n = ring.norm(a)
+                if best is None or n < best:
+                    best, at = n, (i, j)
+    return at
+
+
+def _random_entry(rng, ring):
+    if ring is snf.ZZ:
+        return rng.choice([0, 0, 1, -1, 2, -2, 3, 4, -6, 9])
+    return ring.add(tuple(rng.randrange(ring.p) for _ in range(rng.randint(0, 3))), ())
+
+
+@pytest.mark.parametrize("ring", [snf.ZZ, snf.FpURing(2), snf.FpURing(3)],
+                         ids=lambda r: r.name)
+def test_first_unit_pivot_matches_full_scan(ring):
+    # the pivot search stops at the first unit; over ZZ and F_p[U] a unit
+    # has the least norm, so the full scan picks the same entry and U, V and
+    # D come out identical
+    rng = random.Random(20261018)
+    calls = 0
+
+    def reference(D, t, ring):
+        nonlocal calls
+        calls += 1
+        return _full_scan_pivot(D, t, ring)
+
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        A = [[_random_entry(rng, ring) for _ in range(cols)] for _ in range(rows)]
+        fast = snf.smith_normal_form(A, ring)
+        with mock.patch.object(snf, "_pivot", reference):
+            assert snf.smith_normal_form(A, ring) == fast, A
+    assert calls > 300
