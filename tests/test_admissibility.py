@@ -72,7 +72,7 @@ def test_s_admissibility_is_checked_once_per_lattice(name, monkeypatch):
     assert check_s_admissible(data.lattices[0]) == first
     strata = survival_strata(tilde_kill_supports(d))
     assert _check(data.lattices[0], "s", strata, "zero") == first
-    assert len(calls) == len(strata) and first.admissible
+    assert first.admissible and len(calls) == len(strata)
 
 
 def test_sphere_fixture_not_admissible_with_witness():

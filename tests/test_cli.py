@@ -411,7 +411,8 @@ def _argument_vectors(draw):
     """A subcommand's argument vector with its values replaced (out-of-range
     numbers, unknown labels, missing diagrams), now and then a word dropped,
     and options added: mostly ones the subcommand takes, sometimes any."""
-    paths = [corpus_path(n) for n in FUZZ_DIAGRAMS] + ["/nonexistent.json", "src"]
+    paths = [corpus_path(n) for n in FUZZ_DIAGRAMS]
+    paths += ["/nonexistent.json", os.path.dirname(paths[0])]  # no file; a directory
     words, options = draw(st.sampled_from(FUZZ_COMMANDS))
     argv = []
     for word in words:
