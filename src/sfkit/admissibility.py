@@ -13,7 +13,6 @@ one Spin^c block (``domains.PeriodicLattice``), which also holds the diagram.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import linprog
 from .diagram import ALPHA, BETA, Generator, HeegaardDiagram
@@ -40,16 +39,20 @@ class WitnessError(NotAdmissibleError):
         self.condition = condition
 
 
-@dataclass
 class AdmissibilityReport:
-    criterion: str
-    admissible: bool
-    witness: list | None = None
-    witness_marks: tuple | None = None
-    witness_mu: int | None = None
-    strata: int = 0
-    vacuous_generators: bool = False
-    notes: list = field(default_factory=list)
+    def __init__(self, criterion: str, admissible: bool, strata: int = 0,
+                 vacuous_generators: bool = False):
+        self.criterion = criterion
+        self.admissible = admissible
+        self.witness = None  # a periodic domain, when not admissible
+        self.witness_marks = None
+        self.witness_mu = None
+        self.strata = strata
+        self.vacuous_generators = vacuous_generators
+        self.notes = []
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
     @property
     def verdict(self) -> str:
@@ -200,22 +203,22 @@ def check_strong_admissible(lattice: PeriodicLattice) -> AdmissibilityReport:
     return _check(lattice, "strong", strata, "nonpos")
 
 
-@dataclass
 class FinitenessCertificate:
-    finite: bool
-    bound: int | None  # None: no positive class of the index in any stratum
-    exists: bool  # was there any connecting class at all
+    def __init__(self, finite: bool, bound: int | None, exists: bool):
+        self.finite = finite
+        self.bound = bound  # None: no positive class of the index in any stratum
+        self.exists = exists  # was there any connecting class at all
 
 
-@dataclass
 class CertificateSystem:
     """One survival stratum's certificate system, compiled once per block:
     the cone rows of the stratum plus the total multiplicity, restricted to
     the mu slice, and the sources of the cone rows' right-hand sides."""
 
-    stratum: frozenset
-    sources: list
-    slice: linprog.Slice
+    def __init__(self, stratum: frozenset, sources: list, slice: linprog.Slice):
+        self.stratum = stratum
+        self.sources = sources
+        self.slice = slice
 
 
 def certificate_systems(lattice: PeriodicLattice) -> list:

@@ -11,7 +11,6 @@ coefficients instead of attempting general Groebner bases over Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 TILDE = "TILDE"
@@ -94,18 +93,21 @@ def leading(p):
     return max(p, key=mono_key)
 
 
-@dataclass
 class AlgebraSpec:
-    names: tuple
-    variant: str = CUSTOM
-    kill: tuple = ()  # monomial generators of the monomial ideal
-    relations: tuple = ()  # polynomial relations as tuples of (monomial, coeff)
-    kill_predicate: object = None  # optional semantic test (B_tau)
-    chi_classes: tuple = None  # per-variable element of the H group
-    chi_group: object = None  # snf.AbelianGroup
-    gr_weights: tuple = None  # per-variable grading weight (or None entries)
-    gr_modulus: int = 0
-    completion_cap: int = 500
+    def __init__(self, names: tuple, variant: str = CUSTOM, kill: tuple = (),
+                 relations: tuple = (), kill_predicate=None, chi_classes: tuple = None,
+                 chi_group=None, gr_weights: tuple = None, gr_modulus: int = 0,
+                 completion_cap: int = 500):
+        self.names = names
+        self.variant = variant
+        self.kill = kill  # monomial generators of the monomial ideal
+        self.relations = relations  # polynomial relations as tuples of (monomial, coeff)
+        self.kill_predicate = kill_predicate  # optional semantic test (B_tau)
+        self.chi_classes = chi_classes  # per-variable element of the H group
+        self.chi_group = chi_group  # snf.AbelianGroup
+        self.gr_weights = gr_weights  # per-variable grading weight (or None entries)
+        self.gr_modulus = gr_modulus
+        self.completion_cap = completion_cap
 
     # -- setup ----------------------------------------------------------
 

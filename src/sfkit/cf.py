@@ -8,7 +8,6 @@ homology refuses coefficient rings in which that weight survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import algebra as alg
@@ -26,7 +25,6 @@ class NotAdmissible(RuntimeError):
     pass
 
 
-@dataclass
 class DiagramData:
     """Exact data of one diagram, each piece computed once and shared.
 
@@ -39,12 +37,14 @@ class DiagramData:
     which classes survive, is built on first use and shared by every block.
     """
 
-    diagram: HeegaardDiagram
-    calc: DomainCalculator
-    homology: object
-    partition: object
-    lattices: list
-    gradings: list
+    def __init__(self, diagram: HeegaardDiagram, calc: DomainCalculator, homology,
+                 partition, lattices: list, gradings: list):
+        self.diagram = diagram
+        self.calc = calc
+        self.homology = homology
+        self.partition = partition
+        self.lattices = lattices
+        self.gradings = gradings
 
     @staticmethod
     def build(d: HeegaardDiagram) -> "DiagramData":

@@ -11,7 +11,6 @@ import json
 import sys
 
 from . import algebra as alg
-from . import corpus as corpus_mod
 from .admissibility import (
     NotAdmissibleError,
     check_s_admissible,
@@ -19,7 +18,7 @@ from .admissibility import (
     check_weak_admissible,
 )
 from .cf import DiagramData, NotAdmissible, build_cf
-from .complexes import ComplexError, homology, mapping_cone, multiplication_map
+from .complexes import ComplexError, homology
 from .diagram import ALPHA, BETA, HeegaardDiagram
 from .diskcount import enumerate_mu1_classes, niceness_report
 from .stabilize import BadSutureError, stabilize_diagram, verify_stabilization
@@ -328,7 +327,7 @@ def cmd_complex(args):
         emit(payload, args, [f"d^2 = 0 mod 2: {rep['ok']}"])
         return EXIT_OK if rep["ok"] else EXIT_FAIL
     if args.action == "cone":
-        from .complexes import les_check
+        from .cones import les_check, mapping_cone, multiplication_map
         from .snf import QRing
 
         given = 1 if args.cone_variable is None else args.cone_variable
@@ -357,7 +356,7 @@ def cmd_complex(args):
 
 def cmd_triangle(args):
     """Run the mapping-cone comparison on the bundled synthetic system."""
-    from .complexes import ChainMap, free_complex, mapping_cone
+    from .cones import ChainMap, free_complex, mapping_cone
     from .snf import ZpRing
     from .triangle import HypothesisFailed, TriangleSystem, triangle_machine
 

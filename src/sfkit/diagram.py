@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 ALPHA = "alpha"
 BETA = "beta"
@@ -39,22 +39,19 @@ class DiagramError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     alpha: int
     beta: int
     quadrants: tuple  # four region indices, counterclockwise
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     genus: int
     cycles: tuple  # tuple of cycles; see module docstring
     marks: tuple  # indices of marked points contained in the region
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A tuple of crossings, one on each alpha curve.
 
     ``perm[i]`` is the beta curve matched with alpha_i and ``points[i]`` the
@@ -68,8 +65,7 @@ class Generator:
         return "{" + ",".join(f"x{p}" for p in self.points) + "}"
 
 
-@dataclass(frozen=True)
-class ComplementComponent:
+class ComplementComponent(NamedTuple):
     side: str  # ALPHA: component of Sigma - alpha (an R^- piece); BETA: R^+
     index: int
     regions: tuple
@@ -77,11 +73,11 @@ class ComplementComponent:
     marks: tuple  # boundary sutures = marked points inside the component
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    genus: int | None
-    errors: list = field(default_factory=list)
+    def __init__(self, ok: bool, genus: int | None, errors: list | None = None):
+        self.ok = ok
+        self.genus = genus
+        self.errors = [] if errors is None else errors
 
     def error_codes(self):
         return sorted({code for code, _ in self.errors})
@@ -94,14 +90,30 @@ def _arc_entry(entry):
     return entry, False
 
 
-@dataclass(frozen=True)
 class HeegaardDiagram:
-    alpha: tuple
-    beta: tuple
-    arcs: tuple  # tuple of (arc id, endpoints or None) pairs, defines order
-    crossings: tuple
-    regions: tuple
-    num_marks: int
+    """A diagram compares and hashes by its six fields; the lookups below
+    are cached on first use."""
+
+    def __init__(self, alpha: tuple, beta: tuple, arcs: tuple, crossings: tuple,
+                 regions: tuple, num_marks: int):
+        self.alpha = alpha
+        self.beta = beta
+        self.arcs = arcs  # tuple of (arc id, endpoints or None) pairs, defines order
+        self.crossings = crossings
+        self.regions = regions
+        self.num_marks = num_marks
+
+    def _key(self):
+        return (self.alpha, self.beta, self.arcs, self.crossings, self.regions,
+                self.num_marks)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- construction -------------------------------------------------
 

@@ -21,8 +21,6 @@ homomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .admissibility import cone_rows, finiteness_certificate
 from .algebra import AlgebraSpec
 from .diagram import Generator, HeegaardDiagram
@@ -42,15 +40,19 @@ EMPTY_RECTANGLE = "EMPTY_RECTANGLE"
 UNSUPPORTED = "UNSUPPORTED"
 
 
-@dataclass
 class DiskClass:
-    domain: tuple
-    source: Generator
-    target: Generator
-    mu: int
-    n_z: tuple
-    classification: str
-    count: int | None  # mod-2 count when supported, None otherwise
+    def __init__(self, domain: tuple, source: Generator, target: Generator, mu: int,
+                 n_z: tuple, classification: str, count: int | None):
+        self.domain = domain
+        self.source = source
+        self.target = target
+        self.mu = mu
+        self.n_z = n_z
+        self.classification = classification
+        self.count = count  # mod-2 count when supported, None otherwise
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
     @property
     def supported(self) -> bool:
@@ -173,13 +175,14 @@ def enumerate_block_classes(calc: DomainCalculator, generators,
     return out
 
 
-@dataclass
 class NicenessReport:
-    region_shapes: list
-    total_classes: int
-    unsupported: list
-    hat_countable: bool
-    minus_countable: bool
+    def __init__(self, region_shapes: list, total_classes: int, unsupported: list,
+                 hat_countable: bool, minus_countable: bool):
+        self.region_shapes = region_shapes
+        self.total_classes = total_classes
+        self.unsupported = unsupported
+        self.hat_countable = hat_countable
+        self.minus_countable = minus_countable
 
 
 def region_shape(d: HeegaardDiagram, ri: int) -> str:

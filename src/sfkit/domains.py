@@ -11,7 +11,6 @@ is the lattice of periodic domains, factored once per diagram by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import snf
@@ -56,10 +55,10 @@ def is_periodic(d: HeegaardDiagram, D) -> bool:
     return all(D[q1] + D[q3] == D[q0] + D[q2] for q0, q1, q2, q3 in d.crossing_quadrants)
 
 
-@dataclass
 class ConnectingDomains:
-    exists: bool
-    particular: list | None
+    def __init__(self, exists: bool, particular: list | None):
+        self.exists = exists
+        self.particular = particular
 
 
 class DomainCalculator:
@@ -196,7 +195,6 @@ def full_surface_domain(d: HeegaardDiagram):
     return [1] * len(d.regions)
 
 
-@dataclass(frozen=True)
 class PeriodicLattice:
     """The lattice of periodic domains in one Spin^c class.
 
@@ -213,10 +211,11 @@ class PeriodicLattice:
     freed with it.
     """
 
-    calc: DomainCalculator
-    mu: list
-    at: Generator | None
-    _compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, calc: DomainCalculator, mu: list, at: Generator | None):
+        self.calc = calc
+        self.mu = mu
+        self.at = at
+        self._compiled = {}
 
     @property
     def diagram(self) -> HeegaardDiagram:

@@ -20,21 +20,21 @@ its entries on those edges; ``curves_independent``, ``surface_h1`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import snf
 from .diagram import ALPHA, BETA, HeegaardDiagram, _arc_entry
 
 
-@dataclass
 class ChainModel:
-    vertices: int  # number of vertices
-    edges: list  # position -> (tail vertex, head vertex)
-    cotree: list  # positions of the edges outside the spanning forest
-    cell_columns: list  # one column per region (over edges)
-    curve_cycles: dict  # (side, curve index) -> edge-coefficient vector
-    puncture_cycles: list  # mark index -> edge vector
+    def __init__(self, vertices: int, edges: list, cotree: list, cell_columns: list,
+                 curve_cycles: dict, puncture_cycles: list):
+        self.vertices = vertices  # number of vertices
+        self.edges = edges  # position -> (tail vertex, head vertex)
+        self.cotree = cotree  # positions of the edges outside the spanning forest
+        self.cell_columns = cell_columns  # one column per region (over edges)
+        self.curve_cycles = curve_cycles  # (side, curve index) -> edge-coefficient vector
+        self.puncture_cycles = puncture_cycles  # mark index -> edge vector
 
 
 def build_chain_model(d: HeegaardDiagram) -> ChainModel:
@@ -150,15 +150,15 @@ def build_chain_model(d: HeegaardDiagram) -> ChainModel:
     )
 
 
-@dataclass
 class SurfaceModel:
     """The cycles of one diagram's chain model, expressed once in the basis
     of fundamental cycles: by their entries on the non-forest edges."""
 
-    rank: int  # rank of the cycle group: the number of non-forest edges
-    cells: list  # region boundaries
-    curves: dict  # (side, curve index) -> curve class
-    punctures: list  # mark index -> puncture circle class
+    def __init__(self, rank: int, cells: list, curves: dict, punctures: list):
+        self.rank = rank  # rank of the cycle group: the number of non-forest edges
+        self.cells = cells  # region boundaries
+        self.curves = curves  # (side, curve index) -> curve class
+        self.punctures = punctures  # mark index -> puncture circle class
 
     @cached_property
     def group(self) -> snf.AbelianGroup:
@@ -213,12 +213,12 @@ def curves_independent(d: HeegaardDiagram, side) -> bool:
     return snf.rank_over_field(mat) == len(curves)
 
 
-@dataclass
 class HomologyPresentation:
     """H = H1(X; Z) = H2(X, dX; Z) with the suture classes PD[gamma_i]."""
 
-    group: snf.AbelianGroup
-    pd_classes: list  # mark index -> element of the group
+    def __init__(self, group: snf.AbelianGroup, pd_classes: list):
+        self.group = group
+        self.pd_classes = pd_classes  # mark index -> element of the group
 
     def chi_of_exponents(self, exponents):
         acc = self.group.zero()

@@ -9,7 +9,6 @@ kernels come from one Gauss-Jordan elimination.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -265,18 +264,21 @@ def _addmul_col(m, dst, src, c, ring):
         row[dst] = ring.add(row[dst], ring.mul(c, row[src]))
 
 
-@dataclass
 class SNFResult:
     """U * A * V = D with U, V invertible over the ring, D diagonal.
 
     ``diag`` lists the nonzero diagonal entries d_1 | d_2 | ... in order.
     """
 
-    U: list
-    V: list
-    D: list
-    diag: list
-    rank: int
+    def __init__(self, U: list, V: list, D: list, diag: list, rank: int):
+        self.U = U
+        self.V = V
+        self.D = D
+        self.diag = diag
+        self.rank = rank
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(self) == vars(other)
 
 
 def _pivot(D, t, ring):
@@ -439,7 +441,6 @@ def kernel_basis(A):
     return [[snf.V[i][j] for i in range(cols)] for j in range(snf.rank, cols)]
 
 
-@dataclass
 class AbelianGroup:
     """Finitely generated abelian group presented in Smith normal form.
 
@@ -448,8 +449,9 @@ class AbelianGroup:
     the original generator basis to its class.
     """
 
-    moduli: tuple
-    proj: list  # matrix: quotient coords from generator coords
+    def __init__(self, moduli: tuple, proj: list):
+        self.moduli = moduli
+        self.proj = proj  # matrix: quotient coords from generator coords
 
     @property
     def rank(self) -> int:

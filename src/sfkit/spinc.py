@@ -20,11 +20,10 @@ block's ``PeriodicLattice``, so neither solves a corner system again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import snf
-from .diagram import Generator, HeegaardDiagram
+from .diagram import HeegaardDiagram
 from .domains import (
     DomainCalculator,
     PeriodicLattice,
@@ -38,13 +37,14 @@ class NoConnectingDomain(ValueError):
     pass
 
 
-@dataclass
 class SpincPartition:
-    diagram: HeegaardDiagram
-    homology: HomologyPresentation
-    blocks: list  # list of lists of generator indices
-    generators: tuple
-    classes: dict  # generator index -> (block index, s(x) - s(block[0]) in H)
+    def __init__(self, diagram: HeegaardDiagram, homology: HomologyPresentation,
+                 blocks: list, generators: tuple, classes: dict):
+        self.diagram = diagram
+        self.homology = homology
+        self.blocks = blocks  # list of lists of generator indices
+        self.generators = generators
+        self.classes = classes  # generator index -> (block index, s(x) - s(block[0]) in H)
 
     def diff(self, i: int, j: int):
         (bi, ci), (bj, cj) = self.classes[i], self.classes[j]
@@ -82,13 +82,13 @@ def spinc_partition(calc: DomainCalculator,
                           generators=gens, classes=classes)
 
 
-@dataclass
 class GradingData:
-    d_of_s: int
-    weights: list  # kappa entries: int or None (UNDEFINED)
-    pinned: list  # per weight: True if forced by the lattice
-    gr: dict  # generator index -> relative grading (int, mod d_of_s), or None
-    block: list
+    def __init__(self, d_of_s: int, weights: list, pinned: list, gr: dict, block: list):
+        self.d_of_s = d_of_s
+        self.weights = weights  # kappa entries: int or None (UNDEFINED)
+        self.pinned = pinned  # per weight: True if forced by the lattice
+        self.gr = gr  # generator index -> relative grading (int, mod d_of_s), or None
+        self.block = block
 
     def weight_of_monomial(self, exponents):
         acc = 0

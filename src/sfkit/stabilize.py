@@ -14,18 +14,10 @@ dictates), the cone side from the original diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from . import algebra as alg
 from .cf import DiagramData, build_cf
-from .complexes import (
-    fpu_homogeneous,
-    fpu_piece_dims,
-    homology,
-    mapping_cone,
-    multiplication_map,
-)
-from .diagram import ALPHA, BETA, HeegaardDiagram, Region, Crossing
+from .complexes import FilteredComplex, homology
+from .diagram import ALPHA, BETA, HeegaardDiagram
 from .testrings import algebra_hom, to_U
 
 
@@ -96,16 +88,18 @@ def stabilization_products(d: HeegaardDiagram, mark: int):
     return tuple(lam), kappa
 
 
-@dataclass
 class StabilizationReport:
-    ok: bool
-    stabilized_hom_pieces: dict
-    cone_hom_pieces: dict
-    graded_match: bool | None
-    stabilized_dims: dict | None
-    cone_dims: dict | None
-    shift: int | None
-    notes: list = field(default_factory=list)
+    def __init__(self, ok: bool, stabilized_hom_pieces: dict, cone_hom_pieces: dict,
+                 graded_match: bool | None, stabilized_dims: dict | None,
+                 cone_dims: dict | None, shift: int | None, notes: list):
+        self.ok = ok
+        self.stabilized_hom_pieces = stabilized_hom_pieces
+        self.cone_hom_pieces = cone_hom_pieces
+        self.graded_match = graded_match
+        self.stabilized_dims = stabilized_dims
+        self.cone_dims = cone_dims
+        self.shift = shift
+        self.notes = notes
 
 
 def _fold_taints(c, weight):
@@ -126,6 +120,9 @@ def _fold_taints(c, weight):
 def verify_stabilization(d: HeegaardDiagram, mark: int) -> StabilizationReport:
     """Check the stabilized complex of Spin^c block 0 against
     cone(lambda_new - lambda), comparing homology over F_2[U]."""
+    # the chain-map toolkit loads with the check, not with the transform
+    from .cones import fpu_homogeneous, fpu_piece_dims, mapping_cone, multiplication_map
+
     notes = []
     dhat = stabilize_diagram(d, mark)
     rep = dhat.validate()
@@ -150,7 +147,8 @@ def verify_stabilization(d: HeegaardDiagram, mark: int) -> StabilizationReport:
         "(stabilization analysis; not combinatorially supported)"
         for t in folded
     )
-    hat = replace(hat, entries=patched, taints=remaining)
+    hat = FilteredComplex(hat.ring, hat.gen_names, hat.cosets, hat.gradings,
+                          entries=patched, taints=remaining, u_grading=hat.u_grading)
     hat.verify_filtration()
     hat.verify_grading_drop()
 

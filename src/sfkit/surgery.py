@@ -16,26 +16,26 @@ filtration extension chi(lambda_p) = -(chi_0 + chi_1 + chi_2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import algebra as alg
 from . import snf
-from .testrings import AlgebraTarget, TestRingHom, algebra_hom
+from .testrings import algebra_hom
 
 
 class BadMultiplicityError(ValueError):
     pass
 
 
-@dataclass
 class SurgeryRings:
-    base: alg.AlgebraSpec  # the ring shared by all three surgered manifolds
-    rhat: alg.AlgebraSpec  # lambda_p free
-    r: alg.AlgebraSpec  # lambda_p identified with the multiplicity monomial
-    b: alg.AlgebraSpec  # xi_p adjoined, xi_p lambda_p = 1
-    multiplicities: tuple
-    iotas: list  # three TestRingHom base -> B
-    chi_relation_cols: list  # presentation of H used for the filtration
+    def __init__(self, base: alg.AlgebraSpec, rhat: alg.AlgebraSpec, r: alg.AlgebraSpec,
+                 b: alg.AlgebraSpec, multiplicities: tuple, iotas: list,
+                 chi_relation_cols: list):
+        self.base = base  # the ring shared by all three surgered manifolds
+        self.rhat = rhat  # lambda_p free
+        self.r = r  # lambda_p identified with the multiplicity monomial
+        self.b = b  # xi_p adjoined, xi_p lambda_p = 1
+        self.multiplicities = multiplicities
+        self.iotas = iotas  # three TestRingHom base -> B
+        self.chi_relation_cols = chi_relation_cols  # presentation of H used for the filtration
 
     def ring_m(self, m: int) -> alg.AlgebraSpec:
         """R-hat / <lambda_p - lambda_0^{m-1}, lambda_0^m - 1>, filtered by

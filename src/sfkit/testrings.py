@@ -11,7 +11,6 @@ algebra a ring, for maps between algebras.  ``coefficient_ring`` parses a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from . import algebra as alg
@@ -58,14 +57,15 @@ class AlgebraTarget(Ring):
 # -- homomorphisms ----------------------------------------------------------
 
 
-@dataclass
 class TestRingHom:
-    source: alg.AlgebraSpec
-    target: Ring
-    images: list
-    name: str
-    filtration_compatible: bool | None = None
-    u_grading: int | None = None  # grading of U for F_p[U] targets
+    def __init__(self, source: alg.AlgebraSpec, target: Ring, images: list, name: str,
+                 filtration_compatible: bool | None = None, u_grading: int | None = None):
+        self.source = source
+        self.target = target
+        self.images = images
+        self.name = name
+        self.filtration_compatible = filtration_compatible
+        self.u_grading = u_grading  # grading of U for F_p[U] targets
 
     def apply_monomial(self, m):
         out = self.target.one()

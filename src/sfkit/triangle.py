@@ -20,17 +20,9 @@ with mapping cones twisted accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import algebra as alg
-from .complexes import (
-    ChainMap,
-    ComplexError,
-    _chi_shifts,
-    _compose,
-    mapping_cone,
-    quasi_iso_over,
-)
+from .complexes import ComplexError, _compose
+from .cones import ChainMap, _chi_shifts, mapping_cone, quasi_iso_over
 
 
 class HypothesisFailed(RuntimeError):
@@ -39,11 +31,11 @@ class HypothesisFailed(RuntimeError):
         self.identity = identity
 
 
-@dataclass
 class TriangleSystem:
-    complexes: list  # [A0, A1, A2]
-    maps: list  # entry dicts: maps[i]: A_i -> A_{i+1}
-    homotopies: list  # entry dicts: homotopies[i]: A_i -> A_{i+2}
+    def __init__(self, complexes: list, maps: list, homotopies: list):
+        self.complexes = complexes  # [A0, A1, A2]
+        self.maps = maps  # entry dicts: maps[i]: A_i -> A_{i+1}
+        self.homotopies = homotopies  # entry dicts: homotopies[i]: A_i -> A_{i+2}
 
     def complex(self, i):
         return self.complexes[i % 3]
@@ -55,13 +47,12 @@ class TriangleSystem:
         return self.homotopies[i % 3]
 
 
-@dataclass
 class TriangleResult:
-    alphas: list  # ChainMap M(f_i) -> A_{i+2}
-    betas: list  # entry dicts A_i -> M(f_{i+1})
-    phi_parity: list
-    alpha_quasi_iso: list
-    notes: list = field(default_factory=list)
+    def __init__(self, alphas: list, betas: list, phi_parity: list, alpha_quasi_iso: list):
+        self.alphas = alphas  # ChainMap M(f_i) -> A_{i+2}
+        self.betas = betas  # entry dicts A_i -> M(f_{i+1})
+        self.phi_parity = phi_parity
+        self.alpha_quasi_iso = alpha_quasi_iso
 
 
 def _entries_equal(spec, a, b, sign=1):

@@ -21,11 +21,10 @@ from sfkit.admissibility import (
     finiteness_certificate,
 )
 from sfkit.cf import DiagramData, build_cf
-from sfkit.complexes import (
+from sfkit.complexes import FilteredComplex, homology
+from sfkit.cones import (
     ChainMap,
-    FilteredComplex,
     free_complex,
-    homology,
     mapping_cone,
     multiplication_map,
     piecewise_homology,

@@ -5,13 +5,10 @@ from hypothesis import strategies as st
 from sfkit import algebra as alg
 from sfkit import corpus
 from sfkit.cf import DiagramData, build_cf
-from sfkit.complexes import (
+from sfkit.complexes import ComplexError, FilteredComplex, _compose, homology
+from sfkit.cones import (
     ChainMap,
-    ComplexError,
-    FilteredComplex,
-    _compose,
     free_complex,
-    homology,
     is_acyclic,
     les_check,
     mapping_cone,
@@ -164,7 +161,7 @@ def test_unknot_piecewise_free_rank_one():
 def test_piecewise_homology_lists_each_basis_once(monkeypatch):
     # neighbouring pieces share the bases at g - 1, g and g + 1: the 16
     # unknot pieces made 48 monomial_fiber calls for 39 distinct arguments
-    import sfkit.complexes as cx
+    import sfkit.cones as cx
 
     c, pieces = _unknot_pieces()
     calls = []

@@ -162,6 +162,35 @@ def test_roundtrip_serialization():
         assert d2 == d
 
 
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_diagrams_compare_and_hash_by_value(name):
+    d = corpus.load_diagram(name)
+    d.generators(), d.arc_region_sides  # cached lookups play no part
+    d2 = HeegaardDiagram.from_dict(d.to_dict())
+    assert d2 is not d and d2 == d and hash(d2) == hash(d)
+    assert len({d, d2}) == 1
+    data = d.to_dict()
+    data["marks"] += 1
+    assert HeegaardDiagram.from_dict(data) != d
+
+
+def test_diagram_records_are_frozen_values():
+    d, d2 = corpus.load_diagram("trefoil"), corpus.load_diagram("trefoil")
+    records = [
+        (d.generators()[1], d2.generators()[1], ("perm", "points")),
+        (d.crossings[2], d2.crossings[2], ("alpha", "beta", "quadrants")),
+        (d.regions[2], d2.regions[2], ("genus", "cycles", "marks")),
+    ]
+    for a, b, fields in records:
+        values = tuple(getattr(a, f) for f in fields)
+        assert a is not b and a == b and hash(a) == hash(b) == hash(values)
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, f, getattr(a, f))
+    assert d.generators()[0] != d.generators()[1]
+    assert d.crossings[0] != d.crossings[1]
+
+
 def test_complement_components_computed_once():
     d = corpus.load_diagram("grid2")
     for side in (ALPHA, BETA):

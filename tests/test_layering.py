@@ -44,6 +44,18 @@ def test_import_loads_only_its_layer(statement, loaded):
     assert _loaded_after(statement) == loaded
 
 
+@pytest.mark.parametrize("statement, absent", [
+    # the pipeline: no dataclass machinery, no chain-map toolkit
+    ("import sfkit.cf, sfkit.corpuscheck, sfkit.stabilize",
+     {"dataclasses", "sfkit.cones", "sfkit.triangle"}),
+    ("import sfkit.algebra", {"dataclasses"}),
+    ("import sfkit.cli", {"sfkit.cones"}),
+])
+def test_import_leaves_out(statement, absent):
+    loaded = _run(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))")
+    assert absent.isdisjoint(loaded)
+
+
 def test_package_names_resolve_on_first_use():
     got = _run("""
 import json

@@ -1,4 +1,5 @@
-"""Differential tests: every homology in ``complexes`` against its earlier path.
+"""Differential tests: every homology in ``complexes`` and ``cones`` against its
+earlier path.
 
 ``homology``, ``fpu_piece_dims``, ``piecewise_homology`` and ``les_check``
 now build their matrices with one ``_piece_matrix`` and loop over pieces with
@@ -17,14 +18,11 @@ from hypothesis import strategies as st
 from sfkit import algebra as alg
 from sfkit import corpus, snf
 from sfkit.cf import DiagramData, NotAdmissible, build_cf
-from sfkit.complexes import (
+from sfkit.complexes import ComplexError, FilteredComplex, _pid_homology, homology
+from sfkit.cones import (
     ChainMap,
-    ComplexError,
-    FilteredComplex,
-    _pid_homology,
     fpu_piece_dims,
     free_complex,
-    homology,
     les_check,
     mapping_cone,
     monomial_fiber,

@@ -84,12 +84,8 @@ def test_double_stabilization_iterated_cone():
     """Two stabilizations give the iterated cone; under a hom sending the new
     variable and lambda to the same element each cone is cone(0), so the rank
     doubles at each step (1 -> 2 -> 4)."""
-    from sfkit.complexes import (
-        FilteredComplex,
-        homology,
-        mapping_cone,
-        multiplication_map,
-    )
+    from sfkit.complexes import FilteredComplex, homology
+    from sfkit.cones import mapping_cone, multiplication_map
     from sfkit.testrings import AlgebraTarget, to_U
 
     d = corpus.load_diagram("unknot")

@@ -1,7 +1,7 @@
 import pytest
 
 from sfkit import algebra as alg
-from sfkit.complexes import ChainMap, free_complex, mapping_cone
+from sfkit.cones import ChainMap, free_complex, mapping_cone
 from sfkit.testrings import ZpRing, all_zero
 from sfkit.triangle import (
     HypothesisFailed,
