@@ -15,14 +15,8 @@ from __future__ import annotations
 import math
 
 from . import linprog
-from .diagram import ALPHA, BETA, Generator, HeegaardDiagram
-from .domains import (
-    ConnectingDomains,
-    PeriodicLattice,
-    marked_multiplicities,
-    maslov_index,
-    maslov_of_periodic,
-)
+from .diagram import ALPHA, BETA, HeegaardDiagram
+from .domains import PeriodicLattice, marked_multiplicities, maslov_of_periodic
 
 STRATA_CAP = 10 ** 6
 
@@ -203,13 +197,6 @@ def check_strong_admissible(lattice: PeriodicLattice) -> AdmissibilityReport:
     return _check(lattice, "strong", strata, "nonpos")
 
 
-class FinitenessCertificate:
-    def __init__(self, finite: bool, bound: int | None, exists: bool):
-        self.finite = finite
-        self.bound = bound  # None: no positive class of the index in any stratum
-        self.exists = exists  # was there any connecting class at all
-
-
 class CertificateSystem:
     """One survival stratum's certificate system, compiled once per block:
     the cone rows of the stratum plus the total multiplicity, restricted to
@@ -232,27 +219,22 @@ def certificate_systems(lattice: PeriodicLattice) -> list:
     return out
 
 
-def finiteness_certificate(lattice: PeriodicLattice, x: Generator, y: Generator,
-                           j: int, con: ConnectingDomains) -> FinitenessCertificate:
+def finiteness_certificate(lattice: PeriodicLattice, phi0, shift: int) -> int | None:
     """Bound on the total multiplicity sum_r D_r, hence on every coefficient,
-    of the positive classes D = phi0 + P of Maslov index j from x to y with
-    surviving tilde-monomial: per survival stratum, one ``linear_range`` of
-    it on the slice mu = j; NotAdmissibleError on an unbounded stratum.  The
-    bound is None when every stratum is empty.  ``lattice`` is the periodic
-    lattice of the Spin^c class of x, which also gives the diagram, and
-    ``con`` the connecting solve for (x, y); the stratum systems are
-    compiled once per lattice, so a pair only supplies their right-hand
-    sides.
+    of the positive classes D = phi0 + P with mu(P) = shift and surviving
+    tilde-monomial: per survival stratum, one ``linear_range`` of it on the
+    slice mu = shift; NotAdmissibleError on an unbounded stratum.  None when
+    every stratum is empty.  ``lattice`` is the periodic lattice of the
+    Spin^c class of the pair, which also gives the diagram, phi0 the pair's
+    connecting domain and shift = j - mu(phi0) for the index j.  The bound
+    holds on the rational slice; a zero mu row has a slice only at
+    shift = 0, which the caller checks (the enumerator's residue test
+    does).  The stratum systems are compiled once per lattice, so a pair
+    only supplies their right-hand sides.
     """
-    if not con.exists:
-        return FinitenessCertificate(finite=True, bound=None, exists=False)
-    phi0 = con.particular
-    shift = j - maslov_index(lattice.diagram, phi0, x, y)
     best = None
     for system in lattice.compiled("certificate", certificate_systems):
         sliced = system.slice
-        if sliced.pivot is None and shift:
-            continue  # mu is constant on the lattice and never j
         # the last row, the total multiplicity sum_r D_r - sum(phi0) >= 0,
         # is the objective (o, c): on the slice it reads
         # scale (sum_r D_r - sum(phi0)) = o . s - c
@@ -267,4 +249,4 @@ def finiteness_certificate(lattice: PeriodicLattice, x: Generator, y: Generator,
             )
         bound = math.floor((rng[1] - c) / sliced.scale) + sum(phi0)
         best = bound if best is None else max(best, bound)
-    return FinitenessCertificate(finite=True, bound=best, exists=True)
+    return best

@@ -115,7 +115,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
                 if signs is not None:
                     count *= signs.get(tuple(c.domain), 1)
                 acc = alg.poly_add(acc, {tuple(c.n_z): count})
-            nf = spec.normal_form(acc)
+            nf = acc and spec.normal_form(acc)
             if nf:
                 entries[(pos[i], pos[j])] = nf
 

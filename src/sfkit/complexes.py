@@ -164,7 +164,8 @@ class FilteredComplex:
                     for (i, j), e in self.entries.items()
                     if i in pos and j in pos
                 },
-                taints=[t for t in self.taints if t.source in pos and t.target in pos],
+                taints=[TaintRecord(pos[t.source], pos[t.target], t.weight, t.note)
+                        for t in self.taints if t.source in pos and t.target in pos],
                 u_grading=self.u_grading,
             )
             out.append(sub)

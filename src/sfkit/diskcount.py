@@ -1,15 +1,19 @@
 """Enumeration and combinatorial counting of Maslov-index-1 disk classes.
 
-The finiteness certificate bounds the total multiplicity of the positive
-classes of index one with surviving tilde-monomial; inside the polytope
-D >= 0, sum_r D_r <= bound, all of them are enumerated exactly: the Maslov
-index is affine on the lattice of classes, so only the integer points of the
-polytope on the hyperplane mu = 1 are visited.  Every generator pair of a
-Spin^c block shares the certificate's and the box's coefficient rows, so
-both are compiled once per block (``PeriodicLattice.compiled``) and a pair
-supplies only their right-hand sides; a pair whose certificate finds every
-stratum empty lists no box at all.  The enumerator takes the block's
-lattice, which also holds the diagram and its calculator.
+A class from x to y is D = phi0 + P, phi0 the pair's connecting domain and P
+periodic, and mu(D) = mu(phi0) + mu(P), computed once per pair.  mu(P) runs
+over the multiples of the gcd of the block's mu row (Bezout), so a pair whose
+shift index - mu(phi0) is no such multiple has no class; this residue test
+comes before any LP.  Otherwise the finiteness certificate bounds the total
+multiplicity of the positive classes of the index with surviving
+tilde-monomial, and inside the polytope D >= 0, sum_r D_r <= bound only its
+integer points on the hyperplane mu = index are visited.  The gcd and the
+certificate's and the box's coefficient rows are compiled once per Spin^c
+block (``PeriodicLattice.compiled``), so a pair supplies only right-hand
+sides; a pair whose certificate finds every stratum empty lists no box.  A
+candidate's Euler and corner measures serve both its index check and its
+shape.  The enumerator takes the block's lattice, which also holds the
+diagram and its calculator.
 
 A class is assigned a count only when its shape forces the holomorphic
 count: an embedded empty bigon or an embedded empty rectangle contributes
@@ -21,6 +25,8 @@ homomorphism.
 
 from __future__ import annotations
 
+import math
+
 from .admissibility import cone_rows, finiteness_certificate
 from .algebra import AlgebraSpec
 from .diagram import Generator, HeegaardDiagram
@@ -31,7 +37,7 @@ from .domains import (
     _euler_x4,
     marked_multiplicities,
     maslov_index,
-    maslov_x4,
+    maslov_measures,
 )
 from . import linprog
 
@@ -59,18 +65,14 @@ class DiskClass:
         return self.classification != UNSUPPORTED
 
 
-def _moved_coordinates(x: Generator, y: Generator) -> int:
-    return sum(1 for a, b in zip(x.points, y.points) if a != b)
-
-
-def classify(d: HeegaardDiagram, D, x: Generator, y: Generator) -> tuple:
-    """Shape classification of a positive index-1 class."""
+def classify(d: HeegaardDiagram, D, x: Generator, y: Generator, measures=None) -> tuple:
+    """Shape classification of a positive index-1 class; ``measures`` are its
+    (4 e, 4 n_x + 4 n_y) when already computed (``maslov_measures``)."""
     if any(c not in (0, 1) for c in D):
         return UNSUPPORTED, None
     # in quarters: a bigon has e = n_x + n_y = 1/2, a rectangle e = 0, n_x + n_y = 1
-    e4 = _euler_x4(d, D)
-    corners4 = _corners_x4(d, D, x.points + y.points)
-    moved = _moved_coordinates(x, y)
+    e4, corners4 = measures or (_euler_x4(d, D), _corners_x4(d, D, x.points + y.points))
+    moved = sum(a != b for a, b in zip(x.points, y.points))
     if e4 == 2 and corners4 == 2 and moved == 1:
         return EMPTY_BIGON, 1
     if e4 == 0 and corners4 == 4 and moved == 2:
@@ -81,39 +83,34 @@ def classify(d: HeegaardDiagram, D, x: Generator, y: Generator) -> tuple:
 def _box_slice(lattice: PeriodicLattice) -> tuple:
     """The enumerator's box for the block, compiled once: the rows
     D = phi0 + sum t_b P_b >= 0 and sum_r D_r <= bound, with the sources of
-    their right-hand sides, restricted to the slice 4 mu = target."""
+    their right-hand sides, restricted to the slice mu(P) = shift."""
     rows, sources = cone_rows(lattice)
     total = [-sum(P) for P in lattice.basis]
-    return sources, linprog.Slice(rows + [total], [4 * m for m in lattice.mu])
+    return sources, linprog.Slice(rows + [total], lattice.mu)
 
 
-def _sliced_box(lattice: PeriodicLattice, x: Generator, y: Generator, phi0,
-                bound: int, index: int) -> list:
+def _sliced_box(lattice: PeriodicLattice, phi0, bound: int, shift: int) -> list:
     """Lattice coordinates t with D = phi0 + sum t_b P_b >= 0,
-    sum_r D_r <= bound and mu = index.
+    sum_r D_r <= bound and mu(P) = sum t_b mu(P_b) = shift.
 
-    4 mu = 4 mu(phi0) + sum t_b 4 mu(P_b) is an integer affine equation whose
-    slope is 4 times the lattice's mu row; ``linprog.Slice`` solves it for
-    the coordinate L with the smallest nonzero |4 mu(P_L)| and restricts the
-    rows to 4 mu = target.  The other coordinates are enumerated exactly and
-    t_L is kept where it comes out integral.
+    ``linprog.Slice`` solves the mu equation for the coordinate L with the
+    smallest nonzero |mu(P_L)| and restricts the rows to it.  The other
+    coordinates are enumerated exactly and t_L is kept where it comes out
+    integral.  With mu constant on the lattice, shift is 0 (the residue
+    test) and the whole box lies on the slice.
     """
-    target = 4 * index - maslov_x4(lattice.diagram, phi0, x.points + y.points)
     sources, box = lattice.compiled("box", _box_slice)
     rhs = [sign * phi0[r] for r, sign in sources] + [sum(phi0) - bound]
     L = box.pivot
     if L is None:
-        # mu is constant on the coset
-        if target:
-            return []
         return linprog.integer_points(box.ineqs(rhs, 0), lattice.rank, box.recording)
-    slope = [4 * m for m in lattice.mu]
+    slope = lattice.mu
     m = slope[L]
     rest = [b for b in range(lattice.rank) if b != L]
     out = []
-    for s in linprog.integer_points(box.ineqs(rhs, target), lattice.rank - 1,
+    for s in linprog.integer_points(box.ineqs(rhs, shift), lattice.rank - 1,
                                     box.recording):
-        num = target - sum(slope[b] * v for b, v in zip(rest, s))
+        num = shift - sum(slope[b] * v for b, v in zip(rest, s))
         if num % m == 0:
             t = list(s)
             t.insert(L, num // m)
@@ -127,19 +124,26 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
     tilde-monomial, in deterministic order.
 
     ``lattice`` is the periodic lattice of the Spin^c class of x; its
-    calculator holds the diagram and the connecting solve of the pair.  A
-    pair whose certificate finds every stratum empty has no such class and
-    lists no box.
+    calculator holds the diagram and the connecting solve of the pair.
+    mu(phi0) is computed once and read by the residue test, the
+    certificate and the box.
     """
     d = lattice.diagram
     con = lattice.calc.connecting(x, y)
-    cert = finiteness_certificate(lattice, x, y, index, con)
-    if not cert.exists or cert.bound is None:
+    if not con.exists:
         return []
     phi0 = con.particular
-
+    shift = index - maslov_index(d, phi0, x, y)
+    # the residue test: mu(P) = shift has a lattice solution exactly when
+    # the gcd of the mu row divides shift (Bezout)
+    g = lattice.compiled("mu gcd", lambda lattice: math.gcd(*lattice.mu))
+    if shift % g if g else shift:
+        return []
+    bound = finiteness_certificate(lattice, phi0, shift)
+    if bound is None:
+        return []
     try:
-        coords = _sliced_box(lattice, x, y, phi0, cert.bound, index)
+        coords = _sliced_box(lattice, phi0, bound, shift)
     except linprog.Unbounded:
         raise RuntimeError("certificate box is unbounded") from None
     candidates = {tuple(lattice.element(t, phi0)) for t in coords}
@@ -148,19 +152,13 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
     for D in sorted(candidates):
         if any(c < 0 for c in D):
             continue
-        mu = maslov_index(d, list(D), x, y)
-        if mu != index:
+        measures = maslov_measures(d, D, x, y)
+        if sum(measures) != 4 * index:
             continue
-        nz = marked_multiplicities(d, list(D))
-        if not tilde.nf_monomial(tuple(nz)):
+        nz = marked_multiplicities(d, D)
+        if not tilde.nf_monomial(nz):
             continue
-        cls, count = classify(d, list(D), x, y)
-        out.append(
-            DiskClass(
-                domain=D, source=x, target=y, mu=mu, n_z=tuple(nz),
-                classification=cls, count=count,
-            )
-        )
+        out.append(DiskClass(D, x, y, index, nz, *classify(d, D, x, y, measures)))
     return out
 
 
@@ -197,22 +195,11 @@ def region_shape(d: HeegaardDiagram, ri: int) -> str:
 
 def niceness_report(calc: DomainCalculator, tilde: AlgebraSpec) -> NicenessReport:
     d = calc.diagram
-    shapes = []
-    for ri, region in enumerate(d.regions):
-        shapes.append(
-            {
-                "region": ri,
-                "shape": region_shape(d, ri),
-                "marked": bool(region.marks),
-            }
-        )
+    shapes = [{"region": ri, "shape": region_shape(d, ri), "marked": bool(region.marks)}
+              for ri, region in enumerate(d.regions)]
     classes = enumerate_block_classes(calc, d.generators(), tilde)
     unsupported = [c for c in classes if not c.supported]
     hat_ok = all(c.supported for c in classes if all(v == 0 for v in c.n_z))
-    return NicenessReport(
-        region_shapes=shapes,
-        total_classes=len(classes),
-        unsupported=unsupported,
-        hat_countable=hat_ok,
-        minus_countable=not unsupported,
-    )
+    return NicenessReport(region_shapes=shapes, total_classes=len(classes),
+                          unsupported=unsupported, hat_countable=hat_ok,
+                          minus_countable=not unsupported)

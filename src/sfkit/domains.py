@@ -12,6 +12,7 @@ is the lattice of periodic domains, factored once per diagram by
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import snf
 from .diagram import Generator, HeegaardDiagram
@@ -45,10 +46,8 @@ def corner_target(d: HeegaardDiagram, x: Generator, y: Generator):
 
 def is_domain(d: HeegaardDiagram, D, x: Generator, y: Generator) -> bool:
     """D satisfies the corner conditions of a class from x to y."""
-    return all(
-        D[q1] + D[q3] - D[q0] - D[q2] == t
-        for (q0, q1, q2, q3), t in zip(d.crossing_quadrants, corner_target(d, x, y))
-    )
+    corners = [D[q1] + D[q3] - D[q0] - D[q2] for q0, q1, q2, q3 in d.crossing_quadrants]
+    return corners == corner_target(d, x, y)
 
 
 def is_periodic(d: HeegaardDiagram, D) -> bool:
@@ -138,7 +137,7 @@ class DomainCalculator:
 
 
 def _euler_x4(d: HeegaardDiagram, D) -> int:
-    return sum(c * w for c, w in zip(D, d.euler_measures_x4) if c)
+    return sum(map(mul, D, d.euler_measures_x4))
 
 
 def _corners_x4(d: HeegaardDiagram, D, points) -> int:
@@ -155,9 +154,8 @@ def maslov_x4(d: HeegaardDiagram, D, points) -> int:
     return _euler_x4(d, D) + _corners_x4(d, D, points)
 
 
-def _maslov(d: HeegaardDiagram, D, points) -> int:
-    """mu = e(D) + sum over ``points`` of n_p(D), which must be integral."""
-    mu4 = maslov_x4(d, D, points)
+def _maslov(mu4: int) -> int:
+    """mu from 4 mu, which must be divisible by 4."""
     if mu4 % 4:
         raise NonDomainError(f"non-integral Maslov index {Fraction(mu4, 4)}")
     return mu4 // 4
@@ -171,11 +169,17 @@ def generator_measure(d: HeegaardDiagram, D, g: Generator) -> Fraction:
     return Fraction(_corners_x4(d, D, g.points), 4)
 
 
-def maslov_index(d: HeegaardDiagram, D, x: Generator, y: Generator) -> int:
-    """Lipshitz formula mu(D) = e(D) + n_x(D) + n_y(D), in exact integers."""
+def maslov_measures(d: HeegaardDiagram, D, x: Generator, y: Generator) -> tuple:
+    """(4 e(D), 4 n_x(D) + 4 n_y(D)) of a class from x to y: their sum is
+    4 mu(D), and both give its shape (``diskcount.classify``)."""
     if not is_domain(d, D, x, y):
         raise NonDomainError("coefficient vector violates the corner conditions")
-    return _maslov(d, D, x.points + y.points)
+    return _euler_x4(d, D), _corners_x4(d, D, x.points + y.points)
+
+
+def maslov_index(d: HeegaardDiagram, D, x: Generator, y: Generator) -> int:
+    """Lipshitz formula mu(D) = e(D) + n_x(D) + n_y(D), in exact integers."""
+    return _maslov(sum(maslov_measures(d, D, x, y)))
 
 
 def maslov_of_periodic(d: HeegaardDiagram, P, at: Generator | None) -> int:
@@ -184,7 +188,7 @@ def maslov_of_periodic(d: HeegaardDiagram, P, at: Generator | None) -> int:
     With no generator available (empty diagrams) the corner terms vanish and
     the Euler measure is used alone.
     """
-    return _maslov(d, P, at.points * 2 if at is not None else ())
+    return _maslov(maslov_x4(d, P, at.points * 2 if at is not None else ()))
 
 
 def marked_multiplicities(d: HeegaardDiagram, D):

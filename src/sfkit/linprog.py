@@ -64,12 +64,14 @@ class Recording:
     call adds the rest.
     """
 
-    __slots__ = ("key", "start", "steps")
+    __slots__ = ("key", "start", "steps", "bounding", "bounded")
 
     def __init__(self):
         self.key = None  # (nvars, coefficient rows, objective)
         self.start = None  # (directions, bound multipliers, substituted) of the inputs
         self.steps = []  # per eliminated variable: (directions, entries of _structure)
+        self.bounding = {}  # per variable: its bounding rows (see _bounding)
+        self.bounded = None  # whether integer_points found every coordinate bounded
 
 
 def _reduced(num, den):
@@ -239,19 +241,37 @@ def _project(system, nvars, recording):
     return systems
 
 
-def _bounds(system, var, point):
-    """Tightest bounds on ``var`` in ``system`` with the variables below it
-    fixed to ``point``: (lo, hi), each a pair (num, den) with den > 0 meaning
-    num / den, or None when that side is unbounded.  Pairs are compared by
-    cross-multiplication, so integer points give integer arithmetic."""
+def _bounding(system, var, recording):
+    """The rows of ``system`` that bound ``var``, which depend on its
+    directions alone: (row index, coefficients of the variables below var,
+    coefficient of var).  A recording keeps them per variable."""
+    rows = None if recording is None else recording.bounding.get(var)
+    if rows is None:
+        rows = [(i, q[:var], q[var]) for i, q in enumerate(system[0]) if q[var]]
+    if recording is not None:
+        recording.bounding[var] = rows
+    return rows
+
+
+def _level(systems, var, recording):
+    """The bounding rows of ``var`` and the projection they belong to, in
+    the chain of ``_project``."""
+    system = systems[len(systems) - 2 - var]
+    return _bounding(system, var, recording), system
+
+
+def _bounds(rows, system, point):
+    """Tightest bounds on a variable of ``system``, given its bounding
+    ``rows`` (``_bounding``) and the variables below it fixed to ``point``:
+    (lo, hi), each a pair (num, den) with den > 0 meaning num / den, or None
+    when that side is unbounded.  Pairs are compared by cross-multiplication,
+    so integer points give integer arithmetic."""
     lo, hi = None, None
-    fixed = point[:var]
-    for q, r, s in zip(*system):
-        c = q[var]
-        if c == 0:
-            continue
+    _, nums, dens = system
+    for i, q, c in rows:
+        r, s = nums[i], dens[i]
         # the primitive integer row (s q, r)
-        dot = sum(map(mul, q, fixed))
+        dot = sum(map(mul, q, point))
         if s != 1:
             c, dot = c * s, dot * s
         rhs = r - dot
@@ -281,7 +301,7 @@ def feasible_point(ineqs, nvars, recording: Recording | None = None):
     point = [Fraction(0)] * nvars
     # assign var = 0, 1, ... from the already-fixed lower coordinates
     for var in range(nvars):
-        lo, hi = map(_fraction, _bounds(systems[nvars - 1 - var], var, point))
+        lo, hi = map(_fraction, _bounds(*_level(systems, var, recording), point))
         if lo is not None and hi is not None and lo > hi:
             return None
         if lo is not None:
@@ -303,12 +323,16 @@ def integer_points(ineqs, nvars, recording: Recording | None = None):
         systems = _project(system, nvars, recording)
     except Infeasible:
         return []
-    # a nonempty polyhedron is bounded exactly when every projection bounds
-    # its last coordinate on both sides
-    for var in range(nvars):
-        signs = {q[var] > 0 for q in systems[nvars - 1 - var][0] if q[var]}
-        if len(signs) < 2:
-            raise Unbounded
+    levels = [_level(systems, var, recording) for var in range(nvars)]
+    bounded = None if recording is None else recording.bounded
+    if bounded is None:
+        # a nonempty polyhedron is bounded exactly when every projection
+        # bounds its last coordinate on both sides
+        bounded = all(len({c > 0 for _, _, c in rows}) == 2 for rows, _ in levels)
+    if recording is not None:
+        recording.bounded = bounded
+    if not bounded:
+        raise Unbounded
     out = []
     point = [0] * nvars
 
@@ -316,7 +340,7 @@ def integer_points(ineqs, nvars, recording: Recording | None = None):
         if var == nvars:
             out.append(tuple(point))
             return
-        (lo, lo_den), (hi, hi_den) = _bounds(systems[nvars - 1 - var], var, point)
+        (lo, lo_den), (hi, hi_den) = _bounds(*levels[var], point)
         for v in range(-(-lo // lo_den), hi // hi_den + 1):
             point[var] = v
             extend(var + 1)
@@ -391,7 +415,7 @@ def linear_range(ineqs, nvars, objective, recording: Recording | None = None):
     except Infeasible:
         return None
     # every row now reads c * u >= rhs, u being the last coordinate
-    lo, hi = map(_fraction, _bounds(rows, nvars - 1, [0] * (nvars - 1)))
+    lo, hi = map(_fraction, _bounds(_bounding(rows, nvars - 1, recording), rows, ()))
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from sfkit import algebra as alg
 from sfkit import corpus
 from sfkit.cf import DiagramData, build_cf
-from sfkit.complexes import ComplexError, FilteredComplex, _compose, homology
+from sfkit.complexes import ComplexError, FilteredComplex, TaintRecord, _compose, homology
 from sfkit.cones import (
     ChainMap,
     free_complex,
@@ -64,6 +64,17 @@ def test_trefoil_decomposition():
     # direct sum reassembles: entries vanish between distinct cosets, so all
     # differentials die in the splitting (each bigon changes the coset)
     assert all(s.entries == {} for s in summands)
+
+
+def test_decomposition_renumbers_taints():
+    # a taint inside a summand is renumbered to the summand's generators
+    c = FilteredComplex(ring=ZRing(), gen_names=["a", "b", "c"],
+                        cosets=[(0,), (1,), (1,)], gradings=[0, 0, 0], entries={},
+                        taints=[TaintRecord(source=2, target=1, weight=(1,), note="t")])
+    first, second = c.decompose()
+    assert first.taints == [] and second.gen_names == ["b", "c"]
+    (taint,) = second.taints
+    assert (taint.source, taint.target, taint.weight, taint.note) == (1, 0, (1,), "t")
 
 
 def test_grid2_complex_and_d_squared_diagnostics():

@@ -8,11 +8,13 @@ from sfkit import corpus, diskcount, linprog
 from sfkit.admissibility import (
     NotAdmissibleError,
     certificate_systems,
+    check_s_admissible,
     finiteness_certificate,
     survival_strata,
     tilde_kill_supports,
 )
 from sfkit.cf import DiagramData
+from sfkit.diagram import HeegaardDiagram
 from sfkit.diskcount import (
     EMPTY_BIGON,
     EMPTY_RECTANGLE,
@@ -244,9 +246,12 @@ def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None):
     return found
 
 
+INDICES = range(-2, 4)
+
+
 @pytest.mark.parametrize("name", corpus.corpus_names())
 def test_sliced_enumerator_matches_reference_on_corpus(name):
-    _assert_matches_reference(corpus.load_diagram(name))
+    _assert_matches_reference(corpus.load_diagram(name), INDICES)
 
 
 def _stabilized(name, k):
@@ -273,7 +278,7 @@ def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
 
         monkeypatch.setattr(linprog, fn, spy)
     calc = DomainCalculator(d)
-    assert _assert_matches_reference(d, calc=calc) > 0
+    assert _assert_matches_reference(d, INDICES, calc=calc) > 0
     (lattice,) = {id(calc.lattice(x)): calc.lattice(x) for x in d.generators()}.values()
     compiled = [s.slice.recording
                 for s in lattice.compiled("certificate", certificate_systems)]
@@ -281,39 +286,92 @@ def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
     assert {id(r) for r in used} == {id(r) for r in compiled}
 
 
-@pytest.mark.parametrize("name, k, empty", [("trefoil", 2, 68), ("unknot", 2, 3),
-                                            ("trefoil", 1, 13)])
-def test_empty_certificate_lists_no_box(name, k, empty, monkeypatch):
-    # a pair whose certificate finds every stratum empty has no class; the
-    # enumerator returns [] without listing a box, as the reference agrees
+@pytest.mark.parametrize("name, k, residue, empty", [
+    ("trefoil", 2, 72, 20), ("unknot", 2, 8, 0), ("trefoil", 1, 18, 3),
+    ("grid2", 2, 32, 4),
+])
+def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
+                                                        monkeypatch):
+    # a pair whose shift 1 - mu(phi0) is no multiple of the gcd of the mu row
+    # has no lattice point on its mu slice: the enumerator returns [] before
+    # any certificate LP or box.  A pair that passes but whose certificate
+    # finds every stratum empty lists no box; every other pair lists one
     d = _stabilized(name, k)
     calc = DomainCalculator(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
-    boxes = []
+    lps, boxes = [], []
+    spied = linprog.linear_range
+    monkeypatch.setattr(linprog, "linear_range",
+                        lambda *args: lps.append(args) or spied(*args))
     original = diskcount._sliced_box
     monkeypatch.setattr(diskcount, "_sliced_box",
                         lambda *args: boxes.append(args) or original(*args))
-    found = 0
+    seen = {"residue": 0, "empty": 0, "boxed": 0}
     for x in d.generators():
+        lattice = calc.lattice(x)
+        strata = len(lattice.compiled("certificate", certificate_systems))
         for y in d.generators():
-            con = calc.connecting(x, y)
-            cert = finiteness_certificate(calc.lattice(x), x, y, 1, con)
-            before = len(boxes)
-            classes = enumerate_mu1_classes(calc.lattice(x), x, y, tilde)
+            before = len(lps), len(boxes)
+            classes = enumerate_mu1_classes(lattice, x, y, tilde)
+            made = len(lps) - before[0], len(boxes) - before[1]
             assert classes == reference_mu1_classes(d, x, y, tilde, calc)
-            if not cert.exists or cert.bound is None:
-                assert classes == [] and len(boxes) == before
-                found += cert.exists
+            con = calc.connecting(x, y)
+            shift = 1 - maslov_index(d, con.particular, x, y)
+            if shift % math.gcd(*lattice.mu):
+                assert classes == [] and made == (0, 0)
+                seen["residue"] += 1
+            elif finiteness_certificate(lattice, con.particular, shift) is None:
+                assert classes == [] and made == (strata, 0)
+                seen["empty"] += 1
             else:
-                assert len(boxes) == before + 1
-    assert found == empty
+                assert made == (strata, 1)
+                seen["boxed"] += 1
+    assert seen == {"residue": residue, "empty": empty,
+                    "boxed": len(d.generators()) ** 2 - residue - empty}
+
+
+def test_residue_test_answers_before_admissibility():
+    # special_hs with a handle added to region 0 is not s-admissible (mu row
+    # [2, 0, 0, 0, 2]): a nonnegative periodic domain with mu = 0 makes the
+    # certificate unbounded on the rational mu slices of positive shift.  A
+    # pair whose shift is odd has no lattice point on its slice and no class;
+    # the enumerator says so, while the certificate and the reference, which
+    # skip the residue test, raise NotAdmissibleError when the shift is
+    # positive
+    data = corpus.load_diagram("special_hs").to_dict()
+    data["regions"][0]["genus"] += 1
+    d = HeegaardDiagram.from_dict(data)
+    calc = DomainCalculator(d)
+    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    gens = d.generators()
+    assert calc.lattice(gens[0]).mu == [2, 0, 0, 0, 2]
+    assert not check_s_admissible(calc.lattice(gens[0])).admissible
+    odd, raised = 0, 0
+    for x in gens:
+        for y in gens:
+            phi0 = calc.connecting(x, y).particular
+            for index in INDICES:
+                shift = index - maslov_index(d, phi0, x, y)
+                if shift % 2 == 0:
+                    continue
+                odd += 1
+                assert enumerate_mu1_classes(calc.lattice(x), x, y, tilde, index) == []
+                if shift < 0:
+                    assert finiteness_certificate(calc.lattice(x), phi0, shift) is None
+                    continue
+                raised += 1
+                with pytest.raises(NotAdmissibleError):
+                    finiteness_certificate(calc.lattice(x), phi0, shift)
+                with pytest.raises(NotAdmissibleError):
+                    reference_mu1_classes(d, x, y, tilde, calc, index)
+    assert (odd, raised) == (48, 28)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "grid2", "special_hs", "sphere_split"])
 def test_sliced_enumerator_matches_reference_across_indices(name):
     # on the trefoil (rank one) every sliced row has no variable left and is
     # a feasibility check; other indices exercise non-integral t_L
-    assert _assert_matches_reference(corpus.load_diagram(name), range(-2, 4)) > 0
+    assert _assert_matches_reference(corpus.load_diagram(name), INDICES) > 0
 
 
 def test_sliced_enumerator_keeps_the_survival_check():

@@ -436,9 +436,9 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
         total = [sum(P) for P in lattice.basis]
         for y in gens:
             con = calc.connecting(x, y)
-            cert = admissibility.finiteness_certificate(lattice, x, y, 1, con)
             phi0 = con.particular
             shift = 1 - maslov_index(d, phi0, x, y)
+            bound = admissibility.finiteness_certificate(lattice, phi0, shift)
             best = None
             for stratum in strata:
                 ineqs = [(list(col), -phi0[r]) for r, col in enumerate(zip(*lattice.basis))]
@@ -451,7 +451,7 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
                 if rng is not None:
                     bound = floor(rng[1]) + sum(phi0)
                     best = bound if best is None else max(best, bound)
-            assert cert.bound == best
+            assert bound == best
     assert len(calls) == len(gens) ** 2  # one survival stratum, one LP per pair
     # the generators form one block: its one stratum system serves every pair
     systems = calc.lattice(gens[0]).compiled("certificate", admissibility.certificate_systems)
