@@ -223,15 +223,14 @@ def finiteness_certificate(lattice: PeriodicLattice, phi0, shift: int) -> int | 
     """Bound on the total multiplicity sum_r D_r, hence on every coefficient,
     of the positive classes D = phi0 + P with mu(P) = shift and surviving
     tilde-monomial: per survival stratum, one ``linear_range`` of it on the
-    slice mu = shift; NotAdmissibleError on an unbounded stratum.  None when
-    every stratum is empty.  ``lattice`` is the periodic lattice of the
-    Spin^c class of the pair, which also gives the diagram, phi0 the pair's
-    connecting domain and shift = j - mu(phi0) for the index j.  The bound
-    holds on the rational slice; a zero mu row has a slice only at
-    shift = 0, which the caller checks (the enumerator's residue test
-    does).  The stratum systems are compiled once per lattice, so a pair
-    only supplies their right-hand sides.
+    rational slice mu = shift; NotAdmissibleError on an unbounded stratum.
+    None when every stratum is empty.  ``lattice`` is the periodic lattice of
+    the pair's Spin^c class, which also gives the diagram, phi0 the pair's
+    connecting domain and shift = j - mu(phi0) for the index j.  The stratum
+    systems are compiled once per lattice; a pair supplies right-hand sides.
     """
+    if shift and not any(lattice.mu):
+        return None  # mu(P) is 0 on the lattice, never shift
     best = None
     for system in lattice.compiled("certificate", certificate_systems):
         sliced = system.slice

@@ -1,19 +1,16 @@
 """Enumeration and combinatorial counting of Maslov-index-1 disk classes.
 
 A class from x to y is D = phi0 + P, phi0 the pair's connecting domain and P
-periodic, and mu(D) = mu(phi0) + mu(P), computed once per pair.  mu(P) runs
-over the multiples of the gcd of the block's mu row (Bezout), so a pair whose
-shift index - mu(phi0) is no such multiple has no class; this residue test
-comes before any LP.  Otherwise the finiteness certificate bounds the total
-multiplicity of the positive classes of the index with surviving
-tilde-monomial, and inside the polytope D >= 0, sum_r D_r <= bound only its
-integer points on the hyperplane mu = index are visited.  The gcd and the
-certificate's and the box's coefficient rows are compiled once per Spin^c
-block (``PeriodicLattice.compiled``), so a pair supplies only right-hand
-sides; a pair whose certificate finds every stratum empty lists no box.  A
-candidate's Euler and corner measures serve both its index check and its
-shape.  The enumerator takes the block's lattice, which also holds the
-diagram and its calculator.
+periodic, and mu(D) = mu(phi0) + mu(P), with mu(phi0) computed once per pair.
+mu(P) runs over the multiples of the gcd of the block's mu row (Bezout), so a
+pair whose shift index - mu(phi0) is no such multiple has no class: this
+residue test comes before any LP.  Otherwise the finiteness certificate
+bounds the total multiplicity of the positive classes with surviving
+tilde-monomial, and only the integer points of the polytope D >= 0,
+sum_r D_r <= bound on the hyperplane mu = index are visited.  The gcd and the
+certificate's and the box's rows are compiled once per Spin^c block
+(``PeriodicLattice.compiled``), so a pair supplies only right-hand sides.  A
+candidate's Euler and corner measures serve its index check and its shape.
 
 A class is assigned a count only when its shape forces the holomorphic
 count: an embedded empty bigon or an embedded empty rectangle contributes
@@ -33,8 +30,6 @@ from .diagram import Generator, HeegaardDiagram
 from .domains import (
     DomainCalculator,
     PeriodicLattice,
-    _corners_x4,
-    _euler_x4,
     marked_multiplicities,
     maslov_index,
     maslov_measures,
@@ -65,14 +60,18 @@ class DiskClass:
         return self.classification != UNSUPPORTED
 
 
-def classify(d: HeegaardDiagram, D, x: Generator, y: Generator, measures=None) -> tuple:
-    """Shape classification of a positive index-1 class; ``measures`` are its
-    (4 e, 4 n_x + 4 n_y) when already computed (``maslov_measures``)."""
+def _moved_coordinates(x: Generator, y: Generator) -> int:
+    return sum(1 for a, b in zip(x.points, y.points) if a != b)
+
+
+def classify(d: HeegaardDiagram, D, x: Generator, y: Generator, measures) -> tuple:
+    """Shape classification of a positive index-1 class with ``measures``
+    (4 e, 4 n_x + 4 n_y) (``maslov_measures``)."""
     if any(c not in (0, 1) for c in D):
         return UNSUPPORTED, None
     # in quarters: a bigon has e = n_x + n_y = 1/2, a rectangle e = 0, n_x + n_y = 1
-    e4, corners4 = measures or (_euler_x4(d, D), _corners_x4(d, D, x.points + y.points))
-    moved = sum(a != b for a, b in zip(x.points, y.points))
+    e4, corners4 = measures
+    moved = _moved_coordinates(x, y)
     if e4 == 2 and corners4 == 2 and moved == 1:
         return EMPTY_BIGON, 1
     if e4 == 0 and corners4 == 4 and moved == 2:
@@ -104,13 +103,12 @@ def _sliced_box(lattice: PeriodicLattice, phi0, bound: int, shift: int) -> list:
     L = box.pivot
     if L is None:
         return linprog.integer_points(box.ineqs(rhs, 0), lattice.rank, box.recording)
-    slope = lattice.mu
-    m = slope[L]
+    m = lattice.mu[L]
     rest = [b for b in range(lattice.rank) if b != L]
     out = []
     for s in linprog.integer_points(box.ineqs(rhs, shift), lattice.rank - 1,
                                     box.recording):
-        num = shift - sum(slope[b] * v for b, v in zip(rest, s))
+        num = shift - sum(lattice.mu[b] * v for b, v in zip(rest, s))
         if num % m == 0:
             t = list(s)
             t.insert(L, num // m)
@@ -158,7 +156,9 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
         nz = marked_multiplicities(d, D)
         if not tilde.nf_monomial(nz):
             continue
-        out.append(DiskClass(D, x, y, index, nz, *classify(d, D, x, y, measures)))
+        cls, count = classify(d, D, x, y, measures)
+        out.append(DiskClass(domain=D, source=x, target=y, mu=index, n_z=nz,
+                             classification=cls, count=count))
     return out
 
 
@@ -195,11 +195,22 @@ def region_shape(d: HeegaardDiagram, ri: int) -> str:
 
 def niceness_report(calc: DomainCalculator, tilde: AlgebraSpec) -> NicenessReport:
     d = calc.diagram
-    shapes = [{"region": ri, "shape": region_shape(d, ri), "marked": bool(region.marks)}
-              for ri, region in enumerate(d.regions)]
+    shapes = []
+    for ri, region in enumerate(d.regions):
+        shapes.append(
+            {
+                "region": ri,
+                "shape": region_shape(d, ri),
+                "marked": bool(region.marks),
+            }
+        )
     classes = enumerate_block_classes(calc, d.generators(), tilde)
     unsupported = [c for c in classes if not c.supported]
     hat_ok = all(c.supported for c in classes if all(v == 0 for v in c.n_z))
-    return NicenessReport(region_shapes=shapes, total_classes=len(classes),
-                          unsupported=unsupported, hat_countable=hat_ok,
-                          minus_countable=not unsupported)
+    return NicenessReport(
+        region_shapes=shapes,
+        total_classes=len(classes),
+        unsupported=unsupported,
+        hat_countable=hat_ok,
+        minus_countable=not unsupported,
+    )

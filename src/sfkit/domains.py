@@ -12,7 +12,6 @@ is the lattice of periodic domains, factored once per diagram by
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from . import snf
 from .diagram import Generator, HeegaardDiagram
@@ -46,8 +45,10 @@ def corner_target(d: HeegaardDiagram, x: Generator, y: Generator):
 
 def is_domain(d: HeegaardDiagram, D, x: Generator, y: Generator) -> bool:
     """D satisfies the corner conditions of a class from x to y."""
-    corners = [D[q1] + D[q3] - D[q0] - D[q2] for q0, q1, q2, q3 in d.crossing_quadrants]
-    return corners == corner_target(d, x, y)
+    return all(
+        D[q1] + D[q3] - D[q0] - D[q2] == t
+        for (q0, q1, q2, q3), t in zip(d.crossing_quadrants, corner_target(d, x, y))
+    )
 
 
 def is_periodic(d: HeegaardDiagram, D) -> bool:
@@ -137,7 +138,7 @@ class DomainCalculator:
 
 
 def _euler_x4(d: HeegaardDiagram, D) -> int:
-    return sum(map(mul, D, d.euler_measures_x4))
+    return sum(c * w for c, w in zip(D, d.euler_measures_x4) if c)
 
 
 def _corners_x4(d: HeegaardDiagram, D, points) -> int:

@@ -64,14 +64,13 @@ class Recording:
     call adds the rest.
     """
 
-    __slots__ = ("key", "start", "steps", "bounding", "bounded")
+    __slots__ = ("key", "start", "steps", "levels")
 
     def __init__(self):
         self.key = None  # (nvars, coefficient rows, objective)
         self.start = None  # (directions, bound multipliers, substituted) of the inputs
         self.steps = []  # per eliminated variable: (directions, entries of _structure)
-        self.bounding = {}  # per variable: its bounding rows (see _bounding)
-        self.bounded = None  # whether integer_points found every coordinate bounded
+        self.levels = None  # the chain's bounding rows and boundedness (_levels)
 
 
 def _reduced(num, den):
@@ -241,28 +240,24 @@ def _project(system, nvars, recording):
     return systems
 
 
-def _bounding(system, var, recording):
-    """The rows of ``system`` that bound ``var``, which depend on its
-    directions alone: (row index, coefficients of the variables below var,
-    coefficient of var).  A recording keeps them per variable."""
-    rows = None if recording is None else recording.bounding.get(var)
-    if rows is None:
-        rows = [(i, q[:var], q[var]) for i, q in enumerate(system[0]) if q[var]]
+def _levels(systems, recording):
+    """Per variable, the rows of its projection in the chain of ``_project``
+    that bound it, (row index, coefficients of the variables below, its
+    coefficient), and whether each is bounded on both sides, which makes a
+    nonempty polyhedron bounded.  Directions fix both: a recording keeps them."""
+    if recording is not None and recording.levels is not None:
+        return recording.levels
+    levels = [[(i, q[:var], q[var]) for i, q in enumerate(system[0]) if q[var]]
+              for var, system in enumerate(reversed(systems[:-1]))]
+    out = levels, all(len({c > 0 for _, _, c in rows}) == 2 for rows in levels)
     if recording is not None:
-        recording.bounding[var] = rows
-    return rows
-
-
-def _level(systems, var, recording):
-    """The bounding rows of ``var`` and the projection they belong to, in
-    the chain of ``_project``."""
-    system = systems[len(systems) - 2 - var]
-    return _bounding(system, var, recording), system
+        recording.levels = out
+    return out
 
 
 def _bounds(rows, system, point):
-    """Tightest bounds on a variable of ``system``, given its bounding
-    ``rows`` (``_bounding``) and the variables below it fixed to ``point``:
+    """Tightest bounds on a variable of ``system``, given the ``rows`` that
+    bound it (``_levels``) and the variables below it fixed to ``point``:
     (lo, hi), each a pair (num, den) with den > 0 meaning num / den, or None
     when that side is unbounded.  Pairs are compared by cross-multiplication,
     so integer points give integer arithmetic."""
@@ -300,8 +295,9 @@ def feasible_point(ineqs, nvars, recording: Recording | None = None):
         return None
     point = [Fraction(0)] * nvars
     # assign var = 0, 1, ... from the already-fixed lower coordinates
-    for var in range(nvars):
-        lo, hi = map(_fraction, _bounds(*_level(systems, var, recording), point))
+    levels, _ = _levels(systems, recording)
+    for var, rows in enumerate(levels):
+        lo, hi = map(_fraction, _bounds(rows, systems[nvars - 1 - var], point))
         if lo is not None and hi is not None and lo > hi:
             return None
         if lo is not None:
@@ -323,14 +319,7 @@ def integer_points(ineqs, nvars, recording: Recording | None = None):
         systems = _project(system, nvars, recording)
     except Infeasible:
         return []
-    levels = [_level(systems, var, recording) for var in range(nvars)]
-    bounded = None if recording is None else recording.bounded
-    if bounded is None:
-        # a nonempty polyhedron is bounded exactly when every projection
-        # bounds its last coordinate on both sides
-        bounded = all(len({c > 0 for _, _, c in rows}) == 2 for rows, _ in levels)
-    if recording is not None:
-        recording.bounded = bounded
+    levels, bounded = _levels(systems, recording)
     if not bounded:
         raise Unbounded
     out = []
@@ -340,7 +329,7 @@ def integer_points(ineqs, nvars, recording: Recording | None = None):
         if var == nvars:
             out.append(tuple(point))
             return
-        (lo, lo_den), (hi, hi_den) = _bounds(*levels[var], point)
+        (lo, lo_den), (hi, hi_den) = _bounds(levels[var], systems[nvars - 1 - var], point)
         for v in range(-(-lo // lo_den), hi // hi_den + 1):
             point[var] = v
             extend(var + 1)
@@ -415,7 +404,8 @@ def linear_range(ineqs, nvars, objective, recording: Recording | None = None):
     except Infeasible:
         return None
     # every row now reads c * u >= rhs, u being the last coordinate
-    lo, hi = map(_fraction, _bounds(_bounding(rows, nvars - 1, recording), rows, ()))
+    u = [(i, (), q[-1]) for i, q in enumerate(rows[0]) if q[-1]]
+    lo, hi = map(_fraction, _bounds(u, rows, ()))
     if lo is not None and hi is not None and lo > hi:
         return None
     return (lo, hi)

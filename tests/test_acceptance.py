@@ -52,17 +52,6 @@ COMPUTING_CORPUS = [
 ]
 
 
-def certificate_bound(lattice, x, y, j, con):
-    """The finiteness certificate's bound for the pair at index j, None when
-    x and y are not connected or the mu slice is empty over the rationals."""
-    if not con.exists:
-        return None
-    shift = j - maslov_index(lattice.diagram, con.particular, x, y)
-    if shift and not any(lattice.mu):
-        return None
-    return finiteness_certificate(lattice, con.particular, shift)
-
-
 def timed(limit):
     def deco(fn):
         def wrapper(*a, **k):
@@ -239,8 +228,11 @@ def test_a5_trefoil():
     gens = d.generators()
     for x in gens:
         for y in gens:
-            bound = (certificate_bound(data.lattices[0], x, y, 1,
-                                       data.calc.connecting(x, y)) or 0) + 1
+            con, bound = data.calc.connecting(x, y), 1
+            if con.exists:
+                shift = 1 - maslov_index(d, con.particular, x, y)
+                bound += finiteness_certificate(data.lattices[0], con.particular,
+                                                shift) or 0
             tgt = corner_target(d, x, y)
             oracle = []
             for vec in product(range(0, bound + 1), repeat=3):
@@ -348,8 +340,11 @@ def test_a8_admissibility():
         gens = dd.generators()
         for x in gens:
             for y in gens:
-                bound = (certificate_bound(calc.lattice(x), x, y, 1,
-                                           calc.connecting(x, y)) or 0) + 1
+                con, bound = calc.connecting(x, y), 1
+                if con.exists:
+                    shift = 1 - maslov_index(dd, con.particular, x, y)
+                    bound += finiteness_certificate(calc.lattice(x), con.particular,
+                                                    shift) or 0
                 tgt = corner_target(dd, x, y)
                 oracle = []
                 for vec in product(range(0, bound + 1), repeat=len(dd.regions)):

@@ -141,17 +141,6 @@ def test_strata_product_structure():
     assert sorted(tuple(sorted(s)) for s in strata2) == [(0,), (0, 1)]
 
 
-def certificate_bound(lattice, x, y, j, con):
-    """The finiteness certificate's bound for the pair at index j, None when
-    x and y are not connected or the mu slice is empty over the rationals."""
-    if not con.exists:
-        return None
-    shift = j - maslov_index(lattice.diagram, con.particular, x, y)
-    if shift and not any(lattice.mu):
-        return None
-    return finiteness_certificate(lattice, con.particular, shift)
-
-
 def brute_force_positive_classes(d, x, y, j, bound):
     """Oracle: all positive classes of index j with surviving tilde monomial,
     coefficients at most ``bound``."""
@@ -180,7 +169,10 @@ def test_certificate_sound_against_brute_force(name):
     gens = d.generators()
     for x in gens:
         for y in gens:
-            bound = (certificate_bound(calc.lattice(x), x, y, 1, calc.connecting(x, y)) or 0) + 1
+            con, bound = calc.connecting(x, y), 1
+            if con.exists:
+                shift = 1 - maslov_index(d, con.particular, x, y)
+                bound += finiteness_certificate(calc.lattice(x), con.particular, shift) or 0
             oracle = brute_force_positive_classes(d, x, y, 1, bound)
             listed = sorted(
                 tuple(c.domain) for c in enumerate_mu1_classes(calc.lattice(x), x, y, tilde)
@@ -201,12 +193,28 @@ def test_x_equals_y_j0_certificate():
     d = corpus.load_diagram("trefoil")
     calc = DomainCalculator(d)
     gens = d.generators()
-    bound = certificate_bound(calc.lattice(gens[0]), gens[0], gens[0], 0,
-                              calc.connecting(gens[0], gens[0]))
+    con = calc.connecting(gens[0], gens[0])
+    assert con.exists
+    shift = -maslov_index(d, con.particular, gens[0], gens[0])
+    bound = finiteness_certificate(calc.lattice(gens[0]), con.particular, shift)
     assert bound is not None
     # only the zero class at index 0
     oracle = brute_force_positive_classes(d, gens[0], gens[0], 0, bound + 1)
     assert oracle == [(0, 0, 0)]
+
+
+def test_certificate_without_slice_off_a_constant_mu():
+    # genus2_pair's mu row is zero, so mu(P) = shift has no solution, not
+    # even a rational one, unless shift = 0: the certificate gives no bound
+    d = corpus.load_diagram("genus2_pair")
+    calc = DomainCalculator(d)
+    x, y = d.generators()
+    lattice = calc.lattice(x)
+    assert lattice.mu == [0]
+    phi0 = calc.connecting(x, y).particular
+    assert finiteness_certificate(lattice, phi0, 0) == 1
+    assert finiteness_certificate(lattice, phi0, 1) is None
+    assert finiteness_certificate(lattice, phi0, -2) is None
 
 
 def test_witness_errors_name_the_condition():

@@ -29,6 +29,7 @@ from sfkit.domains import (
     DomainCalculator,
     marked_multiplicities,
     maslov_index,
+    maslov_measures,
     maslov_x4,
 )
 from sfkit.stabilize import stabilize_diagram
@@ -87,7 +88,8 @@ def test_classification_rejects_bad_shapes():
     # a coefficient-2 domain is never a supported shape
     d = corpus.load_diagram("trefoil")
     gens = d.generators()
-    cls, count = classify(d, [2, 0, 0], gens[1], gens[0])
+    D, x, y = [2, 1, 1], gens[1], gens[0]
+    cls, count = classify(d, D, x, y, maslov_measures(d, D, x, y))
     assert cls == UNSUPPORTED and count is None
 
 
@@ -95,7 +97,8 @@ def test_unsupported_annulus_signature():
     # 0/1 coefficients but euler measure -1/2: hexagon-like, unsupported
     d = corpus.load_diagram("trefoil")
     gens = d.generators()
-    cls, _ = classify(d, [0, 1, 1], gens[0], gens[1])
+    D, x, y = [0, 1, 1], gens[0], gens[1]
+    cls, _ = classify(d, D, x, y, maslov_measures(d, D, x, y))
     assert cls == UNSUPPORTED
 
 
@@ -225,7 +228,7 @@ def reference_mu1_classes(d, x, y, tilde, calc, index=1):
         nz = marked_multiplicities(d, list(D))
         if not tilde.nf_monomial(tuple(nz)):
             continue
-        cls, count = classify(d, list(D), x, y)
+        cls, count = classify(d, list(D), x, y, maslov_measures(d, D, x, y))
         out.append(DiskClass(domain=D, source=x, target=y, mu=mu, n_z=tuple(nz),
                              classification=cls, count=count))
     return out

@@ -438,7 +438,7 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
             con = calc.connecting(x, y)
             phi0 = con.particular
             shift = 1 - maslov_index(d, phi0, x, y)
-            bound = admissibility.finiteness_certificate(lattice, phi0, shift)
+            cert = admissibility.finiteness_certificate(lattice, phi0, shift)
             best = None
             for stratum in strata:
                 ineqs = [(list(col), -phi0[r]) for r, col in enumerate(zip(*lattice.basis))]
@@ -451,7 +451,7 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
                 if rng is not None:
                     bound = floor(rng[1]) + sum(phi0)
                     best = bound if best is None else max(best, bound)
-            assert bound == best
+            assert cert == best
     assert len(calls) == len(gens) ** 2  # one survival stratum, one LP per pair
     # the generators form one block: its one stratum system serves every pair
     systems = calc.lattice(gens[0]).compiled("certificate", admissibility.certificate_systems)
