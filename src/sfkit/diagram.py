@@ -263,8 +263,7 @@ class HeegaardDiagram:
         if not errors:
             genus = self._surface_genus(errors)
         if not errors:
-            self._check_marked_components(errors)
-            self._check_independence(errors)
+            self._check_components(errors)
         return ValidationReport(ok=not errors, genus=genus, errors=errors)
 
     def _structural_errors(self):
@@ -369,20 +368,16 @@ class HeegaardDiagram:
             return None
         return (2 - chi) // 2
 
-    def _check_marked_components(self, errors):
-        for side in (ALPHA, BETA):
-            for comp in self.complement_components(side):
-                if not comp.marks:
-                    errors.append(
-                        ("UNMARKED_COMPONENT", f"{side} component {comp.index} has no marked point")
-                    )
-
-    def _check_independence(self, errors):
+    def _check_components(self, errors):
+        """Every complement component is marked, and the curves of each side
+        are independent in H1(Sigma - z), which the components also decide."""
         from . import homology1
 
-        for side in (ALPHA, BETA):
-            if not homology1.curves_independent(self, side):
-                errors.append(("DEPENDENT_CURVES", f"{side} classes dependent in H1(Sigma - z)"))
+        errors.extend(("UNMARKED_COMPONENT", f"{side} component {comp.index} has no marked point")
+                      for side in (ALPHA, BETA) for comp in self.complement_components(side)
+                      if not comp.marks)
+        errors.extend(("DEPENDENT_CURVES", f"{side} classes dependent in H1(Sigma - z)")
+                      for side in (ALPHA, BETA) if not homology1.curves_independent(self, side))
 
     @cached_property
     def surface_model(self):

@@ -1,12 +1,13 @@
 """Enumeration and combinatorial counting of Maslov-index-1 disk classes.
 
 A class from x to y is D = phi0 + P, phi0 the pair's connecting domain and P
-periodic, and mu(D) = mu(phi0) + mu(P), with mu(phi0) computed once per pair.
-mu(P) runs over the multiples of the gcd of the block's mu row (Bezout), so a
-pair whose shift index - mu(phi0) is no such multiple has no class: this
-residue test comes before any LP.  Otherwise the finiteness certificate
-bounds the total multiplicity of the positive classes with surviving
-tilde-monomial, and only the integer points of the polytope D >= 0,
+periodic, and mu(D) = mu(phi0) + mu(P), mu(phi0) being the difference of the
+generators' Maslov potentials (``DomainCalculator.potential``).  mu(P) runs
+over the multiples of the gcd of the block's mu row (Bezout), so a pair whose
+shift index - mu(phi0) is no such multiple has no class: this residue test
+comes before the connecting solve and any LP.  Otherwise the finiteness
+certificate bounds the total multiplicity of the positive classes with
+surviving tilde-monomial, and only the integer points of the polytope D >= 0,
 sum_r D_r <= bound on the hyperplane mu = index are visited.  The gcd and the
 certificate's and the box's rows are compiled once per Spin^c block
 (``PeriodicLattice.compiled``), so a pair supplies only right-hand sides.  A
@@ -31,7 +32,6 @@ from .domains import (
     DomainCalculator,
     PeriodicLattice,
     marked_multiplicities,
-    maslov_index,
     maslov_measures,
 )
 from . import linprog
@@ -123,20 +123,20 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
 
     ``lattice`` is the periodic lattice of the Spin^c class of x; its
     calculator holds the diagram and the connecting solve of the pair.
-    mu(phi0) is computed once and read by the residue test, the
-    certificate and the box.
+    mu(phi0), the difference of the generators' potentials, serves the
+    residue test, the certificate and the box; phi0 waits for the residue test.
     """
     d = lattice.diagram
-    con = lattice.calc.connecting(x, y)
-    if not con.exists:
-        return []
-    phi0 = con.particular
-    shift = index - maslov_index(d, phi0, x, y)
+    calc = lattice.calc
+    if calc.key(x) != calc.key(y):
+        return []  # no domain connects x to y
+    shift = index - (calc.potential(x) - calc.potential(y))
     # the residue test: mu(P) = shift has a lattice solution exactly when
     # the gcd of the mu row divides shift (Bezout)
     g = lattice.compiled("mu gcd", lambda lattice: math.gcd(*lattice.mu))
     if shift % g if g else shift:
         return []
+    phi0 = calc.connecting(x, y).particular
     bound = finiteness_certificate(lattice, phi0, shift)
     if bound is None:
         return []
@@ -195,15 +195,8 @@ def region_shape(d: HeegaardDiagram, ri: int) -> str:
 
 def niceness_report(calc: DomainCalculator, tilde: AlgebraSpec) -> NicenessReport:
     d = calc.diagram
-    shapes = []
-    for ri, region in enumerate(d.regions):
-        shapes.append(
-            {
-                "region": ri,
-                "shape": region_shape(d, ri),
-                "marked": bool(region.marks),
-            }
-        )
+    shapes = [{"region": ri, "shape": region_shape(d, ri), "marked": bool(region.marks)}
+              for ri, region in enumerate(d.regions)]
     classes = enumerate_block_classes(calc, d.generators(), tilde)
     unsupported = [c for c in classes if not c.supported]
     hat_ok = all(c.supported for c in classes if all(v == 0 for v in c.n_z))

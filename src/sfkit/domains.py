@@ -6,7 +6,8 @@ crossing; a vector D is the domain of a class connecting x to y exactly when
 c_p(D) = [p in x] - [p in y] for every crossing p (``is_domain``, which, like
 ``maslov_index``, reads the diagram alone).  The kernel of the corner matrix
 is the lattice of periodic domains, factored once per diagram by
-``DomainCalculator`` and viewed per Spin^c class as a ``PeriodicLattice``.
+``DomainCalculator`` and viewed per Spin^c class as a ``PeriodicLattice``;
+the calculator's per-generator Maslov potentials give each pair's index.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class DomainCalculator:
     generator's U e(g) = D q + r is split once (``snf.split_transformed``):
     ``key(g)`` is r and p(g) = V q.  Remainders are canonical, so x and y
     are connected exactly when their keys are equal, and then p(x) - p(y)
-    is the solve of their pair."""
+    is the solve of their pair, whose index is the difference of the two
+    generators' Maslov potentials (``potential``)."""
 
     def __init__(self, d: HeegaardDiagram):
         self.diagram = d
@@ -88,8 +90,8 @@ class DomainCalculator:
         self.periodic_n_z = [
             list(marked_multiplicities(d, P)) for P in self.periodic_basis
         ]
-        self._splits = {}
-        self._lattices = {}
+        self._splits, self._lattices, self._potentials = {}, {}, {}
+        self._references = {}  # key -> the generator its potentials are taken to
 
     def _split(self, g: Generator) -> tuple:
         """(key(g), p(g)), computed once per generator."""
@@ -116,6 +118,16 @@ class DomainCalculator:
         if kx != ky:
             return ConnectingDomains(exists=False, particular=None)
         return ConnectingDomains(exists=True, particular=[a - b for a, b in zip(px, py)])
+
+    def potential(self, g: Generator) -> int:
+        """mu of the connecting domain from g to the first generator asked
+        for with g's key, once per generator.  The index adds under
+        juxtaposition, so mu(connecting(x, y)) = potential(x) - potential(y)."""
+        if g.points not in self._potentials:
+            ref = self._references.setdefault(self.key(g), g)
+            self._potentials[g.points] = 0 if ref == g else maslov_index(
+                self.diagram, self.connecting(g, ref).particular, g, ref)
+        return self._potentials[g.points]
 
     def lattice(self, at: Generator | None) -> "PeriodicLattice":
         """The periodic lattice with the mu row of the Spin^c class of ``at``

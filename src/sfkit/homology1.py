@@ -14,8 +14,9 @@ relative Spin^c difference table.
 The chain model and a spanning forest of its 1-skeleton are built once per
 diagram (``HeegaardDiagram.surface_model``).  The fundamental cycles of the
 non-forest edges are a Z-basis of the cycles, so a cycle's coordinates are
-its entries on those edges; ``curves_independent``, ``surface_h1`` and
-``h1_presentation`` are views over that one model.
+its entries on those edges; ``surface_h1`` and ``h1_presentation`` are views
+over that one model.  ``curves_independent`` needs no model: the complement
+components of the curves decide it.
 """
 
 from __future__ import annotations
@@ -197,20 +198,15 @@ def surface_h1(d: HeegaardDiagram):
 
 def curves_independent(d: HeegaardDiagram, side) -> bool:
     """Are the classes of the ``side`` curves linearly independent in
-    H1(Sigma - z; Z)?"""
-    m = d.surface_model
-    curves = d.alpha if side == ALPHA else d.beta
-    if not curves:
-        return True
-    # independence is checked rationally: torsion coordinates are dropped
-    free_cols = [i for i, mod in enumerate(m.group.moduli) if mod == 0]
-    if not free_cols:
-        return False
-    mat = []
-    for ci in range(len(curves)):
-        full = m.group.project(m.curves[(side, ci)])
-        mat.append([full[i] for i in free_cols])
-    return snf.rank_over_field(mat) == len(curves)
+    H1(Sigma - z; Q)?  A relation among them bounds a 2-chain constant on
+    each component of Sigma - side and zero on the marked ones; the
+    components' boundaries have one relation, their sum (Sigma is closed and
+    connected).  So no component may be unmarked, and without marks
+    Sigma - side must be connected."""
+    comps = d.complement_components(side)
+    if d.num_marks:
+        return all(comp.marks for comp in comps)
+    return len(comps) == 1
 
 
 class HomologyPresentation:

@@ -123,7 +123,7 @@ def _inputs(ineqs, nvars, objective, recording):
                None if objective is None else tuple(objective))
         if recording.key is None:
             recording.key, recording.start = key, _start(key[1], key[2])
-        elif recording.key != key:
+        elif recording.key != key:  # identity first per row: a Slice's own rows match at once
             raise ValueError("recording made for another system")
         start = recording.start
     dirs, mults, substituted = start

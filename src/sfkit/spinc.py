@@ -15,7 +15,8 @@ that mu(P) + sum_i d_i n_{z_i}(P) vanish mod d(s) for every periodic domain P
 applied to the lattice).  When the lattice leaves some d_i underdetermined,
 the reported value is a canonical solution and is flagged as conventional.
 The partition reads the diagram's ``DomainCalculator`` and the gradings the
-block's ``PeriodicLattice``, so neither solves a corner system again.
+block's ``PeriodicLattice``, so neither solves a corner system again; the
+Maslov part of a grading is the difference of the calculator's potentials.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .domains import (
     DomainCalculator,
     PeriodicLattice,
     marked_multiplicities,
-    maslov_index,
 )
 from .homology1 import HomologyPresentation
 
@@ -124,16 +124,16 @@ def grading_data(partition: SpincPartition, block_index: int,
         return GradingData(d_of_s=d_of_s, weights=[None] * d.num_marks,
                            pinned=[False] * d.num_marks,
                            gr={i: None for i in block}, block=list(block))
-    base = block[0]
+    base, calc = block[0], lattice.calc
     gd = GradingData(d_of_s=d_of_s, weights=weights, pinned=pinned,
                      gr={base: 0}, block=list(block))
+    base_potential = calc.potential(gens[base])
     for i in block[1:]:
-        con = lattice.calc.connecting(gens[i], gens[base])
+        con = calc.connecting(gens[i], gens[base])
         if not con.exists:
             raise NoConnectingDomain(f"generators {i}, {base} not connected")
-        mu = maslov_index(d, con.particular, gens[i], gens[base])
         w = gd.weight_of_monomial(marked_multiplicities(d, con.particular))
-        gd.gr[i] = gd._reduce(mu + w)
+        gd.gr[i] = gd._reduce(calc.potential(gens[i]) - base_potential + w)
     return gd
 
 

@@ -106,6 +106,19 @@ def test_dependent_curves_detected():
     assert {"UNMARKED_COMPONENT", "DEPENDENT_CURVES"} <= set(rep.error_codes())
 
 
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_validate_makes_no_smith_form(name, monkeypatch):
+    # the complement components decide curve independence: validation runs
+    # no Smith normal form (nor a cokernel, which is one) and no field rank
+    from sfkit import snf
+
+    calls = []
+    for fn in ("smith_normal_form", "rank_over_field"):
+        monkeypatch.setattr(snf, fn, lambda *args, fn=fn: calls.append(fn))
+    assert corpus.load_diagram(name).validate().ok
+    assert calls == []
+
+
 def test_sphere_bad_is_valid_with_marks_everywhere():
     # null-homotopic curves stay independent in H_1(Sigma - z) because every
     # complement component carries a marked point

@@ -333,6 +333,38 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
                     "boxed": len(d.generators()) ** 2 - residue - empty}
 
 
+def test_residue_failure_makes_no_solve_and_no_index(monkeypatch):
+    # trefoil+2, with the generators' potentials in hand: the 72 pairs whose
+    # shift fails the residue test make no connecting solve and no
+    # maslov_index call; every other pair makes one solve and no index call
+    from sfkit import domains
+
+    d = _stabilized("trefoil", 2)
+    calc = DomainCalculator(d)
+    gens = d.generators()
+    for g in gens:
+        calc.potential(g)
+    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    calls = []
+    connecting = DomainCalculator.connecting
+    monkeypatch.setattr(DomainCalculator, "connecting",
+                        lambda *args: calls.append("connecting") or connecting(*args))
+    monkeypatch.setattr(domains, "maslov_index",
+                        lambda *args: calls.append("maslov_index") or maslov_index(*args))
+    failed = 0
+    for x in gens:
+        lattice = calc.lattice(x)
+        for y in gens:
+            before = len(calls)
+            enumerate_mu1_classes(lattice, x, y, tilde)
+            if (1 - calc.potential(x) + calc.potential(y)) % math.gcd(*lattice.mu):
+                assert calls[before:] == []
+                failed += 1
+            else:
+                assert calls[before:] == ["connecting"]
+    assert failed == 72
+
+
 def test_residue_test_answers_before_admissibility():
     # special_hs with a handle added to region 0 is not s-admissible (mu row
     # [2, 0, 0, 0, 2]): a nonnegative periodic domain with mu = 0 makes the

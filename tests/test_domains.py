@@ -297,6 +297,32 @@ def test_block_mu_row_is_every_generators_mu(name, k):
 
 
 
+# -- Maslov potentials ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, k", LATTICE_CASES)
+def test_potential_differences_are_pair_indices(name, k, monkeypatch):
+    # mu of every connected pair's connecting domain is the difference of the
+    # two generators' potentials; each potential takes one maslov_index call,
+    # except the reference of its key, whose potential is 0
+    from sfkit import domains
+
+    d = _stabilized(name, k)
+    calc = DomainCalculator(d)
+    gens = d.generators()
+    calls = []
+    monkeypatch.setattr(domains, "maslov_index",
+                        lambda *args: calls.append(args) or maslov_index(*args))
+    for x in gens:
+        for y in gens:
+            con = calc.connecting(x, y)
+            if con.exists:
+                assert calc.potential(x) - calc.potential(y) == maslov_index(
+                    d, con.particular, x, y)
+    assert len(calls) == len(gens) - len({calc.key(g) for g in gens})
+    assert all(calc.potential(calc._references[calc.key(g)]) == 0 for g in gens)
+
+
 # -- one connecting solve per ordered pair ------------------------------------
 
 

@@ -1,8 +1,17 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfkit import corpus
-from sfkit.diagram import ALPHA, BETA
-from sfkit.homology1 import build_chain_model, h1_presentation, surface_h1
+from sfkit.diagram import ALPHA, BETA, HeegaardDiagram
+from sfkit.homology1 import (
+    build_chain_model,
+    curves_independent,
+    h1_presentation,
+    surface_h1,
+)
 
 
 def test_torus_min_h1_trivial():
@@ -278,8 +287,8 @@ def test_forest_coordinates_form_a_basis(name, k):
 
 @pytest.mark.parametrize("name", corpus.corpus_names())
 def test_chain_model_built_once_per_diagram(name, monkeypatch):
-    # validate() asks curves_independent about both sides and DiagramData
-    # asks for H1; all three read one chain model
+    # DiagramData asks for H1 and surface_h1 for H1(Sigma - z): both read one
+    # chain model (validate() reads none)
     from sfkit import homology1
     from sfkit.cf import DiagramData
 
@@ -296,3 +305,76 @@ def test_chain_model_built_once_per_diagram(name, monkeypatch):
     DiagramData.build(d)
     surface_h1(d)
     assert len(built) == 1
+
+
+# -- curve independence against the Smith form of H1(Sigma - z) ----------------
+
+
+def reference_curves_independent(d, side):
+    """The criterion the component one replaced: the rank over Q of the
+    side's curve classes in the free part of H1(Sigma - z), from the Smith
+    form of the surface model."""
+    from sfkit import snf
+
+    m = d.surface_model
+    curves = d.alpha if side == ALPHA else d.beta
+    if not curves:
+        return True
+    free_cols = [i for i, mod in enumerate(m.group.moduli) if mod == 0]
+    if not free_cols:
+        return False
+    mat = []
+    for ci in range(len(curves)):
+        full = m.group.project(m.curves[(side, ci)])
+        mat.append([full[i] for i in free_cols])
+    return snf.rank_over_field(mat) == len(curves)
+
+
+# every corpus diagram, and the unknot, the trefoil and grid2 stabilized once
+# and twice
+MARKED_BASES = CORPUS_AND_LADDER + [("grid2", 1), ("grid2", 2)]
+
+
+_base = lru_cache(maxsize=None)(_stabilized)
+
+
+def _with_marks(name, k, regions):
+    """The diagram with mark i in region regions[i], and no other marks."""
+    data = _base(name, k).to_dict()
+    for r in data["regions"]:
+        r["marks"] = []
+    for m, ri in enumerate(regions):
+        data["regions"][ri]["marks"].append(m)
+    data["marks"] = len(regions)
+    return HeegaardDiagram.from_dict(data)
+
+
+def _assert_criteria_agree(d):
+    got = [curves_independent(d, side) for side in (ALPHA, BETA)]
+    assert got == [reference_curves_independent(d, side) for side in (ALPHA, BETA)]
+    return got
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_curve_independence_matches_smith_form(data):
+    # random mark placements, from no marks to one more than the diagram has
+    name, k = data.draw(st.sampled_from(MARKED_BASES))
+    d = _base(name, k)
+    regions = data.draw(st.lists(st.integers(0, len(d.regions) - 1),
+                                 max_size=d.num_marks + 1))
+    _assert_criteria_agree(_with_marks(name, k, tuple(regions)))
+
+
+@pytest.mark.parametrize("name, k", MARKED_BASES)
+def test_curve_independence_matches_smith_form_on_extreme_marks(name, k):
+    # the diagram itself, no marks, one mark in each region in turn, and one
+    # mark in every region (independent); a side with two or more components
+    # is dependent under some of these placements
+    d = _base(name, k)
+    n = len(d.regions)
+    answers = [_assert_criteria_agree(d), _assert_criteria_agree(_with_marks(name, k, ()))]
+    answers += [_assert_criteria_agree(_with_marks(name, k, (r,))) for r in range(n)]
+    assert _assert_criteria_agree(_with_marks(name, k, tuple(range(n)))) == [True, True]
+    if max(len(d.complement_components(side)) for side in (ALPHA, BETA)) > 1:
+        assert any(False in a for a in answers)
