@@ -482,6 +482,11 @@ class HeegaardDiagram:
         return table
 
     def generators(self) -> tuple:
+        """The generators, sorted by (perm, points), enumerated once."""
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> tuple:
         ell = self.ell
         table = self.crossing_table
         out = []

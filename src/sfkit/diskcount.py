@@ -10,8 +10,12 @@ certificate bounds the total multiplicity of the positive classes with
 surviving tilde-monomial, and only the integer points of the polytope D >= 0,
 sum_r D_r <= bound on the hyperplane mu = index are visited.  The gcd and the
 certificate's and the box's rows are compiled once per Spin^c block
-(``PeriodicLattice.compiled``), so a pair supplies only right-hand sides.  A
-candidate's Euler and corner measures serve its index check and its shape.
+(``PeriodicLattice.compiled``), so a pair supplies only right-hand sides,
+phi0 and the shift.  phi0 sees only the moved points, so pairs that differ
+in a shared coordinate repeat a system: the candidates of each (phi0, shift)
+are kept with the lattice, and a repeated one runs no certificate and no
+box.  A candidate's Euler and corner measures, read at the pair's own x and
+y, serve its index check and its shape.
 
 A class is assigned a count only when its shape forces the holomorphic
 count: an embedded empty bigon or an embedded empty rectangle contributes
@@ -125,6 +129,8 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
     calculator holds the diagram and the connecting solve of the pair.
     mu(phi0), the difference of the generators' potentials, serves the
     residue test, the certificate and the box; phi0 waits for the residue test.
+    The candidates of each (phi0, shift) are kept with the lattice, and the
+    checks that read x and y run per pair.
     """
     d = lattice.diagram
     calc = lattice.calc
@@ -137,17 +143,18 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
     if shift % g if g else shift:
         return []
     phi0 = calc.connecting(x, y).particular
-    bound = finiteness_certificate(lattice, phi0, shift)
-    if bound is None:
-        return []
-    try:
-        coords = _sliced_box(lattice, phi0, bound, shift)
-    except linprog.Unbounded:
-        raise RuntimeError("certificate box is unbounded") from None
-    candidates = {tuple(lattice.element(t, phi0)) for t in coords}
+    solved = lattice.compiled("candidates", lambda lattice: {})
+    system = (tuple(phi0), shift)
+    if system not in solved:
+        bound = finiteness_certificate(lattice, phi0, shift)
+        try:
+            coords = [] if bound is None else _sliced_box(lattice, phi0, bound, shift)
+        except linprog.Unbounded:
+            raise RuntimeError("certificate box is unbounded") from None
+        solved[system] = sorted({tuple(lattice.element(t, phi0)) for t in coords})
 
     out = []
-    for D in sorted(candidates):
+    for D in solved[system]:
         if any(c < 0 for c in D):
             continue
         measures = maslov_measures(d, D, x, y)

@@ -65,15 +65,15 @@ class ConnectingDomains:
 class DomainCalculator:
     """Per-diagram cache of the corner system, factored once, of the
     periodic lattice (its basis and the n_z row of each basis domain), of
-    one ``PeriodicLattice`` per mu row and of each generator's split.
+    one ``PeriodicLattice`` per mu row and of each generator's split and record.
 
     The corner target of (x, y) is e(x) - e(y), e(g) being the indicator of
     g's points among the crossings.  With U A V = D factored once, each
     generator's U e(g) = D q + r is split once (``snf.split_transformed``):
     ``key(g)`` is r and p(g) = V q.  Remainders are canonical, so x and y
     are connected exactly when their keys are equal, and then p(x) - p(y)
-    is the solve of their pair, whose index is the difference of the two
-    generators' Maslov potentials (``potential``)."""
+    is the solve of their pair, whose index and n_z are differences of the
+    generators' records (``potential``, ``marks``)."""
 
     def __init__(self, d: HeegaardDiagram):
         self.diagram = d
@@ -90,8 +90,8 @@ class DomainCalculator:
         self.periodic_n_z = [
             list(marked_multiplicities(d, P)) for P in self.periodic_basis
         ]
-        self._splits, self._lattices, self._potentials = {}, {}, {}
-        self._references = {}  # key -> the generator its potentials are taken to
+        self._splits, self._lattices, self._records = {}, {}, {}
+        self._references = {}  # key -> the generator its records are taken to
 
     def _split(self, g: Generator) -> tuple:
         """(key(g), p(g)), computed once per generator."""
@@ -119,15 +119,27 @@ class DomainCalculator:
             return ConnectingDomains(exists=False, particular=None)
         return ConnectingDomains(exists=True, particular=[a - b for a, b in zip(px, py)])
 
-    def potential(self, g: Generator) -> int:
-        """mu of the connecting domain from g to the first generator asked
-        for with g's key, once per generator.  The index adds under
-        juxtaposition, so mu(connecting(x, y)) = potential(x) - potential(y)."""
-        if g.points not in self._potentials:
+    def _record(self, g: Generator) -> tuple:
+        """(potential, n_z) of the connecting domain from g to the first
+        generator asked for with g's key (its reference): one solve and one
+        Maslov index per generator, none for the reference itself."""
+        if g.points not in self._records:
             ref = self._references.setdefault(self.key(g), g)
-            self._potentials[g.points] = 0 if ref == g else maslov_index(
-                self.diagram, self.connecting(g, ref).particular, g, ref)
-        return self._potentials[g.points]
+            D = [0] * len(self.diagram.regions) if ref == g else self.connecting(g, ref).particular
+            mu = 0 if ref == g else maslov_index(self.diagram, D, g, ref)
+            self._records[g.points] = mu, marked_multiplicities(self.diagram, D)
+        return self._records[g.points]
+
+    def potential(self, g: Generator) -> int:
+        """mu of the connecting domain from g to its key's reference.  The
+        index adds under juxtaposition, so mu(connecting(x, y)) =
+        potential(x) - potential(y)."""
+        return self._record(g)[0]
+
+    def marks(self, x: Generator, y: Generator) -> tuple:
+        """n_z of the connecting domain from x to y (equal keys), from the
+        generators' records: connecting domains subtract."""
+        return tuple(a - b for a, b in zip(self._record(x)[1], self._record(y)[1]))
 
     def lattice(self, at: Generator | None) -> "PeriodicLattice":
         """The periodic lattice with the mu row of the Spin^c class of ``at``
@@ -223,9 +235,9 @@ class PeriodicLattice:
     so ``at`` is any generator whose row matches: by linearity mu agrees
     with that row on every lattice element, whichever generator it is
     computed at.
-    The systems that all generator pairs of the class share and the
-    s-admissibility report (see ``compiled``) are kept with the lattice and
-    freed with it.
+    What the generator pairs of the class share (see ``compiled``), its
+    systems, its s-admissibility report and the enumerator's candidates per
+    (connecting domain, mu shift), is kept with the lattice and freed with it.
     """
 
     def __init__(self, calc: DomainCalculator, mu: list, at: Generator | None):

@@ -25,11 +25,7 @@ from math import gcd
 
 from . import snf
 from .diagram import HeegaardDiagram
-from .domains import (
-    DomainCalculator,
-    PeriodicLattice,
-    marked_multiplicities,
-)
+from .domains import DomainCalculator, PeriodicLattice
 from .homology1 import HomologyPresentation
 
 
@@ -58,7 +54,8 @@ def spinc_partition(calc: DomainCalculator,
     """The Spin^c blocks of the calculator's diagram; ``homology`` is its H1.
 
     Generators with equal ``calc.key`` form one block, in index order, and
-    each is solved once against its block's first generator."""
+    each class is read from the calculator's per-generator records
+    (``calc.marks``), which the gradings and the potentials share."""
     d = calc.diagram
     gens = d.generators()
 
@@ -72,12 +69,8 @@ def spinc_partition(calc: DomainCalculator,
     for i, g in enumerate(gens):
         by_key.setdefault(calc.key(g), []).append(i)
     blocks = list(by_key.values())
-    classes = {}
-    for bi, block in enumerate(blocks):
-        classes[block[0]] = (bi, homology.group.zero())
-        for i in block[1:]:
-            con = calc.connecting(gens[i], gens[block[0]])
-            classes[i] = (bi, homology.chi_of_exponents(marked_multiplicities(d, con.particular)))
+    classes = {i: (bi, homology.chi_of_exponents(calc.marks(gens[i], gens[block[0]])))
+               for bi, block in enumerate(blocks) for i in block}
     return SpincPartition(diagram=d, homology=homology, blocks=blocks,
                           generators=gens, classes=classes)
 
@@ -126,14 +119,10 @@ def grading_data(partition: SpincPartition, block_index: int,
                            gr={i: None for i in block}, block=list(block))
     base, calc = block[0], lattice.calc
     gd = GradingData(d_of_s=d_of_s, weights=weights, pinned=pinned,
-                     gr={base: 0}, block=list(block))
-    base_potential = calc.potential(gens[base])
-    for i in block[1:]:
-        con = calc.connecting(gens[i], gens[base])
-        if not con.exists:
-            raise NoConnectingDomain(f"generators {i}, {base} not connected")
-        w = gd.weight_of_monomial(marked_multiplicities(d, con.particular))
-        gd.gr[i] = gd._reduce(calc.potential(gens[i]) - base_potential + w)
+                     gr={}, block=list(block))
+    for i in block:
+        w = gd.weight_of_monomial(calc.marks(gens[i], gens[base]))
+        gd.gr[i] = gd._reduce(calc.potential(gens[i]) - calc.potential(gens[base]) + w)
     return gd
 
 

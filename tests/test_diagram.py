@@ -209,3 +209,15 @@ def test_complement_components_computed_once():
     for side in (ALPHA, BETA):
         assert d.complement_components(side) is d.complement_components(side)
     assert d.complement_components(ALPHA) != d.complement_components(BETA)
+
+
+def test_generators_enumerated_once(monkeypatch):
+    # the method is still called (the benchmark traces it), but the
+    # permutations are enumerated once per diagram
+    d = HeegaardDiagram.from_dict(corpus.load_diagram("special_hs").to_dict())
+    reads = []
+    table = HeegaardDiagram.crossing_table.func
+    monkeypatch.setattr(HeegaardDiagram, "crossing_table",
+                        property(lambda self: reads.append(self) or table(self)))
+    first = d.generators()
+    assert len(first) > 1 and d.generators() is first and len(reads) == 1

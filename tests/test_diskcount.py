@@ -234,27 +234,64 @@ def reference_mu1_classes(d, x, y, tilde, calc, index=1):
     return out
 
 
-def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None):
+def _stored(lattice):
+    """The enumerator's candidates per (phi0, shift), kept with the lattice."""
+    return lattice.compiled("candidates", lambda lattice: {})
+
+
+def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None, tally=None):
+    """Every ordered pair at every index, interleaved on one calculator, so
+    that later pairs reuse the candidates stored by earlier ones.  A pair
+    whose (phi0, shift) is stored adds no entry and one that is not adds
+    exactly its own, so a different shift never reads another system's
+    entry; ``tally`` counts both kinds."""
     calc = calc or DomainCalculator(d)
     tilde = tilde or alg.diagram_algebra(d, variant=alg.TILDE)
+    tally = {"new": 0, "reused": 0} if tally is None else tally
     found = 0
     for x in d.generators():
+        lattice = calc.lattice(x)
         for y in d.generators():
+            con = calc.connecting(x, y)
             for index in indices:
                 ref = reference_mu1_classes(d, x, y, tilde, calc, index)
+                stored = dict(_stored(lattice))
                 # DiskClass equality covers domain, n_z, classification,
                 # count, mu and both generators; list equality the order
-                assert enumerate_mu1_classes(calc.lattice(x), x, y, tilde, index) == ref
+                assert enumerate_mu1_classes(lattice, x, y, tilde, index) == ref
                 found += len(ref)
+                added = {k: v for k, v in _stored(lattice).items() if k not in stored}
+                if not con.exists:
+                    assert added == {}
+                    continue
+                shift = index - maslov_index(d, con.particular, x, y)
+                system, g = (tuple(con.particular), shift), math.gcd(*lattice.mu)
+                if system in stored:
+                    assert added == {}
+                    tally["reused"] += 1
+                elif shift % g == 0 if g else shift == 0:
+                    assert list(added) == [system]
+                    tally["new"] += 1
+                else:
+                    assert added == {}  # the residue test
     return found
 
 
 INDICES = range(-2, 4)
 
+CORPUS_SYSTEMS = {  # (systems solved, pairs that reused one), indices -2..3
+    "genus2_pair": (3, 1), "grid2": (9, 3), "nomatch_genus2": (0, 0),
+    "special_hs": (27, 21), "sphere_bad": (0, 0), "sphere_split": (9, 3),
+    "torus_lens": (3, 3), "torus_min": (3, 0), "trefoil": (21, 6), "unknot": (3, 0),
+}
+
 
 @pytest.mark.parametrize("name", corpus.corpus_names())
 def test_sliced_enumerator_matches_reference_on_corpus(name):
-    _assert_matches_reference(corpus.load_diagram(name), INDICES)
+    tally = {"new": 0, "reused": 0}
+    _assert_matches_reference(corpus.load_diagram(name), INDICES, tally=tally)
+    # pairs (x, x) share phi0 = 0, and stabilized pairs share a moved part
+    assert (tally["new"], tally["reused"]) == CORPUS_SYSTEMS[name]
 
 
 def _stabilized(name, k):
@@ -281,7 +318,9 @@ def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
 
         monkeypatch.setattr(linprog, fn, spy)
     calc = DomainCalculator(d)
-    assert _assert_matches_reference(d, INDICES, calc=calc) > 0
+    tally = {"new": 0, "reused": 0}
+    assert _assert_matches_reference(d, INDICES, calc=calc, tally=tally) > 0
+    assert tally["reused"] > 0 and tally["new"] > 0
     (lattice,) = {id(calc.lattice(x)): calc.lattice(x) for x in d.generators()}.values()
     compiled = [s.slice.recording
                 for s in lattice.compiled("certificate", certificate_systems)]
@@ -289,16 +328,19 @@ def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
     assert {id(r) for r in used} == {id(r) for r in compiled}
 
 
-@pytest.mark.parametrize("name, k, residue, empty", [
-    ("trefoil", 2, 72, 20), ("unknot", 2, 8, 0), ("trefoil", 1, 18, 3),
-    ("grid2", 2, 32, 4),
+@pytest.mark.parametrize("name, k, residue, empty, systems", [
+    pytest.param(*case, id="-".join(map(str, case[:4]))) for case in [
+        ("trefoil", 2, 72, 20, 32), ("unknot", 2, 8, 0, 4), ("trefoil", 1, 18, 3, 10),
+        ("grid2", 2, 32, 4, 14)]
 ])
 def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
-                                                        monkeypatch):
+                                                        systems, monkeypatch):
     # a pair whose shift 1 - mu(phi0) is no multiple of the gcd of the mu row
     # has no lattice point on its mu slice: the enumerator returns [] before
-    # any certificate LP or box.  A pair that passes but whose certificate
-    # finds every stratum empty lists no box; every other pair lists one
+    # any certificate LP or box.  A pair that passes and whose (phi0, shift)
+    # is new to the lattice makes one LP per stratum, and one box unless the
+    # certificate finds every stratum empty; a pair that repeats a system
+    # makes neither.  So the LPs are strata x distinct systems, not per pair
     d = _stabilized(name, k)
     calc = DomainCalculator(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
@@ -310,27 +352,34 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
     monkeypatch.setattr(diskcount, "_sliced_box",
                         lambda *args: boxes.append(args) or original(*args))
     seen = {"residue": 0, "empty": 0, "boxed": 0}
+    solved, made_lps = set(), 0
+    (lattice,) = {id(calc.lattice(x)): calc.lattice(x) for x in d.generators()}.values()
+    strata = len(lattice.compiled("certificate", certificate_systems))
     for x in d.generators():
-        lattice = calc.lattice(x)
-        strata = len(lattice.compiled("certificate", certificate_systems))
         for y in d.generators():
             before = len(lps), len(boxes)
             classes = enumerate_mu1_classes(lattice, x, y, tilde)
             made = len(lps) - before[0], len(boxes) - before[1]
+            made_lps += made[0]
             assert classes == reference_mu1_classes(d, x, y, tilde, calc)
             con = calc.connecting(x, y)
             shift = 1 - maslov_index(d, con.particular, x, y)
             if shift % math.gcd(*lattice.mu):
                 assert classes == [] and made == (0, 0)
                 seen["residue"] += 1
-            elif finiteness_certificate(lattice, con.particular, shift) is None:
-                assert classes == [] and made == (strata, 0)
+                continue
+            new = (tuple(con.particular), shift) not in solved
+            solved.add((tuple(con.particular), shift))
+            if finiteness_certificate(lattice, con.particular, shift) is None:
+                assert classes == [] and made == ((strata, 0) if new else (0, 0))
                 seen["empty"] += 1
             else:
-                assert made == (strata, 1)
+                assert made == ((strata, 1) if new else (0, 0))
                 seen["boxed"] += 1
     assert seen == {"residue": residue, "empty": empty,
                     "boxed": len(d.generators()) ** 2 - residue - empty}
+    assert len(solved) == systems
+    assert made_lps == strata * systems
 
 
 def test_residue_failure_makes_no_solve_and_no_index(monkeypatch):
@@ -400,6 +449,13 @@ def test_residue_test_answers_before_admissibility():
                 with pytest.raises(NotAdmissibleError):
                     reference_mu1_classes(d, x, y, tilde, calc, index)
     assert (odd, raised) == (48, 28)
+    # an even shift reaches the certificate, which raises; nothing is stored
+    # for the system, so a repeat raises again
+    lattice = calc.lattice(gens[0])
+    for _ in range(2):
+        with pytest.raises(NotAdmissibleError):
+            enumerate_mu1_classes(lattice, gens[0], gens[0], tilde, 0)
+    assert _stored(lattice) == {}
 
 
 @pytest.mark.parametrize("name", ["trefoil", "grid2", "special_hs", "sphere_split"])
@@ -450,11 +506,40 @@ class _RepeatedBasis(DomainCalculator):
 
 
 def test_unbounded_box_raises():
+    # the error is raised again on a repeat: nothing is stored for the system
     d = corpus.load_diagram("trefoil")
     calc = _RepeatedBasis(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
-    with pytest.raises(RuntimeError, match="certificate box is unbounded"):
-        enumerate_mu1_classes(calc.lattice(gens[1]), gens[1], gens[0], tilde)
+    lattice = calc.lattice(gens[1])
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="certificate box is unbounded"):
+            enumerate_mu1_classes(lattice, gens[1], gens[0], tilde)
+        assert _stored(lattice) == {}
     with pytest.raises(RuntimeError, match="certificate box is unbounded"):
         reference_mu1_classes(d, gens[1], gens[0], tilde, calc)
+
+
+def test_fresh_calculator_solves_its_systems_again(monkeypatch):
+    # the candidates live with the calculator's lattices, not in the module:
+    # a second pass on one calculator makes no LP, and a new calculator for
+    # the same diagram makes every LP of the first pass again
+    d = _stabilized("trefoil", 1)
+    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    gens = d.generators()
+    lps = []
+    spied = linprog.linear_range
+    monkeypatch.setattr(linprog, "linear_range",
+                        lambda *args: lps.append(args) or spied(*args))
+
+    def one_pass(calc):
+        before = len(lps)
+        classes = [enumerate_mu1_classes(calc.lattice(x), x, y, tilde)
+                   for x in gens for y in gens]
+        return classes, len(lps) - before
+
+    calc = DomainCalculator(d)
+    classes, made = one_pass(calc)
+    assert made == 10 and sum(map(len, classes)) > 0
+    assert one_pass(calc) == (classes, 0)
+    assert one_pass(DomainCalculator(d)) == (classes, made)

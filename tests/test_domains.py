@@ -352,6 +352,28 @@ def test_connecting_solved_once_per_ordered_pair(name, k, monkeypatch):
     assert sum(1 for A in products if A is data.calc.factored.U) == n
 
 
+@pytest.mark.parametrize("name, k", LATTICE_CASES)
+def test_diagram_data_solves_each_generator_once(name, k, monkeypatch):
+    # the partition, the gradings and the potentials read one record per
+    # generator on the calculator: building DiagramData makes one connecting
+    # solve per generator other than its key's reference, and each record's
+    # n_z and potential agree with the pair solve
+    d = _stabilized(name, k)
+    calls = []
+    connecting = DomainCalculator.connecting
+    monkeypatch.setattr(DomainCalculator, "connecting",
+                        lambda *args: calls.append(args) or connecting(*args))
+    data = DiagramData.build(d)
+    calc, gens = data.calc, d.generators()
+    assert len(calls) == len(gens) - len({calc.key(g) for g in gens})
+    for block in data.partition.blocks:
+        base = gens[block[0]]
+        for i in block:
+            con = connecting(calc, gens[i], base)
+            assert calc.marks(gens[i], base) == marked_multiplicities(d, con.particular)
+            assert calc.potential(gens[i]) - calc.potential(base) == maslov_index(
+                d, con.particular, gens[i], base)
+
 
 # -- one calculator per diagram -----------------------------------------------
 
