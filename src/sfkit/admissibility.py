@@ -105,34 +105,24 @@ def hom_forced_marks(hom, kappa):
     return sorted(set(forced)), supports
 
 
-def cone_rows(lattice, stratum=()):
-    """Coefficient rows over lattice coordinates t of base + P >= 0 and
-    n_i(base + P) = 0 for every mark i of the stratum, and per row the
-    (region, sign) whose base coefficient gives its right-hand side,
-    sign * base[region]."""
-    rows = [list(col) for col in zip(*lattice.basis)]
+def cone_rows(d, basis, stratum=()):
+    """Coefficient rows over s of D = base + sum_k s_k basis_k >= 0, one per
+    region even for an empty basis, and n_i(D) = 0 for every mark i of the
+    stratum; and per row the (region, sign) whose base coefficient gives its
+    right-hand side, sign * base[region]."""
+    rows = [[P[r] for P in basis] for r in range(len(d.regions))]
     sources = [(r, -1) for r in range(len(rows))]
     for i in stratum:
-        row, r = [nz[i] for nz in lattice.n_z], lattice.diagram.mark_region[i]
-        rows += [row, [-v for v in row]]
+        r = d.mark_region[i]
+        rows += [rows[r], [-v for v in rows[r]]]
         sources += [(r, -1), (r, 1)]
     return rows, sources
 
 
-def _stratum_ineqs(lattice, stratum, mu_mode):
-    """Inequalities over lattice coordinates t: P >= 0 in the stratum, with
-    mu = 0 (mu_mode "zero") or mu <= 0 ("nonpos"), normalized by
-    sum_r P_r = 1, which picks a point on each nonzero ray."""
-    mu_row = list(lattice.mu)
-    total = [sum(P) for P in lattice.basis]
-    ineqs = [(row, 0) for row in cone_rows(lattice, stratum)[0]]
-    ineqs.append(([-c for c in mu_row], 0))  # mu <= 0
-    if mu_mode == "zero":
-        ineqs.append((mu_row, 0))
-    return ineqs + [(total, 1), ([-c for c in total], -1)]
-
-
 def _check(lattice, criterion, strata, mu_mode) -> AdmissibilityReport:
+    """Per stratum, a point of P >= 0 normalized by sum_r P_r = 1 (one per
+    nonzero ray): over K0 for mu_mode "zero" (mu = 0), over the whole
+    lattice with the row mu <= 0 for "nonpos"."""
     d = lattice.diagram
     report = AdmissibilityReport(
         criterion=criterion,
@@ -143,12 +133,17 @@ def _check(lattice, criterion, strata, mu_mode) -> AdmissibilityReport:
     if lattice.rank == 0:
         report.notes.append("periodic lattice trivial")
         return report
+    basis = lattice.mu_zero[2] if mu_mode == "zero" else lattice.basis
+    total = [sum(P) for P in basis]
+    extra = [(total, 1), ([-c for c in total], -1)]
+    if mu_mode == "nonpos":
+        extra.insert(0, ([-c for c in lattice.mu], 0))
     for stratum in strata:
-        ineqs = _stratum_ineqs(lattice, stratum, mu_mode)
-        point = linprog.feasible_point(ineqs, lattice.rank)
+        ineqs = [(row, 0) for row in cone_rows(d, basis, stratum)[0]] + extra
+        point = linprog.feasible_point(ineqs, len(basis))
         if point is None:
             continue
-        P = lattice.element(linprog.integer_scale(point))
+        P = lattice.element(linprog.integer_scale(point), basis=basis)
         report.admissible = False
         report.witness = P
         report.witness_marks = marked_multiplicities(d, P)
@@ -198,54 +193,55 @@ def check_strong_admissible(lattice: PeriodicLattice) -> AdmissibilityReport:
 
 
 class CertificateSystem:
-    """One survival stratum's certificate system, compiled once per block:
-    the cone rows of the stratum plus the total multiplicity, restricted to
-    the mu slice, and the sources of the cone rows' right-hand sides."""
+    """Rows over the K0 coordinates of a block, compiled once: the cone rows
+    of a survival stratum, the sources of their right-hand sides (see
+    ``cone_rows``), the total multiplicity sum_r P_r per K0 domain and the
+    recording that serves every elimination of the rows."""
 
-    def __init__(self, stratum: frozenset, sources: list, slice: linprog.Slice):
+    def __init__(self, lattice: PeriodicLattice, stratum: frozenset = frozenset()):
+        basis = lattice.mu_zero[2]
         self.stratum = stratum
-        self.sources = sources
-        self.slice = slice
+        self.rows, self.sources = cone_rows(lattice.diagram, basis, stratum)
+        self.total = [sum(P) for P in basis]
+        self.recording = linprog.Recording()
+
+    def ineqs(self, base, *extra) -> list:
+        """The rows with the right-hand sides of ``base``, then ``extra``."""
+        rhs = [sign * base[r] for r, sign in self.sources] + list(extra)
+        return list(zip(self.rows, rhs, strict=True))
 
 
 def certificate_systems(lattice: PeriodicLattice) -> list:
     """The certificate systems of every survival stratum of the block."""
-    total = [sum(P) for P in lattice.basis]
-    out = []
-    for stratum in survival_strata(tilde_kill_supports(lattice.diagram)):
-        rows, sources = cone_rows(lattice, stratum)
-        out.append(CertificateSystem(stratum, sources,
-                                     linprog.Slice(rows + [total], lattice.mu)))
-    return out
+    return [CertificateSystem(lattice, stratum)
+            for stratum in survival_strata(tilde_kill_supports(lattice.diagram))]
 
 
 def finiteness_certificate(lattice: PeriodicLattice, phi0, shift: int) -> int | None:
     """Bound on the total multiplicity sum_r D_r, hence on every coefficient,
     of the positive classes D = phi0 + P with mu(P) = shift and surviving
     tilde-monomial: per survival stratum, one ``linear_range`` of it on the
-    rational slice mu = shift; NotAdmissibleError on an unbounded stratum.
-    None when every stratum is empty.  ``lattice`` is the periodic lattice of
-    the pair's Spin^c class, which also gives the diagram, phi0 the pair's
-    connecting domain and shift = j - mu(phi0) for the index j.  The stratum
-    systems are compiled once per lattice; a pair supplies right-hand sides.
+    rational slice mu = shift, base + K0 (``PeriodicLattice.slice_base``);
+    NotAdmissibleError on an unbounded stratum.  None when every stratum, or
+    the slice, is empty.  ``lattice`` is the periodic lattice of the pair's
+    Spin^c class, phi0 the pair's connecting domain and shift = j - mu(phi0)
+    for the index j.  The stratum systems are compiled once per lattice; a
+    pair supplies right-hand sides.
     """
-    if shift and not any(lattice.mu):
-        return None  # mu(P) is 0 on the lattice, never shift
+    base = lattice.slice_base(phi0, shift)
+    if base is None:
+        return None
     best = None
     for system in lattice.compiled("certificate", certificate_systems):
-        sliced = system.slice
-        # the last row, the total multiplicity sum_r D_r - sum(phi0) >= 0,
-        # is the objective (o, c): on the slice it reads
-        # scale (sum_r D_r - sum(phi0)) = o . s - c
-        rows = sliced.ineqs([sign * phi0[r] for r, sign in system.sources] + [0], shift)
-        o, c = rows.pop()
-        rng = linprog.linear_range(rows, len(o), o, sliced.recording)
+        rng = linprog.linear_range(system.ineqs(base), len(system.total), system.total,
+                                   system.recording)
         if rng is None:
             continue  # stratum empty
         if rng[1] is None:
             raise NotAdmissibleError(
                 f"unbounded coefficients in stratum {sorted(system.stratum)}"
             )
-        bound = math.floor((rng[1] - c) / sliced.scale) + sum(phi0)
+        # sum_r D_r = sum(base) + total . s
+        bound = math.floor(rng[1] + sum(base))
         best = bound if best is None else max(best, bound)
     return best

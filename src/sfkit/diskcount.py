@@ -2,20 +2,20 @@
 
 A class from x to y is D = phi0 + P, phi0 the pair's connecting domain and P
 periodic, and mu(D) = mu(phi0) + mu(P), mu(phi0) being the difference of the
-generators' Maslov potentials (``DomainCalculator.potential``).  mu(P) runs
-over the multiples of the gcd of the block's mu row (Bezout), so a pair whose
-shift index - mu(phi0) is no such multiple has no class: this residue test
-comes before the connecting solve and any LP.  Otherwise the finiteness
-certificate bounds the total multiplicity of the positive classes with
-surviving tilde-monomial, and only the integer points of the polytope D >= 0,
-sum_r D_r <= bound on the hyperplane mu = index are visited.  The gcd and the
-certificate's and the box's rows are compiled once per Spin^c block
-(``PeriodicLattice.compiled``), so a pair supplies only right-hand sides,
-phi0 and the shift.  phi0 sees only the moved points, so pairs that differ
-in a shared coordinate repeat a system: the candidates of each (phi0, shift)
-are kept with the lattice, and a repeated one runs no certificate and no
-box.  A candidate's Euler and corner measures, read at the pair's own x and
-y, serve its index check and its shape.
+generators' Maslov potentials (``DomainCalculator.potential``).  The lattice
+is Z step + K0 with mu(step) = g and mu = 0 on K0
+(``PeriodicLattice.mu_zero``), so a pair whose shift index - mu(phi0) is no
+multiple of g has no class: this residue test comes before the connecting
+solve and any LP.  Otherwise the classes are base + K0, base = phi0 +
+(shift / g) step.  The finiteness certificate bounds their total
+multiplicity, and the integer points over K0 of the polytope D >= 0,
+sum_r D_r <= bound are listed.  The certificate's and the box's rows are
+compiled once per Spin^c block (``PeriodicLattice.compiled``), so a pair
+supplies only right-hand sides.  phi0 sees only the moved points, so pairs
+that differ in a shared coordinate repeat a system: the candidates of each
+(phi0, shift) are kept with the lattice, and a repeated one runs no
+certificate and no box.  A candidate's Euler and corner measures, read at
+the pair's own x and y, serve its index check and its shape.
 
 A class is assigned a count only when its shape forces the holomorphic
 count: an embedded empty bigon or an embedded empty rectangle contributes
@@ -27,9 +27,7 @@ homomorphism.
 
 from __future__ import annotations
 
-import math
-
-from .admissibility import cone_rows, finiteness_certificate
+from .admissibility import CertificateSystem, finiteness_certificate
 from .algebra import AlgebraSpec
 from .diagram import Generator, HeegaardDiagram
 from .domains import (
@@ -83,41 +81,20 @@ def classify(d: HeegaardDiagram, D, x: Generator, y: Generator, measures) -> tup
     return UNSUPPORTED, None
 
 
-def _box_slice(lattice: PeriodicLattice) -> tuple:
-    """The enumerator's box for the block, compiled once: the rows
-    D = phi0 + sum t_b P_b >= 0 and sum_r D_r <= bound, with the sources of
-    their right-hand sides, restricted to the slice mu(P) = shift."""
-    rows, sources = cone_rows(lattice)
-    total = [-sum(P) for P in lattice.basis]
-    return sources, linprog.Slice(rows + [total], lattice.mu)
+def _box_system(lattice: PeriodicLattice) -> CertificateSystem:
+    """The enumerator's box for the block, compiled once: over K0, the rows
+    D = base + sum s_k K_k >= 0 and, last, sum_r D_r <= bound."""
+    box = CertificateSystem(lattice)
+    box.rows.append([-c for c in box.total])
+    return box
 
 
-def _sliced_box(lattice: PeriodicLattice, phi0, bound: int, shift: int) -> list:
-    """Lattice coordinates t with D = phi0 + sum t_b P_b >= 0,
-    sum_r D_r <= bound and mu(P) = sum t_b mu(P_b) = shift.
-
-    ``linprog.Slice`` solves the mu equation for the coordinate L with the
-    smallest nonzero |mu(P_L)| and restricts the rows to it.  The other
-    coordinates are enumerated exactly and t_L is kept where it comes out
-    integral.  With mu constant on the lattice, shift is 0 (the residue
-    test) and the whole box lies on the slice.
-    """
-    sources, box = lattice.compiled("box", _box_slice)
-    rhs = [sign * phi0[r] for r, sign in sources] + [sum(phi0) - bound]
-    L = box.pivot
-    if L is None:
-        return linprog.integer_points(box.ineqs(rhs, 0), lattice.rank, box.recording)
-    m = lattice.mu[L]
-    rest = [b for b in range(lattice.rank) if b != L]
-    out = []
-    for s in linprog.integer_points(box.ineqs(rhs, shift), lattice.rank - 1,
-                                    box.recording):
-        num = shift - sum(lattice.mu[b] * v for b, v in zip(rest, s))
-        if num % m == 0:
-            t = list(s)
-            t.insert(L, num // m)
-            out.append(t)
-    return out
+def _box_points(lattice: PeriodicLattice, base, bound: int) -> list:
+    """The domains D = base + sum s_k K_k with D >= 0 and sum_r D_r <= bound,
+    K_k the basis of K0, each from one integer point s of the box."""
+    box, K0 = lattice.compiled("box", _box_system), lattice.mu_zero[2]
+    points = linprog.integer_points(box.ineqs(base, sum(base) - bound), len(K0), box.recording)
+    return [lattice.element(s, base, K0) for s in points]
 
 
 def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
@@ -137,9 +114,8 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
     if calc.key(x) != calc.key(y):
         return []  # no domain connects x to y
     shift = index - (calc.potential(x) - calc.potential(y))
-    # the residue test: mu(P) = shift has a lattice solution exactly when
-    # the gcd of the mu row divides shift (Bezout)
-    g = lattice.compiled("mu gcd", lambda lattice: math.gcd(*lattice.mu))
+    # the residue test: mu(P) = shift has a lattice solution exactly when g | shift
+    g = lattice.mu_zero[0]
     if shift % g if g else shift:
         return []
     phi0 = calc.connecting(x, y).particular
@@ -148,10 +124,11 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
     if system not in solved:
         bound = finiteness_certificate(lattice, phi0, shift)
         try:
-            coords = [] if bound is None else _sliced_box(lattice, phi0, bound, shift)
+            found = [] if bound is None else _box_points(
+                lattice, lattice.slice_base(phi0, shift), bound)
         except linprog.Unbounded:
             raise RuntimeError("certificate box is unbounded") from None
-        solved[system] = sorted({tuple(lattice.element(t, phi0)) for t in coords})
+        solved[system] = sorted(set(map(tuple, found)))
 
     out = []
     for D in solved[system]:

@@ -13,6 +13,7 @@ the calculator's per-generator Maslov potentials give each pair's index.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import snf
 from .diagram import Generator, HeegaardDiagram
@@ -238,6 +239,8 @@ class PeriodicLattice:
     What the generator pairs of the class share (see ``compiled``), its
     systems, its s-admissibility report and the enumerator's candidates per
     (connecting domain, mu shift), is kept with the lattice and freed with it.
+    mu is linear, so the lattice is Z step + K0 with mu = 0 on K0
+    (``mu_zero``): every condition on mu is a coordinate.
     """
 
     def __init__(self, calc: DomainCalculator, mu: list, at: Generator | None):
@@ -262,6 +265,37 @@ class PeriodicLattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def mu_zero(self) -> tuple:
+        """(g, step, K0), domains with mu(step) = g = gcd of the mu row and K0
+        a basis of the mu = 0 sublattice; (0, None, basis) when mu is zero.
+        By Euclid on the mu row: the basis domain of smallest nonzero |mu| is
+        subtracted, a multiple at a time, from the others until one has
+        nonzero mu.  Each step is unimodular and each domain keeps its place,
+        so (step, K0) is a basis of the lattice."""
+        domains, mu = [list(P) for P in self.basis], list(self.mu)
+        while len(live := [b for b, m in enumerate(mu) if m]) > 1:
+            k = min(live, key=lambda b: abs(mu[b]))
+            for b in live:
+                if q := (mu[b] // mu[k] if b != k else 0):
+                    domains[b] = [u - q * v for u, v in zip(domains[b], domains[k])]
+                    mu[b] -= q * mu[k]
+        if not live:
+            return 0, None, domains
+        step = domains.pop(live[0])
+        return abs(mu[live[0]]), step if mu[live[0]] > 0 else [-v for v in step], domains
+
+    def slice_base(self, phi0, shift: int) -> list | None:
+        """phi0 + (shift / g) step, with Fraction coefficients when g does not
+        divide shift: the domains phi0 + P with P rational in the lattice's
+        span and mu(P) = shift are this point plus the span of K0.  None
+        when mu vanishes on the lattice and shift does not."""
+        g, step, _ = self.mu_zero
+        if not g:
+            return None if shift else list(phi0)
+        a = shift // g if shift % g == 0 else Fraction(shift, g)
+        return [c + a * v for c, v in zip(phi0, step)]
+
     def compiled(self, key, build):
         """``build(self)``, made on first request and kept with the lattice:
         what every generator pair of the block shares."""
@@ -269,10 +303,11 @@ class PeriodicLattice:
             self._compiled[key] = build(self)
         return self._compiled[key]
 
-    def element(self, t, base=None) -> list:
-        """base + sum_b t_b P_b (base defaults to the zero domain)."""
+    def element(self, t, base=None, basis=None) -> list:
+        """base + sum_b t_b P_b over ``basis`` (defaults: the zero domain and
+        the lattice's basis)."""
         out = list(base) if base is not None else [0] * len(self.diagram.regions)
-        for c, vec in zip(t, self.basis):
+        for c, vec in zip(t, self.basis if basis is None else basis):
             if c:
                 for i, v in enumerate(vec):
                     out[i] += c * v

@@ -27,12 +27,13 @@ sides (``_eliminate``).  Every step goes through both, and the bounds have
 one computation.  A caller that solves one coefficient matrix for many
 right-hand sides passes a ``Recording`` to any entry point, which keeps the
 structure of each step once it is built, so later calls only recompute
-bounds.  The recording belongs to the caller's system and lives as long as
-its owner; in this package that is the compiled block systems of a
-``PeriodicLattice`` (the finiteness certificate's strata and the
-enumerator's box), one recording each.  Nothing is cached at module level,
-and one-shot systems (admissibility checks, monomial fibers) pass no
-recording.
+bounds.  The recording keeps the rows of its first call and checks a later
+call's rows by identity first, so an owner passing its own rows pays no
+comparison of entries.  It lives as long as its owner; in this package that
+is the compiled block systems of a ``PeriodicLattice`` (the finiteness
+certificate's strata and the enumerator's box), one recording each.
+Nothing is cached at module level, and one-shot systems (admissibility
+checks, monomial fibers) pass no recording.
 
 Fractions appear only where a ratio is returned.  Problem sizes in this
 package are tiny (a handful of lattice coordinates), so elimination gives
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import is_, itemgetter, mul
 
 
 class Infeasible(Exception):
@@ -57,20 +58,32 @@ class Unbounded(Exception):
 class Recording:
     """The elimination structure of one system, kept for replay.
 
-    It is made for one variable count, one list of coefficient rows and,
-    for ``linear_range``, one objective; a call with another system raises
-    ValueError.  A step's structure does not depend on the bounds, so a
-    call cut short by Infeasible leaves the steps it reached, and the next
-    call adds the rest.
+    It is made for the variable count, the coefficient rows and, for
+    ``linear_range``, the objective of its first call; a call with another
+    system raises ValueError.  A step's structure does not depend on the
+    bounds, so a call cut short by Infeasible leaves the steps it reached,
+    and the next call adds the rest.
     """
 
-    __slots__ = ("key", "start", "steps", "levels")
+    __slots__ = ("nvars", "rows", "objective", "start", "steps", "levels")
 
     def __init__(self):
-        self.key = None  # (nvars, coefficient rows, objective)
+        self.nvars = self.rows = self.objective = None  # the system, from the first call
         self.start = None  # (directions, bound multipliers, substituted) of the inputs
         self.steps = []  # per eliminated variable: (directions, entries of _structure)
         self.levels = None  # the chain's bounding rows and boundedness (_levels)
+
+    def _matches(self, ineqs, nvars, objective) -> bool:
+        """The call's system is the recorded one; rows are compared by
+        identity first, as an owner passes its own row objects."""
+        rows, other = self.rows, self.objective
+        if nvars != self.nvars or len(ineqs) != len(rows):
+            return False
+        if objective is not other and (None in (objective, other)
+                                       or tuple(objective) != tuple(other)):
+            return False
+        return (all(map(is_, map(itemgetter(0), ineqs), rows))
+                or all(tuple(a) == tuple(r) for (a, _), r in zip(ineqs, rows)))
 
 
 def _reduced(num, den):
@@ -86,10 +99,9 @@ def _start(coeffs, objective):
     variables has b = 0: only the sign of its right-hand side counts.
     Returns (directions, multipliers, substituted)."""
     scale_num = scale_den = 1
-    sub = None if objective is None else substitute([(a, 0) for a in coeffs], objective)
+    sub = None if objective is None else substitute(coeffs, objective)
     if sub is not None:
-        k, rows = sub
-        coeffs = [a for a, _ in rows]
+        k, coeffs = sub
         scale = abs(objective[k])
         scale_num, scale_den = scale.numerator, scale.denominator
     dirs, mults = [], []
@@ -119,11 +131,11 @@ def _inputs(ineqs, nvars, objective, recording):
     if recording is None:
         start = _start([a for a, _ in ineqs], objective)
     else:
-        key = (nvars, [tuple(a) for a, _ in ineqs],
-               None if objective is None else tuple(objective))
-        if recording.key is None:
-            recording.key, recording.start = key, _start(key[1], key[2])
-        elif recording.key != key:  # identity first per row: a Slice's own rows match at once
+        if recording.start is None:
+            rows = [a for a, _ in ineqs]
+            recording.nvars, recording.rows, recording.objective = nvars, rows, objective
+            recording.start = _start(rows, objective)
+        elif not recording._matches(ineqs, nvars, objective):
             raise ValueError("recording made for another system")
         start = recording.start
     dirs, mults, substituted = start
@@ -338,14 +350,14 @@ def integer_points(ineqs, nvars, recording: Recording | None = None):
     return out
 
 
-def substitute(ineqs, objective):
-    """Change of variables u = objective . x.
+def substitute(rows, objective):
+    """Change of variables u = objective . x on coefficient rows.
 
     The coordinate k with the smallest nonzero |objective_k| is solved for,
     x_k = (u - sum_{b != k} objective_b x_b) / objective_k, and each row is
-    scaled by |objective_k|, so integer rows stay integer.  Returns (k, rows)
-    with rows over the other coordinates in order, then u, or None for a zero
-    objective.
+    scaled by |objective_k|, so integer rows stay integer (a right-hand side
+    scales with it).  Returns (k, rows) with rows over the other coordinates
+    in order, then u, or None for a zero objective.
     """
     pivots = [b for b, c in enumerate(objective) if c]
     if not pivots:
@@ -353,39 +365,8 @@ def substitute(ineqs, objective):
     k = min(pivots, key=lambda b: abs(objective[b]))
     m, rest = objective[k], [b for b in range(len(objective)) if b != k]
     sign = 1 if m > 0 else -1
-    return k, [([sign * (a[b] * m - a[k] * objective[b]) for b in rest] + [sign * a[k]],
-                sign * c * m) for a, c in ineqs]
-
-
-class Slice:
-    """Rows a . x >= c restricted to the hyperplane objective . x = value,
-    for one coefficient matrix and many right-hand sides and values.
-
-    ``substitute`` runs once: ``pivot`` is the coordinate it solves for (None
-    for a zero objective, when nothing is substituted), ``rows`` the
-    coefficient rows over the other coordinates, and a right-hand side c
-    becomes scale * c - w * value, w being the row's coefficient of u.
-    ``recording`` serves every elimination of the sliced rows.
-    """
-
-    def __init__(self, rows, objective):
-        sub = substitute([(a, 0) for a in rows], objective)
-        if sub is None:
-            self.pivot, self.scale = None, 1
-            self.rows = [tuple(a) for a in rows]
-            self.weights = [0] * len(rows)
-        else:
-            self.pivot, sliced = sub
-            self.scale = abs(objective[self.pivot])
-            self.rows = [tuple(a[:-1]) for a, _ in sliced]
-            self.weights = [a[-1] for a, _ in sliced]
-        self.recording = Recording()
-
-    def ineqs(self, rhs, value):
-        """The sliced rows for right-hand sides ``rhs`` at objective = value."""
-        scale = self.scale
-        return [(a, scale * c - w * value)
-                for a, c, w in zip(self.rows, rhs, self.weights, strict=True)]
+    return k, [[sign * (a[b] * m - a[k] * objective[b]) for b in rest] + [sign * a[k]]
+               for a in rows]
 
 
 def linear_range(ineqs, nvars, objective, recording: Recording | None = None):

@@ -15,6 +15,7 @@ from sfkit.admissibility import (
     _check,
     _verify_witness,
     check_s_admissible,
+    cone_rows,
     check_strong_admissible,
     check_weak_admissible,
     finiteness_certificate,
@@ -215,6 +216,22 @@ def test_certificate_without_slice_off_a_constant_mu():
     assert finiteness_certificate(lattice, phi0, 0) == 1
     assert finiteness_certificate(lattice, phi0, 1) is None
     assert finiteness_certificate(lattice, phi0, -2) is None
+
+
+def test_cone_rows_keep_every_region_for_an_empty_basis():
+    # K0 is empty on every rank-one lattice: D >= 0 is then one row without
+    # variables per region, a check of the base alone, which the certificate
+    # must still see
+    d = corpus.load_diagram("trefoil")
+    lattice = _lattice(d)
+    assert lattice.rank == 1 and lattice.mu_zero[2] == []
+    n, r = len(d.regions), d.mark_region[0]
+    rows, sources = cone_rows(d, [], (0,))
+    assert rows == [[]] * (n + 2)
+    assert sources == [(i, -1) for i in range(n)] + [(r, -1), (r, 1)]
+    assert finiteness_certificate(lattice, [0] * n, 0) == 0
+    assert finiteness_certificate(lattice, [1] * n, 0) == n
+    assert finiteness_certificate(lattice, [-1] + [1] * (n - 1), 0) is None
 
 
 def test_witness_errors_name_the_condition():

@@ -20,7 +20,7 @@ from sfkit.diskcount import (
     EMPTY_RECTANGLE,
     UNSUPPORTED,
     DiskClass,
-    _box_slice,
+    _box_system,
     classify,
     enumerate_mu1_classes,
     niceness_report,
@@ -322,9 +322,8 @@ def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
     assert _assert_matches_reference(d, INDICES, calc=calc, tally=tally) > 0
     assert tally["reused"] > 0 and tally["new"] > 0
     (lattice,) = {id(calc.lattice(x)): calc.lattice(x) for x in d.generators()}.values()
-    compiled = [s.slice.recording
-                for s in lattice.compiled("certificate", certificate_systems)]
-    compiled.append(lattice.compiled("box", _box_slice)[1].recording)
+    compiled = [s.recording for s in lattice.compiled("certificate", certificate_systems)]
+    compiled.append(lattice.compiled("box", _box_system).recording)
     assert {id(r) for r in used} == {id(r) for r in compiled}
 
 
@@ -348,8 +347,8 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
     spied = linprog.linear_range
     monkeypatch.setattr(linprog, "linear_range",
                         lambda *args: lps.append(args) or spied(*args))
-    original = diskcount._sliced_box
-    monkeypatch.setattr(diskcount, "_sliced_box",
+    original = diskcount._box_points
+    monkeypatch.setattr(diskcount, "_box_points",
                         lambda *args: boxes.append(args) or original(*args))
     seen = {"residue": 0, "empty": 0, "boxed": 0}
     solved, made_lps = set(), 0

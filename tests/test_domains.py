@@ -1,5 +1,7 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sfkit.diagram import ALPHA, BETA
 from sfkit.domains import (
     DomainCalculator,
     NonDomainError,
+    PeriodicLattice,
     corner_matrix,
     corner_target,
     euler_measure,
@@ -424,3 +427,85 @@ def test_one_calculator_per_diagram(name, k, monkeypatch):
             if con.exists:
                 maslov_index(d, con.particular, x, y)
     assert built == [d]
+
+
+# -- the mu = 0 sublattice -----------------------------------------------------
+#
+# PeriodicLattice.mu_zero splits the lattice as Z step + K0.  Checked from the
+# domains themselves: mu at the lattice's generator, and the coordinates of
+# (step, K0) over the calculator's basis, solved over the rationals.
+
+MU_ZERO_CASES = [(name, 0) for name in corpus.corpus_names()] + [
+    (name, k) for name in ("unknot", "trefoil") for k in (1, 2, 3)] + [
+    ("grid2", k) for k in (1, 2)]
+
+
+def _coordinates(basis, D):
+    """The rational c with sum_b c_b basis_b = D (basis independent)."""
+    rows = [[Fraction(v) for v in P] + [Fraction(int(b == i)) for i in range(len(basis))]
+            for b, P in enumerate(basis)]
+    target, coords = [Fraction(v) for v in D], [Fraction(0)] * len(basis)
+    # eliminate columns: each basis row gets one pivot region
+    for b in range(len(rows)):
+        r = next(r for r in range(len(D)) if rows[b][r])
+        for o in range(len(rows)):
+            if o != b and rows[o][r]:
+                f = rows[o][r] / rows[b][r]
+                rows[o] = [u - f * v for u, v in zip(rows[o], rows[b])]
+        f = target[r] / rows[b][r]
+        target = [u - f * v for u, v in zip(target, rows[b][:len(D)])]
+        coords = [u + f * v for u, v in zip(coords, rows[b][len(D):])]
+    assert not any(target)
+    return coords
+
+
+def _det(matrix):
+    m, det = [[Fraction(v) for v in row] for row in matrix], Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [u - f * v for u, v in zip(m[r], m[c])]
+    return det
+
+
+def _assert_mu_zero(lattice):
+    d, basis = lattice.diagram, lattice.basis
+    g, step, K0 = lattice.mu_zero
+    assert g == gcd(*lattice.mu) >= 0
+    mu = [maslov_of_periodic(d, P, lattice.at) for P in ([step] if g else []) + K0]
+    assert mu == [g] * bool(g) + [0] * len(K0)
+    assert len(K0) == lattice.rank - bool(g)
+    assert all(is_periodic(d, P) for P in ([step] if g else []) + K0)
+    new = ([step] if g else []) + K0
+    coords = [_coordinates(basis, P) for P in new]
+    assert all(c.denominator == 1 for row in coords for c in row)
+    assert abs(_det(coords)) == 1 if new else lattice.rank == 0
+
+
+@pytest.mark.parametrize("name, k", MU_ZERO_CASES)
+def test_mu_zero_splits_every_lattice(name, k):
+    data = DiagramData.build(_stabilized(name, k))
+    for lattice in data.lattices:
+        _assert_mu_zero(lattice)
+        assert lattice.mu_zero is lattice.mu_zero  # computed once
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-12, 12), max_size=6))
+def test_mu_zero_on_any_mu_row(mu):
+    # the unit basis of Z^n with an arbitrary mu row: step and K0 are then
+    # their own coordinates
+    n = len(mu)
+    unit = SimpleNamespace(periodic_basis=[[int(i == j) for j in range(n)] for i in range(n)])
+    lattice = PeriodicLattice(calc=unit, mu=mu, at=None)
+    g, step, K0 = lattice.mu_zero
+    assert g == gcd(*mu)
+    new = ([step] if g else []) + K0
+    assert [sum(m * v for m, v in zip(mu, P)) for P in new] == [g] * bool(g) + [0] * len(K0)
+    assert len(new) == n and (n == 0 or abs(_det(new)) == 1)

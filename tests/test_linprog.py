@@ -457,8 +457,94 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
     systems = calc.lattice(gens[0]).compiled("certificate", admissibility.certificate_systems)
     assert [s.stratum for s in systems] == strata
     for (ineqs, n, objective, rec), rng in calls:
-        assert rec is systems[0].slice.recording
+        assert rec is systems[0].recording
         assert repr(rng) == repr(original(ineqs, n, objective))
         assert repr(rng) == repr(ref_linear_range(ineqs, n, objective))
     (_, n, objective, _), _ = calls[0]
-    assert len(systems[0].slice.recording.steps) == (n - 1 if any(objective) else n)
+    assert len(systems[0].recording.steps) == (n - 1 if any(objective) else n)
+
+
+# -- the admissibility systems against the full-lattice reference -------------
+#
+# s- and weak admissibility pose mu = 0 as a coordinate: they search K0, the
+# mu = 0 sublattice.  The reference is the system they replaced, over the
+# whole lattice with mu = 0 as two rows (``_reference_verdict`` says which
+# solver answers it).
+
+def _full_lattice_ineqs(lattice, stratum):
+    total = [sum(P) for P in lattice.basis]
+    ineqs = [(row, 0) for row in admissibility.cone_rows(lattice.diagram, lattice.basis,
+                                                         stratum)[0]]
+    ineqs += [([-c for c in lattice.mu], 0), (list(lattice.mu), 0)]
+    return ineqs + [(total, 1), ([-c for c in total], -1)]
+
+
+def _reference_verdict(lattice, strata):
+    """Admissible, or the first stratum's witness, re-verified.  Above rank 5
+    the Fraction reference, which keeps dominated rows, takes over 10 s on a
+    weak system with every mark forced to zero; there the full-lattice system
+    is solved by ``linprog.feasible_point``, the solver the admissibility
+    checks ran on it, which the tests above hold to the reference."""
+    solve = ref_feasible_point if lattice.rank <= 5 else linprog.feasible_point
+    for stratum in strata:
+        point = solve(_full_lattice_ineqs(lattice, stratum), lattice.rank)
+        if point is not None:
+            P = lattice.element(linprog.integer_scale(point))
+            admissibility._verify_witness(lattice.diagram, lattice.at, P, stratum, "zero")
+            return False
+    return True
+
+
+def _handled_special_hs():
+    from sfkit.diagram import HeegaardDiagram
+
+    data = corpus.load_diagram("special_hs").to_dict()
+    data["regions"][0]["genus"] += 1
+    return HeegaardDiagram.from_dict(data)
+
+
+ADMISSIBILITY_CASES = [(name, 0) for name in corpus.corpus_names()] + [
+    (name, k) for name in ("unknot", "trefoil") for k in (1, 2, 3)] + [
+    ("grid2", k) for k in (1, 2)] + [("special_hs+handle", 0)]
+
+
+@pytest.mark.parametrize("name, k", ADMISSIBILITY_CASES)
+def test_admissibility_over_k0_matches_full_lattice_reference(name, k):
+    from sfkit import algebra as alg
+    from sfkit.cf import DiagramData
+    from sfkit.homology1 import h1_presentation
+    from sfkit.testrings import HomError, all_zero, btau_hom, to_U
+
+    if name == "special_hs+handle":
+        d = _handled_special_hs()
+    else:
+        d = corpus.load_diagram(name)
+        for _ in range(k):
+            d = stabilize_diagram(d, 0)
+    pres = h1_presentation(d)
+    spec = alg.diagram_algebra(d, homology=pres)
+    homs = [all_zero(spec), btau_hom(spec, pres)]
+    try:
+        homs.append(to_U(alg.diagram_algebra(d)))
+    except HomError:
+        pass  # a kill monomial survives U
+    verdicts = []
+    for lattice in DiagramData.build(d).lattices:
+        reports = [(admissibility.check_s_admissible(lattice),
+                    admissibility.survival_strata(admissibility.tilde_kill_supports(d)))]
+        for hom in homs:
+            forced, supports = admissibility.hom_forced_marks(hom, d.num_marks)
+            reports.append((admissibility.check_weak_admissible(lattice, hom),
+                            admissibility.survival_strata(supports, forced)))
+        for report, strata in reports:
+            assert report.admissible == _reference_verdict(lattice, strata)
+            verdicts.append(report.admissible)
+            if not report.admissible:
+                stratum = next(s for s in strata
+                               if report.notes[-1] == f"stratum {sorted(s)} witnesses failure")
+                admissibility._verify_witness(d, lattice.at, report.witness, stratum, "zero")
+                assert report.witness_mu == 0
+    if name in ("special_hs+handle", "sphere_bad", "nomatch_genus2"):
+        assert not verdicts[0]  # not s-admissible
+    else:
+        assert verdicts[0]
