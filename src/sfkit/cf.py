@@ -95,6 +95,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
     gradings = [gd.gr[i] for i in block]
 
     entries = {}
+    normal = {}  # one normal form per distinct entry polynomial
     taints = []
     pos = {g: k for k, g in enumerate(block)}
     for j in block:
@@ -115,9 +116,13 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
                 if signs is not None:
                     count *= signs.get(tuple(c.domain), 1)
                 acc = alg.poly_add(acc, {tuple(c.n_z): count})
-            nf = acc and spec.normal_form(acc)
-            if nf:
-                entries[(pos[i], pos[j])] = nf
+            if acc:
+                key = frozenset(acc.items())
+                if key not in normal:
+                    normal[key] = spec.normal_form(acc)
+                if normal[key]:
+                    # each entry its own dict: tensor and decompose see no shared object
+                    entries[(pos[i], pos[j])] = dict(normal[key])
 
     cx = FilteredComplex(
         ring=AlgebraTarget(spec),

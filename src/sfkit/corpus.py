@@ -4,18 +4,16 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 
 from .diagram import HeegaardDiagram
 
 CORPUS_ENV = "SFK_CORPUS"
+BUNDLED_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus")
 
 
 def corpus_dir():
-    override = os.environ.get(CORPUS_ENV)
-    if override:
-        return override
-    return str(resources.files("sfkit") / "corpus")
+    """``$SFK_CORPUS`` when set, read on every call; else the bundled corpus."""
+    return os.environ.get(CORPUS_ENV) or BUNDLED_DIR
 
 
 def corpus_names():

@@ -14,8 +14,19 @@ compiled once per Spin^c block (``PeriodicLattice.compiled``), so a pair
 supplies only right-hand sides.  phi0 sees only the moved points, so pairs
 that differ in a shared coordinate repeat a system: the candidates of each
 (phi0, shift) are kept with the lattice, and a repeated one runs no
-certificate and no box.  A candidate's Euler and corner measures, read at
-the pair's own x and y, serve its index check and its shape.
+certificate and no box.
+
+The checks on a candidate (D >= 0, its Euler and corner measures with the
+corner guard ``is_domain``, mu = index, survival and shape) run once per
+(phi0, shift, index) and survival algebra, and every pair of that system
+reads the kept (domain, n_z, shape, count).  Within a lattice the key fixes
+what the checks read of x and y:
+
+- the corner target e(x) - e(y) = A phi0, so every candidate phi0 + P is a
+  domain from x to y;
+- the moved count, the number of +1 entries of that target;
+- mu(phi0) = index - shift, hence mu(D) = index for every candidate;
+- e(D), and so the corner measure 4 n_x(D) + 4 n_y(D) = 4 index - 4 e(D).
 
 A class is assigned a count only when its shape forces the holomorphic
 count: an embedded empty bigon or an embedded empty rectangle contributes
@@ -106,8 +117,9 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
     calculator holds the diagram and the connecting solve of the pair.
     mu(phi0), the difference of the generators' potentials, serves the
     residue test, the certificate and the box; phi0 waits for the residue test.
-    The candidates of each (phi0, shift) are kept with the lattice, and the
-    checks that read x and y run per pair.
+    The candidates of each (phi0, shift) are kept with the lattice, and so
+    are the checked classes of each (phi0, shift, index) under ``tilde``:
+    a pair of a known system only attaches its own x and y.
     """
     d = lattice.diagram
     calc = lattice.calc
@@ -130,8 +142,21 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
             raise RuntimeError("certificate box is unbounded") from None
         solved[system] = sorted(set(map(tuple, found)))
 
+    checked = lattice.compiled(("classes", tilde), lambda lattice: {})
+    records = checked.get(system + (index,))
+    if records is None:
+        records = checked[system + (index,)] = _checked_records(
+            d, solved[system], x, y, tilde, index)
+    return [DiskClass(domain=D, source=x, target=y, mu=index, n_z=nz,
+                      classification=cls, count=count) for D, nz, cls, count in records]
+
+
+def _checked_records(d: HeegaardDiagram, candidates, x: Generator, y: Generator,
+                     tilde: AlgebraSpec, index: int) -> list:
+    """(domain, n_z, shape, count) of each candidate that passes the checks
+    at the pair (x, y); every pair of the system shares the answer."""
     out = []
-    for D in solved[system]:
+    for D in candidates:
         if any(c < 0 for c in D):
             continue
         measures = maslov_measures(d, D, x, y)
@@ -140,9 +165,7 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
         nz = marked_multiplicities(d, D)
         if not tilde.nf_monomial(nz):
             continue
-        cls, count = classify(d, D, x, y, measures)
-        out.append(DiskClass(domain=D, source=x, target=y, mu=index, n_z=nz,
-                             classification=cls, count=count))
+        out.append((D, nz) + classify(d, D, x, y, measures))
     return out
 
 

@@ -17,7 +17,9 @@ class Ring:
     """A commutative coefficient ring.
 
     A ring gives ``zero()``, ``one()`` and ``from_int(n)``; ``add``, ``neg``
-    and ``mul`` default to Python's operators, which serve Z and Q.  A
+    and ``mul`` default to Python's operators, which serve Z and Q, and the
+    row and column operations of an elimination (``addmul``,
+    ``addmul_column``, ``scale``) to one ``add`` and ``mul`` per entry.  A
     Euclidean ring (``kind`` "pid") also gives ``divmod(a, b)`` with a
     remainder of smaller ``norm`` (a size that is 0 only for 0, used to pick
     pivots), ``is_unit``, ``normalize_unit(a)`` = (u, b) with a = u*b, u a
@@ -65,6 +67,19 @@ class Ring:
                 acc = self.add(acc, self.mul(a, b))
         return acc
 
+    def addmul(self, row, c, src):
+        """row + c * src, entry by entry: a row operation."""
+        return [self.add(a, self.mul(c, b)) for a, b in zip(row, src)]
+
+    def addmul_column(self, m, dst, src, c):
+        """Add c times column src of the matrix m to its column dst, in place."""
+        for row in m:
+            row[dst] = self.add(row[dst], self.mul(c, row[src]))
+
+    def scale(self, c, row):
+        """c * row, entry by entry."""
+        return [self.mul(c, a) for a in row]
+
 
 class ZRing(Ring):
     name = "Z"
@@ -84,6 +99,16 @@ class ZRing(Ring):
 
     def dot(self, row, v):
         return sum(map(mul, row, v))
+
+    def addmul(self, row, c, src):
+        return [a + c * b for a, b in zip(row, src)]
+
+    def addmul_column(self, m, dst, src, c):
+        for row in m:
+            row[dst] += c * row[src]
+
+    def scale(self, c, row):
+        return [c * a for a in row]
 
     def divmod(self, a, b):
         # round to nearest: python's r has the sign of b, so subtracting b
@@ -241,7 +266,8 @@ class FpURing(Ring):
 
 
 def _identity(n, ring):
-    return [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+    zero, one = ring.zero(), ring.one()
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def _swap_rows(m, i, j):
@@ -254,14 +280,15 @@ def _swap_cols(m, i, j):
 
 
 def _addmul_row(m, dst, src, c, ring):
-    row_d, row_s = m[dst], m[src]
-    for k in range(len(row_d)):
-        row_d[k] = ring.add(row_d[k], ring.mul(c, row_s[k]))
+    m[dst] = ring.addmul(m[dst], c, m[src])
 
 
 def _addmul_col(m, dst, src, c, ring):
-    for row in m:
-        row[dst] = ring.add(row[dst], ring.mul(c, row[src]))
+    ring.addmul_column(m, dst, src, c)
+
+
+def _scale_row(m, t, c, ring):
+    m[t] = ring.scale(c, m[t])
 
 
 class SNFResult:
@@ -369,10 +396,8 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
         if canon != D[t][t]:
             # multiply row t by u^{-1}
             inv = ring.unit_inverse(u)
-            for k in range(cols):
-                D[t][k] = ring.mul(inv, D[t][k])
-            for k in range(rows):
-                U[t][k] = ring.mul(inv, U[t][k])
+            _scale_row(D, t, inv, ring)
+            _scale_row(U, t, inv, ring)
         t += 1
 
     diag = [D[i][i] for i in range(min(rows, cols)) if not ring.is_zero(D[i][i])]

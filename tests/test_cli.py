@@ -314,6 +314,28 @@ def test_corpus_env_override(tmp_path, monkeypatch):
     assert corpus_mod.corpus_names() == ["unknot"]
 
 
+def test_corpus_env_override_is_read_per_call(tmp_path, monkeypatch):
+    # the bundled directory is resolved once, at import; SFK_CORPUS is read
+    # on every call, so setting or clearing it later still applies
+    from importlib import resources
+
+    from sfkit import corpus as corpus_mod
+
+    bundled = str(resources.files("sfkit") / "corpus")
+    monkeypatch.delenv("SFK_CORPUS", raising=False)
+    assert corpus_mod.corpus_dir() == bundled
+    data = corpus_mod.load_diagram("unknot").to_dict()
+    data["regions"][0]["genus"] += 1
+    (tmp_path / "unknot.json").write_text(json.dumps(data))
+    monkeypatch.setenv("SFK_CORPUS", str(tmp_path))
+    assert corpus_mod.corpus_path("unknot") == str(tmp_path / "unknot.json")
+    assert corpus_mod.load_diagram("unknot").to_dict() == data
+    assert corpus_mod.load_expected("unknot") is None
+    monkeypatch.delenv("SFK_CORPUS")
+    assert corpus_mod.corpus_path("unknot") == os.path.join(bundled, "unknot.json")
+    assert corpus_mod.load_diagram("unknot").to_dict() != data
+
+
 # -- fuzzing: mutated corpus diagrams -----------------------------------------
 
 

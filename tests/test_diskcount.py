@@ -13,20 +13,23 @@ from sfkit.admissibility import (
     survival_strata,
     tilde_kill_supports,
 )
-from sfkit.cf import DiagramData
+from sfkit.cf import DiagramData, build_cf
 from sfkit.diagram import HeegaardDiagram
 from sfkit.diskcount import (
     EMPTY_BIGON,
     EMPTY_RECTANGLE,
     UNSUPPORTED,
     DiskClass,
+    _box_points,
     _box_system,
+    _moved_coordinates,
     classify,
     enumerate_mu1_classes,
     niceness_report,
 )
 from sfkit.domains import (
     DomainCalculator,
+    corner_target,
     marked_multiplicities,
     maslov_index,
     maslov_measures,
@@ -542,3 +545,119 @@ def test_fresh_calculator_solves_its_systems_again(monkeypatch):
     assert made == 10 and sum(map(len, classes)) > 0
     assert one_pass(calc) == (classes, 0)
     assert one_pass(DomainCalculator(d)) == (classes, made)
+
+
+# -- differential test of the per-system class records -----------------------
+#
+# The reference is the per-pair body the records replaced: the pair's own
+# certificate and box, and every check run at the pair's own x and y.
+
+
+def per_pair_classes(lattice, x, y, tilde, index=1):
+    d, calc = lattice.diagram, lattice.calc
+    if calc.key(x) != calc.key(y):
+        return []
+    shift = index - (calc.potential(x) - calc.potential(y))
+    g = lattice.mu_zero[0]
+    if shift % g if g else shift:
+        return []
+    phi0 = calc.connecting(x, y).particular
+    bound = finiteness_certificate(lattice, phi0, shift)
+    found = [] if bound is None else _box_points(lattice, lattice.slice_base(phi0, shift), bound)
+    out = []
+    for D in sorted(set(map(tuple, found))):
+        if any(c < 0 for c in D):
+            continue
+        measures = maslov_measures(d, D, x, y)
+        if sum(measures) != 4 * index:
+            continue
+        nz = marked_multiplicities(d, D)
+        if not tilde.nf_monomial(nz):
+            continue
+        cls, count = classify(d, D, x, y, measures)
+        out.append(DiskClass(domain=D, source=x, target=y, mu=index, n_z=nz,
+                             classification=cls, count=count))
+    return out
+
+
+def _assert_records_match_per_pair(d):
+    """Every ordered pair at every index on one calculator, so that one
+    lattice serves all indices; returns the number of classes and of pairs
+    that shared a (phi0, shift) with an earlier pair."""
+    calc = DomainCalculator(d)
+    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    systems, found, shared = {}, 0, 0
+    for x in d.generators():
+        lattice = calc.lattice(x)
+        for y in d.generators():
+            for index in INDICES:
+                ref = per_pair_classes(lattice, x, y, tilde, index)
+                # DiskClass equality covers every field, list equality the order
+                assert enumerate_mu1_classes(lattice, x, y, tilde, index) == ref
+                found += len(ref)
+                if calc.key(x) != calc.key(y):
+                    continue
+                phi0 = calc.connecting(x, y).particular
+                shift = index - (calc.potential(x) - calc.potential(y))
+                seen = (corner_target(d, x, y), _moved_coordinates(x, y))
+                assert seen[0] == [sum(a * b for a, b in zip(row, phi0)) for row in calc.matrix]
+                assert seen[1] == sum(1 for t in seen[0] if t == 1)
+                if (tuple(phi0), shift) in systems:
+                    assert systems[(tuple(phi0), shift)] == seen
+                    shared += 1
+                systems.setdefault((tuple(phi0), shift), seen)
+    return found, shared
+
+
+@pytest.mark.parametrize("name", corpus.corpus_names())
+def test_class_records_match_per_pair_on_corpus(name):
+    _assert_records_match_per_pair(corpus.load_diagram(name))
+
+
+@pytest.mark.parametrize("name, k", [("unknot", 1), ("unknot", 2), ("trefoil", 1),
+                                     ("trefoil", 2), ("grid2", 0), ("grid2", 1),
+                                     ("grid2", 2)])
+def test_class_records_match_per_pair_on_ladder(name, k):
+    found, shared = _assert_records_match_per_pair(_stabilized(name, k))
+    assert found > 0 and shared > 0
+
+
+def test_one_check_per_system_on_ladder(monkeypatch):
+    # the six ladder complexes check 72 candidates, one per (system,
+    # candidate), where one check per pair made 176; build_cf normalizes
+    # one entry polynomial once and gives each entry its own dict
+    measured, normalized = [], []
+    monkeypatch.setattr(diskcount, "maslov_measures",
+                        lambda *args: measured.append(args) or maslov_measures(*args))
+    normal_form = alg.AlgebraSpec.normal_form
+    monkeypatch.setattr(alg.AlgebraSpec, "normal_form",
+                        lambda *args: normalized.append(args) or normal_form(*args))
+    entries = []
+    for name in ("unknot", "trefoil"):
+        for k in range(3):
+            cx = build_cf(_stabilized(name, k))
+            entries += cx.entries.values()
+    assert len(measured) == 72
+    assert len(normalized) == 88
+    assert len(entries) == 48 and len({id(e) for e in entries}) == 48
+
+
+def test_records_are_kept_per_index_and_algebra():
+    # a record answers only its own (phi0, shift, index) and survival
+    # algebra.  A potential off by one at x poses the trefoil's bigon pair at
+    # index 2 with the shift of index 1, so another mu(phi0): the index-1
+    # record must not answer it.  One lattice serves two algebras that kill
+    # different marks
+    d = corpus.load_diagram("trefoil")
+    calc = DomainCalculator(d)
+    x, y = d.generators()[1], d.generators()[0]
+    lattice = calc.lattice(x)
+    killing = lambda *kill: alg.AlgebraSpec(names=("l1", "l2"), kill=kill)
+    free, kill_l2 = killing(), killing((0, 1))
+    assert [c.n_z for c in enumerate_mu1_classes(lattice, x, y, free)] == [(0, 1)]
+    assert enumerate_mu1_classes(lattice, x, y, kill_l2) == []
+    assert len(enumerate_mu1_classes(lattice, x, y, free)) == 1
+    potential = calc.potential
+    calc.potential = lambda g: potential(g) + (g == x)
+    assert enumerate_mu1_classes(lattice, x, y, free, 2) == []
+    assert per_pair_classes(lattice, x, y, free, 2) == []

@@ -247,3 +247,35 @@ def test_first_unit_pivot_matches_full_scan(ring):
         with mock.patch.object(snf, "_pivot", reference):
             assert snf.smith_normal_form(A, ring) == fast, A
     assert calls > 300
+
+
+def _entrywise_addmul_row(m, dst, src, c, ring):
+    row_d, row_s = m[dst], m[src]
+    for k in range(len(row_d)):
+        row_d[k] = ring.add(row_d[k], ring.mul(c, row_s[k]))
+
+
+def _entrywise_addmul_col(m, dst, src, c, ring):
+    for row in m:
+        row[dst] = ring.add(row[dst], ring.mul(c, row[src]))
+
+
+def _entrywise_scale_row(m, t, c, ring):
+    for k in range(len(m[t])):
+        m[t][k] = ring.mul(c, m[t][k])
+
+
+@pytest.mark.parametrize("ring", [snf.ZZ, snf.FpURing(2), snf.FpURing(3)],
+                         ids=lambda r: r.name)
+def test_whole_row_operations_match_entrywise(ring):
+    # the whole-row ring operations (list comprehensions over ZZ) give the
+    # same U, V and D as one ring call per entry, on every random matrix
+    rng = random.Random(20261019)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        A = [[_random_entry(rng, ring) for _ in range(cols)] for _ in range(rows)]
+        fast = snf.smith_normal_form(A, ring)
+        with mock.patch.multiple(snf, _addmul_row=_entrywise_addmul_row,
+                                 _addmul_col=_entrywise_addmul_col,
+                                 _scale_row=_entrywise_scale_row):
+            assert snf.smith_normal_form(A, ring) == fast, A
