@@ -47,6 +47,13 @@ def mono_key(m):
     return (sum(m), m)
 
 
+def mono_str(m, names=None):
+    """The monomial with exponents ``m`` as text, e.g. "λ1*λ2^2"; "1" for
+    the constant.  ``names`` default to λ1, λ2, ..."""
+    names = names or default_names(len(m))
+    return "*".join(n if a == 1 else f"{n}^{a}" for n, a in zip(names, m) if a > 0) or "1"
+
+
 def one(nvars):
     return tuple(0 for _ in range(nvars))
 
@@ -233,11 +240,7 @@ class AlgebraSpec:
         """Filtration value of a monomial in the H group."""
         if self.chi_group is None:
             return None
-        acc = self.chi_group.zero()
-        for i, a in enumerate(m):
-            if a:
-                acc = self.chi_group.add(acc, self.chi_group.scale(a, self.chi_classes[i]))
-        return acc
+        return self.chi_group.combination(m, self.chi_classes)
 
     def gr(self, m):
         if self.gr_weights is None:
@@ -261,13 +264,7 @@ class AlgebraSpec:
     # -- pretty printing ---------------------------------------------------
 
     def mono_str(self, m):
-        parts = []
-        for name, a in zip(self.names, m):
-            if a == 1:
-                parts.append(name)
-            elif a > 1:
-                parts.append(f"{name}^{a}")
-        return "*".join(parts) if parts else "1"
+        return mono_str(m, self.names)
 
     def poly_str(self, p):
         if not p:
@@ -461,23 +458,3 @@ def diagram_algebra(d, variant=PLAIN, homology=None, gr_weights=None,
         gr_weights=gr_weights,
         gr_modulus=gr_modulus,
     )
-
-
-def nilpotent_monomial_check(spec: AlgebraSpec, degree_bound=6, extra=()):
-    """Verify m^2 = 0 implies m = 0 on all monomials up to ``degree_bound``.
-
-    Returns a list of counterexamples (empty when the square-free structure
-    of the kill-list holds, as it must for genuine diagram data).
-    """
-    from itertools import product
-
-    bad = []
-    ranges = [range(degree_bound + 1) for _ in range(spec.nvars)]
-    candidates = [m for m in product(*ranges) if 0 < sum(m) <= degree_bound]
-    candidates.extend(tuple(m) for m in extra)
-    for m in candidates:
-        if spec.nf_monomial(m):
-            sq = mono_mul(m, m)
-            if not spec.nf_monomial(sq):
-                bad.append(m)
-    return bad

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import algebra as alg
-from .admissibility import check_s_admissible
+from .admissibility import NotAdmissibleError, check_s_admissible
 from .complexes import FilteredComplex, TaintRecord
 from .diagram import HeegaardDiagram
 from .diskcount import enumerate_mu1_classes
@@ -19,10 +19,6 @@ from .domains import DomainCalculator
 from .homology1 import h1_presentation
 from .spinc import grading_data, spinc_partition
 from .testrings import AlgebraTarget
-
-
-class NotAdmissible(RuntimeError):
-    pass
 
 
 class DiagramData:
@@ -73,7 +69,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
     lattice = data.lattices[block_index]
     rep = check_s_admissible(lattice)
     if not rep.admissible:
-        raise NotAdmissible(f"diagram is not s-admissible: witness {rep.witness}")
+        raise NotAdmissibleError(f"diagram is not s-admissible: witness {rep.witness}")
 
     if not data.partition.blocks:
         spec = alg.diagram_algebra(d, variant=variant, homology=data.homology)

@@ -17,7 +17,7 @@ from .admissibility import (
     check_strong_admissible,
     check_weak_admissible,
 )
-from .cf import DiagramData, NotAdmissible, build_cf
+from .cf import DiagramData, build_cf
 from .complexes import ComplexError, homology
 from .diagram import ALPHA, BETA, HeegaardDiagram
 from .diskcount import enumerate_mu1_classes, niceness_report
@@ -146,7 +146,7 @@ def cmd_components(args):
     for side in (ALPHA, BETA):
         for c in d.complement_components(side):
             label = ("A" if side == ALPHA else "B") + str(c.index + 1)
-            mono = "*".join(f"λ{m + 1}" for m in c.marks) or "1"
+            mono = alg.mono_str(alg.component_monomial(c.marks, d.num_marks))
             payload.append(
                 {
                     "component": label,
@@ -433,9 +433,13 @@ def cmd_surgery(args):
 
 
 def cmd_corpus_check(args):
-    from .corpuscheck import run_corpus_check
+    from .corpuscheck import NothingCompared, run_corpus_check
 
-    ok, lines = run_corpus_check()
+    try:
+        ok, lines = run_corpus_check()
+    except NothingCompared as e:
+        print(f"corpus error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     emit({"ok": ok, "log": lines}, args, lines)
     return EXIT_OK if ok else EXIT_FAIL
 
@@ -541,7 +545,6 @@ def main(argv=None):
             e,
             (
                 NotAdmissibleError,
-                NotAdmissible,
                 ComplexError,
                 HomError,
                 BadSutureError,

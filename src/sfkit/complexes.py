@@ -79,7 +79,7 @@ class FilteredComplex:
             raise ComplexError(
                 "TAINTED",
                 f"{len(self.taints)} unsupported classes survive in {self.ring.name}, "
-                f"weights {', '.join(_weight_str(w) for w in weights)}",
+                f"weights {', '.join(alg.mono_str(w) for w in weights)}",
             )
 
     # -- axioms ---------------------------------------------------------
@@ -193,12 +193,6 @@ class FilteredComplex:
             taints=live_taints,
             u_grading=hom.u_grading,
         )
-
-
-def _weight_str(w):
-    """A taint weight (exponent vector over the marks) as a λ-monomial."""
-    names = alg.default_names(len(w))
-    return "*".join(n if a == 1 else f"{n}^{a}" for n, a in zip(names, w) if a) or "1"
 
 
 def _mod2_nf(spec, e):

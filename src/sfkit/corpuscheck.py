@@ -96,24 +96,25 @@ def diagram_report(name: str) -> dict:
     return out
 
 
+class NothingCompared(ValueError):
+    """The corpus holds no diagram with an expected record."""
+
+
 def run_corpus_check():
-    names = corpus_mod.corpus_names()
+    """(ok, log lines) of comparing each diagram that has an expected record
+    with its report; NothingCompared when no diagram has one."""
+    expected = {name: corpus_mod.load_expected(name) for name in corpus_mod.corpus_names()}
+    if all(record is None for record in expected.values()):
+        raise NothingCompared(
+            f"no diagram in {corpus_mod.corpus_dir()} has an expected record; "
+            "nothing was compared")
     lines = []
     ok = True
-
-    def one(name):
-        expected = corpus_mod.load_expected(name)
-        report = diagram_report(name)
-        if expected is None:
-            return name, None, report
-        return name, expected, report
-
-    results = [one(n) for n in names]
-    for name, expected, report in sorted(results, key=lambda r: r[0]):
-        if expected is None:
+    for name in sorted(expected):
+        if expected[name] is None:
             lines.append(f"{name}: SKIP (no expected record)")
             continue
-        mismatches = _diff(expected.get("report", {}), report)
+        mismatches = _diff(expected[name].get("report", {}), diagram_report(name))
         if mismatches:
             ok = False
             lines.append(f"{name}: FAIL")

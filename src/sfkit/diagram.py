@@ -464,13 +464,6 @@ class HeegaardDiagram:
             )
         return tuple(comps)
 
-    def component_domain(self, comp) -> list:
-        """The component as a domain vector (indicator of its regions)."""
-        vec = [0] * len(self.regions)
-        for r in comp.regions:
-            vec[r] = 1
-        return vec
-
     # -- generators ------------------------------------------------------
 
     @cached_property

@@ -130,7 +130,7 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
     g = lattice.mu_zero[0]
     if shift % g if g else shift:
         return []
-    phi0 = calc.connecting(x, y).particular
+    phi0 = calc.connecting(x, y)
     solved = lattice.compiled("candidates", lambda lattice: {})
     system = (tuple(phi0), shift)
     if system not in solved:
@@ -169,17 +169,6 @@ def _checked_records(d: HeegaardDiagram, candidates, x: Generator, y: Generator,
     return out
 
 
-def enumerate_block_classes(calc: DomainCalculator, generators,
-                            tilde: AlgebraSpec) -> list:
-    """All index-1 classes between ordered pairs of the given generators."""
-    out = []
-    for x in generators:
-        lattice = calc.lattice(x)
-        for y in generators:
-            out.extend(enumerate_mu1_classes(lattice, x, y, tilde))
-    return out
-
-
 class NicenessReport:
     def __init__(self, region_shapes: list, total_classes: int, unsupported: list,
                  hat_countable: bool, minus_countable: bool):
@@ -204,7 +193,11 @@ def niceness_report(calc: DomainCalculator, tilde: AlgebraSpec) -> NicenessRepor
     d = calc.diagram
     shapes = [{"region": ri, "shape": region_shape(d, ri), "marked": bool(region.marks)}
               for ri, region in enumerate(d.regions)]
-    classes = enumerate_block_classes(calc, d.generators(), tilde)
+    gens, classes = d.generators(), []
+    for x in gens:
+        lattice = calc.lattice(x)
+        for y in gens:
+            classes.extend(enumerate_mu1_classes(lattice, x, y, tilde))
     unsupported = [c for c in classes if not c.supported]
     hat_ok = all(c.supported for c in classes if all(v == 0 for v in c.n_z))
     return NicenessReport(

@@ -53,16 +53,6 @@ def is_domain(d: HeegaardDiagram, D, x: Generator, y: Generator) -> bool:
     )
 
 
-def is_periodic(d: HeegaardDiagram, D) -> bool:
-    return all(D[q1] + D[q3] == D[q0] + D[q2] for q0, q1, q2, q3 in d.crossing_quadrants)
-
-
-class ConnectingDomains:
-    def __init__(self, exists: bool, particular: list | None):
-        self.exists = exists
-        self.particular = particular
-
-
 class DomainCalculator:
     """Per-diagram cache of the corner system, factored once, of the
     periodic lattice (its basis and the n_z row of each basis domain), of
@@ -109,16 +99,16 @@ class DomainCalculator:
         """Equal for two generators exactly when a domain connects them."""
         return self._split(g)[0] if self.matrix else ()
 
-    def connecting(self, x: Generator, y: Generator) -> ConnectingDomains:
-        """The connecting solve for (x, y), one vector subtraction from the
-        generators' splits; it equals ``snf.solve_integer(self.factored,
-        corner_target(d, x, y))``."""
+    def connecting(self, x: Generator, y: Generator) -> list | None:
+        """The particular connecting domain of (x, y), or None when no domain
+        connects them: one vector subtraction from the generators' splits; it
+        equals ``snf.solve_integer(self.factored, corner_target(d, x, y))``."""
         if not self.matrix:
-            return ConnectingDomains(exists=True, particular=[0] * len(self.diagram.regions))
+            return [0] * len(self.diagram.regions)
         (kx, px), (ky, py) = self._split(x), self._split(y)
         if kx != ky:
-            return ConnectingDomains(exists=False, particular=None)
-        return ConnectingDomains(exists=True, particular=[a - b for a, b in zip(px, py)])
+            return None
+        return [a - b for a, b in zip(px, py)]
 
     def _record(self, g: Generator) -> tuple:
         """(potential, n_z) of the connecting domain from g to the first
@@ -126,7 +116,7 @@ class DomainCalculator:
         Maslov index per generator, none for the reference itself."""
         if g.points not in self._records:
             ref = self._references.setdefault(self.key(g), g)
-            D = [0] * len(self.diagram.regions) if ref == g else self.connecting(g, ref).particular
+            D = [0] * len(self.diagram.regions) if ref == g else self.connecting(g, ref)
             mu = 0 if ref == g else maslov_index(self.diagram, D, g, ref)
             self._records[g.points] = mu, marked_multiplicities(self.diagram, D)
         return self._records[g.points]
@@ -187,14 +177,6 @@ def _maslov(mu4: int) -> int:
     return mu4 // 4
 
 
-def euler_measure(d: HeegaardDiagram, D) -> Fraction:
-    return Fraction(_euler_x4(d, D), 4)
-
-
-def generator_measure(d: HeegaardDiagram, D, g: Generator) -> Fraction:
-    return Fraction(_corners_x4(d, D, g.points), 4)
-
-
 def maslov_measures(d: HeegaardDiagram, D, x: Generator, y: Generator) -> tuple:
     """(4 e(D), 4 n_x(D) + 4 n_y(D)) of a class from x to y: their sum is
     4 mu(D), and both give its shape (``diskcount.classify``)."""
@@ -219,10 +201,6 @@ def maslov_of_periodic(d: HeegaardDiagram, P, at: Generator | None) -> int:
 
 def marked_multiplicities(d: HeegaardDiagram, D):
     return tuple(D[d.mark_region[k]] for k in range(d.num_marks))
-
-
-def full_surface_domain(d: HeegaardDiagram):
-    return [1] * len(d.regions)
 
 
 class PeriodicLattice:

@@ -217,11 +217,7 @@ class HomologyPresentation:
         self.pd_classes = pd_classes  # mark index -> element of the group
 
     def chi_of_exponents(self, exponents):
-        acc = self.group.zero()
-        for k, a in enumerate(exponents):
-            if a:
-                acc = self.group.add(acc, self.group.scale(a, self.pd_classes[k]))
-        return acc
+        return self.group.combination(exponents, self.pd_classes)
 
     def free_image(self, exponents):
         """Image of sum a_i [gamma_i] in H1(X)/Tors (tuple over free coords)."""
@@ -229,10 +225,6 @@ class HomologyPresentation:
         return tuple(
             full[i] for i, m in enumerate(self.group.moduli) if m == 0
         )
-
-    @property
-    def torsion(self):
-        return self.group.torsion
 
     def describe(self):
         return self.group.describe()

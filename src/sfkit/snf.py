@@ -270,27 +270,6 @@ def _identity(n, ring):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _addmul_row(m, dst, src, c, ring):
-    m[dst] = ring.addmul(m[dst], c, m[src])
-
-
-def _addmul_col(m, dst, src, c, ring):
-    ring.addmul_column(m, dst, src, c)
-
-
-def _scale_row(m, t, c, ring):
-    m[t] = ring.scale(c, m[t])
-
-
 class SNFResult:
     """U * A * V = D with U, V invertible over the ring, D diagonal.
 
@@ -341,12 +320,10 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
         if found is None:
             break
         pi, pj = found
-        if pi != t:
-            _swap_rows(D, t, pi)
-            _swap_rows(U, t, pi)
-        if pj != t:
-            _swap_cols(D, t, pj)
-            _swap_cols(V, t, pj)
+        for m in (D, U):
+            m[t], m[pi] = m[pi], m[t]
+        for row in D + V:
+            row[t], row[pj] = row[pj], row[t]
 
         # clear row and column t; restart if a nonzero remainder shrinks the pivot
         dirty = True
@@ -356,21 +333,21 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
                 if ring.is_zero(D[i][t]):
                     continue
                 q, r = ring.divmod(D[i][t], D[t][t])
-                _addmul_row(D, i, t, ring.neg(q), ring)
-                _addmul_row(U, i, t, ring.neg(q), ring)
+                for m in (D, U):
+                    m[i] = ring.addmul(m[i], ring.neg(q), m[t])
                 if not ring.is_zero(r):
-                    _swap_rows(D, t, i)
-                    _swap_rows(U, t, i)
+                    for m in (D, U):
+                        m[t], m[i] = m[i], m[t]
                     dirty = True
             for j in range(t + 1, cols):
                 if ring.is_zero(D[t][j]):
                     continue
                 q, r = ring.divmod(D[t][j], D[t][t])
-                _addmul_col(D, j, t, ring.neg(q), ring)
-                _addmul_col(V, j, t, ring.neg(q), ring)
+                for m in (D, V):
+                    ring.addmul_column(m, j, t, ring.neg(q))
                 if not ring.is_zero(r):
-                    _swap_cols(D, t, j)
-                    _swap_cols(V, t, j)
+                    for row in D + V:
+                        row[t], row[j] = row[j], row[t]
                     dirty = True
 
         # enforce d_t | D[i][j] on the trailing block (a unit pivot divides all)
@@ -386,8 +363,8 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
             if offender is not None:
                 break
         if offender is not None:
-            _addmul_row(D, t, offender, ring.one(), ring)
-            _addmul_row(U, t, offender, ring.one(), ring)
+            for m in (D, U):
+                m[t] = ring.addmul(m[t], ring.one(), m[offender])
             continue
 
         u, canon = ring.normalize_unit(D[t][t])
@@ -396,29 +373,12 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
         if canon != D[t][t]:
             # multiply row t by u^{-1}
             inv = ring.unit_inverse(u)
-            _scale_row(D, t, inv, ring)
-            _scale_row(U, t, inv, ring)
+            for m in (D, U):
+                m[t] = ring.scale(inv, m[t])
         t += 1
 
     diag = [D[i][i] for i in range(min(rows, cols)) if not ring.is_zero(D[i][i])]
     return SNFResult(U=U, V=V, D=D, diag=diag, rank=len(diag))
-
-
-def mat_mul(A, B, ring: Ring = ZZ):
-    n, m = len(A), len(B[0]) if B else 0
-    k = len(B)
-    out = [[ring.zero()] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if ring.is_zero(a):
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                row[j] = ring.add(row[j], ring.mul(a, Bt[j]))
-    return out
 
 
 def mat_vec(A, v, ring: Ring = ZZ):
@@ -482,14 +442,6 @@ class AbelianGroup:
     def rank(self) -> int:
         return sum(1 for m in self.moduli if m == 0)
 
-    @property
-    def torsion(self) -> tuple:
-        return tuple(m for m in self.moduli if m > 1)
-
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.moduli) == 0
-
     def zero(self):
         return tuple(0 for _ in self.moduli)
 
@@ -507,8 +459,13 @@ class AbelianGroup:
     def neg(self, a):
         return self.reduce([-x for x in a])
 
-    def scale(self, n, a):
-        return self.reduce([n * x for x in a])
+    def combination(self, coeffs, elements):
+        """sum_i coeffs[i] * elements[i], reduced once."""
+        acc = [0] * len(self.moduli)
+        for a, e in zip(coeffs, elements):
+            if a:
+                acc = [c + a * x for c, x in zip(acc, e)]
+        return self.reduce(acc)
 
     def describe(self) -> str:
         parts = ["Z"] * self.rank + [f"Z/{m}" for m in self.moduli if m > 1]

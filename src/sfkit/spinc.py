@@ -94,11 +94,6 @@ class GradingData:
     def _reduce(self, v):
         return v % self.d_of_s if self.d_of_s else v
 
-    def rel(self, i: int, j: int):
-        if self.gr.get(i) is None or self.gr.get(j) is None:
-            return None
-        return self._reduce(self.gr[i] - self.gr[j])
-
 
 def grading_data(partition: SpincPartition, block_index: int,
                  lattice: PeriodicLattice) -> GradingData:

@@ -170,10 +170,10 @@ def test_certificate_sound_against_brute_force(name):
     gens = d.generators()
     for x in gens:
         for y in gens:
-            con, bound = calc.connecting(x, y), 1
-            if con.exists:
-                shift = 1 - maslov_index(d, con.particular, x, y)
-                bound += finiteness_certificate(calc.lattice(x), con.particular, shift) or 0
+            phi0, bound = calc.connecting(x, y), 1
+            if phi0 is not None:
+                shift = 1 - maslov_index(d, phi0, x, y)
+                bound += finiteness_certificate(calc.lattice(x), phi0, shift) or 0
             oracle = brute_force_positive_classes(d, x, y, 1, bound)
             listed = sorted(
                 tuple(c.domain) for c in enumerate_mu1_classes(calc.lattice(x), x, y, tilde)
@@ -194,10 +194,10 @@ def test_x_equals_y_j0_certificate():
     d = corpus.load_diagram("trefoil")
     calc = DomainCalculator(d)
     gens = d.generators()
-    con = calc.connecting(gens[0], gens[0])
-    assert con.exists
-    shift = -maslov_index(d, con.particular, gens[0], gens[0])
-    bound = finiteness_certificate(calc.lattice(gens[0]), con.particular, shift)
+    phi0 = calc.connecting(gens[0], gens[0])
+    assert phi0 is not None
+    shift = -maslov_index(d, phi0, gens[0], gens[0])
+    bound = finiteness_certificate(calc.lattice(gens[0]), phi0, shift)
     assert bound is not None
     # only the zero class at index 0
     oracle = brute_force_positive_classes(d, gens[0], gens[0], 0, bound + 1)
@@ -212,7 +212,7 @@ def test_certificate_without_slice_off_a_constant_mu():
     x, y = d.generators()
     lattice = calc.lattice(x)
     assert lattice.mu == [0]
-    phi0 = calc.connecting(x, y).particular
+    phi0 = calc.connecting(x, y)
     assert finiteness_certificate(lattice, phi0, 0) == 1
     assert finiteness_certificate(lattice, phi0, 1) is None
     assert finiteness_certificate(lattice, phi0, -2) is None
@@ -251,6 +251,16 @@ def test_witness_errors_name_the_condition():
             _verify_witness(d, None, P, stratum, mu_mode)
         assert err.value.condition == condition
         assert isinstance(err.value, NotAdmissibleError)
+
+
+def test_build_cf_refuses_with_the_admissibility_error():
+    # one "not s-admissible" refusal: build_cf raises the checker's error,
+    # not a type of its own
+    d = corpus.load_diagram("nomatch_genus2")
+    with pytest.raises(NotAdmissibleError) as err:
+        build_cf(d)
+    assert type(err.value) is NotAdmissibleError
+    assert str(err.value) == "diagram is not s-admissible: witness [0, 1]"
 
 
 def test_witness_check_survives_python_O():

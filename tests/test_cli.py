@@ -290,6 +290,43 @@ def test_corpus_check():
     assert all(line.endswith(": ok") or "SKIP" in line for line in out.splitlines())
 
 
+@pytest.mark.parametrize("with_diagrams", [False, True])
+def test_corpus_check_refuses_to_compare_nothing(tmp_path, monkeypatch, capsys, with_diagrams):
+    # an empty corpus, or one whose diagrams have no expected records, is
+    # refused: an "ok" that checked nothing would read as a pass
+    import shutil
+
+    if with_diagrams:
+        for name in ("unknot", "trefoil"):
+            shutil.copy(corpus_path(name), tmp_path / f"{name}.json")
+    monkeypatch.setenv("SFK_CORPUS", str(tmp_path))
+    code, out = run("--json", "corpus-check")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"corpus error: no diagram in {tmp_path} has an expected record; "
+        "nothing was compared\n")
+
+
+def test_corpus_check_skips_beside_a_compared_diagram(tmp_path, monkeypatch):
+    import shutil
+
+    for name in ("unknot", "trefoil"):
+        shutil.copy(corpus_path(name), tmp_path / f"{name}.json")
+    (tmp_path / "expected").mkdir()
+    shutil.copy(os.path.join(os.path.dirname(corpus_path("unknot")), "expected", "unknot.json"),
+                tmp_path / "expected" / "unknot.json")
+    monkeypatch.setenv("SFK_CORPUS", str(tmp_path))
+    code, out = run("corpus-check")
+    assert (code, out) == (0, "trefoil: SKIP (no expected record)\nunknot: ok\n")
+
+
+def test_complex_build_refuses_a_diagram_that_is_not_s_admissible(capsys):
+    code, out = run("complex", "build", corpus_path("nomatch_genus2"))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "verification failure: diagram is not s-admissible: witness [0, 1]\n")
+
+
 def test_determinism():
     # byte-identical output across runs
     for argv in (

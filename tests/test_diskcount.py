@@ -154,14 +154,13 @@ def test_niceness_reports():
 # surviving tilde-monomial.
 
 
-def reference_certificate_bound(d, x, y, j, lattice, con):
+def reference_certificate_bound(d, x, y, j, lattice, phi0):
     """The certificate the total-multiplicity one replaced: per survival
     stratum, one linear_range per region, each coefficient bounded apart
     (None when x and y are not connected; NotAdmissibleError when a stratum
     is unbounded)."""
-    if not con.exists:
+    if phi0 is None:
         return None
-    phi0 = con.particular
     mu0 = maslov_index(d, phi0, x, y)
     rank = lattice.rank
     if rank == 0:
@@ -190,11 +189,10 @@ def reference_certificate_bound(d, x, y, j, lattice, con):
 
 
 def reference_mu1_classes(d, x, y, tilde, calc, index=1):
-    con = calc.connecting(x, y)
-    bound = reference_certificate_bound(d, x, y, index, calc.lattice(x), con)
+    phi0 = calc.connecting(x, y)
+    bound = reference_certificate_bound(d, x, y, index, calc.lattice(x), phi0)
     if bound is None:
         return []
-    phi0 = con.particular
     basis = calc.periodic_basis
     rank = len(basis)
     candidates = []
@@ -255,7 +253,7 @@ def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None, tally=None
     for x in d.generators():
         lattice = calc.lattice(x)
         for y in d.generators():
-            con = calc.connecting(x, y)
+            phi0 = calc.connecting(x, y)
             for index in indices:
                 ref = reference_mu1_classes(d, x, y, tilde, calc, index)
                 stored = dict(_stored(lattice))
@@ -264,11 +262,11 @@ def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None, tally=None
                 assert enumerate_mu1_classes(lattice, x, y, tilde, index) == ref
                 found += len(ref)
                 added = {k: v for k, v in _stored(lattice).items() if k not in stored}
-                if not con.exists:
+                if phi0 is None:
                     assert added == {}
                     continue
-                shift = index - maslov_index(d, con.particular, x, y)
-                system, g = (tuple(con.particular), shift), math.gcd(*lattice.mu)
+                shift = index - maslov_index(d, phi0, x, y)
+                system, g = (tuple(phi0), shift), math.gcd(*lattice.mu)
                 if system in stored:
                     assert added == {}
                     tally["reused"] += 1
@@ -364,15 +362,15 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
             made = len(lps) - before[0], len(boxes) - before[1]
             made_lps += made[0]
             assert classes == reference_mu1_classes(d, x, y, tilde, calc)
-            con = calc.connecting(x, y)
-            shift = 1 - maslov_index(d, con.particular, x, y)
+            phi0 = calc.connecting(x, y)
+            shift = 1 - maslov_index(d, phi0, x, y)
             if shift % math.gcd(*lattice.mu):
                 assert classes == [] and made == (0, 0)
                 seen["residue"] += 1
                 continue
-            new = (tuple(con.particular), shift) not in solved
-            solved.add((tuple(con.particular), shift))
-            if finiteness_certificate(lattice, con.particular, shift) is None:
+            new = (tuple(phi0), shift) not in solved
+            solved.add((tuple(phi0), shift))
+            if finiteness_certificate(lattice, phi0, shift) is None:
                 assert classes == [] and made == ((strata, 0) if new else (0, 0))
                 seen["empty"] += 1
             else:
@@ -435,7 +433,7 @@ def test_residue_test_answers_before_admissibility():
     odd, raised = 0, 0
     for x in gens:
         for y in gens:
-            phi0 = calc.connecting(x, y).particular
+            phi0 = calc.connecting(x, y)
             for index in INDICES:
                 shift = index - maslov_index(d, phi0, x, y)
                 if shift % 2 == 0:
@@ -484,10 +482,10 @@ def test_constant_index_enumerates_whole_box_or_nothing():
     gens = d.generators()
     for x in gens:
         for y in gens:
-            con = calc.connecting(x, y)
+            phi0 = calc.connecting(x, y)
             points = x.points + y.points
             assert all(maslov_x4(d, P, points) == 0 for P in calc.periodic_basis)
-            mu0 = maslov_x4(d, con.particular, points) // 4
+            mu0 = maslov_x4(d, phi0, points) // 4
             tilde = alg.diagram_algebra(d, variant=alg.TILDE)
             for index in range(-2, 3):
                 classes = enumerate_mu1_classes(calc.lattice(x), x, y, tilde, index)
@@ -561,7 +559,7 @@ def per_pair_classes(lattice, x, y, tilde, index=1):
     g = lattice.mu_zero[0]
     if shift % g if g else shift:
         return []
-    phi0 = calc.connecting(x, y).particular
+    phi0 = calc.connecting(x, y)
     bound = finiteness_certificate(lattice, phi0, shift)
     found = [] if bound is None else _box_points(lattice, lattice.slice_base(phi0, shift), bound)
     out = []
@@ -597,7 +595,7 @@ def _assert_records_match_per_pair(d):
                 found += len(ref)
                 if calc.key(x) != calc.key(y):
                     continue
-                phi0 = calc.connecting(x, y).particular
+                phi0 = calc.connecting(x, y)
                 shift = index - (calc.potential(x) - calc.potential(y))
                 seen = (corner_target(d, x, y), _moved_coordinates(x, y))
                 assert seen[0] == [sum(a * b for a, b in zip(row, phi0)) for row in calc.matrix]

@@ -16,21 +16,33 @@ from sfkit.domains import (
     PeriodicLattice,
     corner_matrix,
     corner_target,
-    euler_measure,
-    full_surface_domain,
-    generator_measure,
     is_domain,
-    is_periodic,
     marked_multiplicities,
     maslov_index,
     maslov_of_periodic,
     maslov_x4,
 )
+from oracles import component_domain
 
 CORPUS = [
     "torus_min", "unknot", "trefoil", "grid2", "torus_lens",
     "sphere_split", "special_hs", "genus2_pair",
 ]
+
+
+def is_periodic(d, D) -> bool:
+    """D meets the corner conditions with target zero."""
+    return all(D[q1] + D[q3] == D[q0] + D[q2] for q0, q1, q2, q3 in d.crossing_quadrants)
+
+
+def euler_measure(d, D) -> Fraction:
+    return Fraction(sum(c * w for c, w in zip(D, d.euler_measures_x4)), 4)
+
+
+def generator_measure(d, D, g) -> Fraction:
+    """n_g(D): the average of D over the four quadrants at each point of g."""
+    quads = d.crossing_quadrants
+    return Fraction(sum(D[q] for p in g.points for q in quads[p]), 4)
 
 
 def brute_force_domains(d, x, y, lo=-2, hi=2):
@@ -53,7 +65,7 @@ def test_component_maslov_identity(name):
     at = gens[0] if gens else None
     for side in (ALPHA, BETA):
         for comp in d.complement_components(side):
-            P = d.component_domain(comp)
+            P = component_domain(d, comp)
             assert is_periodic(d, P)
             assert maslov_of_periodic(d, P, at) == 2 - 2 * comp.genus
 
@@ -61,7 +73,7 @@ def test_component_maslov_identity(name):
 @pytest.mark.parametrize("name", CORPUS)
 def test_full_surface_domain_periodic_allones_marks(name):
     d = corpus.load_diagram(name)
-    S = full_surface_domain(d)
+    S = [1] * len(d.regions)  # the full surface
     assert is_periodic(d, S)
     assert marked_multiplicities(d, S) == tuple([1] * d.num_marks)
 
@@ -75,15 +87,15 @@ def test_connecting_solution_set_matches_brute_force(name):
         for j in range(len(gens)):
             x, y = gens[i], gens[j]
             oracle = brute_force_domains(d, x, y)
-            con = calc.connecting(x, y)
-            if not con.exists:
+            phi0 = calc.connecting(x, y)
+            if phi0 is None:
                 assert oracle == []
                 continue
             # reproduce the box contents from particular + lattice
             found = set()
             rank = len(calc.periodic_basis)
             for t in product(range(-6, 7), repeat=rank):
-                vec = list(con.particular)
+                vec = list(phi0)
                 for c, b in zip(t, calc.periodic_basis):
                     for k in range(len(vec)):
                         vec[k] += c * b[k]
@@ -97,8 +109,8 @@ def test_trefoil_bigon_is_particular_solution():
     calc = DomainCalculator(d)
     gens = d.generators()
     x1, x0 = gens[1], gens[0]
-    con = calc.connecting(x1, x0)
-    assert con.exists
+    phi0 = calc.connecting(x1, x0)
+    assert phi0 is not None
     # the visible bigon D1 = region 0 solves the system
     bigon = [1, 0, 0]
     assert is_domain(d, bigon, x1, x0)
@@ -120,9 +132,23 @@ def test_torus_lens_has_no_connecting_domain():
     d = corpus.load_diagram("torus_lens")
     calc = DomainCalculator(d)
     gens = d.generators()
-    con = calc.connecting(gens[0], gens[1])
-    assert not con.exists
+    phi0 = calc.connecting(gens[0], gens[1])
+    assert phi0 is None
     assert brute_force_domains(d, gens[0], gens[1]) == []
+
+
+def test_connecting_is_none_exactly_across_spinc_blocks():
+    # torus_lens has two generators, each its own Spin^c block
+    data = DiagramData.build(corpus.load_diagram("torus_lens"))
+    blocks, gens = data.partition.blocks, data.partition.generators
+    assert [len(b) for b in blocks] == [1, 1]
+    block_of = {i: bi for bi, block in enumerate(blocks) for i in block}
+    for i, x in enumerate(gens):
+        for j, y in enumerate(gens):
+            phi0 = data.calc.connecting(x, y)
+            assert (phi0 is None) == (block_of[i] != block_of[j])
+            if phi0 is not None:
+                assert is_domain(data.diagram, phi0, x, y)
 
 
 def test_non_domain_rejected():
@@ -152,7 +178,7 @@ def test_connecting_is_equivalence():
         calc = DomainCalculator(d)
         gens = d.generators()
         n = len(gens)
-        table = [[calc.connecting(gens[i], gens[j]).exists for j in range(n)] for i in range(n)]
+        table = [[calc.connecting(gens[i], gens[j]) is not None for j in range(n)] for i in range(n)]
         for i in range(n):
             assert table[i][i]
             for j in range(n):
@@ -187,11 +213,11 @@ def test_quarter_integer_maslov_matches_fraction_formula(name):
     checked = 0
     for x in gens:
         for y in gens:
-            con = calc.connecting(x, y)
-            if not con.exists:
+            phi0 = calc.connecting(x, y)
+            if phi0 is None:
                 continue
             for t in product(range(-2, 3), repeat=len(basis)):
-                D = list(con.particular)
+                D = list(phi0)
                 for c, vec in zip(t, basis):
                     D = [u + c * v for u, v in zip(D, vec)]
                 if any(v < 0 for v in D):
@@ -259,9 +285,8 @@ def test_factored_corner_system_matches_fresh_solves(name, k):
             target = corner_target(d, x, y)
             fresh = snf.solve_integer(calc.matrix, target)
             assert snf.solve_integer(calc.factored, target) == fresh
-            con = calc.connecting(x, y)
-            assert con.particular == fresh
-            assert con.exists == (fresh is not None)
+            phi0 = calc.connecting(x, y)
+            assert phi0 == fresh
 
 
 # -- one periodic lattice per Spin^c block ------------------------------------
@@ -294,7 +319,7 @@ def test_block_mu_row_is_every_generators_mu(name, k):
             assert [maslov_of_periodic(d, P, gens[i]) for P in basis] == lat.mu
             for j in block:
                 x, y = gens[i], gens[j]
-                assert data.calc.connecting(x, y).exists
+                assert data.calc.connecting(x, y) is not None
                 slope = [maslov_x4(d, P, x.points + y.points) for P in basis]
                 assert slope == [4 * m for m in lat.mu]
 
@@ -318,10 +343,10 @@ def test_potential_differences_are_pair_indices(name, k, monkeypatch):
                         lambda *args: calls.append(args) or maslov_index(*args))
     for x in gens:
         for y in gens:
-            con = calc.connecting(x, y)
-            if con.exists:
+            phi0 = calc.connecting(x, y)
+            if phi0 is not None:
                 assert calc.potential(x) - calc.potential(y) == maslov_index(
-                    d, con.particular, x, y)
+                    d, phi0, x, y)
     assert len(calls) == len(gens) - len({calc.key(g) for g in gens})
     assert all(calc.potential(calc._references[calc.key(g)]) == 0 for g in gens)
 
@@ -372,10 +397,10 @@ def test_diagram_data_solves_each_generator_once(name, k, monkeypatch):
     for block in data.partition.blocks:
         base = gens[block[0]]
         for i in block:
-            con = connecting(calc, gens[i], base)
-            assert calc.marks(gens[i], base) == marked_multiplicities(d, con.particular)
+            phi0 = connecting(calc, gens[i], base)
+            assert calc.marks(gens[i], base) == marked_multiplicities(d, phi0)
             assert calc.potential(gens[i]) - calc.potential(base) == maslov_index(
-                d, con.particular, gens[i], base)
+                d, phi0, gens[i], base)
 
 
 # -- one calculator per diagram -----------------------------------------------
@@ -392,7 +417,7 @@ def test_one_calculator_per_diagram(name, k, monkeypatch):
         check_strong_admissible,
         check_weak_admissible,
     )
-    from sfkit.cf import NotAdmissible, build_cf
+    from sfkit.cf import build_cf
     from sfkit.diskcount import niceness_report
     from sfkit.testrings import all_zero
 
@@ -414,7 +439,7 @@ def test_one_calculator_per_diagram(name, k, monkeypatch):
     for bi in range(len(data.lattices)):
         try:
             build_cf(d, bi, data=data)
-        except NotAdmissible:
+        except NotAdmissibleError:
             pass
     try:
         niceness_report(data.calc, data.tilde)
@@ -423,9 +448,9 @@ def test_one_calculator_per_diagram(name, k, monkeypatch):
     gens = d.generators()
     for x in gens:
         for y in gens:
-            con = data.calc.connecting(x, y)
-            if con.exists:
-                maslov_index(d, con.particular, x, y)
+            phi0 = data.calc.connecting(x, y)
+            if phi0 is not None:
+                maslov_index(d, phi0, x, y)
     assert built == [d]
 
 

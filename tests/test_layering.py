@@ -1,9 +1,11 @@
 """Import layering: each layer loads only the sfkit modules it uses.
 
-Every check runs in a fresh interpreter, since the test process has long
-since imported the whole package.
+Every import check runs in a fresh interpreter, since the test process has
+long since imported the whole package.  The last checks read the source:
+every public name in src/sfkit has a caller outside the tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -81,3 +83,106 @@ print(json.dumps({
     assert got["star"] == got["all"] == sorted(
         ["HeegaardDiagram", "Generator", "ComplementComponent", "ALPHA", "BETA"])
     assert got["missing"] == "module 'sfkit' has no attribute 'nope'"
+
+
+# -- every public name in src/sfkit has a caller outside the tests -------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names that only tests call, kept in src/sfkit as paper constructions
+# that tests/test_acceptance.py checks: name -> reason.
+TEST_ONLY_KEPT = {
+    "surgery:SurgeryRings.ring_m": "the ring R_m of the surgery exact triangle",
+    "triangle:verify_filtered_system": "the filtered-map identities of the triangle",
+    "complexes:FilteredComplex.decompose": "the splitting of a complex into summands",
+    "cones:piecewise_homology": "the homology of each (chi, gr) piece over the algebra",
+}
+
+
+def _sites(tree, prefix):
+    """(site, nodes) pairs: each top-level function, each method, the rest of
+    each class body and the rest of the module, with the nodes of each."""
+    rest = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + (node.name,), [node]
+        elif isinstance(node, ast.ClassDef):
+            body = []
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield prefix + (node.name, item.name), [item]
+                else:
+                    body.append(item)
+            yield prefix + (node.name,), body + node.decorator_list + node.bases
+        else:
+            rest.append(node)
+    yield prefix, rest
+
+
+def _used_names(nodes):
+    """Names read as variables, and names read as attributes."""
+    names, attrs = set(), set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def _span_targets(tracing):
+    """The names in the "module:function" and "module:Class.method" targets
+    of ``SPANS`` in the benchmark's tracing.py."""
+    for node in ast.parse(tracing.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]:
+            return {part for targets in ast.literal_eval(node.value).values()
+                    for target in targets for part in target.split(":")[1].split(".")}
+    return set()
+
+
+def uncalled_names(root):
+    """Public functions, classes and methods of ``root``/src/sfkit that no
+    other definition there, and no file under scripts/ or bench/, uses.
+
+    A function or class is used when its name is read, as a variable or as
+    a module attribute; a method when its name is read as an attribute.  The
+    targets of the benchmark's span table count as uses of both kinds."""
+    root = Path(root)
+    defined, uses = [], []  # (key, name, is_method, site), (site, names, attrs)
+    for path in sorted((root / "src" / "sfkit").glob("*.py")):
+        mod = path.stem
+        for site, nodes in _sites(ast.parse(path.read_text()), (mod,)):
+            uses.append((site, *_used_names(nodes)))
+            if len(site) > 1 and not site[-1].startswith("_"):
+                defined.append((f"{mod}:{'.'.join(site[1:])}", site[-1], len(site) == 3, site))
+    for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        uses.append(((str(path),), *_used_names([ast.parse(path.read_text())])))
+    spans = _span_targets(root / "bench" / "tracing.py")
+    uses.append((("SPANS",), spans, spans))
+    return sorted(
+        key for key, name, is_method, site in defined
+        if not any(other[:len(site)] != site and name in (attrs if is_method else names | attrs)
+                   for other, names, attrs in uses))
+
+
+def test_src_names_have_a_program_caller():
+    assert uncalled_names(ROOT) == sorted(TEST_ONLY_KEPT)
+
+
+def test_uncalled_names_reads_callers_spans_and_methods(tmp_path):
+    pkg = tmp_path / "src" / "sfkit"
+    pkg.mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "bench").mkdir()
+    (pkg / "a.py").write_text(
+        "def called():\n    return loose()\n\n"
+        "def loose():\n    return loose()\n\n"
+        "def spanned():\n    pass\n\n"
+        "class C:\n    def m(self):\n        return self.m()\n\n"
+        "    def n(self):\n        return self.m()\n"
+    )
+    (pkg / "b.py").write_text("from .a import called\n\ndef user():\n    return called()\n")
+    (tmp_path / "scripts" / "s.py").write_text("import sfkit.b\nsfkit.b.user()\n")
+    (tmp_path / "bench" / "tracing.py").write_text('SPANS = {"x": ["a:spanned"]}\n')
+    assert uncalled_names(tmp_path) == ["a:C", "a:C.n"]

@@ -437,8 +437,7 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
         lattice = calc.lattice(x)
         total = [sum(P) for P in lattice.basis]
         for y in gens:
-            con = calc.connecting(x, y)
-            phi0 = con.particular
+            phi0 = calc.connecting(x, y)
             shift = 1 - maslov_index(d, phi0, x, y)
             cert = admissibility.finiteness_certificate(lattice, phi0, shift)
             best = None

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from sfkit import algebra as alg
 from sfkit import corpus, snf
-from sfkit.cf import DiagramData, NotAdmissible, build_cf
+from sfkit.admissibility import NotAdmissibleError
+from sfkit.cf import DiagramData, build_cf
 from sfkit.complexes import ComplexError, FilteredComplex, _pid_homology, homology
 from sfkit.cones import (
     ChainMap,
@@ -261,7 +262,7 @@ def block_complexes():
         for bi in range(len(data.gradings)):
             try:
                 out.append((f"{label}/{bi}", build_cf(d, bi, data=data)))
-            except NotAdmissible:
+            except NotAdmissibleError:
                 pass  # no complex to compare
     return tuple(out)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfkit import snf
+from oracles import mat_mul
 
 
 def det(M):
@@ -42,7 +43,7 @@ small_matrix = st.lists(
 @given(small_matrix)
 def test_snf_factorization(M):
     res = snf.smith_normal_form(M)
-    assert snf.mat_mul(snf.mat_mul(res.U, M), res.V) == res.D
+    assert mat_mul(mat_mul(res.U, M), res.V) == res.D
     assert abs(det(res.U)) == 1
     assert abs(det(res.V)) == 1
     # divisibility chain
@@ -94,7 +95,7 @@ def test_cokernel_groups():
     g2 = snf.cokernel([], 2)
     assert g2.describe() == "Z + Z"
     g3 = snf.cokernel([[1, 0], [0, 1]], 2)
-    assert g3.is_trivial
+    assert g3.moduli == ()  # the trivial group
 
 
 def test_cokernel_projection_kills_relations():
@@ -194,7 +195,7 @@ def test_snf_factorization_over_euclidean_rings(case):
     # of this
     ring, A = case
     res = snf.smith_normal_form(A, ring)
-    assert snf.mat_mul(snf.mat_mul(res.U, A, ring), res.V, ring) == res.D
+    assert mat_mul(mat_mul(res.U, A, ring), res.V, ring) == res.D
     for i, row in enumerate(res.D):
         for j, v in enumerate(row):
             if i != j:
@@ -249,33 +250,31 @@ def test_first_unit_pivot_matches_full_scan(ring):
     assert calls > 300
 
 
-def _entrywise_addmul_row(m, dst, src, c, ring):
-    row_d, row_s = m[dst], m[src]
-    for k in range(len(row_d)):
-        row_d[k] = ring.add(row_d[k], ring.mul(c, row_s[k]))
+class _Entrywise:
+    """The base ring's row and column operations: one ring call per entry."""
+
+    addmul = snf.Ring.addmul
+    addmul_column = snf.Ring.addmul_column
+    scale = snf.Ring.scale
 
 
-def _entrywise_addmul_col(m, dst, src, c, ring):
-    for row in m:
-        row[dst] = ring.add(row[dst], ring.mul(c, row[src]))
+class EntrywiseZ(_Entrywise, snf.ZRing):
+    pass
 
 
-def _entrywise_scale_row(m, t, c, ring):
-    for k in range(len(m[t])):
-        m[t][k] = ring.mul(c, m[t][k])
+class EntrywiseFpU(_Entrywise, snf.FpURing):
+    pass
 
 
 @pytest.mark.parametrize("ring", [snf.ZZ, snf.FpURing(2), snf.FpURing(3)],
                          ids=lambda r: r.name)
 def test_whole_row_operations_match_entrywise(ring):
-    # the whole-row ring operations (list comprehensions over ZZ) give the
-    # same U, V and D as one ring call per entry, on every random matrix
+    # the ring's whole-row operations (list comprehensions over ZZ) give the
+    # same U, V and D as the base ring's one call per entry, on every random
+    # matrix
+    entrywise = EntrywiseZ() if ring is snf.ZZ else EntrywiseFpU(ring.p)
     rng = random.Random(20261019)
     for _ in range(300):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         A = [[_random_entry(rng, ring) for _ in range(cols)] for _ in range(rows)]
-        fast = snf.smith_normal_form(A, ring)
-        with mock.patch.multiple(snf, _addmul_row=_entrywise_addmul_row,
-                                 _addmul_col=_entrywise_addmul_col,
-                                 _scale_row=_entrywise_scale_row):
-            assert snf.smith_normal_form(A, ring) == fast, A
+        assert snf.smith_normal_form(A, ring) == snf.smith_normal_form(A, entrywise), A
