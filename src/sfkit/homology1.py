@@ -7,16 +7,20 @@ region contributes one 2-cell.  From that we present
 
     H1(X; Z) = H1(Sigma - z; Z) / <[alpha_i], [beta_j]>
 
-in Smith normal form together with the classes PD[gamma_i] of the puncture
-circles, which drive both the H-filtration of the suture algebra and the
-relative Spin^c difference table.
+together with the classes PD[gamma_i] of the puncture circles, which drive
+both the H-filtration of the suture algebra and the relative Spin^c
+difference table.
 
-The chain model and a spanning forest of its 1-skeleton are built once per
-diagram (``HeegaardDiagram.surface_model``).  The fundamental cycles of the
+The chain model, its chains sparse {edge: coefficient} dicts, and a spanning
+forest of its 1-skeleton are built once per diagram
+(``HeegaardDiagram.surface_model``).  The fundamental cycles of the
 non-forest edges are a Z-basis of the cycles, so a cycle's coordinates are
 its entries on those edges; ``surface_h1`` and ``h1_presentation`` are views
-over that one model.  ``curves_independent`` needs no model: the complement
-components of the curves decide it.
+over that one model.  Each group is the ``snf.cokernel`` of sparse
+relations: unit pivots remove nearly all of them, as a spanning tree of the
+regions joined across the arcs would, so the work follows the nonzeros and
+a Smith form sees only what is left.  ``curves_independent`` needs no model:
+the complement components of the curves decide it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import snf
-from .diagram import ALPHA, BETA, HeegaardDiagram, _arc_entry
+from .diagram import ALPHA, BETA, HeegaardDiagram
 
 
 class ChainModel:
@@ -33,75 +37,56 @@ class ChainModel:
         self.vertices = vertices  # number of vertices
         self.edges = edges  # position -> (tail vertex, head vertex)
         self.cotree = cotree  # positions of the edges outside the spanning forest
-        self.cell_columns = cell_columns  # one column per region (over edges)
-        self.curve_cycles = curve_cycles  # (side, curve index) -> edge-coefficient vector
-        self.puncture_cycles = puncture_cycles  # mark index -> edge vector
+        # chains as sparse {edge position: coefficient} dicts
+        self.cell_columns = cell_columns  # one per region: its boundary
+        self.curve_cycles = curve_cycles  # (side, curve index) -> curve
+        self.puncture_cycles = puncture_cycles  # mark index -> puncture circle
 
 
 def build_chain_model(d: HeegaardDiagram) -> ChainModel:
-    vertices = {}
+    # vertices: the crossings, then one per circle arc, one per mark, and one
+    # per region without boundary
+    point = d.point_index
     edges = []
-    edge_index = {}
-
-    def vertex(vid):
-        if vid not in vertices:
-            vertices[vid] = len(vertices)
-        return vertices[vid]
-
-    def edge(eid, tail, head):
-        if eid not in edge_index:
-            edge_index[eid] = len(edges)
-            edges.append((tail, head))
-        return edge_index[eid]
-
+    arcs = {}  # arc id -> edge position
+    loops = {}  # circle arc id -> its vertex
     for name, ends in d.arcs:
+        arcs[name] = len(edges)
         if ends is None:
-            aux = vertex(f"v@{name}")
-            edge(name, aux, aux)
+            v = loops[name] = len(point) + len(loops)
+            edges.append((v, v))
         else:
-            edge(name, vertex(ends[0]), vertex(ends[1]))
-    for k in range(d.num_marks):
-        w = vertex(f"w{k}")
-        edge(f"g{k}", w, w)
+            edges.append((point[ends[0]], point[ends[1]]))
+    circles = len(edges)  # edge of the circle around mark k: circles + k
+    w0 = vertices = len(point) + len(loops)  # vertex of mark k: w0 + k
+    vertices += d.num_marks
+    edges += [(w0 + k, w0 + k) for k in range(d.num_marks)]
 
-    cell_columns = []
-    for ri, region in enumerate(d.regions):
-        col = {}
-
-        def bump(eid, sign):
-            col[eid] = col.get(eid, 0) + sign
-
-        base = None
-        for ci, cycle in enumerate(region.cycles):
-            if len(cycle) == 1:
-                arc, reversed_ = _arc_entry(cycle[0])
-                bump(arc, -1 if reversed_ else 1)
-                cbase = f"v@{arc}"
-            else:
-                cbase = cycle[0]
-                k = len(cycle)
-                for pos in range(1, k, 2):
-                    arc, reversed_ = _arc_entry(cycle[pos])
-                    bump(arc, -1 if reversed_ else 1)
-            if base is None:
-                base = cbase
-            else:
-                # tether to the extra boundary cycle: cancels in homology but
-                # keeps the 1-skeleton connected for vertex bookkeeping
-                edge(f"t@r{ri}.{ci}", vertex(base), vertex(cbase))
-        if base is None:
-            base = f"v@r{ri}"
-            vertex(base)
-        for j in range(region.genus):
-            edge(f"u@r{ri}.{j}", vertex(base), vertex(base))
-            edge(f"v@r{ri}.{j}", vertex(base), vertex(base))
+    cells = [{} for _ in d.regions]
+    for name, sides in d.arc_region_sides.items():
+        e = arcs[name]
+        for ri, _, _, direction in sides:
+            col = cells[ri]
+            c = col.pop(e, 0) + direction
+            if c:
+                col[e] = c
+    for region, col in zip(d.regions, cells):
+        bases = [loops[c[0].lstrip("-")] if len(c) == 1 else point[c[0]] for c in region.cycles]
+        if not bases:
+            bases.append(vertices)
+            vertices += 1
+        base = bases[0]
+        # tethers to the other boundary cycles: they cancel in homology but
+        # keep the 1-skeleton connected for vertex bookkeeping
+        for b in bases[1:]:
+            edges.append((base, b))
+        edges.extend([(base, base)] * (2 * region.genus))  # the handle loops u_j, v_j
         for m in region.marks:
-            edge(f"t@r{ri}.z{m}", vertex(base), vertex(f"w{m}"))
-            bump(f"g{m}", 1)
-        cell_columns.append(col)
+            edges.append((base, w0 + m))
+            col[circles + m] = col.get(circles + m, 0) + 1
 
     # spanning forest of the 1-skeleton, by union-find in edge order
-    root = list(range(len(vertices)))
+    root = list(range(vertices))
 
     def find(a):
         while root[a] != a:
@@ -117,43 +102,20 @@ def build_chain_model(d: HeegaardDiagram) -> ChainModel:
         else:
             root[a] = b
 
-    n_edges = len(edges)
-
-    def col_vector(col):
-        v = [0] * n_edges
-        for eid, c in col.items():
-            v[edge_index[eid]] = c
-        return v
-
-    cells = [col_vector(c) for c in cell_columns]
-
     curve_cycles = {}
     for side, curves in ((ALPHA, d.alpha), (BETA, d.beta)):
         for ci, curve in enumerate(curves):
-            v = [0] * n_edges
+            col = curve_cycles[(side, ci)] = {}
             for arc in curve:
-                v[edge_index[arc]] += 1
-            curve_cycles[(side, ci)] = v
+                col[arcs[arc]] = col.get(arcs[arc], 0) + 1
 
-    punctures = []
-    for k in range(d.num_marks):
-        v = [0] * n_edges
-        v[edge_index[f"g{k}"]] = 1
-        punctures.append(v)
-
-    return ChainModel(
-        vertices=len(vertices),
-        edges=edges,
-        cotree=cotree,
-        cell_columns=cells,
-        curve_cycles=curve_cycles,
-        puncture_cycles=punctures,
-    )
+    return ChainModel(vertices, edges, cotree, cells, curve_cycles,
+                      [{circles + k: 1} for k in range(d.num_marks)])
 
 
 class SurfaceModel:
-    """The cycles of one diagram's chain model, expressed once in the basis
-    of fundamental cycles: by their entries on the non-forest edges."""
+    """The cycles of one diagram's chain model in the basis of fundamental
+    cycles: their entries on the non-forest edges, as sparse dicts."""
 
     def __init__(self, rank: int, cells: list, curves: dict, punctures: list):
         self.rank = rank  # rank of the cycle group: the number of non-forest edges
@@ -170,22 +132,22 @@ class SurfaceModel:
 def build_surface_model(d: HeegaardDiagram) -> SurfaceModel:
     """Use ``d.surface_model``, which builds this once per diagram."""
     model = build_chain_model(d)
+    edges = model.edges
+    slot = {e: i for i, e in enumerate(model.cotree)}
 
     def express(cycle):
-        ends = [0] * model.vertices
-        for (tail, head), c in zip(model.edges, cycle):
-            ends[head] += c
-            ends[tail] -= c
-        if any(ends):
+        ends = {}
+        for e, c in cycle.items():
+            tail, head = edges[e]
+            ends[head] = ends.get(head, 0) + c
+            ends[tail] = ends.get(tail, 0) - c
+        if any(ends.values()):
             raise ValueError("vector is not a 1-cycle")
-        return [cycle[e] for e in model.cotree]
+        return {slot[e]: c for e, c in cycle.items() if e in slot}
 
-    return SurfaceModel(
-        rank=len(model.cotree),
-        cells=[express(c) for c in model.cell_columns],
-        curves={key: express(v) for key, v in model.curve_cycles.items()},
-        punctures=[express(v) for v in model.puncture_cycles],
-    )
+    return SurfaceModel(len(model.cotree), [express(c) for c in model.cell_columns],
+                        {key: express(v) for key, v in model.curve_cycles.items()},
+                        [express(v) for v in model.puncture_cycles])
 
 
 def surface_h1(d: HeegaardDiagram):
@@ -222,9 +184,7 @@ class HomologyPresentation:
     def free_image(self, exponents):
         """Image of sum a_i [gamma_i] in H1(X)/Tors (tuple over free coords)."""
         full = self.chi_of_exponents(exponents)
-        return tuple(
-            full[i] for i, m in enumerate(self.group.moduli) if m == 0
-        )
+        return tuple(full[i] for i, m in enumerate(self.group.moduli) if m == 0)
 
     def describe(self):
         return self.group.describe()

@@ -427,16 +427,19 @@ def kernel_basis(A):
 
 
 class AbelianGroup:
-    """Finitely generated abelian group presented in Smith normal form.
+    """Finitely generated abelian group, presented by generators.
 
     Elements are tuples of length ``len(moduli)``; coordinate i lives in
-    Z/moduli[i] (modulus 0 meaning Z).  ``project`` maps a vector written in
-    the original generator basis to its class.
+    Z/moduli[i] (modulus 0 meaning Z).  ``subs`` writes each eliminated
+    generator, in order, as x_p = sum c x_g over later and kept generators,
+    and ``images[g]`` is the class of a kept generator g.  ``project`` maps
+    a vector over the generators (a sequence or a sparse dict) to its class.
     """
 
-    def __init__(self, moduli: tuple, proj: list):
+    def __init__(self, moduli: tuple, images: list, subs: dict):
         self.moduli = moduli
-        self.proj = proj  # matrix: quotient coords from generator coords
+        self.images = images
+        self.subs = subs
 
     @property
     def rank(self) -> int:
@@ -446,12 +449,12 @@ class AbelianGroup:
         return tuple(0 for _ in self.moduli)
 
     def reduce(self, coords):
-        return tuple(
-            c % m if m else c for c, m in zip(coords, self.moduli)
-        )
+        return tuple(c % m if m else c for c, m in zip(coords, self.moduli))
 
     def project(self, vec):
-        return self.reduce(mat_vec(self.proj, vec))
+        vec = dict(vec) if isinstance(vec, dict) else {g: c for g, c in enumerate(vec) if c}
+        _substitute(vec, self.subs)
+        return self.combination(vec.values(), [self.images[g] for g in vec])
 
     def add(self, a, b):
         return self.reduce([x + y for x, y in zip(a, b)])
@@ -472,25 +475,62 @@ class AbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _substitute(vec, subs):
+    """Make the substitutions ``subs``, in order, in the sparse ``vec``."""
+    for p, sub in subs.items():
+        f = vec.pop(p, 0)
+        if f:
+            for g, c in sub.items():
+                v = vec.get(g, 0) + f * c
+                if v:
+                    vec[g] = v
+                else:
+                    del vec[g]
+
+
 def cokernel(relations, n_generators) -> AbelianGroup:
-    """Z^n / <column span of relations>, relations given as a list of columns."""
-    if n_generators == 0:
-        return AbelianGroup(moduli=(), proj=[])
-    cols = relations or [[0] * n_generators]
-    snf = smith_normal_form([[col[i] for col in cols] for i in range(n_generators)])
-    # U A V = D; quotient coords are (U x) entries beyond the unit diagonal part
-    moduli = []
-    keep = []
-    for i in range(n_generators):
-        d = snf.D[i][i] if i < len(cols) else 0
-        if d == 0:
-            moduli.append(0)
-            keep.append(i)
-        elif abs(d) != 1:
-            moduli.append(abs(d))
-            keep.append(i)
-    proj = [snf.U[i] for i in keep]
-    return AbelianGroup(moduli=tuple(moduli), proj=proj)
+    """Z^n / <relations>, each relation a column: a sequence, or a dict of
+    its nonzero entries.
+
+    Each relation in turn, the earlier substitutions made in it, with a unit
+    entry u at generator p says x_p = -u * (the rest), and so removes p and
+    itself; the others are retried while that removes more.  Only the
+    relations left take a Smith normal form, over the generators they use.
+    """
+    pending = [dict(col) if isinstance(col, dict) else {g: c for g, c in enumerate(col) if c}
+               for col in relations]
+    subs = {}  # p -> {g: c} with x_p = sum c x_g, in order of elimination
+    before = None
+    while pending and len(subs) != before:
+        before, left = len(subs), []
+        for rel in pending:
+            _substitute(rel, subs)
+            for p, u in rel.items():
+                if u == 1 or u == -1:
+                    break
+            else:
+                if rel:
+                    left.append(rel)
+                continue
+            del rel[p]
+            subs[p] = rel if u == -1 else {g: -c for g, c in rel.items()}
+        pending = left
+    kept = {g for rel in pending for g in rel}
+    free = [g for g in range(n_generators) if g not in subs and g not in kept]
+    moduli, images = [], [None] * n_generators
+    if pending:
+        rows = sorted(kept)
+        res = smith_normal_form([[rel.get(g, 0) for rel in pending] for g in rows])
+        keep = [i for i, d in enumerate(res.diag) if d != 1] + list(range(res.rank, len(rows)))
+        moduli = [res.diag[i] if i < res.rank else 0 for i in keep]
+        for i, g in enumerate(rows):
+            images[g] = [res.U[t][i] for t in keep] + [0] * len(free)
+    group = AbelianGroup(moduli=tuple(moduli + [0] * len(free)), images=images, subs=subs)
+    for g in kept:
+        images[g] = group.reduce(images[g])
+    for i, g in enumerate(free, len(moduli)):
+        images[g] = (0,) * i + (1,) + (0,) * (len(group.moduli) - i - 1)
+    return group
 
 
 def _gauss_jordan(A, p):

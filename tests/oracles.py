@@ -1,7 +1,7 @@
 """Oracles that more than one test module checks sfkit against: plain
 computations that no program path needs."""
 
-from sfkit.snf import ZZ
+from sfkit.snf import ZZ, AbelianGroup, smith_normal_form
 
 
 def component_domain(d, comp) -> list:
@@ -24,3 +24,55 @@ def mat_mul(A, B, ring=ZZ):
             for j, b in enumerate(B[t]):
                 row[j] = ring.add(row[j], ring.mul(a, b))
     return out
+
+
+def dense_cokernel(relations, n_generators):
+    """Z^n / <relations> from one Smith normal form of the dense matrix of
+    all the relations (columns: sequences or sparse dicts): the reference
+    for ``snf.cokernel``.  With U A V = D, a vector's class is U x, reduced
+    mod d_i beyond the unit part of the diagonal."""
+    if n_generators == 0:
+        return AbelianGroup(moduli=(), images=[], subs={})
+    cols = [dense(col, n_generators) for col in relations] or [[0] * n_generators]
+    res = smith_normal_form([[col[i] for col in cols] for i in range(n_generators)])
+    moduli, keep = [], []
+    for i in range(n_generators):
+        d = res.D[i][i] if i < len(cols) else 0
+        if abs(d) != 1:
+            moduli.append(abs(d))
+            keep.append(i)
+    return AbelianGroup(moduli=tuple(moduli), subs={},
+                        images=[[res.U[i][g] for i in keep] for g in range(n_generators)])
+
+
+def dense(vec, n):
+    """A sequence or a sparse {index: entry} dict as a list of n entries."""
+    if not isinstance(vec, dict):
+        return list(vec)
+    out = [0] * n
+    for i, c in vec.items():
+        out[i] = c
+    return out
+
+
+def check_cokernel(group, relations, n_generators, probes):
+    """Raise AssertionError unless ``group`` is Z^n / <relations>, as the
+    dense reference computes it: equal moduli, every relation projects to 0,
+    and any two of the probe vectors and their pairwise sums have equal
+    classes in ``group`` exactly when they do in the reference.  Raises
+    rather than asserts, so that ``python -O`` keeps the check."""
+    ref = dense_cokernel(relations, n_generators)
+    if group.moduli != ref.moduli:
+        raise AssertionError(f"moduli {group.moduli}, reference {ref.moduli}")
+    for rel in relations:
+        if group.project(rel) != group.zero():
+            raise AssertionError(f"relation {rel} projects to {group.project(rel)}")
+    vecs = [dense(v, n_generators) for v in probes]
+    vecs += [[a + b for a, b in zip(v, w)] for v in vecs for w in vecs]
+    seen = {}  # reference class -> class in group
+    for v in vecs:
+        got, want = group.project(v), ref.project(v)
+        if seen.setdefault(want, got) != got:
+            raise AssertionError(f"{v}: class {got}, but {seen[want]} for an equal reference class")
+    if len(set(seen.values())) != len(seen):
+        raise AssertionError("probes with distinct reference classes share a class")

@@ -119,16 +119,58 @@ def _sites(tree, prefix):
     yield prefix, rest
 
 
-def _used_names(nodes):
-    """Names read as variables, and names read as attributes."""
+def _class_name(node):
+    """The class an annotation or a base names: Ring, snf.Ring or "Ring"."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _lineage(trees):
+    """Class name -> the names of its ancestors, itself and its descendants
+    among the classes defined in ``trees``: the classes whose methods a
+    receiver of that class can reach."""
+    bases = {node.name: {_class_name(b) for b in node.bases}
+             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def ancestors(name):
+        out = {name}
+        for base in bases.get(name, ()):
+            if base in bases:
+                out |= ancestors(base)
+        return out
+
+    up = {name: ancestors(name) for name in bases}
+    return {name: {other for other in bases if name in up[other]} | up[name] for name in bases}
+
+
+def _used_names(nodes, receivers=None):
+    """Names read as variables, and names read as attributes: (name, None),
+    or (name, classes) when the receiver is one of ``receivers`` (receiver
+    name -> the classes whose methods it reaches)."""
+    receivers = receivers or {}
     names, attrs = set(), set()
     for top in nodes:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
+                owner = receivers.get(node.value.id) if isinstance(node.value, ast.Name) else None
+                attrs.add((node.attr, owner))
     return names, attrs
+
+
+def _receivers(site, nodes, lineage):
+    """``self`` in a method, and each parameter annotated with an sfkit class,
+    mapped to the classes whose methods it reaches."""
+    out = {"self": frozenset(lineage[site[1]])} if len(site) == 3 else {}
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.arg) and _class_name(node.annotation) in lineage:
+                out[node.arg] = frozenset(lineage[_class_name(node.annotation)])
+    return out
 
 
 def _span_targets(tracing):
@@ -146,23 +188,37 @@ def uncalled_names(root):
     other definition there, and no file under scripts/ or bench/, uses.
 
     A function or class is used when its name is read, as a variable or as
-    a module attribute; a method when its name is read as an attribute.  The
-    targets of the benchmark's span table count as uses of both kinds."""
+    a module attribute; a method when its name is read as an attribute.  A
+    read on ``self``, or on a parameter annotated with an sfkit class,
+    reaches only the methods of that class's ancestors and descendants; any
+    other attribute read reaches every method of that name.  The targets of
+    the benchmark's span table count as uses of both kinds."""
     root = Path(root)
-    defined, uses = [], []  # (key, name, is_method, site), (site, names, attrs)
-    for path in sorted((root / "src" / "sfkit").glob("*.py")):
+    paths = sorted((root / "src" / "sfkit").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    lineage = _lineage(trees.values())
+    defined, uses = [], []  # (key, name, class, site), (site, names, attrs)
+    for path, tree in trees.items():
         mod = path.stem
-        for site, nodes in _sites(ast.parse(path.read_text()), (mod,)):
-            uses.append((site, *_used_names(nodes)))
+        for site, nodes in _sites(tree, (mod,)):
+            uses.append((site, *_used_names(nodes, _receivers(site, nodes, lineage))))
             if len(site) > 1 and not site[-1].startswith("_"):
-                defined.append((f"{mod}:{'.'.join(site[1:])}", site[-1], len(site) == 3, site))
+                owner = site[1] if len(site) == 3 else None
+                defined.append((f"{mod}:{'.'.join(site[1:])}", site[-1], owner, site))
     for path in sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py")):
         uses.append(((str(path),), *_used_names([ast.parse(path.read_text())])))
     spans = _span_targets(root / "bench" / "tracing.py")
-    uses.append((("SPANS",), spans, spans))
+    uses.append((("SPANS",), spans, {(name, None) for name in spans}))
+
+    def reads(name, owner, names, attrs):
+        if owner is None:
+            return name in names or any(attr == name for attr, _ in attrs)
+        return any(attr == name and (classes is None or owner in classes)
+                   for attr, classes in attrs)
+
     return sorted(
-        key for key, name, is_method, site in defined
-        if not any(other[:len(site)] != site and name in (attrs if is_method else names | attrs)
+        key for key, name, owner, site in defined
+        if not any(other[:len(site)] != site and reads(name, owner, names, attrs)
                    for other, names, attrs in uses))
 
 
@@ -186,3 +242,29 @@ def test_uncalled_names_reads_callers_spans_and_methods(tmp_path):
     (tmp_path / "scripts" / "s.py").write_text("import sfkit.b\nsfkit.b.user()\n")
     (tmp_path / "bench" / "tracing.py").write_text('SPANS = {"x": ["a:spanned"]}\n')
     assert uncalled_names(tmp_path) == ["a:C", "a:C.n"]
+
+
+def test_uncalled_names_resolves_self_and_annotated_receivers(tmp_path):
+    # ring.scale on a parameter annotated Ring reaches Ring and its
+    # subclasses, so it no longer hides Group.scale, which nothing calls; a
+    # read on self reaches its class's ancestors and descendants; a read on
+    # an unannotated receiver still reaches every method of its name
+    pkg = tmp_path / "src" / "sfkit"
+    pkg.mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "bench").mkdir()
+    (pkg / "a.py").write_text(
+        "class Ring:\n    def scale(self, c):\n        return c\n\n"
+        "    def unit(self):\n        return 1\n\n"
+        "class ZRing(Ring):\n    def scale(self, c):\n        return self.unit() * c\n\n"
+        "class Group:\n    def scale(self, c):\n        return c\n\n"
+        "    def unit(self):\n        return 0\n\n"
+        "    def add(self, a):\n        return a\n\n"
+        "def smith(A, ring: Ring):\n    return ring.scale(A)\n\n"
+        "def total(g):\n    return g.add(1)\n"
+    )
+    (tmp_path / "scripts" / "s.py").write_text(
+        "from sfkit.a import Group, ZRing, smith, total\n"
+        "smith(1, ZRing())\ntotal(Group())\n")
+    (tmp_path / "bench" / "tracing.py").write_text("SPANS = {}\n")
+    assert uncalled_names(tmp_path) == ["a:Group.scale", "a:Group.unit"]

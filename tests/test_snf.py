@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfkit import snf
-from oracles import mat_mul
+from oracles import check_cokernel, mat_mul
 
 
 def det(M):
@@ -103,6 +103,41 @@ def test_cokernel_projection_kills_relations():
     g = snf.cokernel([rel], 2)
     assert g.project(rel) == g.zero()
     assert g.project([6, 12]) == g.zero()
+
+
+@st.composite
+def presentations(draw):
+    """(relations, n, probes): up to 5 relations on n <= 5 generators, each
+    a dense list or a sparse dict, with entries up to 3 or with no unit at
+    all; the probes are the generators and a few random vectors."""
+    n = draw(st.integers(0, 5))
+    relations = []
+    for _ in range(draw(st.integers(0, 5))):
+        values = [0, 2, -2, 3, -3] if draw(st.booleans()) else [0, 0, 1, -1, 2, -2, 3, -3]
+        col = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+        relations.append({i: c for i, c in enumerate(col) if c} if draw(st.booleans()) else col)
+    probes = [[int(i == g) for i in range(n)] for g in range(n)]
+    probes += draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=3))
+    return relations, n, probes
+
+
+@settings(max_examples=400, deadline=None)
+@given(presentations())
+def test_cokernel_matches_dense_smith_form(presentation):
+    relations, n, probes = presentation
+    check_cokernel(snf.cokernel(relations, n), relations, n, probes)
+
+
+def test_cokernel_takes_no_smith_form_of_unit_pivot_relations():
+    # each relation of the first has a unit once the earlier pivots are
+    # substituted in it (x0 = -2 x1, x2 = -2 x1, then x1 + x2 = -x1), so it
+    # takes no Smith form and leaves x3 free; the second leaves [[-4]] after
+    # its one pivot x1 = -2 x0, and its last relation vanishes
+    with mock.patch.object(snf, "smith_normal_form", wraps=snf.smith_normal_form) as smith:
+        g = snf.cokernel([[1, 2, 0, 0], {1: 2, 2: 1}, [0, 1, 1, 0]], 4)
+        assert smith.call_count == 0 and g.moduli == (0,)
+        g = snf.cokernel([[2, 1], [0, 2], [4, 2]], 2)
+        assert [c.args[0] for c in smith.call_args_list] == [[[-4]]] and g.moduli == (4,)
 
 
 def test_rank_over_field():
