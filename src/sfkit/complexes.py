@@ -7,15 +7,19 @@ generator carries a relative Spin^c coset (an element of the H group,
 measured from a base generator) and a relative grading, and the filtration
 and grading axioms are checked.  Tensoring with a test-ring homomorphism
 maps a complex over the hom's source to the same kind of complex over its
-target, whose homology is computed exactly: Gauss-Jordan elimination over
-fields and Smith normal form over Z and F_p[U].  Differentials and their
-composites go through one sparse product, ``_compose``.  ``homology`` is a
-loop over pieces with bases (below, here, above): ``_piece_matrix`` builds
-the matrix of d between two bases and ``_piece_homology`` hands each
-piece's two matrices to the ring's backend.  Chain maps, mapping cones and
-the graded piece homologies, including the finite (chi, gr)-fiber linear
-algebra over the multivariate algebras themselves, live in ``cones``, which
-reuses these three.
+target, whose homology is computed exactly from ranks and invariant factors.
+Differentials and their composites go through one sparse product,
+``_compose``.  ``homology`` splits a complex into pieces with bases (below,
+here, above), one per (coset, grading) or one ungraded piece, after checking
+that every entry maps its piece one grading lower in the same coset;
+``_piece_matrix`` builds the matrix of d between two bases, and
+``_piece_homology`` eliminates each distinct block of d once (Gauss-Jordan
+over a field, Smith normal form over Z and F_p[U]) and reads each piece's
+free rank n - rank(out) - rank(in) and its torsion, the non-unit invariant
+factors of the block into it.  Chain maps, mapping cones and the graded
+piece homologies, including the finite (chi, gr)-fiber linear algebra over
+the multivariate algebras themselves, live in ``cones``, which reuses these
+three.
 """
 
 from __future__ import annotations
@@ -227,24 +231,26 @@ def homology(tc: FilteredComplex, allow_taint=False) -> HomologyResult:
         tc.require_untainted()
     tc.require_d_squared_zero()
     ring = tc.ring
-    graded = all(g is not None for g in tc.gradings) and tc.rank > 0
-    if ring.kind == "field":
-        dim = _field_dim(ring.p)
-        compute = lambda n, out_m, in_m: {"dim": dim(n, out_m, in_m)}
-    elif ring.kind == "pid":
-        compute = lambda n, out_m, in_m: _pid_homology(ring, n, out_m, in_m)
-        if ring.variable and tc.entries:
-            # U-powers may cross generator-grading blocks: compute the module
-            # invariants ungraded (fpu_piece_dims gives the graded pieces)
-            graded = False
-    else:
+    if ring.kind not in ("field", "pid"):
         raise ComplexError(
             "UNSUPPORTED_COEFFICIENTS", f"no homology backend for {ring.name}"
         )
+    graded = all(g is not None for g in tc.gradings) and tc.rank > 0
+    if ring.variable and tc.entries:
+        # U-powers may cross generator-grading blocks: compute the module
+        # invariants ungraded (fpu_piece_dims gives the graded pieces)
+        graded = False
 
     if graded:
+        keys = list(zip(tc.cosets, tc.gradings))
+        for (i, j), e in tc.entries.items():
+            if not ring.is_zero(e) and keys[i] != (keys[j][0], keys[j][1] - 1):
+                raise ComplexError(
+                    "GRADING", f"entry {j}->{i} maps piece {keys[j]} to {keys[i]}, "
+                    "not to the same coset one grading lower"
+                )
         blocks = {}
-        for i, key in enumerate(zip(tc.cosets, tc.gradings)):
+        for i, key in enumerate(keys):
             blocks.setdefault(key, []).append(i)
         near = lambda coset, g: blocks.get((coset, g), [])
         pieces = {
@@ -254,8 +260,12 @@ def homology(tc: FilteredComplex, allow_taint=False) -> HomologyResult:
     else:
         idx = list(range(tc.rank))
         pieces = {"*": (idx, idx, idx)}
-    pieces = _piece_homology(ring, pieces, _column_image(tc.entries), compute)
-    pieces = {k: v for k, v in pieces.items() if v.get("free_rank", v.get("dim", 0)) or v.get("torsion")}
+    homologies = _piece_homology(ring, pieces, _column_image(tc.entries))
+    pieces = {
+        key: {"dim": free} if ring.kind == "field" else {"free_rank": free, "torsion": torsion}
+        for key, (free, torsion) in homologies.items()
+        if free or torsion
+    }
     return HomologyResult(ring_name=ring.name, pieces=pieces, graded=graded)
 
 
@@ -281,62 +291,39 @@ def _piece_matrix(ring, src, dst, image):
     return M
 
 
-def _piece_homology(ring, pieces, image, compute):
-    """``compute(n, out_m, in_m)`` for each key of ``pieces``, which maps it
-    to the bases (below, here, above) of its piece: n = len(here), out_m is
-    d from here to below and in_m is d from above to here."""
-    return {
-        key: compute(
-            len(here),
-            _piece_matrix(ring, here, below, image),
-            _piece_matrix(ring, above, here, image),
-        )
-        for key, (below, here, above) in pieces.items()
-    }
+def _piece_homology(ring, pieces, image):
+    """(free rank, torsion labels) of each piece of ``pieces``, which maps a
+    key to the bases (below, here, above) of its piece; ``image`` is as for
+    ``_piece_matrix``.
 
+    Each distinct block of d (out: here -> below, in: above -> here) is
+    eliminated once, by ``rank_over_field`` over a field and by
+    ``smith_normal_form`` over a PID; neighbouring pieces share a block, as
+    one's in is the next one's out.  The free rank is n - rank(out) -
+    rank(in) and, over a PID, the torsion is the non-unit invariant factors
+    of in.  When out o in = 0 that is the homology ker(out)/im(in):
+    ker(out) is a direct summand of R^n, since R^n/ker(out) = im(out) lies in
+    a free module, so the torsion of ker(out)/im(in) is that of R^n/im(in).
+    """
+    eliminated = {}
 
-def _field_dim(p):
-    """``compute`` for ``_piece_homology`` over Q (p=None) or F_p: the
-    dimension n - rank(out) - rank(in)."""
-    return lambda n, out_m, in_m: n - snf.rank_over_field(out_m, p) - snf.rank_over_field(in_m, p)
+    def eliminate(src, dst):
+        """(rank, torsion labels) of the block of d from src to dst."""
+        key = (tuple(src), tuple(dst))
+        if key not in eliminated:
+            M = _piece_matrix(ring, src, dst, image)
+            if not (src and dst):
+                eliminated[key] = 0, []
+            elif ring.kind == "field":
+                eliminated[key] = snf.rank_over_field(M, ring.p), []
+            else:
+                diag = snf.smith_normal_form(M, ring).diag
+                eliminated[key] = len(diag), [ring.torsion_label(d) for d in diag
+                                              if not ring.is_unit(d)]
+        return eliminated[key]
 
-
-def _pid_homology(ring, n, out_m, in_m):
-    """(free rank, torsion invariants) of ker(out)/im(in) over a PID, for a
-    piece of rank n."""
-    if n == 0:
-        return {"free_rank": 0, "torsion": []}
-    # kernel of out
-    if not out_m:
-        out_m = [[ring.zero()] * n]
-    res = snf.smith_normal_form(out_m, ring)
-    r = res.rank
-    # kernel basis columns in original coordinates: V columns beyond rank
-    kernel_cols = [[res.V[i][j] for i in range(n)] for j in range(r, n)]
-    kdim = len(kernel_cols)
-    if kdim == 0:
-        return {"free_rank": 0, "torsion": []}
-    ncols_in = len(in_m[0]) if in_m and in_m[0] else 0
-    image = [[in_m[i][c] for i in range(n)] for c in range(ncols_in)]
-    image = [col for col in image if not all(ring.is_zero(v) for v in col)]
-    if not image:
-        return {"free_rank": kdim, "torsion": []}
-    # express the image in kernel coordinates: solve K x = col, K factored once
-    K = snf.smith_normal_form(
-        [[kernel_cols[b][i] for b in range(kdim)] for i in range(n)], ring
-    )
-    cols = []
-    for col in image:
-        sol = snf.solve_integer(K, col, ring)
-        if sol is None:
-            raise ComplexError("D_SQUARED_NONZERO", "image does not lie in the kernel")
-        cols.append(sol)
-    rel = [[cols[c][b] for c in range(len(cols))] for b in range(kdim)]
-    rel_res = snf.smith_normal_form(rel, ring)
-    torsion = []
-    free = kdim
-    for d in rel_res.diag:
-        free -= 1
-        if not ring.is_unit(d):
-            torsion.append(ring.torsion_label(d))
-    return {"free_rank": free, "torsion": torsion}
+    out = {}
+    for key, (below, here, above) in pieces.items():
+        rank_in, torsion = eliminate(above, here)
+        out[key] = len(here) - eliminate(here, below)[0] - rank_in, torsion
+    return out

@@ -7,8 +7,9 @@ over test-ring homs; the graded piece dimensions of an F_p[U] complex
 (``fpu_piece_dims``) and the (chi, gr) pieces of a complex over its algebra
 itself (``piecewise_homology``).  The stabilization check, the exact
 triangle and ``sfk complex cone`` use them; the pipeline commands never
-load this module.  Every homology here runs through the one piece loop of
-``complexes`` (``_piece_matrix``, ``_piece_homology``) and every composite
+load this module.  Every homology here runs through the one piece routine
+of ``complexes`` (``_piece_matrix``, ``_piece_homology``), which eliminates
+each block of d once however many pieces share it, and every composite
 through its one sparse product (``_compose``).
 """
 
@@ -24,7 +25,6 @@ from .complexes import (
     TaintRecord,
     _column_image,
     _compose,
-    _field_dim,
     _piece_homology,
     _piece_matrix,
     homology,
@@ -72,7 +72,7 @@ def fpu_piece_dims(tc: FilteredComplex, window) -> dict:
         return (((i, k + deg), c) for i, poly in columns(j) for deg, c in enumerate(poly) if c)
 
     pieces = {g: (basis(g - 1), basis(g), basis(g + 1)) for g in window}
-    return _piece_homology(ZpRing(ring.p), pieces, image, _field_dim(ring.p))
+    return {g: free for g, (free, _) in _piece_homology(ZpRing(ring.p), pieces, image).items()}
 
 
 # -- piecewise homology over the algebra itself -----------------------------
@@ -148,7 +148,7 @@ def piecewise_homology(c: FilteredComplex, piece_keys, p=2, allow_taint=False):
         else tuple(piece_basis(coset, g + t) for t in (-1, 0, 1))
         for coset, g in piece_keys
     }
-    return _piece_homology(ZpRing(p), pieces, image, _field_dim(p))
+    return {key: free for key, (free, _) in _piece_homology(ZpRing(p), pieces, image).items()}
 
 
 # -- chain maps and cones -----------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import cached_property
+from itertools import product
 from typing import NamedTuple
 
 ALPHA = "alpha"
@@ -480,26 +481,17 @@ class HeegaardDiagram:
 
     @cached_property
     def _generators(self) -> tuple:
-        ell = self.ell
+        # matchings alpha_i -> beta_perm[i] with crossings, grown one alpha
+        # curve at a time (pruned, where listing all ell! permutations is
+        # not), come in lexicographic order, and so do the products of their
+        # crossing lists (each in increasing index order)
         table = self.crossing_table
-        out = []
-
-        def extend(i, used, perm, points):
-            if i == ell:
-                out.append(Generator(perm=tuple(perm), points=tuple(points)))
-                return
-            for j in range(ell):
-                if j in used:
-                    continue
-                for pt in table.get((i, j), ()):
-                    used.add(j)
-                    perm.append(j)
-                    points.append(pt)
-                    extend(i + 1, used, perm, points)
-                    used.remove(j)
-                    perm.pop()
-                    points.pop()
-
-        extend(0, set(), [], [])
-        out.sort(key=lambda g: (g.perm, g.points))
-        return tuple(out)
+        perms = [()]
+        for i in range(self.ell):
+            perms = [perm + (j,) for perm in perms for j in range(self.ell)
+                     if (i, j) in table and j not in perm]
+        return tuple(
+            Generator(perm=perm, points=points)
+            for perm in perms
+            for points in product(*(table[i, j] for i, j in enumerate(perm)))
+        )

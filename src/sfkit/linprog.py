@@ -335,19 +335,21 @@ def integer_points(ineqs, nvars, recording: Recording | None = None):
     if not bounded:
         raise Unbounded
     out = []
-    point = [0] * nvars
-
-    def extend(var):
-        if var == nvars:
-            out.append(tuple(point))
-            return
-        (lo, lo_den), (hi, hi_den) = _bounds(levels[var], systems[nvars - 1 - var], point)
-        for v in range(-(-lo // lo_den), hi // hi_den + 1):
-            point[var] = v
-            extend(var + 1)
-
-    extend(0)
+    _extend(levels, systems, [0] * nvars, 0, out)
     return out
+
+
+def _extend(levels, systems, point, var, out):
+    """Append to ``out`` every integer point that agrees with ``point``
+    before coordinate ``var``: the depth-first search of ``integer_points``."""
+    nvars = len(point)
+    if var == nvars:
+        out.append(tuple(point))
+        return
+    (lo, lo_den), (hi, hi_den) = _bounds(levels[var], systems[nvars - 1 - var], point)
+    for v in range(-(-lo // lo_den), hi // hi_den + 1):
+        point[var] = v
+        _extend(levels, systems, point, var + 1, out)
 
 
 def substitute(rows, objective):

@@ -2,9 +2,11 @@
 
 Each coefficient ring of the package is one ``Ring``: the same object
 tensors complexes down and eliminates over.  ``ZZ`` (the integers) and
-``FpURing`` (F_p[U]) are Euclidean, so ``smith_normal_form`` and the solvers
-work over them; ``QRing`` and ``ZpRing`` are the fields, whose ranks and
-kernels come from one Gauss-Jordan elimination.  No floating point anywhere.
+``FpURing`` (F_p[U]) are Euclidean, so ``smith_normal_form`` works over
+them; the solvers (``solve_integer``, ``split_transformed``,
+``kernel_basis``) work over the integers.  ``QRing`` and ``ZpRing`` are the
+fields, whose ranks and kernels come from one Gauss-Jordan elimination.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -59,14 +61,6 @@ class Ring:
             out = self.mul(out, a)
         return out
 
-    def dot(self, row, v):
-        """sum(row[i] * v[i]): one entry of ``mat_vec``."""
-        acc = self.zero()
-        for a, b in zip(row, v):
-            if not self.is_zero(a) and not self.is_zero(b):
-                acc = self.add(acc, self.mul(a, b))
-        return acc
-
     def addmul(self, row, c, src):
         """row + c * src, entry by entry: a row operation."""
         return [self.add(a, self.mul(c, b)) for a, b in zip(row, src)]
@@ -96,9 +90,6 @@ class ZRing(Ring):
 
     def is_zero(self, a):
         return a == 0
-
-    def dot(self, row, v):
-        return sum(map(mul, row, v))
 
     def addmul(self, row, c, src):
         return [a + c * b for a, b in zip(row, src)]
@@ -381,38 +372,38 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
     return SNFResult(U=U, V=V, D=D, diag=diag, rank=len(diag))
 
 
-def mat_vec(A, v, ring: Ring = ZZ):
-    return [ring.dot(row, v) for row in A]
+def mat_vec(A, v):
+    return [sum(map(mul, row, v)) for row in A]
 
 
-def _factored(A, ring=ZZ) -> SNFResult:
-    return A if isinstance(A, SNFResult) else smith_normal_form(A, ring)
+def _factored(A) -> SNFResult:
+    return A if isinstance(A, SNFResult) else smith_normal_form(A)
 
 
-def solve_integer(A, b, ring: Ring = ZZ):
-    """One solution x of A x = b over the ring, or None if there is none.
+def solve_integer(A, b):
+    """One integer solution x of A x = b, or None if there is none.
 
     A is a list of rows or its ``smith_normal_form``, so a matrix used for
     many right-hand sides is factored once.  With U A V = D, x = V y where
     y_i = (U b)_i / d_i.
     """
-    snf = _factored(A, ring)
-    y, rem = split_transformed(snf, mat_vec(snf.U, b, ring), ring)
-    if not all(ring.is_zero(r) for r in rem):
+    snf = _factored(A)
+    y, rem = split_transformed(snf, mat_vec(snf.U, b))
+    if any(rem):
         return None
-    return mat_vec(snf.V, y, ring)
+    return mat_vec(snf.V, y)
 
 
-def split_transformed(snf: SNFResult, ub, ring: Ring = ZZ):
+def split_transformed(snf: SNFResult, ub):
     """(y, r) with (U b)_i = d_i y_i + r_i on the rank rows, r_i = (U b)_i and
     y_i = 0 beyond them: A x = b is solvable exactly when r = 0, by x = V y.
-    ``ring.divmod`` leaves canonical remainders, so A x = b1 - b2 is
-    solvable exactly when b1 and b2 leave equal r, by x = V y1 - V y2."""
-    y = [ring.zero()] * len(snf.V)
+    ``ZZ.divmod`` leaves canonical remainders, so A x = b1 - b2 is solvable
+    exactly when b1 and b2 leave equal r, by x = V y1 - V y2."""
+    y = [0] * len(snf.V)
     rem = list(ub)
     for i, d in enumerate(snf.diag):
-        if not ring.is_zero(ub[i]):
-            y[i], rem[i] = ring.divmod(ub[i], d)
+        if ub[i]:
+            y[i], rem[i] = ZZ.divmod(ub[i], d)
     return y, rem
 
 

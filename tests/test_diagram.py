@@ -1,7 +1,8 @@
 import pytest
 
 from sfkit import corpus
-from sfkit.diagram import ALPHA, BETA, HeegaardDiagram
+from sfkit.diagram import ALPHA, BETA, Generator, HeegaardDiagram
+from sfkit.stabilize import stabilize_diagram
 
 EXPECTED_GENUS = {
     "torus_min": 1,
@@ -49,6 +50,44 @@ def test_generators_deterministic_order():
     gens = d.generators()
     keys = [(g.perm, g.points) for g in gens]
     assert keys == sorted(keys)
+
+
+def search_generators(d):
+    """The earlier enumeration, kept as the reference: a depth-first search
+    that matches each alpha curve in turn with an unused beta curve and one of
+    their crossings, then sorts by (perm, points)."""
+    table = d.crossing_table
+    out = []
+
+    def extend(i, used, perm, points):
+        if i == d.ell:
+            out.append(Generator(perm=tuple(perm), points=tuple(points)))
+            return
+        for j in range(d.ell):
+            if j in used:
+                continue
+            for pt in table.get((i, j), ()):
+                extend(i + 1, used | {j}, perm + [j], points + [pt])
+
+    extend(0, frozenset(), [], [])
+    return sorted(out, key=lambda g: (g.perm, g.points))
+
+
+def _ladder(name, k):
+    d = corpus.load_diagram(name)
+    for _ in range(k):
+        d = stabilize_diagram(d, 0)
+    return d
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [(name, 0) for name in sorted(EXPECTED_GENERATORS)]
+    + [(name, k) for name in ("unknot", "trefoil") for k in (1, 2)],
+)
+def test_generators_match_sorted_search(name, k):
+    d = _ladder(name, k)
+    assert list(d.generators()) == search_generators(d)
 
 
 def test_unbalanced_detected():

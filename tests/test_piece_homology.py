@@ -2,11 +2,15 @@
 earlier path.
 
 ``homology``, ``fpu_piece_dims``, ``piecewise_homology`` and ``les_check``
-now build their matrices with one ``_piece_matrix`` and loop over pieces with
-one ``_piece_homology``.  The ``ref_*`` functions below are the bodies these
+now build their matrices with one ``_piece_matrix``, and the first three read
+each piece's homology from one ``_piece_homology``, which eliminates each
+distinct block of d once and reads the torsion off the invariant factors of
+the block into the piece.  The ``ref_*`` functions below are the bodies these
 replaced, each with its own matrix builder and dimension loop, kept here as
-the reference.  Only the PID module invariants are shared: ``_pid_homology``
-is called with the rank the earlier body read off its matrix.
+the reference.  Over a PID the reference takes the earlier module invariants,
+``_ref_pid_homology``: a Smith form of d out of the piece for a kernel basis,
+one to solve for the image of d into the piece in kernel coordinates, and one
+of the relations that gives.
 """
 
 from functools import lru_cache
@@ -19,7 +23,7 @@ from sfkit import algebra as alg
 from sfkit import corpus, snf
 from sfkit.admissibility import NotAdmissibleError
 from sfkit.cf import DiagramData, build_cf
-from sfkit.complexes import ComplexError, FilteredComplex, _pid_homology, homology
+from sfkit.complexes import ComplexError, FilteredComplex, homology
 from sfkit.cones import (
     ChainMap,
     fpu_piece_dims,
@@ -56,8 +60,67 @@ def _ref_field_homology_dim(p, out_m, in_m):
     return n - snf.rank_over_field(out_m, p) - snf.rank_over_field(in_m, p)
 
 
+def _ref_mat_vec(ring, A, v):
+    out = []
+    for row in A:
+        acc = ring.zero()
+        for a, b in zip(row, v):
+            acc = ring.add(acc, ring.mul(a, b))
+        out.append(acc)
+    return out
+
+
+def _ref_solve(ring, res, b):
+    """One solution x of A x = b over the ring, or None, from the Smith form
+    U A V = D of A: x = V y where y_i = (U b)_i / d_i."""
+    ub = _ref_mat_vec(ring, res.U, b)
+    y = [ring.zero()] * len(res.V)
+    for i, d in enumerate(res.diag):
+        y[i], r = ring.divmod(ub[i], d)
+        if not ring.is_zero(r):
+            return None
+    if not all(ring.is_zero(c) for c in ub[res.rank:]):
+        return None
+    return _ref_mat_vec(ring, res.V, y)
+
+
 def _ref_pid_homology(ring, out_m, in_m):
-    return _pid_homology(ring, len(out_m[0]) if out_m else 0, out_m, in_m)
+    """(free rank, torsion invariants) of ker(out)/im(in) over a PID."""
+    n = len(out_m[0]) if out_m else 0
+    if n == 0:
+        return {"free_rank": 0, "torsion": []}
+    # kernel of out
+    res = snf.smith_normal_form(out_m, ring)
+    r = res.rank
+    # kernel basis columns in original coordinates: V columns beyond rank
+    kernel_cols = [[res.V[i][j] for i in range(n)] for j in range(r, n)]
+    kdim = len(kernel_cols)
+    if kdim == 0:
+        return {"free_rank": 0, "torsion": []}
+    ncols_in = len(in_m[0]) if in_m and in_m[0] else 0
+    image = [[in_m[i][c] for i in range(n)] for c in range(ncols_in)]
+    image = [col for col in image if not all(ring.is_zero(v) for v in col)]
+    if not image:
+        return {"free_rank": kdim, "torsion": []}
+    # express the image in kernel coordinates: solve K x = col, K factored once
+    K = snf.smith_normal_form(
+        [[kernel_cols[b][i] for b in range(kdim)] for i in range(n)], ring
+    )
+    cols = []
+    for col in image:
+        sol = _ref_solve(ring, K, col)
+        if sol is None:
+            raise ComplexError("D_SQUARED_NONZERO", "image does not lie in the kernel")
+        cols.append(sol)
+    rel = [[cols[c][b] for c in range(len(cols))] for b in range(kdim)]
+    rel_res = snf.smith_normal_form(rel, ring)
+    torsion = []
+    free = kdim
+    for d in rel_res.diag:
+        free -= 1
+        if not ring.is_unit(d):
+            torsion.append(ring.torsion_label(d))
+    return {"free_rank": free, "torsion": torsion}
 
 
 def ref_homology(tc, allow_taint=False):
@@ -441,3 +504,93 @@ def test_piecewise_homology_matches_reference(name, top):
         assert piecewise_homology(c, both, p, allow_taint=True) == ref_piecewise_homology(
             c, both, p, allow_taint=True
         )
+
+
+# -- random three-term complexes over the PIDs ---------------------------------
+
+
+@st.composite
+def pid_complexes(draw):
+    """C2 -> C1 -> C0 over Z, F2[U] or F3[U] with d o d = 0 and torsion.
+
+    The map B: C2 -> C1 is P D Q for a diagonal D with a nonzero non-unit
+    entry and products P, Q of elementary operations, so C1/im(B) has
+    torsion; the rows of A: C1 -> C0 are combinations of a basis of the left
+    kernel of B, so A B = 0.
+    """
+    ring = draw(st.sampled_from([ZRing(), FpURing(2), FpURing(3)]))
+    if isinstance(ring, ZRing):
+        elements = st.integers(-2, 2)
+        non_units = st.sampled_from([2, -2, 3, 4, 6])
+    else:
+        coeffs = st.integers(0, ring.p - 1)
+        elements = st.lists(coeffs, max_size=3).map(lambda t: ring.add(tuple(t), ()))
+        non_units = st.builds(lambda low, lead: tuple(low) + (lead,),
+                              st.lists(coeffs, min_size=1, max_size=2),
+                              st.integers(1, ring.p - 1))  # degree 1 or 2
+    n2, n0 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n1 = n2 + draw(st.integers(1, 2))  # so B has a left kernel
+
+    def elementary(n, steps):
+        """A product of row operations row_i += c row_j on the identity."""
+        M = [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
+        for _ in range(steps if n > 1 else 0):
+            i = draw(st.integers(0, n - 1))
+            j = draw(st.sampled_from([t for t in range(n) if t != i]))
+            M[i] = ring.addmul(M[i], draw(elements), M[j])
+        return M
+
+    def times(X, Y):
+        columns = list(zip(*Y))
+        return [_ref_mat_vec(ring, columns, row) for row in X]
+
+    diag = [draw(st.one_of(elements, non_units)) for _ in range(min(n1, n2))]
+    diag[draw(st.integers(0, len(diag) - 1))] = draw(non_units)
+    D = [[diag[i] if i == j else ring.zero() for j in range(n2)]
+         for i in range(n1)]
+    B = times(times(elementary(n1, 4), D), elementary(n2, 4))
+    res = snf.smith_normal_form([list(col) for col in zip(*B)], ring)  # B transposed
+    left_kernel = [[res.V[i][j] for i in range(n1)] for j in range(res.rank, n1)]
+    A = [[ring.zero()] * n1 for _ in range(n0)]
+    for row in A:
+        for v in left_kernel:
+            row[:] = ring.addmul(row, draw(elements), v)
+    entries = {}
+    for M, rows, cols in ((B, n2, 0), (A, n2 + n1, n2)):
+        for i, r in enumerate(M):
+            for j, e in enumerate(r):
+                if not ring.is_zero(e):
+                    entries[(rows + i, cols + j)] = e
+    n = n2 + n1 + n0
+    graded = draw(st.booleans())
+    return FilteredComplex(
+        ring=ring,
+        gen_names=[f"x{i}" for i in range(n)],
+        cosets=[None] * n,
+        gradings=[2] * n2 + [1] * n1 + [0] * n0 if graded else [None] * n,
+        entries=entries,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pid_complexes())
+def test_pid_homology_matches_reference_on_random_complexes(tc):
+    assert not tc.d_squared()
+    got = new_homology(tc)
+    assert got == ref_homology(tc)
+    assert any(piece.get("torsion") for _, piece in got[1])
+
+
+@pytest.mark.parametrize("ring", [ZRing(), QRing()], ids=lambda r: r.name)
+def test_homology_refuses_an_entry_outside_the_pieces(ring):
+    # x1 -> x0 lowers the grading by 5: the graded pieces would drop it and
+    # report rank 2, though the ungraded homology is 0
+    def complex_with(gradings):
+        return FilteredComplex(ring=ring, gen_names=["x0", "x1"], cosets=[(), ()],
+                               gradings=gradings, entries={(0, 1): ring.one()})
+
+    with pytest.raises(ComplexError) as err:
+        homology(complex_with([0, 5]))
+    assert err.value.code == "GRADING"
+    assert homology(complex_with([None, None])).total_rank() == 0
+    assert homology(complex_with([0, 1])).total_rank() == 0
