@@ -54,6 +54,18 @@ def mono_str(m, names=None):
     return "*".join(n if a == 1 else f"{n}^{a}" for n, a in zip(names, m) if a > 0) or "1"
 
 
+def weighted_degree(weights, m, modulus=0):
+    """sum_i weights[i] * m[i], reduced mod ``modulus`` when it is nonzero;
+    None when a variable of ``m`` has weight None."""
+    acc = 0
+    for w, a in zip(weights, m):
+        if a:
+            if w is None:
+                return None
+            acc += w * a
+    return acc % modulus if modulus else acc
+
+
 def one(nvars):
     return tuple(0 for _ in range(nvars))
 
@@ -243,15 +255,10 @@ class AlgebraSpec:
         return self.chi_group.combination(m, self.chi_classes)
 
     def gr(self, m):
+        """Grading of a monomial: its weighted degree mod gr_modulus."""
         if self.gr_weights is None:
             return None
-        acc = 0
-        for w, a in zip(self.gr_weights, m):
-            if a:
-                if w is None:
-                    return None
-                acc += w * a
-        return acc % self.gr_modulus if self.gr_modulus else acc
+        return weighted_degree(self.gr_weights, m, self.gr_modulus)
 
     def assert_homogeneous_relations(self):
         if self.chi_group is None:

@@ -5,7 +5,10 @@ differential {(target i, source j): ring element}.  The complex of a
 diagram lives over its suture algebra (an ``AlgebraTarget``); there each
 generator carries a relative Spin^c coset (an element of the H group,
 measured from a base generator) and a relative grading, and the filtration
-and grading axioms are checked.  Tensoring with a test-ring homomorphism
+and grading axioms are checked.  Each entry's coset shift and grading drop
+come from one generator, ``_offsets``, which also gives the constant shifts
+of the maps that compare complexes (mapping cones, the exact triangle).
+Tensoring with a test-ring homomorphism
 maps a complex over the hom's source to the same kind of complex over its
 target, whose homology is computed exactly from ranks and invariant factors.
 Differentials and their composites go through one sparse product,
@@ -57,6 +60,32 @@ def _compose(ring, f, g):
     return {key: v for key, v in out.items() if not ring.is_zero(v)}
 
 
+def _offsets(src, tgt, entries):
+    """(i, j, m, shift, drop) for each monomial m of each entry (i, j) of a
+    map src -> tgt over the suture algebra, in entry order.
+
+    ``shift`` is the coset shift s(j) - s(i) - chi(m), None without a chi
+    group or when a coset of src or tgt is unknown; ``drop`` is the grading
+    drop gr(j) - gr(i) - gr(m), not reduced, None when a grading of src or
+    tgt or gr(m) is unknown.  A differential has shift 0 and drop 1; a map
+    that compares complexes shifts both by constants.
+    """
+    spec = src.algebra
+    group = spec.chi_group
+    filtered = group is not None and None not in src.cosets + tgt.cosets
+    graded = None not in src.gradings + tgt.gradings
+    for (i, j), e in entries.items():
+        for m in e:
+            shift = drop = None
+            if filtered:
+                shift = group.reduce([a - b - c for a, b, c in
+                                      zip(src.cosets[j], tgt.cosets[i], spec.chi(m))])
+            gm = spec.gr(m) if graded else None
+            if gm is not None:
+                drop = src.gradings[j] - tgt.gradings[i] - gm
+            yield i, j, m, shift, drop
+
+
 class FilteredComplex:
     def __init__(self, ring: Ring, gen_names: list, cosets: list, gradings: list,
                  entries: dict, taints: list | None = None, u_grading: int | None = None):
@@ -90,34 +119,28 @@ class FilteredComplex:
 
     def verify_filtration(self):
         """chi-homogeneity: s(source) = s(target) + chi(entry monomial)."""
-        spec = self.algebra
-        if spec.chi_group is None or any(c is None for c in self.cosets):
-            return True
-        for (i, j), e in self.entries.items():
-            for m in e:
-                expected = spec.chi_group.add(self.cosets[i], spec.chi(m))
-                if expected != self.cosets[j]:
-                    raise ComplexError(
-                        "FILTRATION", f"entry {j}->{i} monomial {m} breaks the coset rule"
-                    )
+        for i, j, m, shift, _ in _offsets(self, self, self.entries):
+            if shift is not None and any(shift):
+                raise ComplexError(
+                    "FILTRATION", f"entry {j}->{i} monomial {m} breaks the coset rule"
+                )
         return True
 
     def verify_grading_drop(self):
+        """Every entry drops the grading by one (mod gr_modulus); None when a
+        grading, or the grading of an entry's monomial, is unknown."""
         if any(g is None for g in self.gradings):
             return None
         mod = self.algebra.gr_modulus
-        for (i, j), e in self.entries.items():
-            for m in e:
-                gm = self.algebra.gr(m)
-                if gm is None:
-                    return None
-                drop = self.gradings[j] - self.gradings[i] - gm
-                if mod:
-                    drop %= mod
-                if drop != 1 and (not mod or drop != 1 % mod):
-                    raise ComplexError(
-                        "GRADING", f"entry {j}->{i} drops grading by {drop}, not 1"
-                    )
+        for i, j, _, _, drop in _offsets(self, self, self.entries):
+            if drop is None:
+                return None
+            if mod:
+                drop %= mod
+            if drop != (1 % mod if mod else 1):
+                raise ComplexError(
+                    "GRADING", f"entry {j}->{i} drops grading by {drop}, not 1"
+                )
         return True
 
     def d_squared(self):

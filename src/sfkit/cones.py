@@ -9,8 +9,12 @@ itself (``piecewise_homology``).  The stabilization check, the exact
 triangle and ``sfk complex cone`` use them; the pipeline commands never
 load this module.  Every homology here runs through the one piece routine
 of ``complexes`` (``_piece_matrix``, ``_piece_homology``), which eliminates
-each block of d once however many pieces share it, and every composite
-through its one sparse product (``_compose``).
+each block of d once however many pieces share it, every composite
+through its one sparse product (``_compose``), and the cone's coset and
+grading shifts through its one offset rule (``_offsets``).  Maps are
+compared up to sign by one helper, ``_maps_equal``, which ``triangle``
+shares.  ``monomial_fiber`` lists a (chi, gr) fiber with one
+``linprog.integer_points`` call and refuses it only when it is infinite.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .complexes import (
     TaintRecord,
     _column_image,
     _compose,
+    _offsets,
     _piece_homology,
     _piece_matrix,
     homology,
@@ -79,34 +84,24 @@ def fpu_piece_dims(tc: FilteredComplex, window) -> dict:
 
 
 def monomial_fiber(spec: alg.AlgebraSpec, chi_value, gr_value=None):
-    """All monomials with the given (chi, gr) values; raises if infinite."""
+    """All monomials with the given (chi, gr) values, in lexicographic order;
+    raises INFINITE_FIBER if there are infinitely many."""
     kappa = spec.nvars
-    group = spec.chi_group
-    free_idx = [i for i, m in enumerate(group.moduli) if m == 0]
-    rows = []
-    rhs = []
-    for pos, i in enumerate(free_idx):
-        rows.append([spec.chi_classes[k][i] for k in range(kappa)])
-        rhs.append(chi_value[i])
+    rows = [([spec.chi_classes[k][i] for k in range(kappa)], chi_value[i])
+            for i, m in enumerate(spec.chi_group.moduli) if m == 0]
     if gr_value is not None and spec.gr_weights is not None:
-        rows.append([w or 0 for w in spec.gr_weights])
-        rhs.append(gr_value)
-    # recession cone check: nonzero m >= 0 with all linear forms zero
+        rows.append(([w or 0 for w in spec.gr_weights], gr_value))
     ineqs = [([1 if k == i else 0 for k in range(kappa)], 0) for i in range(kappa)]
-    for row in rows:
-        ineqs.append((row, 0))
-        ineqs.append(([-c for c in row], 0))
-    ineqs.append(([1] * kappa, 1))
-    if linprog.feasible_point(ineqs, kappa) is not None:
-        raise ComplexError("INFINITE_FIBER", "monomial fiber is not finite")
-    # bounded: list its integer points (lexicographic, hence sorted)
-    box_ineqs = [([1 if k == i else 0 for k in range(kappa)], 0) for i in range(kappa)]
-    for row, target in zip(rows, rhs):
-        box_ineqs.append((row, target))
-        box_ineqs.append(([-c for c in row], -target))
+    for row, target in rows:
+        ineqs.append((row, target))
+        ineqs.append(([-c for c in row], -target))
+    try:
+        points = linprog.integer_points(ineqs, kappa)
+    except linprog.Unbounded:
+        raise ComplexError("INFINITE_FIBER", "monomial fiber is not finite") from None
     return [
         m
-        for m in linprog.integer_points(box_ineqs, kappa)
+        for m in points
         if spec.chi(m) == chi_value
         and (gr_value is None or spec.gr(m) == gr_value)
         and spec.nf_monomial(m)
@@ -169,19 +164,19 @@ class ChainMap:
 
     def chain_parity(self):
         """+1 if f d = d f, -1 if f d = -d f, else None."""
-        spec = self.algebra
         ring = self.source.ring
         fd = _compose(ring, self.entries, self.source.entries)
         df = _compose(ring, self.target.entries, self.entries)
-        keys = set(fd) | set(df)
-        if all(spec.equal(fd.get(k, {}), df.get(k, {})) for k in keys):
-            return 1
-        if all(
-            spec.equal(fd.get(k, {}), alg.poly_scale(df.get(k, {}), -1))
-            for k in keys
-        ):
-            return -1
+        for sign in (1, -1):
+            if _maps_equal(self.algebra, fd, df, sign):
+                return sign
         return None
+
+
+def _maps_equal(spec, a, b, sign=1):
+    """a = sign * b, entry by entry, for sparse maps over the algebra."""
+    return all(spec.equal(a.get(k, {}), alg.poly_scale(b.get(k, {}), sign))
+               for k in set(a) | set(b))
 
 
 def mapping_cone(f: ChainMap, twist_sign=-1) -> FilteredComplex:
@@ -220,41 +215,19 @@ def mapping_cone(f: ChainMap, twist_sign=-1) -> FilteredComplex:
 def _cone_decorations(f: ChainMap):
     """Cosets and gradings of M(f), shifted so the f-block obeys the axioms."""
     A, B = f.source, f.target
-    spec = f.algebra
+    group = f.algebra.chi_group
     n = A.rank + B.rank
     cosets, gradings = [None] * n, [None] * n
-    shifts = _chi_shifts(A, B, f.entries)
-    if shifts is not None and len(shifts) <= 1:
-        group = spec.chi_group
+    offsets = list(_offsets(A, B, f.entries))
+    shifts = {shift for _, _, _, shift, _ in offsets}
+    drops = {drop for _, _, _, _, drop in offsets}
+    if len(shifts) <= 1 and group is not None and None not in A.cosets + B.cosets:
         shift = shifts.pop() if shifts else group.zero()
         cosets = list(A.cosets) + [group.add(c, shift) for c in B.cosets]
-    if all(g is not None for g in A.gradings + B.gradings):
-        drops = set()
-        for (i, j), e in f.entries.items():
-            for m in e:
-                gm = spec.gr(m)
-                drops.add(
-                    None if gm is None else A.gradings[j] - gm - B.gradings[i]
-                )
-        if None not in drops and len(drops) <= 1:
-            delta = drops.pop() if drops else 1
-            gradings = list(A.gradings) + [g + delta - 1 for g in B.gradings]
+    if len(drops) <= 1 and None not in [*drops, *A.gradings, *B.gradings]:
+        delta = drops.pop() if drops else 1
+        gradings = list(A.gradings) + [g + delta - 1 for g in B.gradings]
     return cosets, gradings
-
-
-def _chi_shifts(src: FilteredComplex, tgt: FilteredComplex, entries):
-    """The cosets s(src j) - s(tgt i) - chi(m) over the monomials m of the
-    entries (i, j) of a map src -> tgt: one value when it shifts chi by a
-    constant.  None without a chi group or when a coset is unknown."""
-    spec = src.algebra
-    group = spec.chi_group
-    if group is None or any(c is None for c in src.cosets + tgt.cosets):
-        return None
-    return {
-        group.add(src.cosets[j], group.neg(group.add(tgt.cosets[i], spec.chi(m))))
-        for (i, j), e in entries.items()
-        for m in e
-    }
 
 
 def multiplication_map(c: FilteredComplex, element) -> ChainMap:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 
-from . import algebra as alg
 from . import corpus as corpus_mod
 from .admissibility import (
     check_s_admissible,
@@ -56,8 +55,9 @@ def diagram_report(name: str) -> dict:
     lattice = data.lattices[0]
     s_rep = check_s_admissible(lattice)
     strong_rep = check_strong_admissible(lattice)
-    spec0 = alg.diagram_algebra(d, homology=data.homology)
-    weak_rep = check_weak_admissible(lattice, all_zero(spec0))
+    # the weak check reads only which variable images die, and under the
+    # all-zero hom every one does, so any algebra of the diagram serves
+    weak_rep = check_weak_admissible(lattice, all_zero(data.tilde))
     out["admissible"] = {
         "s": s_rep.admissible,
         "strong": strong_rep.admissible,

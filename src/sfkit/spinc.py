@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from math import gcd
 
+from . import algebra as alg
 from . import snf
 from .diagram import HeegaardDiagram
 from .domains import DomainCalculator, PeriodicLattice
@@ -76,20 +77,14 @@ def spinc_partition(calc: DomainCalculator,
 
 
 class GradingData:
-    def __init__(self, d_of_s: int, weights: list, pinned: list, gr: dict, block: list):
+    def __init__(self, d_of_s: int, weights: list, pinned: list, gr: dict):
         self.d_of_s = d_of_s
         self.weights = weights  # kappa entries: int or None (UNDEFINED)
         self.pinned = pinned  # per weight: True if forced by the lattice
         self.gr = gr  # generator index -> relative grading (int, mod d_of_s), or None
-        self.block = block
 
     def weight_of_monomial(self, exponents):
-        acc = 0
-        for w, a in zip(self.weights, exponents):
-            if a and w is None:
-                return None
-            acc += (w or 0) * a
-        return self._reduce(acc)
+        return alg.weighted_degree(self.weights, exponents, self.d_of_s)
 
     def _reduce(self, v):
         return v % self.d_of_s if self.d_of_s else v
@@ -111,10 +106,9 @@ def grading_data(partition: SpincPartition, block_index: int,
     if weights is None:
         return GradingData(d_of_s=d_of_s, weights=[None] * d.num_marks,
                            pinned=[False] * d.num_marks,
-                           gr={i: None for i in block}, block=list(block))
+                           gr={i: None for i in block})
     base, calc = block[0], lattice.calc
-    gd = GradingData(d_of_s=d_of_s, weights=weights, pinned=pinned,
-                     gr={}, block=list(block))
+    gd = GradingData(d_of_s=d_of_s, weights=weights, pinned=pinned, gr={})
     for i in block:
         w = gd.weight_of_monomial(calc.marks(gens[i], gens[base]))
         gd.gr[i] = gd._reduce(calc.potential(gens[i]) - calc.potential(gens[base]) + w)

@@ -21,14 +21,13 @@ with mapping cones twisted accordingly.
 from __future__ import annotations
 
 from . import algebra as alg
-from .complexes import ComplexError, _compose
-from .cones import ChainMap, _chi_shifts, mapping_cone, quasi_iso_over
+from .complexes import ComplexError, _compose, _offsets
+from .cones import ChainMap, _maps_equal, mapping_cone, quasi_iso_over
 
 
 class HypothesisFailed(RuntimeError):
-    def __init__(self, identity, detail=""):
-        super().__init__(f"HYPOTHESIS_FAILED: {identity}" + (f" ({detail})" if detail else ""))
-        self.identity = identity
+    def __init__(self, identity):
+        super().__init__(f"HYPOTHESIS_FAILED: {identity}")
 
 
 class TriangleSystem:
@@ -48,19 +47,9 @@ class TriangleSystem:
 
 
 class TriangleResult:
-    def __init__(self, alphas: list, betas: list, phi_parity: list, alpha_quasi_iso: list):
-        self.alphas = alphas  # ChainMap M(f_i) -> A_{i+2}
-        self.betas = betas  # entry dicts A_i -> M(f_{i+1})
+    def __init__(self, phi_parity: list, alpha_quasi_iso: list):
         self.phi_parity = phi_parity
         self.alpha_quasi_iso = alpha_quasi_iso
-
-
-def _entries_equal(spec, a, b, sign=1):
-    keys = set(a) | set(b)
-    for k in keys:
-        if not spec.equal(a.get(k, {}), alg.poly_scale(b.get(k, {}), sign)):
-            return False
-    return True
 
 
 def triangle_machine(system: TriangleSystem, homs) -> TriangleResult:
@@ -81,7 +70,7 @@ def triangle_machine(system: TriangleSystem, homs) -> TriangleResult:
         rhs = {}
         for k in set(Hd) | set(dH):
             rhs[k] = spec.add(Hd.get(k, {}), dH.get(k, {}))
-        if not _entries_equal(spec, ff, rhs):
+        if not _maps_equal(spec, ff, rhs):
             raise HypothesisFailed(
                 f"null-homotopy identity f_{(i + 1) % 3} f_{i} = H_{i} d + d H_{i}"
             )
@@ -105,8 +94,8 @@ def triangle_machine(system: TriangleSystem, homs) -> TriangleResult:
         phis.append(phi_map)
         phi_parity.append(parity)
 
-    alphas = []
-    betas = []
+    alphas = []  # ChainMap M(f_i) -> A_{i+2}
+    betas = []  # entry dicts A_i -> M(f_{i+1})
     alpha_qis = []
     for i in range(3):
         A, B, C = system.complex(i), system.complex(i + 1), system.complex(i + 2)
@@ -135,17 +124,12 @@ def triangle_machine(system: TriangleSystem, homs) -> TriangleResult:
     # alpha_{i+1} o beta_i = +- phi_i
     for i in range(3):
         comp = _compose(ring, alphas[(i + 1) % 3].entries, betas[i])
-        if not (
-            _entries_equal(spec, comp, phis[i].entries, 1)
-            or _entries_equal(spec, comp, phis[i].entries, -1)
-        ):
+        if not any(_maps_equal(spec, comp, phis[i].entries, sign) for sign in (1, -1)):
             raise HypothesisFailed(f"alpha_{(i + 1) % 3} beta_{i} != +-phi_{i}")
 
     if not all(alpha_qis):
         raise HypothesisFailed("alpha not a homology equivalence despite hypotheses")
-    return TriangleResult(
-        alphas=alphas, betas=betas, phi_parity=phi_parity, alpha_quasi_iso=alpha_qis
-    )
+    return TriangleResult(phi_parity=phi_parity, alpha_quasi_iso=alpha_qis)
 
 
 def verify_filtered_system(system: TriangleSystem):
@@ -159,6 +143,7 @@ def verify_filtered_system(system: TriangleSystem):
 
 
 def _assert_constant_shift(src, tgt, entries, label):
-    shifts = _chi_shifts(src, tgt, entries)
-    if shifts is not None and len(shifts) > 1:
+    # the shifts are all None when a coset is unknown
+    shifts = {shift for _, _, _, shift, _ in _offsets(src, tgt, entries)}
+    if len(shifts) > 1:
         raise ComplexError("FILTRATION", f"{label} has inhomogeneous chi-shift {shifts}")

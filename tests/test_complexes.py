@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfkit import algebra as alg
-from sfkit import corpus
+from sfkit import corpus, snf
 from sfkit.cf import DiagramData, build_cf
 from sfkit.complexes import ComplexError, FilteredComplex, TaintRecord, _compose, homology
 from sfkit.cones import (
@@ -201,6 +201,17 @@ def test_monomial_fiber_finite_and_infinite():
     # chi alone leaves the U-tower: infinite fiber must be refused
     with pytest.raises(ComplexError):
         monomial_fiber(spec, spec.chi((2, 1)), None)
+
+
+def test_monomial_fiber_empty_despite_a_recession_direction():
+    # chi = a: b is a free direction, so the fiber at chi = 1 is infinite,
+    # but the one at chi = -1 is empty, not infinite
+    spec = alg.AlgebraSpec(names=("a", "b"), chi_group=snf.cokernel([], 1),
+                           chi_classes=((1,), (0,)), gr_weights=(0, 0))
+    assert monomial_fiber(spec, (-1,), None) == []
+    with pytest.raises(ComplexError) as err:
+        monomial_fiber(spec, (1,), 0)
+    assert err.value.code == "INFINITE_FIBER"
 
 
 def test_mapping_cone_homology():
