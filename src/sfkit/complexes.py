@@ -16,10 +16,10 @@ Differentials and their composites go through one sparse product,
 here, above), one per (coset, grading) or one ungraded piece, after checking
 that every entry maps its piece one grading lower in the same coset;
 ``_piece_matrix`` builds the matrix of d between two bases, and
-``_piece_homology`` eliminates each distinct block of d once (Gauss-Jordan
-over a field, Smith normal form over Z and F_p[U]) and reads each piece's
-free rank n - rank(out) - rank(in) and its torsion, the non-unit invariant
-factors of the block into it.  Chain maps, mapping cones and the graded
+``_piece_homology`` eliminates each distinct block of d once, by one Smith
+normal form over whichever ring, and reads each piece's free rank
+n - rank(out) - rank(in) and its torsion, the non-unit invariant factors of
+the block into it (none over a field).  Chain maps, mapping cones and the graded
 piece homologies, including the finite (chi, gr)-fiber linear algebra over
 the multivariate algebras themselves, live in ``cones``, which reuses these
 three.
@@ -60,7 +60,7 @@ def _compose(ring, f, g):
     return {key: v for key, v in out.items() if not ring.is_zero(v)}
 
 
-def _offsets(src, tgt, entries):
+def _offsets(src, tgt, entries, shifts=True, drops=True):
     """(i, j, m, shift, drop) for each monomial m of each entry (i, j) of a
     map src -> tgt over the suture algebra, in entry order.
 
@@ -68,12 +68,13 @@ def _offsets(src, tgt, entries):
     group or when a coset of src or tgt is unknown; ``drop`` is the grading
     drop gr(j) - gr(i) - gr(m), not reduced, None when a grading of src or
     tgt or gr(m) is unknown.  A differential has shift 0 and drop 1; a map
-    that compares complexes shifts both by constants.
+    that compares complexes shifts both by constants.  A caller that reads
+    one of the two turns the other off, and it is then None throughout.
     """
     spec = src.algebra
     group = spec.chi_group
-    filtered = group is not None and None not in src.cosets + tgt.cosets
-    graded = None not in src.gradings + tgt.gradings
+    filtered = shifts and group is not None and None not in src.cosets + tgt.cosets
+    graded = drops and None not in src.gradings + tgt.gradings
     for (i, j), e in entries.items():
         for m in e:
             shift = drop = None
@@ -119,7 +120,7 @@ class FilteredComplex:
 
     def verify_filtration(self):
         """chi-homogeneity: s(source) = s(target) + chi(entry monomial)."""
-        for i, j, m, shift, _ in _offsets(self, self, self.entries):
+        for i, j, m, shift, _ in _offsets(self, self, self.entries, drops=False):
             if shift is not None and any(shift):
                 raise ComplexError(
                     "FILTRATION", f"entry {j}->{i} monomial {m} breaks the coset rule"
@@ -132,7 +133,7 @@ class FilteredComplex:
         if any(g is None for g in self.gradings):
             return None
         mod = self.algebra.gr_modulus
-        for i, j, _, _, drop in _offsets(self, self, self.entries):
+        for i, j, _, _, drop in _offsets(self, self, self.entries, shifts=False):
             if drop is None:
                 return None
             if mod:
@@ -319,14 +320,14 @@ def _piece_homology(ring, pieces, image):
     key to the bases (below, here, above) of its piece; ``image`` is as for
     ``_piece_matrix``.
 
-    Each distinct block of d (out: here -> below, in: above -> here) is
-    eliminated once, by ``rank_over_field`` over a field and by
-    ``smith_normal_form`` over a PID; neighbouring pieces share a block, as
-    one's in is the next one's out.  The free rank is n - rank(out) -
-    rank(in) and, over a PID, the torsion is the non-unit invariant factors
-    of in.  When out o in = 0 that is the homology ker(out)/im(in):
-    ker(out) is a direct summand of R^n, since R^n/ker(out) = im(out) lies in
-    a free module, so the torsion of ker(out)/im(in) is that of R^n/im(in).
+    Each distinct block of d (out: here -> below, in: above -> here) takes
+    one ``smith_normal_form`` over the ring, whichever it is, with no
+    transforms; neighbouring pieces share a block, as one's in is the next
+    one's out.  The free rank is n - rank(out) - rank(in) and the torsion is
+    the non-unit invariant factors of in, of which a field has none.  When
+    out o in = 0 that is the homology ker(out)/im(in): ker(out) is a direct
+    summand of R^n, since R^n/ker(out) = im(out) lies in a free module, so
+    the torsion of ker(out)/im(in) is that of R^n/im(in).
     """
     eliminated = {}
 
@@ -334,15 +335,12 @@ def _piece_homology(ring, pieces, image):
         """(rank, torsion labels) of the block of d from src to dst."""
         key = (tuple(src), tuple(dst))
         if key not in eliminated:
-            M = _piece_matrix(ring, src, dst, image)
-            if not (src and dst):
-                eliminated[key] = 0, []
-            elif ring.kind == "field":
-                eliminated[key] = snf.rank_over_field(M, ring.p), []
-            else:
-                diag = snf.smith_normal_form(M, ring).diag
-                eliminated[key] = len(diag), [ring.torsion_label(d) for d in diag
-                                              if not ring.is_unit(d)]
+            diag = []
+            if src and dst:
+                M = _piece_matrix(ring, src, dst, image)
+                diag = snf.smith_normal_form(M, ring, transforms=False).diag
+            eliminated[key] = len(diag), [ring.torsion_label(d) for d in diag
+                                          if not ring.is_unit(d)]
         return eliminated[key]
 
     out = {}

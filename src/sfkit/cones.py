@@ -11,7 +11,8 @@ load this module.  Every homology here runs through the one piece routine
 of ``complexes`` (``_piece_matrix``, ``_piece_homology``), which eliminates
 each block of d once however many pieces share it, every composite
 through its one sparse product (``_compose``), and the cone's coset and
-grading shifts through its one offset rule (``_offsets``).  Maps are
+grading shifts through its one offset rule (``_offsets``); ``les_check``
+reads each differential's rank and cycles off one Smith form.  Maps are
 compared up to sign by one helper, ``_maps_equal``, which ``triangle``
 shares.  ``monomial_fiber`` lists a (chi, gr) fiber with one
 ``linprog.integer_points`` call and refuses it only when it is infinite.
@@ -257,7 +258,6 @@ def les_check(f: ChainMap, hom) -> dict:
     ring = hom.target
     if ring.kind != "field":
         raise ComplexError("UNSUPPORTED_COEFFICIENTS", "les_check needs a field hom")
-    p = ring.p
     A1, A2 = f.source, f.target
     n1 = A1.rank
 
@@ -266,15 +266,16 @@ def les_check(f: ChainMap, hom) -> dict:
         return _piece_matrix(ring, idx, idx, _column_image(c.tensor(hom).entries))
 
     d1, d2, dM = (d_matrix(c) for c in (A1, A2, mapping_cone(f)))
-    z1, z2, zM = (snf.kernel_over_field(d, len(d), p) for d in (d1, d2, dM))
-    r1, r2, rM = (len(d) - len(z) for d, z in ((d1, z1), (d2, z2), (dM, zM)))
+    s1, s2, sM = (snf.smith_normal_form(d, ring) for d in (d1, d2, dM))
+    z1, z2, zM = (snf.kernel_basis(s) for s in (s1, s2, sM))
+    r1, r2, rM = s1.rank, s2.rank, sM.rank
     h1, h2, hM = len(z1) - r1, len(z2) - r2, len(zM) - rM
 
     def induced_rank(d_tgt, r_tgt, images):
         """rank of [d_tgt | images] beyond rank d_tgt: the rank of the map on
         homology whose cycle images these are."""
         stacked = [row + [img[i] for img in images] for i, row in enumerate(d_tgt)]
-        return snf.rank_over_field(stacked, p) - r_tgt
+        return snf.rank_over_field(stacked, ring) - r_tgt
 
     # inclusion A2 -> M(f) and projection M(f) -> A1
     rank_i = induced_rank(dM, rM, [[ring.zero()] * n1 + z for z in z2])

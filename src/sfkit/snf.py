@@ -1,12 +1,11 @@
-"""Exact coefficient rings, Smith normal form and field elimination.
+"""Exact coefficient rings and Smith normal form, the one dense eliminator.
 
 Each coefficient ring of the package is one ``Ring``: the same object
-tensors complexes down and eliminates over.  ``ZZ`` (the integers) and
-``FpURing`` (F_p[U]) are Euclidean, so ``smith_normal_form`` works over
-them; the solvers (``solve_integer``, ``split_transformed``,
-``kernel_basis``) work over the integers.  ``QRing`` and ``ZpRing`` are the
-fields, whose ranks and kernels come from one Gauss-Jordan elimination.  No
-floating point anywhere.
+tensors complexes down and eliminates over.  ``ZZ`` (the integers),
+``FpURing`` (F_p[U]) and the fields ``QRing`` and ``ZpRing`` are Euclidean,
+so ranks, kernels (``kernel_basis``) and invariant factors over each come
+from ``smith_normal_form``; the solvers (``solve_integer``,
+``split_transformed``) work over the integers.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -22,16 +21,16 @@ class Ring:
     and ``mul`` default to Python's operators, which serve Z and Q, and the
     row and column operations of an elimination (``addmul``,
     ``addmul_column``, ``scale``) to one ``add`` and ``mul`` per entry.  A
-    Euclidean ring (``kind`` "pid") also gives ``divmod(a, b)`` with a
-    remainder of smaller ``norm`` (a size that is 0 only for 0, used to pick
-    pivots), ``is_unit``, ``normalize_unit(a)`` = (u, b) with a = u*b, u a
-    unit and b canonical, ``unit_inverse`` and ``torsion_label(d)``, the name
-    of a torsion summand R/d in homology.  ``variable`` names the graded
-    polynomial variable of F_p[U], whose powers cross a complex's gradings.
+    Euclidean ring (a ``Field``, or ``kind`` "pid") also gives ``divmod(a,
+    b)`` with a remainder of smaller ``norm`` (a size that is 0 only for 0,
+    used to pick pivots), ``is_unit``, ``normalize_unit(a)`` = (u, b) with
+    a = u*b, u a unit and b canonical, ``unit_inverse`` and, for a "pid",
+    ``torsion_label(d)``, the name of a torsion summand R/d in homology.
+    ``variable`` names the graded polynomial variable of F_p[U].
     """
 
     name = "?"
-    kind = "field"  # "field" | "pid" | "algebra"
+    kind = None  # "field" (a Field) | "pid" | "algebra"
     variable = None
 
     def zero(self):
@@ -129,9 +128,33 @@ class ZRing(Ring):
 ZZ = ZRing()
 
 
-class QRing(Ring):
+class Field(Ring):
+    """A field as a Euclidean ring: ``divmod`` is exact, every nonzero
+    element is a unit of norm 1 and ``normalize_unit`` takes it to 1, so
+    every invariant factor of a Smith form over a field is 1."""
+
+    kind = "field"
+
+    def is_zero(self, a):
+        return not a
+
+    def divmod(self, a, b):
+        return self.mul(a, self.unit_inverse(b)), self.zero()
+
+    def is_unit(self, a):
+        return not self.is_zero(a)
+
+    def norm(self, a):
+        return 1
+
+    def normalize_unit(self, a):
+        return a, self.one()
+
+
+class QRing(Field):
     name = "Q"
-    p = None  # characteristic zero: the Q branch of the field routines
+    # Python's operators serve Q as they serve Z
+    addmul, addmul_column, scale = ZRing.addmul, ZRing.addmul_column, ZRing.scale
 
     def zero(self):
         return Fraction(0)
@@ -142,8 +165,14 @@ class QRing(Ring):
     def from_int(self, n):
         return Fraction(n)
 
+    def unit_inverse(self, u):
+        return 1 / Fraction(u)
 
-class ZpRing(Ring):
+
+QQ = QRing()
+
+
+class ZpRing(Field):
     def __init__(self, p):
         self.p = p
         self.name = f"Z/{p}"
@@ -165,6 +194,24 @@ class ZpRing(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.p
+
+    def addmul(self, row, c, src):
+        p = self.p
+        return [(a + c * b) % p for a, b in zip(row, src)]
+
+    def addmul_column(self, m, dst, src, c):
+        p = self.p
+        for row in m:
+            row[dst] = (row[dst] + c * row[src]) % p
+
+    def scale(self, c, row):
+        return [c * a % self.p for a in row]
+
+    def divmod(self, a, b):
+        return a * pow(b, -1, self.p) % self.p, 0
+
+    def unit_inverse(self, u):
+        return pow(u, -1, self.p)
 
 
 def _trim(t):
@@ -280,8 +327,8 @@ class SNFResult:
 
 def _pivot(D, t, ring):
     """(i, j) of the first entry of least norm in the block D[t:][t:], or
-    None when the block is zero.  Over ZZ and F_p[U] a unit has the least
-    norm, so the scan ends at the first unit."""
+    None when the block is zero.  A unit has the least norm, so the scan
+    ends at the first unit: over a field, the first nonzero entry."""
     best = at = None
     for i in range(t, len(D)):
         row = D[i]
@@ -296,12 +343,15 @@ def _pivot(D, t, ring):
     return at
 
 
-def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
+def smith_normal_form(A, ring: Ring = ZZ, transforms=True) -> SNFResult:
+    """U * A * V = D over a Euclidean ring.  Without ``transforms`` U and V
+    are None and D is the same: for a caller that reads only D."""
     rows = len(A)
     cols = len(A[0]) if rows else 0
     D = [list(r) for r in A]
-    U = _identity(rows, ring)
-    V = _identity(cols, ring)
+    U = _identity(rows, ring) if transforms else []
+    V = _identity(cols, ring) if transforms else []
+    left = (D, U) if transforms else (D,)  # what each row operation changes
 
     t = 0
     while True:
@@ -311,7 +361,7 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
         if found is None:
             break
         pi, pj = found
-        for m in (D, U):
+        for m in left:
             m[t], m[pi] = m[pi], m[t]
         for row in D + V:
             row[t], row[pj] = row[pj], row[t]
@@ -324,17 +374,17 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
                 if ring.is_zero(D[i][t]):
                     continue
                 q, r = ring.divmod(D[i][t], D[t][t])
-                for m in (D, U):
+                for m in left:
                     m[i] = ring.addmul(m[i], ring.neg(q), m[t])
                 if not ring.is_zero(r):
-                    for m in (D, U):
+                    for m in left:
                         m[t], m[i] = m[i], m[t]
                     dirty = True
             for j in range(t + 1, cols):
                 if ring.is_zero(D[t][j]):
                     continue
                 q, r = ring.divmod(D[t][j], D[t][t])
-                for m in (D, V):
+                for m in (D[t:], V):  # rows above t are zero in column t
                     ring.addmul_column(m, j, t, ring.neg(q))
                 if not ring.is_zero(r):
                     for row in D + V:
@@ -354,7 +404,7 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
             if offender is not None:
                 break
         if offender is not None:
-            for m in (D, U):
+            for m in left:
                 m[t] = ring.addmul(m[t], ring.one(), m[offender])
             continue
 
@@ -364,11 +414,13 @@ def smith_normal_form(A, ring: Ring = ZZ) -> SNFResult:
         if canon != D[t][t]:
             # multiply row t by u^{-1}
             inv = ring.unit_inverse(u)
-            for m in (D, U):
+            for m in left:
                 m[t] = ring.scale(inv, m[t])
         t += 1
 
     diag = [D[i][i] for i in range(min(rows, cols)) if not ring.is_zero(D[i][i])]
+    if not transforms:
+        U = V = None
     return SNFResult(U=U, V=V, D=D, diag=diag, rank=len(diag))
 
 
@@ -408,9 +460,9 @@ def split_transformed(snf: SNFResult, ub):
 
 
 def kernel_basis(A):
-    """Basis of the integer kernel {x : A x = 0}, as a list of vectors.
+    """Basis of the kernel {x : A x = 0}, as a list of vectors.
 
-    A is a list of rows or its ``smith_normal_form``.
+    A is a list of integer rows, or its ``smith_normal_form`` over any ring.
     """
     snf = _factored(A)
     cols = len(snf.V)
@@ -524,60 +576,8 @@ def cokernel(relations, n_generators) -> AbelianGroup:
     return group
 
 
-def _gauss_jordan(A, p):
-    """Reduced row echelon form of A over Q (p=None) or F_p.
-
-    Returns the reduced rows and {pivot column: its row}.
-    """
-    if p is None:
-        M = [[Fraction(x) for x in row] for row in A]
-    else:
-        M = [[x % p for x in row] for row in A]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots = {}
-    for j in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if M[i][j]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        if p is None:
-            inv = 1 / M[r][j]
-            M[r] = [x * inv for x in M[r]]
-        else:
-            inv = pow(M[r][j], -1, p)
-            M[r] = [x * inv % p for x in M[r]]
-        for i in range(rows):
-            c = M[i][j]
-            if i != r and c:
-                if p is None:
-                    M[i] = [x - c * y for x, y in zip(M[i], M[r])]
-                else:
-                    M[i] = [(x - c * y) % p for x, y in zip(M[i], M[r])]
-        pivots[j] = r
-    return M, pivots
-
-
-def rank_over_field(A, p=None):
-    """Rank of A over Q (p=None) or over F_p."""
-    return len(_gauss_jordan(A, p)[1])
-
-
-def kernel_over_field(A, ncols, p=None):
-    """Basis of {x : A x = 0} over Q (p=None) or F_p; A has ncols columns
-    (it may have no rows).  Entries are Fractions over Q, ints mod p."""
-    M, pivots = _gauss_jordan(A, p)
-    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1 % p)
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
-            continue
-        v = [zero] * ncols
-        v[j] = one
-        for pj, pr in pivots.items():
-            v[pj] = -M[pr][j] if p is None else -M[pr][j] % p
-        basis.append(v)
-    return basis
+def rank_over_field(A, field: Ring = QQ):
+    """Rank of A over a field, from its Smith form; the entries are integers
+    or elements of the field, read by ``field.from_int``."""
+    A = [[field.from_int(a) for a in row] for row in A]
+    return smith_normal_form(A, field, transforms=False).rank

@@ -144,6 +144,6 @@ def verify_filtered_system(system: TriangleSystem):
 
 def _assert_constant_shift(src, tgt, entries, label):
     # the shifts are all None when a coset is unknown
-    shifts = {shift for _, _, _, shift, _ in _offsets(src, tgt, entries)}
+    shifts = {shift for _, _, _, shift, _ in _offsets(src, tgt, entries, drops=False)}
     if len(shifts) > 1:
         raise ComplexError("FILTRATION", f"{label} has inhomogeneous chi-shift {shifts}")

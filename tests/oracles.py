@@ -1,6 +1,8 @@
 """Oracles that more than one test module checks sfkit against: plain
 computations that no program path needs."""
 
+from fractions import Fraction
+
 from sfkit.snf import ZZ, AbelianGroup, smith_normal_form
 
 
@@ -76,3 +78,67 @@ def check_cokernel(group, relations, n_generators, probes):
             raise AssertionError(f"{v}: class {got}, but {seen[want]} for an equal reference class")
     if len(set(seen.values())) != len(seen):
         raise AssertionError("probes with distinct reference classes share a class")
+
+
+# -- ranks and kernels over a field by Gauss-Jordan elimination ----------------
+# The field eliminator that the Smith form over ``QRing`` and ``ZpRing``
+# replaced, kept as the reference for it.
+
+
+def gauss_jordan(A, p):
+    """Reduced row echelon form of A over Q (p=None) or F_p.
+
+    Returns the reduced rows and {pivot column: its row}.
+    """
+    if p is None:
+        M = [[Fraction(x) for x in row] for row in A]
+    else:
+        M = [[x % p for x in row] for row in A]
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    pivots = {}
+    for j in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if M[i][j]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        if p is None:
+            inv = 1 / M[r][j]
+            M[r] = [x * inv for x in M[r]]
+        else:
+            inv = pow(M[r][j], -1, p)
+            M[r] = [x * inv % p for x in M[r]]
+        for i in range(rows):
+            c = M[i][j]
+            if i != r and c:
+                if p is None:
+                    M[i] = [x - c * y for x, y in zip(M[i], M[r])]
+                else:
+                    M[i] = [(x - c * y) % p for x, y in zip(M[i], M[r])]
+        pivots[j] = r
+    return M, pivots
+
+
+def rank_over_field(A, p=None):
+    """Rank of A over Q (p=None) or over F_p."""
+    return len(gauss_jordan(A, p)[1])
+
+
+def kernel_over_field(A, ncols, p=None):
+    """Basis of {x : A x = 0} over Q (p=None) or F_p; A has ncols columns
+    (it may have no rows).  Entries are Fractions over Q, ints mod p."""
+    M, pivots = gauss_jordan(A, p)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1 % p)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [zero] * ncols
+        v[j] = one
+        for pj, pr in pivots.items():
+            v[pj] = -M[pr][j] if p is None else -M[pr][j] % p
+        basis.append(v)
+    return basis

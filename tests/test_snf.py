@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfkit import snf
+import oracles
 from oracles import check_cokernel, mat_mul
 
 
@@ -140,39 +141,60 @@ def test_cokernel_takes_no_smith_form_of_unit_pivot_relations():
 
 def test_rank_over_field():
     assert snf.rank_over_field([[2, 4], [1, 2]]) == 1
-    assert snf.rank_over_field([[2, 4], [1, 2]], p=3) == 1
-    assert snf.rank_over_field([[2, 0], [0, 2]], p=2) == 0
+    assert snf.rank_over_field([[2, 4], [1, 2]], snf.ZpRing(3)) == 1
+    assert snf.rank_over_field([[2, 0], [0, 2]], snf.ZpRing(2)) == 0
     assert snf.rank_over_field([[1, 0], [0, 1]]) == 2
 
 
-def _mat_vec_field(M, v, p):
-    out = [sum(a * b for a, b in zip(row, v)) for row in M]
-    return out if p is None else [x % p for x in out]
+def _field(p):
+    """The field that ``oracles.gauss_jordan`` calls p: Q for None, else Z/p."""
+    return snf.QQ if p is None else snf.ZpRing(p)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3, None]), small_matrix)
-def test_kernel_over_field_is_a_kernel_basis(p, M):
-    ncols = len(M[0])
-    basis = snf.kernel_over_field(M, ncols, p)
-    rank = snf.rank_over_field(M, p)
-    assert len(basis) == ncols - rank
-    for v in basis:
-        assert len(v) == ncols
-        assert all(x == 0 for x in _mat_vec_field(M, v, p))
-    assert snf.rank_over_field(basis, p) == len(basis)
+@st.composite
+def field_matrices(draw):
+    """(p, A): A over Q (p None), Z/2, Z/3 or Z/5, with 0-5 rows and 0-5
+    columns (a list of rows has none without rows); its integer entries run
+    outside 0..p-1, over Q some are Fractions, and half the time a last row
+    combines the first two."""
+    p = draw(st.sampled_from([None, 2, 3, 5]))
+    ncols = draw(st.integers(0, 5))
+    entry = st.integers(-7, 7)
+    if p is None:
+        entry = st.one_of(entry, st.fractions(-3, 3, max_denominator=4))
+    A = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    if len(A) >= 2 and draw(st.booleans()):
+        c = draw(entry)
+        A.append([a + c * b for a, b in zip(A[0], A[1])])
+    return p, A
+
+
+@settings(max_examples=400, deadline=None)
+@given(field_matrices())
+def test_field_smith_form_matches_gauss_jordan(case):
+    # over a field the Smith form is the only eliminator: its rank is the
+    # Gauss-Jordan rank, every invariant factor is 1, and the columns of V
+    # beyond the rank are ncols - rank independent vectors with A x = 0
+    p, A = case
+    ncols = len(A[0]) if A else 0
+    field = _field(p)
+    rank = oracles.rank_over_field(A, p)
+    assert snf.rank_over_field(A, field) == rank
+    res = snf.smith_normal_form([[field.from_int(a) for a in row] for row in A], field)
+    assert res.diag == [field.one()] * rank
+    kernel = snf.kernel_basis(res)
+    assert len(kernel) == ncols - rank == len(oracles.kernel_over_field(A, ncols, p))
+    assert oracles.rank_over_field(kernel, p) == len(kernel)
+    for x in kernel:
+        assert len(x) == ncols
+        assert all(field.is_zero(field.from_int(v)) for v in snf.mat_vec(A, x))
     if p is not None:
-        # brute force over F_p^ncols: |ker M| = p^(ncols - rank)
+        # brute force over F_p^ncols: |ker A| = p^(ncols - rank)
         from itertools import product
 
-        kernel = [v for v in product(range(p), repeat=ncols)
-                  if all(x == 0 for x in _mat_vec_field(M, v, p))]
-        assert len(kernel) == p ** (ncols - rank)
-
-
-def test_kernel_over_field_without_rows():
-    assert snf.kernel_over_field([], 2, 3) == [[1, 0], [0, 1]]
-    assert snf.kernel_over_field([], 1) == [[Fraction(1)]]
+        size = sum(1 for v in product(range(p), repeat=ncols)
+                   if all(x % p == 0 for x in snf.mat_vec(A, v)))
+        assert size == p ** (ncols - rank)
 
 
 def _ring_det(M, ring):
@@ -202,6 +224,9 @@ def _fpu_matrix(p):
     st.tuples(st.just(snf.ZZ), small_matrix),
     st.tuples(st.just(snf.FpURing(2)), _fpu_matrix(2)),
     st.tuples(st.just(snf.FpURing(3)), _fpu_matrix(3)),
+    st.tuples(st.just(snf.QQ), small_matrix.map(lambda m: [[Fraction(a, 2) for a in r] for r in m])),
+    st.tuples(st.just(snf.ZpRing(2)), small_matrix.map(lambda m: [[a % 2 for a in r] for r in m])),
+    st.tuples(st.just(snf.ZpRing(5)), small_matrix.map(lambda m: [[a % 5 for a in r] for r in m])),
 ))
 def test_snf_factorization_over_euclidean_rings(case):
     # U A V = D with D diagonal, d_1 | d_2 | ..., and U, V invertible: the
@@ -219,6 +244,9 @@ def test_snf_factorization_over_euclidean_rings(case):
         assert ring.is_zero(ring.divmod(b, a)[1])
     assert ring.is_unit(_ring_det(res.U, ring))
     assert ring.is_unit(_ring_det(res.V, ring))
+    # without transforms D changes exactly as with them
+    bare = snf.smith_normal_form(A, ring, transforms=False)
+    assert (bare.D, bare.diag, bare.U, bare.V) == (res.D, res.diag, None, None)
 
 
 def _full_scan_pivot(D, t, ring):
@@ -238,15 +266,20 @@ def _full_scan_pivot(D, t, ring):
 def _random_entry(rng, ring):
     if ring is snf.ZZ:
         return rng.choice([0, 0, 1, -1, 2, -2, 3, 4, -6, 9])
+    if ring is snf.QQ:
+        return Fraction(rng.choice([0, 0, 1, -1, 2, -3, 4]), rng.choice([1, 1, 2, 3]))
+    if isinstance(ring, snf.ZpRing):
+        return rng.randrange(ring.p)
     return ring.add(tuple(rng.randrange(ring.p) for _ in range(rng.randint(0, 3))), ())
 
 
-@pytest.mark.parametrize("ring", [snf.ZZ, snf.FpURing(2), snf.FpURing(3)],
-                         ids=lambda r: r.name)
+RINGS = [snf.ZZ, snf.FpURing(2), snf.FpURing(3), snf.QQ, snf.ZpRing(2), snf.ZpRing(3)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_first_unit_pivot_matches_full_scan(ring):
-    # the pivot search stops at the first unit; over ZZ and F_p[U] a unit
-    # has the least norm, so the full scan picks the same entry and U, V and
-    # D come out identical
+    # the pivot search stops at the first unit; a unit has the least norm,
+    # so the full scan picks the same entry and U, V and D come out identical
     rng = random.Random(20261018)
     calls = 0
 
@@ -280,13 +313,28 @@ class EntrywiseFpU(_Entrywise, snf.FpURing):
     pass
 
 
-@pytest.mark.parametrize("ring", [snf.ZZ, snf.FpURing(2), snf.FpURing(3)],
-                         ids=lambda r: r.name)
+class EntrywiseQ(_Entrywise, snf.QRing):
+    pass
+
+
+class EntrywiseZp(_Entrywise, snf.ZpRing):
+    pass
+
+
+def _entrywise(ring):
+    if ring is snf.ZZ:
+        return EntrywiseZ()
+    if ring is snf.QQ:
+        return EntrywiseQ()
+    return (EntrywiseFpU if isinstance(ring, snf.FpURing) else EntrywiseZp)(ring.p)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
 def test_whole_row_operations_match_entrywise(ring):
-    # the ring's whole-row operations (list comprehensions over ZZ) give the
-    # same U, V and D as the base ring's one call per entry, on every random
-    # matrix
-    entrywise = EntrywiseZ() if ring is snf.ZZ else EntrywiseFpU(ring.p)
+    # the ring's whole-row operations (list comprehensions over ZZ and Q,
+    # one % p per entry over Z/p) give the same U, V and D as the base ring's
+    # one call per entry, on every random matrix
+    entrywise = _entrywise(ring)
     rng = random.Random(20261019)
     for _ in range(300):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
