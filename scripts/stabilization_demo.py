@@ -24,7 +24,7 @@ def main():
     gens = dhat.generators()
     for x in gens:
         for y in gens:
-            for c in enumerate_mu1_classes(data.calc.lattice(x), x, y, data.tilde):
+            for c in enumerate_mu1_classes(data.calc.lattice(x), [x], [y], data.tilde):
                 print(f"  {x.label()} -> {y.label()}: {c.classification:16s}"
                       f" D={list(c.domain)} n_z={list(c.n_z)}")
 

@@ -3,7 +3,10 @@
 The differential entry from x to y is the sum, over supported index-1
 classes, of count * lambda^{n_z(class)}; unsupported classes do not abort
 the build but taint the complex with their weight monomial, so downstream
-homology refuses coefficient rings in which that weight survives.
+homology refuses coefficient rings in which that weight survives.  The
+classes of a Spin^c block come from one enumeration over its generators,
+summed per (target, source), and each distinct entry polynomial is put in
+normal form once.
 """
 
 from __future__ import annotations
@@ -86,39 +89,35 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
     )
 
     base = block[0]
-    names = [gens[i].label() for i in block]
+    members = [gens[i] for i in block]
+    names = [g.label() for g in members]
     cosets = [data.partition.diff(i, base) for i in block]
     gradings = [gd.gr[i] for i in block]
 
+    # one enumeration for the block; survival of a monomial does not depend
+    # on the grading weights
+    pos = {g: k for k, g in enumerate(members)}
+    sums, taints = {}, []
+    for c in enumerate_mu1_classes(lattice, members, members, data.tilde):
+        source, target = pos[c.source], pos[c.target]
+        if not c.supported:
+            taints.append(TaintRecord(source=source, target=target, weight=c.n_z))
+            continue
+        count = c.count
+        if signs is not None:
+            count *= signs.get(tuple(c.domain), 1)
+        sums[(target, source)] = alg.poly_add(sums.get((target, source), {}),
+                                              {tuple(c.n_z): count})
     entries = {}
     normal = {}  # one normal form per distinct entry polynomial
-    taints = []
-    pos = {g: k for k, g in enumerate(block)}
-    for j in block:
-        for i in block:
-            # survival of a monomial does not depend on the grading weights
-            classes = enumerate_mu1_classes(lattice, gens[j], gens[i], data.tilde)
-            acc = {}
-            for c in classes:
-                if not c.supported:
-                    taints.append(
-                        TaintRecord(
-                            source=pos[j], target=pos[i], weight=c.n_z,
-                            note=f"unsupported class {c.domain}",
-                        )
-                    )
-                    continue
-                count = c.count
-                if signs is not None:
-                    count *= signs.get(tuple(c.domain), 1)
-                acc = alg.poly_add(acc, {tuple(c.n_z): count})
-            if acc:
-                key = frozenset(acc.items())
-                if key not in normal:
-                    normal[key] = spec.normal_form(acc)
-                if normal[key]:
-                    # each entry its own dict: tensor and decompose see no shared object
-                    entries[(pos[i], pos[j])] = dict(normal[key])
+    for pair, acc in sums.items():
+        if acc:
+            key = frozenset(acc.items())
+            if key not in normal:
+                normal[key] = spec.normal_form(acc)
+            if normal[key]:
+                # each entry its own dict: tensor and decompose see no shared object
+                entries[pair] = dict(normal[key])
 
     cx = FilteredComplex(
         ring=AlgebraTarget(spec),

@@ -233,7 +233,7 @@ def cmd_classes(args):
     gens = d.generators()
     x = gens[_index_arg("--from", args.from_gen, len(gens), "generators")]
     y = gens[_index_arg("--to", args.to_gen, len(gens), "generators")]
-    classes = enumerate_mu1_classes(data.calc.lattice(x), x, y, data.tilde)
+    classes = enumerate_mu1_classes(data.calc.lattice(x), [x], [y], data.tilde)
     payload = [
         {
             "domain": list(c.domain),
@@ -253,7 +253,7 @@ def cmd_classes(args):
 def cmd_niceness(args):
     d = load_diagram(args.diagram)
     data = DiagramData.build(d)
-    rep = niceness_report(data.calc, data.tilde)
+    rep = niceness_report(data)
     payload = {
         "regions": rep.region_shapes,
         "classes": rep.total_classes,

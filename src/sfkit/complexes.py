@@ -40,11 +40,10 @@ class ComplexError(RuntimeError):
 
 
 class TaintRecord:
-    def __init__(self, source: int, target: int, weight: tuple, note: str = ""):
+    def __init__(self, source: int, target: int, weight: tuple):
         self.source = source
         self.target = target
         self.weight = weight  # exponent vector of the unsupported class's monomial
-        self.note = note
 
 
 def _compose(ring, f, g):
@@ -192,7 +191,7 @@ class FilteredComplex:
                     for (i, j), e in self.entries.items()
                     if i in pos and j in pos
                 },
-                taints=[TaintRecord(pos[t.source], pos[t.target], t.weight, t.note)
+                taints=[TaintRecord(pos[t.source], pos[t.target], t.weight)
                         for t in self.taints if t.source in pos and t.target in pos],
                 u_grading=self.u_grading,
             )

@@ -206,10 +206,7 @@ def mapping_cone(f: ChainMap, twist_sign=-1) -> FilteredComplex:
         gradings=gradings,
         entries=entries,
         taints=list(A.taints)
-        + [
-            TaintRecord(n1 + t.source, n1 + t.target, t.weight, t.note)
-            for t in B.taints
-        ],
+        + [TaintRecord(n1 + t.source, n1 + t.target, t.weight) for t in B.taints],
     )
 
 

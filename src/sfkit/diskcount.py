@@ -5,22 +5,21 @@ periodic, and mu(D) = mu(phi0) + mu(P), mu(phi0) being the difference of the
 generators' Maslov potentials (``DomainCalculator.potential``).  The lattice
 is Z step + K0 with mu(step) = g and mu = 0 on K0
 (``PeriodicLattice.mu_zero``), so a pair whose shift index - mu(phi0) is no
-multiple of g has no class: this residue test comes before the connecting
-solve and any LP.  Otherwise the classes are base + K0, base = phi0 +
-(shift / g) step.  The finiteness certificate bounds their total
+multiple of g has no class.  One call takes lists of sources and targets (in
+``build_cf``, the generators of a Spin^c block) and finds the pairs that pass
+this residue test and the key test by one lookup per source, before any
+connecting solve or LP.  For such a pair the classes are base + K0, base =
+phi0 + (shift / g) step: the finiteness certificate bounds their total
 multiplicity, and the integer points over K0 of the polytope D >= 0,
-sum_r D_r <= bound are listed.  The certificate's and the box's rows are
-compiled once per Spin^c block (``PeriodicLattice.compiled``), so a pair
-supplies only right-hand sides.  phi0 sees only the moved points, so pairs
-that differ in a shared coordinate repeat a system: the candidates of each
-(phi0, shift) are kept with the lattice, and a repeated one runs no
-certificate and no box.
+sum_r D_r <= bound are listed, from rows compiled once per Spin^c block
+(``PeriodicLattice.compiled``).
 
-The checks on a candidate (D >= 0, its Euler and corner measures with the
-corner guard ``is_domain``, mu = index, survival and shape) run once per
-(phi0, shift, index) and survival algebra, and every pair of that system
-reads the kept (domain, n_z, shape, count).  Within a lattice the key fixes
-what the checks read of x and y:
+phi0 sees only the moved points, so pairs repeat a system (phi0, shift).  A
+call runs the certificate, the box and the checks on a candidate (D >= 0,
+its Euler and corner measures with the corner guard ``is_domain``, mu =
+index, survival and shape) once per system, and every pair of the system
+reads the kept (domain, n_z, shape, count).  Within a lattice the system
+fixes what the checks read of x and y:
 
 - the corner target e(x) - e(y) = A phi0, so every candidate phi0 + P is a
   domain from x to y;
@@ -42,7 +41,6 @@ from .admissibility import CertificateSystem, finiteness_certificate
 from .algebra import AlgebraSpec
 from .diagram import Generator, HeegaardDiagram
 from .domains import (
-    DomainCalculator,
     PeriodicLattice,
     marked_multiplicities,
     maslov_measures,
@@ -108,55 +106,50 @@ def _box_points(lattice: PeriodicLattice, base, bound: int) -> list:
     return [lattice.element(s, base, K0) for s in points]
 
 
-def enumerate_mu1_classes(lattice: PeriodicLattice, x: Generator, y: Generator,
+def enumerate_mu1_classes(lattice: PeriodicLattice, sources, targets,
                           tilde: AlgebraSpec, index: int = 1) -> list:
-    """All positive classes from x to y with mu = index and surviving
-    tilde-monomial, in deterministic order.
+    """Every positive class with mu = index and surviving tilde-monomial from
+    each x in ``sources`` to each y in ``targets``: by source, then target in
+    the order given, then sorted domain.  ``lattice`` is the generators'
+    periodic lattice; its calculator holds their keys, potentials and
+    connecting solves.  The targets are grouped once by (key, potential mod
+    g), the exact potential when g = 0, and x reads its own at (key(x),
+    potential(x) - index mod g).  The records of each (phi0, shift) are kept
+    for the call alone."""
+    calc, g = lattice.calc, lattice.mu_zero[0]
+    residue = (lambda mu: mu % g) if g else (lambda mu: mu)
+    groups = {}
+    for y in targets:
+        groups.setdefault((calc.key(y), residue(calc.potential(y))), []).append(y)
+    records, out = {}, []
+    for x in sources:
+        px = calc.potential(x)
+        for y in groups.get((calc.key(x), residue(px - index)), ()):
+            shift = index - (px - calc.potential(y))  # a multiple of g
+            phi0 = calc.connecting(x, y)
+            system = (tuple(phi0), shift)
+            if system not in records:
+                records[system] = _checked_records(lattice, phi0, shift, x, y, tilde, index)
+            out.extend(DiskClass(domain=D, source=x, target=y, mu=index, n_z=nz,
+                                 classification=cls, count=count)
+                       for D, nz, cls, count in records[system])
+    return out
 
-    ``lattice`` is the periodic lattice of the Spin^c class of x; its
-    calculator holds the diagram and the connecting solve of the pair.
-    mu(phi0), the difference of the generators' potentials, serves the
-    residue test, the certificate and the box; phi0 waits for the residue test.
-    The candidates of each (phi0, shift) are kept with the lattice, and so
-    are the checked classes of each (phi0, shift, index) under ``tilde``:
-    a pair of a known system only attaches its own x and y.
-    """
+
+def _checked_records(lattice: PeriodicLattice, phi0, shift: int, x: Generator,
+                     y: Generator, tilde: AlgebraSpec, index: int) -> list:
+    """(domain, n_z, shape, count) of each class of the system (phi0, shift)
+    at the pair (x, y), from the certificate, the box and the checks; every
+    pair of the system shares the answer."""
     d = lattice.diagram
-    calc = lattice.calc
-    if calc.key(x) != calc.key(y):
-        return []  # no domain connects x to y
-    shift = index - (calc.potential(x) - calc.potential(y))
-    # the residue test: mu(P) = shift has a lattice solution exactly when g | shift
-    g = lattice.mu_zero[0]
-    if shift % g if g else shift:
-        return []
-    phi0 = calc.connecting(x, y)
-    solved = lattice.compiled("candidates", lambda lattice: {})
-    system = (tuple(phi0), shift)
-    if system not in solved:
-        bound = finiteness_certificate(lattice, phi0, shift)
-        try:
-            found = [] if bound is None else _box_points(
-                lattice, lattice.slice_base(phi0, shift), bound)
-        except linprog.Unbounded:
-            raise RuntimeError("certificate box is unbounded") from None
-        solved[system] = sorted(set(map(tuple, found)))
-
-    checked = lattice.compiled(("classes", tilde), lambda lattice: {})
-    records = checked.get(system + (index,))
-    if records is None:
-        records = checked[system + (index,)] = _checked_records(
-            d, solved[system], x, y, tilde, index)
-    return [DiskClass(domain=D, source=x, target=y, mu=index, n_z=nz,
-                      classification=cls, count=count) for D, nz, cls, count in records]
-
-
-def _checked_records(d: HeegaardDiagram, candidates, x: Generator, y: Generator,
-                     tilde: AlgebraSpec, index: int) -> list:
-    """(domain, n_z, shape, count) of each candidate that passes the checks
-    at the pair (x, y); every pair of the system shares the answer."""
+    bound = finiteness_certificate(lattice, phi0, shift)
+    try:
+        found = [] if bound is None else _box_points(
+            lattice, lattice.slice_base(phi0, shift), bound)
+    except linprog.Unbounded:
+        raise RuntimeError("certificate box is unbounded") from None
     out = []
-    for D in candidates:
+    for D in sorted(set(map(tuple, found))):
         if any(c < 0 for c in D):
             continue
         measures = maslov_measures(d, D, x, y)
@@ -189,15 +182,16 @@ def region_shape(d: HeegaardDiagram, ri: int) -> str:
     return "other"
 
 
-def niceness_report(calc: DomainCalculator, tilde: AlgebraSpec) -> NicenessReport:
-    d = calc.diagram
+def niceness_report(data) -> NicenessReport:
+    """Region shapes and the index-one classes of every Spin^c block of a
+    ``cf.DiagramData``, one enumeration per block."""
+    d = data.diagram
     shapes = [{"region": ri, "shape": region_shape(d, ri), "marked": bool(region.marks)}
               for ri, region in enumerate(d.regions)]
-    gens, classes = d.generators(), []
-    for x in gens:
-        lattice = calc.lattice(x)
-        for y in gens:
-            classes.extend(enumerate_mu1_classes(lattice, x, y, tilde))
+    classes = []
+    for block, lattice in zip(data.partition.blocks, data.lattices):
+        gens = [data.partition.generators[i] for i in block]
+        classes.extend(enumerate_mu1_classes(lattice, gens, gens, data.tilde))
     unsupported = [c for c in classes if not c.supported]
     hat_ok = all(c.supported for c in classes if all(v == 0 for v in c.n_z))
     return NicenessReport(

@@ -215,8 +215,8 @@ class PeriodicLattice:
     with that row on every lattice element, whichever generator it is
     computed at.
     What the generator pairs of the class share (see ``compiled``), its
-    systems, its s-admissibility report and the enumerator's candidates per
-    (connecting domain, mu shift), is kept with the lattice and freed with it.
+    systems and its s-admissibility report, is kept with the lattice and
+    freed with it.
     mu is linear, so the lattice is Z step + K0 with mu = 0 on K0
     (``mu_zero``): every condition on mu is a coordinate.
     """

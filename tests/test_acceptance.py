@@ -245,7 +245,7 @@ def test_a5_trefoil():
                     continue
                 oracle.append(vec)
             listed = [tuple(cl.domain) for cl in
-                      enumerate_mu1_classes(data.lattices[0], x, y, tilde)]
+                      enumerate_mu1_classes(data.lattices[0], [x], [y], tilde)]
             assert sorted(oracle) == sorted(listed)
 
 
@@ -357,7 +357,7 @@ def test_a8_admissibility():
                         continue
                     oracle.append(vec)
                 listed = [tuple(cl.domain) for cl in
-                          enumerate_mu1_classes(calc.lattice(x), x, y, tildd)]
+                          enumerate_mu1_classes(calc.lattice(x), [x], [y], tildd)]
                 assert sorted(oracle) == sorted(listed), (name, x, y)
 
 

@@ -176,7 +176,7 @@ def test_certificate_sound_against_brute_force(name):
                 bound += finiteness_certificate(calc.lattice(x), phi0, shift) or 0
             oracle = brute_force_positive_classes(d, x, y, 1, bound)
             listed = sorted(
-                tuple(c.domain) for c in enumerate_mu1_classes(calc.lattice(x), x, y, tilde)
+                tuple(c.domain) for c in enumerate_mu1_classes(calc.lattice(x), [x], [y], tilde)
             )
             assert oracle == listed
 

@@ -70,11 +70,11 @@ def test_decomposition_renumbers_taints():
     # a taint inside a summand is renumbered to the summand's generators
     c = FilteredComplex(ring=ZRing(), gen_names=["a", "b", "c"],
                         cosets=[(0,), (1,), (1,)], gradings=[0, 0, 0], entries={},
-                        taints=[TaintRecord(source=2, target=1, weight=(1,), note="t")])
+                        taints=[TaintRecord(source=2, target=1, weight=(1,))])
     first, second = c.decompose()
     assert first.taints == [] and second.gen_names == ["b", "c"]
     (taint,) = second.taints
-    assert (taint.source, taint.target, taint.weight, taint.note) == (1, 0, (1,), "t")
+    assert (taint.source, taint.target, taint.weight) == (1, 0, (1,))
 
 
 def test_grid2_complex_and_d_squared_diagnostics():

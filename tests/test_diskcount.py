@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -46,7 +47,7 @@ def classes_table(name):
     out = {}
     for i, x in enumerate(gens):
         for j, y in enumerate(gens):
-            cls = enumerate_mu1_classes(calc.lattice(x), x, y, tilde)
+            cls = enumerate_mu1_classes(calc.lattice(x), [x], [y], tilde)
             if cls:
                 out[(i, j)] = [(tuple(c.domain), c.classification, c.n_z) for c in cls]
     return out
@@ -127,20 +128,17 @@ def test_special_fixture_bigon_pairs_found():
 
 def test_niceness_reports():
     d = corpus.load_diagram("torus_min")
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
-    rep = niceness_report(DiagramData.build(d).calc, tilde)
+    rep = niceness_report(DiagramData.build(d))
     assert rep.hat_countable and rep.minus_countable
 
     d2 = corpus.load_diagram("trefoil")
-    tilde2 = alg.diagram_algebra(d2, variant=alg.TILDE)
-    rep2 = niceness_report(DiagramData.build(d2).calc, tilde2)
+    rep2 = niceness_report(DiagramData.build(d2))
     assert rep2.hat_countable  # every n_z = 0 class is supported (there are none)
     assert not rep2.minus_countable  # the annular classes are unsupported
     assert len(rep2.unsupported) == 2
 
     d3 = corpus.load_diagram("grid2")
-    tilde3 = alg.diagram_algebra(d3, variant=alg.TILDE)
-    rep3 = niceness_report(DiagramData.build(d3).calc, tilde3)
+    rep3 = niceness_report(DiagramData.build(d3))
     assert rep3.minus_countable
     shapes = {s["region"]: s["shape"] for s in rep3.region_shapes}
     assert set(shapes.values()) == {"square"}
@@ -235,52 +233,61 @@ def reference_mu1_classes(d, x, y, tilde, calc, index=1):
     return out
 
 
-def _stored(lattice):
-    """The enumerator's candidates per (phi0, shift), kept with the lattice."""
-    return lattice.compiled("candidates", lambda lattice: {})
+def _blocks(calc, d):
+    """The generators of d grouped by ``calc.key``, in index order: the
+    Spin^c blocks."""
+    by_key = {}
+    for g in d.generators():
+        by_key.setdefault(calc.key(g), []).append(g)
+    return list(by_key.values())
 
 
 def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None, tally=None):
-    """Every ordered pair at every index, interleaved on one calculator, so
-    that later pairs reuse the candidates stored by earlier ones.  A pair
-    whose (phi0, shift) is stored adds no entry and one that is not adds
-    exactly its own, so a different shift never reads another system's
-    entry; ``tally`` counts both kinds."""
+    """One call per Spin^c block and index, against the per-pair reference
+    concatenated source-major.  The call solves each (phi0, shift) of its
+    pairs that pass the residue test exactly once, and nothing for a pair
+    that fails it, so a different shift never reads another system's
+    records.  ``tally`` counts the systems new to the calculator and the
+    pairs whose system an earlier pair (of any call) had."""
     calc = calc or DomainCalculator(d)
     tilde = tilde or alg.diagram_algebra(d, variant=alg.TILDE)
     tally = {"new": 0, "reused": 0} if tally is None else tally
-    found = 0
-    for x in d.generators():
-        lattice = calc.lattice(x)
-        for y in d.generators():
-            phi0 = calc.connecting(x, y)
+    solved, seen, found = [], set(), 0
+    certificate = diskcount.finiteness_certificate
+
+    def spy(lattice, phi0, shift):
+        solved.append((tuple(phi0), shift))
+        return certificate(lattice, phi0, shift)
+
+    with mock.patch.object(diskcount, "finiteness_certificate", spy):
+        for block in _blocks(calc, d):
+            lattice = calc.lattice(block[0])
+            g = math.gcd(*lattice.mu)
             for index in indices:
-                ref = reference_mu1_classes(d, x, y, tilde, calc, index)
-                stored = dict(_stored(lattice))
+                ref = [c for x in block for y in block
+                       for c in reference_mu1_classes(d, x, y, tilde, calc, index)]
+                solved.clear()
                 # DiskClass equality covers domain, n_z, classification,
                 # count, mu and both generators; list equality the order
-                assert enumerate_mu1_classes(lattice, x, y, tilde, index) == ref
+                assert enumerate_mu1_classes(lattice, block, block, tilde, index) == ref
                 found += len(ref)
-                added = {k: v for k, v in _stored(lattice).items() if k not in stored}
-                if phi0 is None:
-                    assert added == {}
-                    continue
-                shift = index - maslov_index(d, phi0, x, y)
-                system, g = (tuple(phi0), shift), math.gcd(*lattice.mu)
-                if system in stored:
-                    assert added == {}
-                    tally["reused"] += 1
-                elif shift % g == 0 if g else shift == 0:
-                    assert list(added) == [system]
-                    tally["new"] += 1
-                else:
-                    assert added == {}  # the residue test
+                passing = []
+                for x in block:
+                    for y in block:
+                        phi0 = calc.connecting(x, y)
+                        shift = index - maslov_index(d, phi0, x, y)
+                        if shift % g == 0 if g else shift == 0:
+                            passing.append((tuple(phi0), shift))
+                assert sorted(solved) == sorted(set(passing))
+                for system in passing:
+                    tally["reused" if system in seen else "new"] += 1
+                    seen.add(system)
     return found
 
 
 INDICES = range(-2, 4)
 
-CORPUS_SYSTEMS = {  # (systems solved, pairs that reused one), indices -2..3
+CORPUS_SYSTEMS = {  # (distinct systems, pairs that repeat one), indices -2..3
     "genus2_pair": (3, 1), "grid2": (9, 3), "nomatch_genus2": (0, 0),
     "special_hs": (27, 21), "sphere_bad": (0, 0), "sphere_split": (9, 3),
     "torus_lens": (3, 3), "torus_min": (3, 0), "trefoil": (21, 6), "unknot": (3, 0),
@@ -291,7 +298,9 @@ CORPUS_SYSTEMS = {  # (systems solved, pairs that reused one), indices -2..3
 def test_sliced_enumerator_matches_reference_on_corpus(name):
     tally = {"new": 0, "reused": 0}
     _assert_matches_reference(corpus.load_diagram(name), INDICES, tally=tally)
-    # pairs (x, x) share phi0 = 0, and stabilized pairs share a moved part
+    # pairs (x, x) share phi0 = 0, and stabilized pairs share a moved part;
+    # torus_lens's two blocks share one lattice, and each block's call
+    # solves the three systems of its own pairs (x, x)
     assert (tally["new"], tally["reused"]) == CORPUS_SYSTEMS[name]
 
 
@@ -336,11 +345,12 @@ def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
 def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
                                                         systems, monkeypatch):
     # a pair whose shift 1 - mu(phi0) is no multiple of the gcd of the mu row
-    # has no lattice point on its mu slice: the enumerator returns [] before
-    # any certificate LP or box.  A pair that passes and whose (phi0, shift)
-    # is new to the lattice makes one LP per stratum, and one box unless the
-    # certificate finds every stratum empty; a pair that repeats a system
-    # makes neither.  So the LPs are strata x distinct systems, not per pair
+    # has no lattice point on its mu slice: the enumerator finds it no class
+    # before any certificate LP or box.  Each (phi0, shift) of the pairs
+    # that pass makes one LP per stratum, and one box unless the certificate
+    # finds every stratum empty; a pair that repeats a system of the call
+    # makes neither.  So one call over the block makes strata x distinct
+    # systems LPs, not a number per pair
     d = _stabilized(name, k)
     calc = DomainCalculator(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
@@ -351,41 +361,37 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
     original = diskcount._box_points
     monkeypatch.setattr(diskcount, "_box_points",
                         lambda *args: boxes.append(args) or original(*args))
-    seen = {"residue": 0, "empty": 0, "boxed": 0}
-    solved, made_lps = set(), 0
-    (lattice,) = {id(calc.lattice(x)): calc.lattice(x) for x in d.generators()}.values()
+    gens = d.generators()
+    (lattice,) = {id(calc.lattice(x)): calc.lattice(x) for x in gens}.values()
     strata = len(lattice.compiled("certificate", certificate_systems))
-    for x in d.generators():
-        for y in d.generators():
-            before = len(lps), len(boxes)
-            classes = enumerate_mu1_classes(lattice, x, y, tilde)
-            made = len(lps) - before[0], len(boxes) - before[1]
-            made_lps += made[0]
-            assert classes == reference_mu1_classes(d, x, y, tilde, calc)
+    classes = enumerate_mu1_classes(lattice, gens, gens, tilde)
+    made = len(lps), len(boxes)
+    assert classes == [c for x in gens for y in gens
+                       for c in reference_mu1_classes(d, x, y, tilde, calc)]
+    seen = {"residue": 0, "empty": 0, "boxed": 0}
+    solved = {}  # (phi0, shift) -> every stratum empty
+    for x in gens:
+        for y in gens:
             phi0 = calc.connecting(x, y)
             shift = 1 - maslov_index(d, phi0, x, y)
             if shift % math.gcd(*lattice.mu):
-                assert classes == [] and made == (0, 0)
                 seen["residue"] += 1
                 continue
-            new = (tuple(phi0), shift) not in solved
-            solved.add((tuple(phi0), shift))
-            if finiteness_certificate(lattice, phi0, shift) is None:
-                assert classes == [] and made == ((strata, 0) if new else (0, 0))
-                seen["empty"] += 1
-            else:
-                assert made == ((strata, 1) if new else (0, 0))
-                seen["boxed"] += 1
+            system = (tuple(phi0), shift)
+            if system not in solved:
+                solved[system] = finiteness_certificate(lattice, phi0, shift) is None
+            seen["empty" if solved[system] else "boxed"] += 1
     assert seen == {"residue": residue, "empty": empty,
-                    "boxed": len(d.generators()) ** 2 - residue - empty}
+                    "boxed": len(gens) ** 2 - residue - empty}
     assert len(solved) == systems
-    assert made_lps == strata * systems
+    assert made == (strata * systems, sum(not none for none in solved.values()))
 
 
 def test_residue_failure_makes_no_solve_and_no_index(monkeypatch):
-    # trefoil+2, with the generators' potentials in hand: the 72 pairs whose
-    # shift fails the residue test make no connecting solve and no
-    # maslov_index call; every other pair makes one solve and no index call
+    # trefoil+2, with the generators' potentials in hand: one call over the
+    # block makes one connecting solve per pair that passes the residue
+    # test, in source-major order, none for the 72 that fail it, and no
+    # maslov_index call
     from sfkit import domains
 
     d = _stabilized("trefoil", 2)
@@ -394,24 +400,42 @@ def test_residue_failure_makes_no_solve_and_no_index(monkeypatch):
     for g in gens:
         calc.potential(g)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    lattice = calc.lattice(gens[0])
     calls = []
     connecting = DomainCalculator.connecting
     monkeypatch.setattr(DomainCalculator, "connecting",
-                        lambda *args: calls.append("connecting") or connecting(*args))
+                        lambda *args: calls.append(args[1:]) or connecting(*args))
     monkeypatch.setattr(domains, "maslov_index",
                         lambda *args: calls.append("maslov_index") or maslov_index(*args))
-    failed = 0
-    for x in gens:
-        lattice = calc.lattice(x)
-        for y in gens:
-            before = len(calls)
-            enumerate_mu1_classes(lattice, x, y, tilde)
-            if (1 - calc.potential(x) + calc.potential(y)) % math.gcd(*lattice.mu):
-                assert calls[before:] == []
-                failed += 1
-            else:
-                assert calls[before:] == ["connecting"]
-    assert failed == 72
+    enumerate_mu1_classes(lattice, gens, gens, tilde)
+    passing = [(x, y) for x in gens for y in gens
+               if not (1 - calc.potential(x) + calc.potential(y)) % math.gcd(*lattice.mu)]
+    assert calls == passing
+    assert len(gens) ** 2 - len(passing) == 72
+
+
+def test_sources_and_targets_of_different_blocks_give_no_class(monkeypatch):
+    # torus_lens has two blocks: with the generators' potentials in hand, a
+    # call from one block's generators to the other's finds no class and
+    # makes no connecting solve, since no target shares a source's key
+    for k in (0, 1):
+        d = _stabilized("torus_lens", k)
+        calc = DomainCalculator(d)
+        for g in d.generators():
+            calc.potential(g)
+        tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+        blocks = _blocks(calc, d)
+        assert len(blocks) == 2
+        lattices = [calc.lattice(block[0]) for block in blocks]
+        calls = []
+        connecting = DomainCalculator.connecting
+        monkeypatch.setattr(DomainCalculator, "connecting",
+                            lambda *args: calls.append(args[1:]) or connecting(*args))
+        for (one, other), lattice in zip((blocks, blocks[::-1]), lattices):
+            for index in INDICES:
+                assert enumerate_mu1_classes(lattice, one, other, tilde, index) == []
+        assert calls == []
+        monkeypatch.undo()
 
 
 def test_residue_test_answers_before_admissibility():
@@ -439,7 +463,7 @@ def test_residue_test_answers_before_admissibility():
                 if shift % 2 == 0:
                     continue
                 odd += 1
-                assert enumerate_mu1_classes(calc.lattice(x), x, y, tilde, index) == []
+                assert enumerate_mu1_classes(calc.lattice(x), [x], [y], tilde, index) == []
                 if shift < 0:
                     assert finiteness_certificate(calc.lattice(x), phi0, shift) is None
                     continue
@@ -449,13 +473,12 @@ def test_residue_test_answers_before_admissibility():
                 with pytest.raises(NotAdmissibleError):
                     reference_mu1_classes(d, x, y, tilde, calc, index)
     assert (odd, raised) == (48, 28)
-    # an even shift reaches the certificate, which raises; nothing is stored
-    # for the system, so a repeat raises again
+    # an even shift reaches the certificate, which raises; nothing outlives
+    # the call, so a repeat raises again
     lattice = calc.lattice(gens[0])
     for _ in range(2):
         with pytest.raises(NotAdmissibleError):
-            enumerate_mu1_classes(lattice, gens[0], gens[0], tilde, 0)
-    assert _stored(lattice) == {}
+            enumerate_mu1_classes(lattice, gens[:1], gens[:1], tilde, 0)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "grid2", "special_hs", "sphere_split"])
@@ -488,7 +511,7 @@ def test_constant_index_enumerates_whole_box_or_nothing():
             mu0 = maslov_x4(d, phi0, points) // 4
             tilde = alg.diagram_algebra(d, variant=alg.TILDE)
             for index in range(-2, 3):
-                classes = enumerate_mu1_classes(calc.lattice(x), x, y, tilde, index)
+                classes = enumerate_mu1_classes(calc.lattice(x), [x], [y], tilde, index)
                 if index != mu0:
                     assert classes == []
                 assert classes == reference_mu1_classes(d, x, y, tilde, calc, index)
@@ -506,7 +529,7 @@ class _RepeatedBasis(DomainCalculator):
 
 
 def test_unbounded_box_raises():
-    # the error is raised again on a repeat: nothing is stored for the system
+    # the error is raised again on a repeat: nothing outlives the call
     d = corpus.load_diagram("trefoil")
     calc = _RepeatedBasis(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
@@ -514,16 +537,15 @@ def test_unbounded_box_raises():
     lattice = calc.lattice(gens[1])
     for _ in range(2):
         with pytest.raises(RuntimeError, match="certificate box is unbounded"):
-            enumerate_mu1_classes(lattice, gens[1], gens[0], tilde)
-        assert _stored(lattice) == {}
+            enumerate_mu1_classes(lattice, [gens[1]], [gens[0]], tilde)
     with pytest.raises(RuntimeError, match="certificate box is unbounded"):
         reference_mu1_classes(d, gens[1], gens[0], tilde, calc)
 
 
 def test_fresh_calculator_solves_its_systems_again(monkeypatch):
-    # the candidates live with the calculator's lattices, not in the module:
-    # a second pass on one calculator makes no LP, and a new calculator for
-    # the same diagram makes every LP of the first pass again
+    # the records live in the call, not with the lattice or the module: a
+    # second call on one calculator makes the same LPs as the first, and so
+    # does a call on a new calculator for the same diagram
     d = _stabilized("trefoil", 1)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
@@ -532,17 +554,16 @@ def test_fresh_calculator_solves_its_systems_again(monkeypatch):
     monkeypatch.setattr(linprog, "linear_range",
                         lambda *args: lps.append(args) or spied(*args))
 
-    def one_pass(calc):
+    def one_call(calc):
         before = len(lps)
-        classes = [enumerate_mu1_classes(calc.lattice(x), x, y, tilde)
-                   for x in gens for y in gens]
+        classes = enumerate_mu1_classes(calc.lattice(gens[0]), gens, gens, tilde)
         return classes, len(lps) - before
 
     calc = DomainCalculator(d)
-    classes, made = one_pass(calc)
-    assert made == 10 and sum(map(len, classes)) > 0
-    assert one_pass(calc) == (classes, 0)
-    assert one_pass(DomainCalculator(d)) == (classes, made)
+    classes, made = one_call(calc)
+    assert made == 10 and len(classes) > 0
+    assert one_call(calc) == (classes, made)
+    assert one_call(DomainCalculator(d)) == (classes, made)
 
 
 # -- differential test of the per-system class records -----------------------
@@ -579,31 +600,32 @@ def per_pair_classes(lattice, x, y, tilde, index=1):
 
 
 def _assert_records_match_per_pair(d):
-    """Every ordered pair at every index on one calculator, so that one
-    lattice serves all indices; returns the number of classes and of pairs
+    """One call per block and index against the per-pair bodies,
+    concatenated source-major; returns the number of classes and of pairs
     that shared a (phi0, shift) with an earlier pair."""
     calc = DomainCalculator(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     systems, found, shared = {}, 0, 0
-    for x in d.generators():
-        lattice = calc.lattice(x)
-        for y in d.generators():
-            for index in INDICES:
-                ref = per_pair_classes(lattice, x, y, tilde, index)
-                # DiskClass equality covers every field, list equality the order
-                assert enumerate_mu1_classes(lattice, x, y, tilde, index) == ref
-                found += len(ref)
-                if calc.key(x) != calc.key(y):
-                    continue
-                phi0 = calc.connecting(x, y)
-                shift = index - (calc.potential(x) - calc.potential(y))
-                seen = (corner_target(d, x, y), _moved_coordinates(x, y))
-                assert seen[0] == [sum(a * b for a, b in zip(row, phi0)) for row in calc.matrix]
-                assert seen[1] == sum(1 for t in seen[0] if t == 1)
-                if (tuple(phi0), shift) in systems:
-                    assert systems[(tuple(phi0), shift)] == seen
-                    shared += 1
-                systems.setdefault((tuple(phi0), shift), seen)
+    for block in _blocks(calc, d):
+        lattice = calc.lattice(block[0])
+        for index in INDICES:
+            ref = [c for x in block for y in block
+                   for c in per_pair_classes(lattice, x, y, tilde, index)]
+            # DiskClass equality covers every field, list equality the order
+            assert enumerate_mu1_classes(lattice, block, block, tilde, index) == ref
+            found += len(ref)
+            for x in block:
+                for y in block:
+                    phi0 = calc.connecting(x, y)
+                    shift = index - (calc.potential(x) - calc.potential(y))
+                    seen = (corner_target(d, x, y), _moved_coordinates(x, y))
+                    assert seen[0] == [sum(a * b for a, b in zip(row, phi0))
+                                       for row in calc.matrix]
+                    assert seen[1] == sum(1 for t in seen[0] if t == 1)
+                    if (tuple(phi0), shift) in systems:
+                        assert systems[(tuple(phi0), shift)] == seen
+                        shared += 1
+                    systems.setdefault((tuple(phi0), shift), seen)
     return found, shared
 
 
@@ -641,7 +663,7 @@ def test_one_check_per_system_on_ladder(monkeypatch):
 
 
 def test_records_are_kept_per_index_and_algebra():
-    # a record answers only its own (phi0, shift, index) and survival
+    # a record answers only its own call's (phi0, shift, index) and survival
     # algebra.  A potential off by one at x poses the trefoil's bigon pair at
     # index 2 with the shift of index 1, so another mu(phi0): the index-1
     # record must not answer it.  One lattice serves two algebras that kill
@@ -652,10 +674,31 @@ def test_records_are_kept_per_index_and_algebra():
     lattice = calc.lattice(x)
     killing = lambda *kill: alg.AlgebraSpec(names=("l1", "l2"), kill=kill)
     free, kill_l2 = killing(), killing((0, 1))
-    assert [c.n_z for c in enumerate_mu1_classes(lattice, x, y, free)] == [(0, 1)]
-    assert enumerate_mu1_classes(lattice, x, y, kill_l2) == []
-    assert len(enumerate_mu1_classes(lattice, x, y, free)) == 1
+    assert [c.n_z for c in enumerate_mu1_classes(lattice, [x], [y], free)] == [(0, 1)]
+    assert enumerate_mu1_classes(lattice, [x], [y], kill_l2) == []
+    assert len(enumerate_mu1_classes(lattice, [x], [y], free)) == 1
     potential = calc.potential
     calc.potential = lambda g: potential(g) + (g == x)
-    assert enumerate_mu1_classes(lattice, x, y, free, 2) == []
+    assert enumerate_mu1_classes(lattice, [x], [y], free, 2) == []
     assert per_pair_classes(lattice, x, y, free, 2) == []
+
+
+def test_records_are_kept_per_shift_within_a_call():
+    # on trefoil+1 the pairs (x0, x1) and (x2, x3) share phi0 and have
+    # classes.  With the potential of x2 raised by g, the residue test still
+    # passes, but (x2, x3) poses that phi0 with another shift, whose slice
+    # holds no class of index one: the call must not answer it with the
+    # records of (x0, x1)
+    d = _stabilized("trefoil", 1)
+    calc = DomainCalculator(d)
+    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    x0, x1, x2, x3 = d.generators()[:4]
+    lattice = calc.lattice(x0)
+    assert calc.connecting(x0, x1) == calc.connecting(x2, x3)
+    assert enumerate_mu1_classes(lattice, [x2], [x3], tilde) != []
+    g, potential = lattice.mu_zero[0], calc.potential
+    calc.potential = lambda gen: potential(gen) + g * (gen == x2)
+    classes = enumerate_mu1_classes(lattice, [x0, x2], [x1, x3], tilde)
+    assert classes == [c for x in (x0, x2) for y in (x1, x3)
+                       for c in per_pair_classes(lattice, x, y, tilde)]
+    assert classes and all(c.source == x0 for c in classes)

@@ -442,7 +442,7 @@ def test_one_calculator_per_diagram(name, k, monkeypatch):
         except NotAdmissibleError:
             pass
     try:
-        niceness_report(data.calc, data.tilde)
+        niceness_report(data)
     except NotAdmissibleError:
         pass
     gens = d.generators()
