@@ -22,9 +22,9 @@ def main():
 
     data = DiagramData.build(dhat)
     gens = dhat.generators()
-    for x in gens:
+    for i, x in enumerate(gens):
         for y in gens:
-            for c in enumerate_mu1_classes(data.calc.lattice(x), [x], [y], data.tilde):
+            for c in enumerate_mu1_classes(data.lattice_of(i), [x], [y], data.tilde):
                 print(f"  {x.label()} -> {y.label()}: {c.classification:16s}"
                       f" D={list(c.domain)} n_z={list(c.n_z)}")
 

@@ -19,6 +19,8 @@ HAT = "HAT"
 B_TAU = "B_TAU"
 CUSTOM = "CUSTOM"
 
+COMPLETION_CAP = 500  # rules added before completion gives up
+
 
 class CompletionError(RuntimeError):
     def __init__(self, code, message):
@@ -115,8 +117,7 @@ def leading(p):
 class AlgebraSpec:
     def __init__(self, names: tuple, variant: str = CUSTOM, kill: tuple = (),
                  relations: tuple = (), kill_predicate=None, chi_classes: tuple = None,
-                 chi_group=None, gr_weights: tuple = None, gr_modulus: int = 0,
-                 completion_cap: int = 500):
+                 chi_group=None, gr_weights: tuple = None, gr_modulus: int = 0):
         self.names = names
         self.variant = variant
         self.kill = kill  # monomial generators of the monomial ideal
@@ -126,7 +127,6 @@ class AlgebraSpec:
         self.chi_group = chi_group  # snf.AbelianGroup
         self.gr_weights = gr_weights  # per-variable grading weight (or None entries)
         self.gr_modulus = gr_modulus
-        self.completion_cap = completion_cap
 
     # -- setup ----------------------------------------------------------
 
@@ -185,7 +185,7 @@ class AlgebraSpec:
                         add_rule(s)
                         changed = True
                         steps += 1
-                        if steps > self.completion_cap:
+                        if steps > COMPLETION_CAP:
                             raise CompletionError(
                                 "COMPLETION_CAP", f"no confluence after {steps} rules"
                             )
@@ -333,8 +333,8 @@ class AlgebraSpec:
         return out
 
 
-def default_names(kappa, prefix="λ"):
-    return tuple(f"{prefix}{i + 1}" for i in range(kappa))
+def default_names(kappa):
+    return tuple(f"λ{i + 1}" for i in range(kappa))
 
 
 def component_monomial(comp_marks, kappa):

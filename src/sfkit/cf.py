@@ -6,7 +6,9 @@ the build but taint the complex with their weight monomial, so downstream
 homology refuses coefficient rings in which that weight survives.  The
 classes of a Spin^c block come from one enumeration over its generators,
 summed per (target, source), and each distinct entry polynomial is put in
-normal form once.
+normal form once.  ``DiagramData`` owns the per-diagram data, the block
+lattices included; nothing in it refers back to its owner, so a diagram's
+data is freed by reference counting when its last user returns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .admissibility import NotAdmissibleError, check_s_admissible
 from .complexes import FilteredComplex, TaintRecord
 from .diagram import HeegaardDiagram
 from .diskcount import enumerate_mu1_classes
-from .domains import DomainCalculator
+from .domains import DomainCalculator, PeriodicLattice, maslov_of_periodic
 from .homology1 import h1_presentation
 from .spinc import grading_data, spinc_partition
 from .testrings import AlgebraTarget
@@ -30,10 +32,13 @@ class DiagramData:
     ``calc`` holds the corner system and the periodic basis with its n_z
     rows; ``homology`` is H1 of the sutured manifold; ``partition`` groups the
     generators into Spin^c blocks.  Per block, ``lattices`` holds the periodic
-    lattice with that block's mu row and ``gradings`` its ``GradingData``.  A
-    diagram without generators has no blocks and one lattice, whose mu row is
-    the Euler measure alone.  ``tilde``, the algebra whose normal form decides
-    which classes survive, is built on first use and shared by every block.
+    lattice with that block's mu row and ``gradings`` its ``GradingData``.
+    The row is computed once per block, at its first generator, and blocks
+    with equal rows share one lattice, so its compiled systems and its
+    s-admissibility report.  A diagram without generators has no blocks and
+    one lattice, whose mu row is the Euler measure alone.  ``tilde``, the
+    algebra whose normal form decides which classes survive, is built on
+    first use and shared by every block.
     """
 
     def __init__(self, diagram: HeegaardDiagram, calc: DomainCalculator, homology,
@@ -50,15 +55,23 @@ class DiagramData:
         calc = DomainCalculator(d)
         hom = h1_presentation(d)
         part = spinc_partition(calc, hom)
-        lattices = [
-            calc.lattice(part.generators[block[0]]) for block in part.blocks
-        ] or [calc.lattice(None)]
+        by_row = {}  # mu row -> its lattice
+        lattices = []
+        for at in [part.generators[block[0]] for block in part.blocks] or [None]:
+            mu = [maslov_of_periodic(d, P, at) for P in calc.periodic_basis]
+            if tuple(mu) not in by_row:
+                by_row[tuple(mu)] = PeriodicLattice(calc=calc, mu=mu, at=at)
+            lattices.append(by_row[tuple(mu)])
         gradings = [
             grading_data(part, bi, lattices[bi])
             for bi in range(len(part.blocks))
         ]
         return DiagramData(diagram=d, calc=calc, homology=hom, partition=part,
                            lattices=lattices, gradings=gradings)
+
+    def lattice_of(self, i: int) -> PeriodicLattice:
+        """The periodic lattice of the Spin^c block of generator ``i``."""
+        return self.lattices[self.partition.classes[i][0]]
 
     @cached_property
     def tilde(self) -> alg.AlgebraSpec:

@@ -231,9 +231,10 @@ def cmd_classes(args):
     d = load_diagram(args.diagram)
     data = DiagramData.build(d)
     gens = d.generators()
-    x = gens[_index_arg("--from", args.from_gen, len(gens), "generators")]
+    i = _index_arg("--from", args.from_gen, len(gens), "generators")
+    x = gens[i]
     y = gens[_index_arg("--to", args.to_gen, len(gens), "generators")]
-    classes = enumerate_mu1_classes(data.calc.lattice(x), [x], [y], data.tilde)
+    classes = enumerate_mu1_classes(data.lattice_of(i), [x], [y], data.tilde)
     payload = [
         {
             "domain": list(c.domain),

@@ -249,9 +249,8 @@ class HomologyResult:
         return out
 
 
-def homology(tc: FilteredComplex, allow_taint=False) -> HomologyResult:
-    if not allow_taint:
-        tc.require_untainted()
+def homology(tc: FilteredComplex) -> HomologyResult:
+    tc.require_untainted()
     tc.require_d_squared_zero()
     ring = tc.ring
     if ring.kind not in ("field", "pid"):

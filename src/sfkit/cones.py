@@ -109,13 +109,13 @@ def monomial_fiber(spec: alg.AlgebraSpec, chi_value, gr_value=None):
     ]
 
 
-def piecewise_homology(c: FilteredComplex, piece_keys, p=2, allow_taint=False):
+def piecewise_homology(c: FilteredComplex, piece_keys, p=2):
     """Dimensions of homology in the given (coset, grading) pieces over F_p.
 
     The complex is viewed as an F_p vector space with basis (generator,
     monomial); each requested piece must have a finite monomial fiber.
     """
-    if not allow_taint and c.taints:
+    if c.taints:
         raise ComplexError("TAINTED", "unsupported classes present")
     spec = c.algebra
     group = spec.chi_group
@@ -293,7 +293,7 @@ def les_check(f: ChainMap, hom) -> dict:
 
 
 def is_acyclic(tc: FilteredComplex) -> bool:
-    res = homology(tc, allow_taint=False)
+    res = homology(tc)
     return res.total_rank() == 0 and not res.torsion_summands()
 
 

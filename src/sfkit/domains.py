@@ -6,8 +6,10 @@ crossing; a vector D is the domain of a class connecting x to y exactly when
 c_p(D) = [p in x] - [p in y] for every crossing p (``is_domain``, which, like
 ``maslov_index``, reads the diagram alone).  The kernel of the corner matrix
 is the lattice of periodic domains, factored once per diagram by
-``DomainCalculator`` and viewed per Spin^c class as a ``PeriodicLattice``;
-the calculator's per-generator Maslov potentials give each pair's index.
+``DomainCalculator`` and viewed per Spin^c class as a ``PeriodicLattice``,
+which ``cf.DiagramData`` builds and owns (the calculator holds none, so a
+diagram's objects form a tree that reference counting frees); the
+calculator's per-generator Maslov potentials give each pair's index.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ def is_domain(d: HeegaardDiagram, D, x: Generator, y: Generator) -> bool:
 
 class DomainCalculator:
     """Per-diagram cache of the corner system, factored once, of the
-    periodic lattice (its basis and the n_z row of each basis domain), of
-    one ``PeriodicLattice`` per mu row and of each generator's split and record.
+    periodic lattice (its basis and the n_z row of each basis domain) and
+    of each generator's split and record.
 
     The corner target of (x, y) is e(x) - e(y), e(g) being the indicator of
     g's points among the crossings.  With U A V = D factored once, each
@@ -81,7 +83,7 @@ class DomainCalculator:
         self.periodic_n_z = [
             list(marked_multiplicities(d, P)) for P in self.periodic_basis
         ]
-        self._splits, self._lattices, self._records = {}, {}, {}
+        self._splits, self._records = {}, {}
         self._references = {}  # key -> the generator its records are taken to
 
     def _split(self, g: Generator) -> tuple:
@@ -131,20 +133,6 @@ class DomainCalculator:
         """n_z of the connecting domain from x to y (equal keys), from the
         generators' records: connecting domains subtract."""
         return tuple(a - b for a, b in zip(self._record(x)[1], self._record(y)[1]))
-
-    def lattice(self, at: Generator | None) -> "PeriodicLattice":
-        """The periodic lattice with the mu row of the Spin^c class of ``at``
-        (of the Euler measure alone when ``at`` is None).  Generators with
-        one mu row share one lattice, and so its compiled systems; its
-        ``at`` is the first of them asked for.  mu(P) is linear in P, so
-        equal rows give equal mu on the whole lattice, and whatever reads
-        ``at`` (the admissibility witnesses' mu and their re-check) gives
-        the same answer for any generator whose row matches."""
-        mu = [maslov_of_periodic(self.diagram, P, at) for P in self.periodic_basis]
-        key = (at is None, tuple(mu))
-        if key not in self._lattices:
-            self._lattices[key] = PeriodicLattice(calc=self, mu=mu, at=at)
-        return self._lattices[key]
 
 
 # Measures are quarter-integers: 4 e(D) = sum_r D_r (4 chi_r - corners_r) and
@@ -210,10 +198,10 @@ class PeriodicLattice:
     calculator.  ``mu`` holds the Maslov index mu(P) = e(P) + 2 n_x(P) of each
     basis domain; it is the same for every generator x of the class, so the
     row is computed once, at the generator ``at``, and mu is linear in t.
-    Classes with equal rows share one lattice (``DomainCalculator.lattice``),
-    so ``at`` is any generator whose row matches: by linearity mu agrees
-    with that row on every lattice element, whichever generator it is
-    computed at.
+    Blocks with equal rows share one lattice (``cf.DiagramData.build``), and
+    ``at`` is the first generator of the first block with that row: by
+    linearity mu agrees with that row on every lattice element, whichever
+    generator it is computed at.
     What the generator pairs of the class share (see ``compiled``), its
     systems and its s-admissibility report, is kept with the lattice and
     freed with it.

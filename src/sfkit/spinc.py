@@ -13,7 +13,7 @@ Grading weights d_i of the suture variables are pinned by the requirement
 that mu(P) + sum_i d_i n_{z_i}(P) vanish mod d(s) for every periodic domain P
 (the filtered-complex axiom "the differential drops the grading by one",
 applied to the lattice).  When the lattice leaves some d_i underdetermined,
-the reported value is a canonical solution and is flagged as conventional.
+the reported value is a canonical solution.
 The partition reads the diagram's ``DomainCalculator`` and the gradings the
 block's ``PeriodicLattice``, so neither solves a corner system again; the
 Maslov part of a grading is the difference of the calculator's potentials.
@@ -77,10 +77,9 @@ def spinc_partition(calc: DomainCalculator,
 
 
 class GradingData:
-    def __init__(self, d_of_s: int, weights: list, pinned: list, gr: dict):
+    def __init__(self, d_of_s: int, weights: list, gr: dict):
         self.d_of_s = d_of_s
         self.weights = weights  # kappa entries: int or None (UNDEFINED)
-        self.pinned = pinned  # per weight: True if forced by the lattice
         self.gr = gr  # generator index -> relative grading (int, mod d_of_s), or None
 
     def weight_of_monomial(self, exponents):
@@ -101,14 +100,13 @@ def grading_data(partition: SpincPartition, block_index: int,
     d_of_s = gcd(*(sum(c * m for c, m in zip(t, lattice.mu))
                    for t in _kernel_sublattice(lattice.n_z)))
 
-    weights, pinned = _solve_weights(lattice.n_z, lattice.mu, d.num_marks, d_of_s)
+    weights = _solve_weights(lattice.n_z, lattice.mu, d.num_marks, d_of_s)
 
     if weights is None:
         return GradingData(d_of_s=d_of_s, weights=[None] * d.num_marks,
-                           pinned=[False] * d.num_marks,
                            gr={i: None for i in block})
     base, calc = block[0], lattice.calc
-    gd = GradingData(d_of_s=d_of_s, weights=weights, pinned=pinned, gr={})
+    gd = GradingData(d_of_s=d_of_s, weights=weights, gr={})
     for i in block:
         w = gd.weight_of_monomial(calc.marks(gens[i], gens[base]))
         gd.gr[i] = gd._reduce(calc.potential(gens[i]) - calc.potential(gens[base]) + w)
@@ -127,28 +125,26 @@ def _kernel_sublattice(nz_rows):
 def _solve_weights(nz_rows, mu_vals, kappa, d_of_s):
     """Solve n_z(P_b) . d = -mu(P_b)  (mod d_of_s) for the weight vector d.
 
-    Returns (weights, pinned) or (None, None) when the system has no
-    solution over the integers mod d_of_s.
+    Returns the weights, or None when the system has no solution over the
+    integers mod d_of_s.
     """
     if not nz_rows:
-        return [0] * kappa, [False] * kappa
+        return [0] * kappa
     rows = []
     rhs = []
     for nz, mu in zip(nz_rows, mu_vals):
         rows.append(list(nz))
         rhs.append(-mu)
-    ncols = kappa
     if d_of_s:
         # allow adding multiples of d_of_s on each equation
         for r in range(len(rows)):
             extra = [0] * len(rows)
             extra[r] = d_of_s
             rows[r] = rows[r] + extra
-        ncols = kappa + len(rhs)
     factored = snf.smith_normal_form(rows)
     sol = snf.solve_integer(factored, rhs)
     if sol is None:
-        return None, None
+        return None
     weights = sol[:kappa]
     kernel = snf.kernel_basis(factored)
     kernel_d = [vec[:kappa] for vec in kernel]
@@ -163,16 +159,7 @@ def _solve_weights(nz_rows, mu_vals, kappa, d_of_s):
             weights = [w - q * v for w, v in zip(weights, vec)]
     if d_of_s:
         weights = [w % d_of_s for w in weights]
-
-    pinned = [True] * kappa
-    for vec in kernel_d:
-        for k in range(kappa):
-            if d_of_s:
-                if vec[k] % d_of_s != 0:
-                    pinned[k] = False
-            elif vec[k] != 0:
-                pinned[k] = False
-    return weights, pinned
+    return weights
 
 
 def _reverse_echelon(vectors):

@@ -335,16 +335,16 @@ def test_a8_admissibility():
     # certificate soundness: bound+1 sweeps reproduce the enumerations
     for name in ["trefoil", "genus2_pair", "grid2", "special_hs"]:
         dd = corpus.load_diagram(name)
-        calc = DomainCalculator(dd)
+        data = DiagramData.build(dd)
         tildd = alg.diagram_algebra(dd, variant=alg.TILDE)
         A = corner_matrix(dd)
         gens = dd.generators()
-        for x in gens:
+        for i, x in enumerate(gens):
             for y in gens:
-                phi0, bound = calc.connecting(x, y), 1
+                phi0, bound = data.calc.connecting(x, y), 1
                 if phi0 is not None:
                     shift = 1 - maslov_index(dd, phi0, x, y)
-                    bound += finiteness_certificate(calc.lattice(x), phi0,
+                    bound += finiteness_certificate(data.lattice_of(i), phi0,
                                                     shift) or 0
                 tgt = corner_target(dd, x, y)
                 oracle = []
@@ -357,7 +357,7 @@ def test_a8_admissibility():
                         continue
                     oracle.append(vec)
                 listed = [tuple(cl.domain) for cl in
-                          enumerate_mu1_classes(calc.lattice(x), [x], [y], tildd)]
+                          enumerate_mu1_classes(data.lattice_of(i), [x], [y], tildd)]
                 assert sorted(oracle) == sorted(listed), (name, x, y)
 
 

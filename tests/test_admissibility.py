@@ -25,7 +25,6 @@ from sfkit.admissibility import (
 from sfkit.cf import DiagramData, build_cf
 from sfkit.diskcount import enumerate_mu1_classes
 from sfkit.domains import (
-    DomainCalculator,
     corner_matrix,
     corner_target,
     PeriodicLattice,
@@ -165,18 +164,19 @@ def test_certificate_sound_against_brute_force(name):
     # sweeping coefficients up to bound+1 finds nothing outside the
     # enumerated list
     d = corpus.load_diagram(name)
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
+    calc = data.calc
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
-    for x in gens:
+    for i, x in enumerate(gens):
         for y in gens:
             phi0, bound = calc.connecting(x, y), 1
             if phi0 is not None:
                 shift = 1 - maslov_index(d, phi0, x, y)
-                bound += finiteness_certificate(calc.lattice(x), phi0, shift) or 0
+                bound += finiteness_certificate(data.lattice_of(i), phi0, shift) or 0
             oracle = brute_force_positive_classes(d, x, y, 1, bound)
             listed = sorted(
-                tuple(c.domain) for c in enumerate_mu1_classes(calc.lattice(x), [x], [y], tilde)
+                tuple(c.domain) for c in enumerate_mu1_classes(data.lattice_of(i), [x], [y], tilde)
             )
             assert oracle == listed
 
@@ -192,12 +192,12 @@ def test_certificate_rejects_non_admissible():
 
 def test_x_equals_y_j0_certificate():
     d = corpus.load_diagram("trefoil")
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
     gens = d.generators()
-    phi0 = calc.connecting(gens[0], gens[0])
+    phi0 = data.calc.connecting(gens[0], gens[0])
     assert phi0 is not None
     shift = -maslov_index(d, phi0, gens[0], gens[0])
-    bound = finiteness_certificate(calc.lattice(gens[0]), phi0, shift)
+    bound = finiteness_certificate(data.lattice_of(0), phi0, shift)
     assert bound is not None
     # only the zero class at index 0
     oracle = brute_force_positive_classes(d, gens[0], gens[0], 0, bound + 1)
@@ -208,11 +208,11 @@ def test_certificate_without_slice_off_a_constant_mu():
     # genus2_pair's mu row is zero, so mu(P) = shift has no solution, not
     # even a rational one, unless shift = 0: the certificate gives no bound
     d = corpus.load_diagram("genus2_pair")
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
     x, y = d.generators()
-    lattice = calc.lattice(x)
+    lattice = data.lattice_of(0)
     assert lattice.mu == [0]
-    phi0 = calc.connecting(x, y)
+    phi0 = data.calc.connecting(x, y)
     assert finiteness_certificate(lattice, phi0, 0) == 1
     assert finiteness_certificate(lattice, phi0, 1) is None
     assert finiteness_certificate(lattice, phi0, -2) is None

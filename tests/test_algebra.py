@@ -220,6 +220,7 @@ def test_normal_form_confluent_under_random_orders(terms, rng):
 
 def test_completion_nonunit_escape():
     # a relation with leading coefficient 2 must be rejected, not mangled
-    with pytest.raises(alg.CompletionError):
+    with pytest.raises(alg.CompletionError) as err:
         spec = alg.AlgebraSpec(names=("x",), relations=(( ((2,), 2), ((0,), -1)),))
         spec.rules
+    assert err.value.code == "COMPLETION_NONUNIT"

@@ -30,10 +30,12 @@ from sfkit.diskcount import (
 )
 from sfkit.domains import (
     DomainCalculator,
+    PeriodicLattice,
     corner_target,
     marked_multiplicities,
     maslov_index,
     maslov_measures,
+    maslov_of_periodic,
     maslov_x4,
 )
 from sfkit.stabilize import stabilize_diagram
@@ -41,13 +43,13 @@ from sfkit.stabilize import stabilize_diagram
 
 def classes_table(name):
     d = corpus.load_diagram(name)
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     out = {}
     for i, x in enumerate(gens):
         for j, y in enumerate(gens):
-            cls = enumerate_mu1_classes(calc.lattice(x), [x], [y], tilde)
+            cls = enumerate_mu1_classes(data.lattice_of(i), [x], [y], tilde)
             if cls:
                 out[(i, j)] = [(tuple(c.domain), c.classification, c.n_z) for c in cls]
     return out
@@ -186,9 +188,10 @@ def reference_certificate_bound(d, x, y, j, lattice, phi0):
     return best
 
 
-def reference_mu1_classes(d, x, y, tilde, calc, index=1):
+def reference_mu1_classes(d, x, y, tilde, lattice, index=1):
+    calc = lattice.calc
     phi0 = calc.connecting(x, y)
-    bound = reference_certificate_bound(d, x, y, index, calc.lattice(x), phi0)
+    bound = reference_certificate_bound(d, x, y, index, lattice, phi0)
     if bound is None:
         return []
     basis = calc.periodic_basis
@@ -233,23 +236,28 @@ def reference_mu1_classes(d, x, y, tilde, calc, index=1):
     return out
 
 
-def _blocks(calc, d):
-    """The generators of d grouped by ``calc.key``, in index order: the
-    Spin^c blocks."""
-    by_key = {}
-    for g in d.generators():
-        by_key.setdefault(calc.key(g), []).append(g)
-    return list(by_key.values())
+def _blocks(data):
+    """The generators of each Spin^c block, in index order, with the block's
+    periodic lattice."""
+    gens = data.partition.generators
+    return [([gens[i] for i in block], lattice)
+            for block, lattice in zip(data.partition.blocks, data.lattices)]
 
 
-def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None, tally=None):
+def _lattice(data, x):
+    """The periodic lattice of generator x's Spin^c block."""
+    return data.lattice_of(data.partition.generators.index(x))
+
+
+def _assert_matches_reference(d, indices=(1,), tilde=None, data=None, tally=None):
     """One call per Spin^c block and index, against the per-pair reference
     concatenated source-major.  The call solves each (phi0, shift) of its
     pairs that pass the residue test exactly once, and nothing for a pair
     that fails it, so a different shift never reads another system's
     records.  ``tally`` counts the systems new to the calculator and the
     pairs whose system an earlier pair (of any call) had."""
-    calc = calc or DomainCalculator(d)
+    data = data or DiagramData.build(d)
+    calc = data.calc
     tilde = tilde or alg.diagram_algebra(d, variant=alg.TILDE)
     tally = {"new": 0, "reused": 0} if tally is None else tally
     solved, seen, found = [], set(), 0
@@ -260,12 +268,11 @@ def _assert_matches_reference(d, indices=(1,), tilde=None, calc=None, tally=None
         return certificate(lattice, phi0, shift)
 
     with mock.patch.object(diskcount, "finiteness_certificate", spy):
-        for block in _blocks(calc, d):
-            lattice = calc.lattice(block[0])
+        for block, lattice in _blocks(data):
             g = math.gcd(*lattice.mu)
             for index in indices:
                 ref = [c for x in block for y in block
-                       for c in reference_mu1_classes(d, x, y, tilde, calc, index)]
+                       for c in reference_mu1_classes(d, x, y, tilde, lattice, index)]
                 solved.clear()
                 # DiskClass equality covers domain, n_z, classification,
                 # count, mu and both generators; list equality the order
@@ -327,11 +334,11 @@ def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(linprog, fn, spy)
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
     tally = {"new": 0, "reused": 0}
-    assert _assert_matches_reference(d, INDICES, calc=calc, tally=tally) > 0
+    assert _assert_matches_reference(d, INDICES, data=data, tally=tally) > 0
     assert tally["reused"] > 0 and tally["new"] > 0
-    (lattice,) = {id(calc.lattice(x)): calc.lattice(x) for x in d.generators()}.values()
+    (lattice,) = {data.lattice_of(i) for i in range(len(d.generators()))}
     compiled = [s.recording for s in lattice.compiled("certificate", certificate_systems)]
     compiled.append(lattice.compiled("box", _box_system).recording)
     assert {id(r) for r in used} == {id(r) for r in compiled}
@@ -352,7 +359,8 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
     # makes neither.  So one call over the block makes strata x distinct
     # systems LPs, not a number per pair
     d = _stabilized(name, k)
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
+    calc = data.calc
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     lps, boxes = [], []
     spied = linprog.linear_range
@@ -362,12 +370,12 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
     monkeypatch.setattr(diskcount, "_box_points",
                         lambda *args: boxes.append(args) or original(*args))
     gens = d.generators()
-    (lattice,) = {id(calc.lattice(x)): calc.lattice(x) for x in gens}.values()
+    (lattice,) = {data.lattice_of(i) for i in range(len(gens))}
     strata = len(lattice.compiled("certificate", certificate_systems))
     classes = enumerate_mu1_classes(lattice, gens, gens, tilde)
     made = len(lps), len(boxes)
     assert classes == [c for x in gens for y in gens
-                       for c in reference_mu1_classes(d, x, y, tilde, calc)]
+                       for c in reference_mu1_classes(d, x, y, tilde, lattice)]
     seen = {"residue": 0, "empty": 0, "boxed": 0}
     solved = {}  # (phi0, shift) -> every stratum empty
     for x in gens:
@@ -395,12 +403,13 @@ def test_residue_failure_makes_no_solve_and_no_index(monkeypatch):
     from sfkit import domains
 
     d = _stabilized("trefoil", 2)
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
+    calc = data.calc
     gens = d.generators()
     for g in gens:
         calc.potential(g)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
-    lattice = calc.lattice(gens[0])
+    lattice = data.lattice_of(0)
     calls = []
     connecting = DomainCalculator.connecting
     monkeypatch.setattr(DomainCalculator, "connecting",
@@ -420,13 +429,12 @@ def test_sources_and_targets_of_different_blocks_give_no_class(monkeypatch):
     # makes no connecting solve, since no target shares a source's key
     for k in (0, 1):
         d = _stabilized("torus_lens", k)
-        calc = DomainCalculator(d)
+        data = DiagramData.build(d)
         for g in d.generators():
-            calc.potential(g)
+            data.calc.potential(g)
         tilde = alg.diagram_algebra(d, variant=alg.TILDE)
-        blocks = _blocks(calc, d)
+        blocks, lattices = zip(*_blocks(data))
         assert len(blocks) == 2
-        lattices = [calc.lattice(block[0]) for block in blocks]
         calls = []
         connecting = DomainCalculator.connecting
         monkeypatch.setattr(DomainCalculator, "connecting",
@@ -446,14 +454,15 @@ def test_residue_test_answers_before_admissibility():
     # the enumerator says so, while the certificate and the reference, which
     # skip the residue test, raise NotAdmissibleError when the shift is
     # positive
-    data = corpus.load_diagram("special_hs").to_dict()
-    data["regions"][0]["genus"] += 1
-    d = HeegaardDiagram.from_dict(data)
-    calc = DomainCalculator(d)
+    raw = corpus.load_diagram("special_hs").to_dict()
+    raw["regions"][0]["genus"] += 1
+    d = HeegaardDiagram.from_dict(raw)
+    data = DiagramData.build(d)
+    calc = data.calc
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
-    assert calc.lattice(gens[0]).mu == [2, 0, 0, 0, 2]
-    assert not check_s_admissible(calc.lattice(gens[0])).admissible
+    assert data.lattice_of(0).mu == [2, 0, 0, 0, 2]
+    assert not check_s_admissible(data.lattice_of(0)).admissible
     odd, raised = 0, 0
     for x in gens:
         for y in gens:
@@ -463,19 +472,20 @@ def test_residue_test_answers_before_admissibility():
                 if shift % 2 == 0:
                     continue
                 odd += 1
-                assert enumerate_mu1_classes(calc.lattice(x), [x], [y], tilde, index) == []
+                lattice = _lattice(data, x)
+                assert enumerate_mu1_classes(lattice, [x], [y], tilde, index) == []
                 if shift < 0:
-                    assert finiteness_certificate(calc.lattice(x), phi0, shift) is None
+                    assert finiteness_certificate(lattice, phi0, shift) is None
                     continue
                 raised += 1
                 with pytest.raises(NotAdmissibleError):
-                    finiteness_certificate(calc.lattice(x), phi0, shift)
+                    finiteness_certificate(lattice, phi0, shift)
                 with pytest.raises(NotAdmissibleError):
-                    reference_mu1_classes(d, x, y, tilde, calc, index)
+                    reference_mu1_classes(d, x, y, tilde, lattice, index)
     assert (odd, raised) == (48, 28)
     # an even shift reaches the certificate, which raises; nothing outlives
     # the call, so a repeat raises again
-    lattice = calc.lattice(gens[0])
+    lattice = data.lattice_of(0)
     for _ in range(2):
         with pytest.raises(NotAdmissibleError):
             enumerate_mu1_classes(lattice, gens[:1], gens[:1], tilde, 0)
@@ -501,7 +511,8 @@ def test_sliced_enumerator_keeps_the_survival_check():
 def test_constant_index_enumerates_whole_box_or_nothing():
     # genus2_pair: mu vanishes on the periodic lattice
     d = corpus.load_diagram("genus2_pair")
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
+    calc = data.calc
     gens = d.generators()
     for x in gens:
         for y in gens:
@@ -511,10 +522,11 @@ def test_constant_index_enumerates_whole_box_or_nothing():
             mu0 = maslov_x4(d, phi0, points) // 4
             tilde = alg.diagram_algebra(d, variant=alg.TILDE)
             for index in range(-2, 3):
-                classes = enumerate_mu1_classes(calc.lattice(x), [x], [y], tilde, index)
+                lattice = _lattice(data, x)
+                classes = enumerate_mu1_classes(lattice, [x], [y], tilde, index)
                 if index != mu0:
                     assert classes == []
-                assert classes == reference_mu1_classes(d, x, y, tilde, calc, index)
+                assert classes == reference_mu1_classes(d, x, y, tilde, lattice, index)
     # the bigon from x0 to x1 at index one, the constant classes at index zero
     assert _assert_matches_reference(d, range(-2, 3)) == 3
 
@@ -534,12 +546,13 @@ def test_unbounded_box_raises():
     calc = _RepeatedBasis(d)
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
-    lattice = calc.lattice(gens[1])
+    mu = [maslov_of_periodic(d, P, gens[1]) for P in calc.periodic_basis]
+    lattice = PeriodicLattice(calc=calc, mu=mu, at=gens[1])
     for _ in range(2):
         with pytest.raises(RuntimeError, match="certificate box is unbounded"):
             enumerate_mu1_classes(lattice, [gens[1]], [gens[0]], tilde)
     with pytest.raises(RuntimeError, match="certificate box is unbounded"):
-        reference_mu1_classes(d, gens[1], gens[0], tilde, calc)
+        reference_mu1_classes(d, gens[1], gens[0], tilde, lattice)
 
 
 def test_fresh_calculator_solves_its_systems_again(monkeypatch):
@@ -554,16 +567,16 @@ def test_fresh_calculator_solves_its_systems_again(monkeypatch):
     monkeypatch.setattr(linprog, "linear_range",
                         lambda *args: lps.append(args) or spied(*args))
 
-    def one_call(calc):
+    def one_call(data):
         before = len(lps)
-        classes = enumerate_mu1_classes(calc.lattice(gens[0]), gens, gens, tilde)
+        classes = enumerate_mu1_classes(data.lattice_of(0), gens, gens, tilde)
         return classes, len(lps) - before
 
-    calc = DomainCalculator(d)
-    classes, made = one_call(calc)
+    data = DiagramData.build(d)
+    classes, made = one_call(data)
     assert made == 10 and len(classes) > 0
-    assert one_call(calc) == (classes, made)
-    assert one_call(DomainCalculator(d)) == (classes, made)
+    assert one_call(data) == (classes, made)
+    assert one_call(DiagramData.build(d)) == (classes, made)
 
 
 # -- differential test of the per-system class records -----------------------
@@ -603,11 +616,11 @@ def _assert_records_match_per_pair(d):
     """One call per block and index against the per-pair bodies,
     concatenated source-major; returns the number of classes and of pairs
     that shared a (phi0, shift) with an earlier pair."""
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
+    calc = data.calc
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     systems, found, shared = {}, 0, 0
-    for block in _blocks(calc, d):
-        lattice = calc.lattice(block[0])
+    for block, lattice in _blocks(data):
         for index in INDICES:
             ref = [c for x in block for y in block
                    for c in per_pair_classes(lattice, x, y, tilde, index)]
@@ -669,9 +682,10 @@ def test_records_are_kept_per_index_and_algebra():
     # record must not answer it.  One lattice serves two algebras that kill
     # different marks
     d = corpus.load_diagram("trefoil")
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
+    calc = data.calc
     x, y = d.generators()[1], d.generators()[0]
-    lattice = calc.lattice(x)
+    lattice = data.lattice_of(1)
     killing = lambda *kill: alg.AlgebraSpec(names=("l1", "l2"), kill=kill)
     free, kill_l2 = killing(), killing((0, 1))
     assert [c.n_z for c in enumerate_mu1_classes(lattice, [x], [y], free)] == [(0, 1)]
@@ -690,10 +704,11 @@ def test_records_are_kept_per_shift_within_a_call():
     # holds no class of index one: the call must not answer it with the
     # records of (x0, x1)
     d = _stabilized("trefoil", 1)
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
+    calc = data.calc
     tilde = alg.diagram_algebra(d, variant=alg.TILDE)
     x0, x1, x2, x3 = d.generators()[:4]
-    lattice = calc.lattice(x0)
+    lattice = data.lattice_of(0)
     assert calc.connecting(x0, x1) == calc.connecting(x2, x3)
     assert enumerate_mu1_classes(lattice, [x2], [x3], tilde) != []
     g, potential = lattice.mu_zero[0], calc.potential

@@ -1,6 +1,9 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -322,6 +325,96 @@ def test_block_mu_row_is_every_generators_mu(name, k):
                 assert data.calc.connecting(x, y) is not None
                 slope = [maslov_x4(d, P, x.points + y.points) for P in basis]
                 assert slope == [4 * m for m in lat.mu]
+
+
+# -- one owner for the block lattices ------------------------------------------
+#
+# DiagramData builds and keeps the lattices; a lattice refers to the
+# calculator, which refers to the diagram, and nothing refers back.
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reports_and_ladder_homology():
+    """Every corpus report, and unknot and trefoil stabilized up to twice
+    through all-zero homology."""
+    from sfkit.cf import build_cf
+    from sfkit.complexes import homology
+    from sfkit.corpuscheck import diagram_report
+    from sfkit.testrings import all_zero
+
+    for name in corpus.corpus_names():
+        diagram_report(name)
+    for name in ("unknot", "trefoil"):
+        for k in range(3):
+            d = _stabilized(name, k)
+            c = build_cf(d, 0, data=DiagramData.build(d))
+            homology(c.tensor(all_zero(c.algebra)))
+
+
+def test_diagram_data_is_freed_by_reference_counting(monkeypatch):
+    # with the cyclic collector off, every calculator and lattice is gone
+    # once the report or the task that made it returns
+    made = []
+    for cls in (DomainCalculator, PeriodicLattice):
+        def recording(self, *args, original=cls.__init__, **kwargs):
+            made.append((type(self).__name__, weakref.ref(self)))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _reports_and_ladder_homology()
+        alive = [name for name, ref in made if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    kinds = [name for name, _ in made]
+    assert kinds.count("DomainCalculator") >= 16 and kinds.count("PeriodicLattice") >= 16
+    assert alive == []
+
+
+def test_mu_rows_are_evaluated_only_by_diagram_data(monkeypatch):
+    # DiagramData.build evaluates each block's mu row once, at the block's
+    # first generator: rank calls per block, or rank for the Euler row of a
+    # diagram without generators.  Per-pair callers read the lattice of
+    # their block, so ``sfk classes`` on every ordered pair of the corpus,
+    # and the stabilization demo, evaluate no row of their own
+    import runpy
+    from contextlib import redirect_stdout
+    from io import StringIO
+
+    from sfkit import admissibility, cf, cli, domains
+
+    calls, builds = [], []  # per call: inside a build; per build: (calls, expected)
+    building = []
+    for module in (admissibility, cf, domains):
+        monkeypatch.setattr(module, "maslov_of_periodic",
+                            lambda *args: calls.append(bool(building))
+                            or maslov_of_periodic(*args))
+    build = DiagramData.build
+
+    def counting(d):
+        building.append(d)
+        before = len(calls)
+        data = build(d)
+        building.pop()
+        rows = max(1, len(data.partition.blocks))
+        builds.append((len(calls) - before, len(data.calc.periodic_basis) * rows))
+        return data
+
+    monkeypatch.setattr(DiagramData, "build", staticmethod(counting))
+    with redirect_stdout(StringIO()):
+        for name in corpus.corpus_names():
+            path = corpus.corpus_path(name)
+            n = len(corpus.load_diagram(name).generators())
+            for i, j in product(range(n), repeat=2):
+                assert cli.main(["--json", "classes", path, "--from", str(i), "--to", str(j)]) == 0
+        assert runpy.run_path(str(ROOT / "scripts" / "stabilization_demo.py"))["main"]() == 0
+    assert len(builds) > 20
+    assert all(made == expected for made, expected in builds)
+    assert calls and all(calls)
 
 
 

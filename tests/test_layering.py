@@ -2,7 +2,8 @@
 
 Every import check runs in a fresh interpreter, since the test process has
 long since imported the whole package.  The last checks read the source:
-every public name in src/sfkit has a caller outside the tests.
+every public name in src/sfkit has a caller outside the tests, and every
+attribute set on ``self`` there has a reader outside the tests.
 """
 
 import ast
@@ -268,3 +269,81 @@ def test_uncalled_names_resolves_self_and_annotated_receivers(tmp_path):
         "smith(1, ZRing())\ntotal(Group())\n")
     (tmp_path / "bench" / "tracing.py").write_text("SPANS = {}\n")
     assert uncalled_names(tmp_path) == ["a:Group.scale", "a:Group.unit"]
+
+
+# -- every instance attribute in src/sfkit has a reader outside the tests -----
+
+# Attributes set on self in src/sfkit that only tests read, kept as part of
+# what a result or an error reports: "module:Class.attribute" -> the test
+# (file::function) that reads it.
+TEST_ONLY_ATTRIBUTES = {
+    "snf:SNFResult.D": "test_snf.py::test_snf_factorization",
+    "surgery:SurgeryRings.base": "test_surgery.py::test_iota_base_relation_killed",
+    "homology1:ChainModel.vertices":
+        "test_homology1.py::test_forest_coordinates_form_a_basis",
+    "stabilize:StabilizationReport.stabilized_dims": "test_acceptance.py::test_a6_stabilization",
+    "stabilize:StabilizationReport.cone_dims": "test_acceptance.py::test_a6_stabilization",
+    "admissibility:WitnessError.condition":
+        "test_admissibility.py::test_witness_errors_name_the_condition",
+    "algebra:CompletionError.code": "test_algebra.py::test_completion_nonunit_escape",
+    "complexes:ComplexError.code":
+        "test_complexes.py::test_monomial_fiber_empty_despite_a_recession_direction",
+    "testrings:HomError.code": "test_testrings.py::test_to_U_rejects_killed_monomials",
+}
+
+
+def _attribute_reads(nodes):
+    return {node.attr for top in nodes for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_attributes(root):
+    """The attributes that a class of ``root``/src/sfkit sets on ``self``
+    (``self.x = ...``) and that no attribute read in src/sfkit, or in a file
+    under scripts/ or bench/, names.  A read counts whatever its receiver."""
+    root = Path(root)
+    paths = sorted((root / "src" / "sfkit").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    others = sorted((root / "scripts").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    reads = _attribute_reads(list(trees.values()) + [ast.parse(p.read_text()) for p in others])
+    set_on_self = {
+        f"{path.stem}:{cls.name}.{node.attr}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    return sorted(key for key in set_on_self if key.rsplit(".", 1)[1] not in reads)
+
+
+def test_src_attributes_have_a_program_reader():
+    assert unread_attributes(ROOT) == sorted(TEST_ONLY_ATTRIBUTES)
+
+
+@pytest.mark.parametrize("key, test", sorted(TEST_ONLY_ATTRIBUTES.items()))
+def test_test_only_attributes_are_read_by_their_test(key, test):
+    filename, function = test.split("::")
+    tree = ast.parse((ROOT / "tests" / filename).read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    assert key.rsplit(".", 1)[1] in _attribute_reads([node])
+
+
+def test_unread_attributes_reads_src_scripts_and_bench(tmp_path):
+    pkg = tmp_path / "src" / "sfkit"
+    pkg.mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "bench").mkdir()
+    (pkg / "a.py").write_text(
+        "class R:\n"
+        "    def __init__(self, x):\n"
+        "        self.used, self.scripted, self.benched = x, x, x\n"
+        "        self.unread = x\n"
+        "        self._own = x\n\n"
+        "    def total(self):\n"
+        "        return self._own\n\n"
+        "def user(r):\n    return r.used\n"
+    )
+    (tmp_path / "scripts" / "s.py").write_text("import sfkit.a\nprint(sfkit.a.R(1).scripted)\n")
+    (tmp_path / "bench" / "b.py").write_text("def f(r):\n    return r.benched\n")
+    assert unread_attributes(tmp_path) == ["a:R.unread"]

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfkit import admissibility, corpus, linprog
-from sfkit.domains import DomainCalculator, maslov_index
+from sfkit.cf import DiagramData
+from sfkit.domains import maslov_index
 from sfkit.stabilize import stabilize_diagram
 
 
@@ -430,11 +431,12 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(linprog, "linear_range", recording)
-    calc = DomainCalculator(d)
+    data = DiagramData.build(d)
+    calc = data.calc
     strata = admissibility.survival_strata(admissibility.tilde_kill_supports(d))
     gens = d.generators()
-    for x in gens:
-        lattice = calc.lattice(x)
+    for i, x in enumerate(gens):
+        lattice = data.lattice_of(i)
         total = [sum(P) for P in lattice.basis]
         for y in gens:
             phi0 = calc.connecting(x, y)
@@ -455,7 +457,7 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
             assert cert == best
     assert len(calls) == len(gens) ** 2  # one survival stratum, one LP per pair
     # the generators form one block: its one stratum system serves every pair
-    systems = calc.lattice(gens[0]).compiled("certificate", admissibility.certificate_systems)
+    systems = data.lattice_of(0).compiled("certificate", admissibility.certificate_systems)
     assert [s.stratum for s in systems] == strata
     for (ineqs, n, objective, rec), rng in calls:
         assert rec is systems[0].recording
@@ -513,7 +515,6 @@ ADMISSIBILITY_CASES = [(name, 0) for name in corpus.corpus_names()] + [
 @pytest.mark.parametrize("name, k", ADMISSIBILITY_CASES)
 def test_admissibility_over_k0_matches_full_lattice_reference(name, k):
     from sfkit import algebra as alg
-    from sfkit.cf import DiagramData
     from sfkit.homology1 import h1_presentation
     from sfkit.testrings import HomError, all_zero, btau_hom, to_U
 

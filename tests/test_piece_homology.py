@@ -132,9 +132,8 @@ def _ref_pid_homology(ring, out_m, in_m):
     return {"free_rank": free, "torsion": torsion}
 
 
-def ref_homology(tc, allow_taint=False):
-    if not allow_taint:
-        tc.require_untainted()
+def ref_homology(tc):
+    tc.require_untainted()
     tc.require_d_squared_zero()
     ring = tc.ring
     graded = all(g is not None for g in tc.gradings) and tc.rank > 0
@@ -207,8 +206,8 @@ def ref_fpu_piece_dims(tc, window):
     return dims
 
 
-def ref_piecewise_homology(c, piece_keys, p=2, allow_taint=False):
-    if not allow_taint and c.taints:
+def ref_piecewise_homology(c, piece_keys, p=2):
+    if c.taints:
         raise ComplexError("TAINTED", "unsupported classes present")
     spec = c.algebra
     group = spec.chi_group
@@ -309,8 +308,8 @@ def outcome(fn, *args, **kwargs):
         return ("ComplexError", str(e))
 
 
-def new_homology(tc, allow_taint=False):
-    h = homology(tc, allow_taint=allow_taint)
+def new_homology(tc):
+    h = homology(tc)
     return h.ring_name, list(h.pieces.items()), h.graded
 
 
@@ -360,10 +359,9 @@ def test_homology_matches_reference_on_blocks():
     for label, c in block_complexes():
         for hom in homs_of(c.algebra):
             tc = c.tensor(hom)
-            for allow_taint in (False, True):
-                got = outcome(new_homology, tc, allow_taint)
-                assert got == outcome(ref_homology, tc, allow_taint), (label, hom.name)
-                refused.add(got[0] == "ComplexError")
+            got = outcome(new_homology, tc)
+            assert got == outcome(ref_homology, tc), (label, hom.name)
+            refused.add(got[0] == "ComplexError")
             if hom.u_grading and all(g is not None for g in tc.gradings):
                 window = range(min(tc.gradings) - 4, max(tc.gradings) + 5)
                 assert fpu_piece_dims(tc, window) == ref_fpu_piece_dims(tc, window), label
@@ -502,18 +500,17 @@ def test_piecewise_homology_matches_reference(name, top):
     assert any(g is None for _, g in keys)
     finite = []
     for key in keys:
-        for allow_taint in (False, True):
-            got = outcome(piecewise_homology, c, [key], allow_taint=allow_taint)
-            assert got == outcome(ref_piecewise_homology, c, [key], allow_taint=allow_taint), key
+        got = outcome(piecewise_homology, c, [key])
+        assert got == outcome(ref_piecewise_homology, c, [key]), key
         if isinstance(got, dict):
             finite.append(key)
-    assert finite
+    # the trefoil's complex is tainted, and every piece of it is refused
+    assert bool(finite) != bool(c.taints)
     # all finite pieces at once, each key twice, over F_2 and F_3
     for p in (2, 3):
         both = finite + finite[::-1]
-        assert piecewise_homology(c, both, p, allow_taint=True) == ref_piecewise_homology(
-            c, both, p, allow_taint=True
-        )
+        assert outcome(piecewise_homology, c, both, p) == outcome(
+            ref_piecewise_homology, c, both, p)
 
 
 # -- random three-term complexes over the PIDs ---------------------------------

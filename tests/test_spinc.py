@@ -74,7 +74,6 @@ def test_unknot_grading():
     # the lattice pins only the sum d_1 + d_2 = -2; the canonical solution
     # puts the whole drop on the first variable (classical U/V convention)
     assert gd.weights == [-2, 0]
-    assert gd.pinned == [False, False]
     assert sum(gd.weights) == -2
     assert gd.gr == {0: 0}
 
@@ -96,7 +95,6 @@ def test_torus_min_weight_pinned():
     part, lattices = _partition(d)
     gd = grading_data(part, 0, lattices[0])
     assert gd.weights == [-2]
-    assert gd.pinned == [True]
 
 
 def test_genus2_pair_weight_zero():
@@ -105,7 +103,6 @@ def test_genus2_pair_weight_zero():
     gd = grading_data(part, 0, lattices[0])
     # mu(Sigma-domain) = 0 here, so the single weight is pinned to 0
     assert gd.weights == [0]
-    assert gd.pinned == [True]
 
 
 def test_weights_satisfy_lattice_constraints():

@@ -49,8 +49,9 @@ def test_to_U_compatibility_needs_factorization():
 def test_to_U_rejects_killed_monomials():
     d = corpus.load_diagram("genus2_pair")
     spec = alg.diagram_algebra(d, variant=alg.TILDE)
-    with pytest.raises(HomError):
+    with pytest.raises(HomError) as err:
         to_U(spec)
+    assert err.value.code == "RELATION_NOT_KILLED"
 
 
 def test_btau_hom_kills_pair():
