@@ -221,9 +221,10 @@ def finiteness_certificate(lattice: PeriodicLattice, phi0, shift: int) -> int | 
     """Bound on the total multiplicity sum_r D_r, hence on every coefficient,
     of the positive classes D = phi0 + P with mu(P) = shift and surviving
     tilde-monomial: per survival stratum, one ``linear_range`` of it on the
-    rational slice mu = shift, base + K0 (``PeriodicLattice.slice_base``);
-    NotAdmissibleError on an unbounded stratum.  None when every stratum, or
-    the slice, is empty.  ``lattice`` is the periodic lattice of the pair's
+    slice mu = shift, base + K0 (``PeriodicLattice.slice_base``), whose
+    integer base keeps every row integral; NotAdmissibleError on an
+    unbounded stratum.  None when every stratum is empty, or when no lattice
+    element has mu = shift.  ``lattice`` is the periodic lattice of the pair's
     Spin^c class, phi0 the pair's connecting domain and shift = j - mu(phi0)
     for the index j.  The stratum systems are compiled once per lattice; a
     pair supplies right-hand sides.

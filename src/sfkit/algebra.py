@@ -350,7 +350,8 @@ def build_algebra(components, kappa, variant=PLAIN, names=None,
 
     ``components`` is a list of (side, genus, marks) triples or
     ComplementComponent objects; side "alpha" components are the R^- pieces
-    and "beta" components the R^+ pieces.
+    and "beta" components the R^+ pieces.  ``variant`` is PLAIN, HAT or
+    TILDE; the quotient onto B_tau is built by ``testrings.btau_hom``.
     """
     comps = []
     for c in components:
@@ -370,20 +371,13 @@ def build_algebra(components, kappa, variant=PLAIN, names=None,
             kill.append(m)
 
     relations = []
-    kill_predicate = None
     if variant == PLAIN:
         rel = poly_sub(plus, minus)
         if rel:
             relations.append(tuple(sorted(rel.items())))
     elif variant == HAT:
         kill = sorted(set(kill) | set(minus) | set(plus), key=mono_key)
-    elif variant == TILDE:
-        pass
-    elif variant == B_TAU:
-        if homology is None:
-            raise ValueError("B_TAU needs the homology presentation")
-        kill_predicate = _btau_predicate(homology, kappa)
-    else:
+    elif variant != TILDE:
         raise ValueError(f"unknown variant {variant}")
 
     chi_classes = None
@@ -397,7 +391,6 @@ def build_algebra(components, kappa, variant=PLAIN, names=None,
         variant=variant,
         kill=tuple(sorted(set(kill), key=mono_key)),
         relations=tuple(relations),
-        kill_predicate=kill_predicate,
         chi_classes=chi_classes,
         chi_group=chi_group,
         gr_weights=tuple(gr_weights) if gr_weights is not None else None,

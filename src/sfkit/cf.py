@@ -78,9 +78,10 @@ class DiagramData:
         return alg.diagram_algebra(self.diagram, variant=alg.TILDE, homology=self.homology)
 
 
-def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
+def build_cf(d: HeegaardDiagram, block_index: int = 0,
              data: DiagramData | None = None, signs=None) -> FilteredComplex:
-    """The filtered complex of one Spin^c block of the diagram."""
+    """The filtered complex of one Spin^c block of the diagram, over its
+    plain algebra."""
     data = data or DiagramData.build(d)
     lattice = data.lattices[block_index]
     rep = check_s_admissible(lattice)
@@ -88,7 +89,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
         raise NotAdmissibleError(f"diagram is not s-admissible: witness {rep.witness}")
 
     if not data.partition.blocks:
-        spec = alg.diagram_algebra(d, variant=variant, homology=data.homology)
+        spec = alg.diagram_algebra(d, homology=data.homology)
         return FilteredComplex(
             ring=AlgebraTarget(spec), gen_names=[], cosets=[], gradings=[], entries={}
         )
@@ -97,8 +98,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0, variant=alg.PLAIN,
     gens = data.partition.generators
     gd = data.gradings[block_index]
     spec = alg.diagram_algebra(
-        d, variant=variant, homology=data.homology,
-        gr_weights=gd.weights, gr_modulus=gd.d_of_s,
+        d, homology=data.homology, gr_weights=gd.weights, gr_modulus=gd.d_of_s,
     )
 
     base = block[0]

@@ -109,10 +109,10 @@ def monomial_fiber(spec: alg.AlgebraSpec, chi_value, gr_value=None):
     ]
 
 
-def piecewise_homology(c: FilteredComplex, piece_keys, p=2):
-    """Dimensions of homology in the given (coset, grading) pieces over F_p.
+def piecewise_homology(c: FilteredComplex, piece_keys):
+    """Dimensions of homology in the given (coset, grading) pieces over F_2.
 
-    The complex is viewed as an F_p vector space with basis (generator,
+    The complex is viewed as an F_2 vector space with basis (generator,
     monomial); each requested piece must have a finite monomial fiber.
     """
     if c.taints:
@@ -144,7 +144,7 @@ def piecewise_homology(c: FilteredComplex, piece_keys, p=2):
         else tuple(piece_basis(coset, g + t) for t in (-1, 0, 1))
         for coset, g in piece_keys
     }
-    return {key: free for key, (free, _) in _piece_homology(ZpRing(p), pieces, image).items()}
+    return {key: free for key, (free, _) in _piece_homology(ZpRing(2), pieces, image).items()}
 
 
 # -- chain maps and cones -----------------------------------------------------

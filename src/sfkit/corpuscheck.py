@@ -160,9 +160,9 @@ PROVENANCE = {
 }
 
 
-def write_expected(directory=None):
+def write_expected():
     """Regenerate the expected records (used once; values are then frozen)."""
-    directory = directory or os.path.join(corpus_mod.corpus_dir(), "expected")
+    directory = os.path.join(corpus_mod.corpus_dir(), "expected")
     os.makedirs(directory, exist_ok=True)
     for name in corpus_mod.corpus_names():
         report = diagram_report(name)

@@ -9,7 +9,8 @@ multiple of g has no class.  One call takes lists of sources and targets (in
 ``build_cf``, the generators of a Spin^c block) and finds the pairs that pass
 this residue test and the key test by one lookup per source, before any
 connecting solve or LP.  For such a pair the classes are base + K0, base =
-phi0 + (shift / g) step: the finiteness certificate bounds their total
+phi0 + (shift // g) step an integer domain (``PeriodicLattice.slice_base``),
+so every LP row is integral: the finiteness certificate bounds their total
 multiplicity, and the integer points over K0 of the polytope D >= 0,
 sum_r D_r <= bound are listed, from rows compiled once per Spin^c block
 (``PeriodicLattice.compiled``).

@@ -252,15 +252,15 @@ class PeriodicLattice:
         return abs(mu[live[0]]), step if mu[live[0]] > 0 else [-v for v in step], domains
 
     def slice_base(self, phi0, shift: int) -> list | None:
-        """phi0 + (shift / g) step, with Fraction coefficients when g does not
-        divide shift: the domains phi0 + P with P rational in the lattice's
-        span and mu(P) = shift are this point plus the span of K0.  None
-        when mu vanishes on the lattice and shift does not."""
+        """The integer domain phi0 + (shift // g) step: the domains phi0 + P
+        with P in the lattice and mu(P) = shift are this point plus K0.  None
+        when no lattice element has mu = shift, that is when g does not
+        divide shift, or g = 0 and shift is nonzero."""
         g, step, _ = self.mu_zero
         if not g:
             return None if shift else list(phi0)
-        a = shift // g if shift % g == 0 else Fraction(shift, g)
-        return [c + a * v for c, v in zip(phi0, step)]
+        a, r = divmod(shift, g)
+        return None if r else [c + a * v for c, v in zip(phi0, step)]
 
     def compiled(self, key, build):
         """``build(self)``, made on first request and kept with the lattice:

@@ -186,9 +186,6 @@ class HomologyPresentation:
         full = self.chi_of_exponents(exponents)
         return tuple(full[i] for i, m in enumerate(self.group.moduli) if m == 0)
 
-    def describe(self):
-        return self.group.describe()
-
 
 def h1_presentation(d: HeegaardDiagram) -> HomologyPresentation:
     m = d.surface_model

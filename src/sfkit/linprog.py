@@ -1,12 +1,14 @@
 """Exact rational linear feasibility via Fourier-Motzkin elimination.
 
 Inequalities are (coeffs, rhs) pairs meaning sum(coeffs[i] * x[i]) >= rhs;
-coefficients may be ints or Fractions.  Internally each inequality is a
-primitive integer direction q (its coefficients over their gcd) and a bound
-r / s, a reduced rational, meaning q . x >= r / s; the pair stands for the
-primitive integer row (s q, r), so elimination runs in plain integer
-arithmetic.  Each elimination step keeps, of the rows with one direction,
-only the tightest, which leaves every projection unchanged.
+coefficients, right-hand sides and objectives are ints (every system in this
+package is integral: the enumerator's slices are integer domains).
+Internally each inequality is a primitive integer direction q (its
+coefficients over their gcd) and a bound r / s, a reduced rational, meaning
+q . x >= r / s; the pair stands for the primitive integer row (s q, r), so
+elimination runs in plain integer arithmetic.  Each elimination step keeps,
+of the rows with one direction, only the tightest, which leaves every
+projection unchanged.
 
 One eliminator builds the projection chain (``_project``) and one routine
 reads bounds off it (``_bounds``); all three entry points share them:
@@ -25,19 +27,21 @@ so the directions of the projection, all depend on the coefficients alone
 (``_structure``); the bounds follow from that structure and the right-hand
 sides (``_eliminate``).  Every step goes through both, and the bounds have
 one computation.  A caller that solves one coefficient matrix for many
-right-hand sides passes a ``Recording`` to any entry point, which keeps the
-structure of each step once it is built, so later calls only recompute
-bounds.  The recording keeps the rows of its first call and checks a later
-call's rows by identity first, so an owner passing its own rows pays no
-comparison of entries.  It lives as long as its owner; in this package that
-is the compiled block systems of a ``PeriodicLattice`` (the finiteness
-certificate's strata and the enumerator's box), one recording each.
-Nothing is cached at module level, and one-shot systems (admissibility
-checks, monomial fibers) pass no recording.
+right-hand sides passes a ``Recording`` to ``linear_range`` or
+``integer_points``, which keeps the structure of each step once it is
+built, so later calls only recompute bounds.  The recording keeps the rows
+of its first call and checks a later call's rows by identity first, so an
+owner passing its own rows pays no comparison of entries.  It lives as
+long as its owner; in this package that is the compiled block systems of a
+``PeriodicLattice`` (the finiteness certificate's strata and the
+enumerator's box), one recording each.  Nothing is cached at module level,
+and one-shot systems (admissibility checks, monomial fibers) pass no
+recording.
 
-Fractions appear only where a ratio is returned.  Problem sizes in this
-package are tiny (a handful of lattice coordinates), so elimination gives
-exact witnesses and exact unboundedness certificates quickly.
+Fractions appear only where a ratio is returned: the bounds of
+``linear_range`` and the coordinates of ``feasible_point``.  Problem sizes
+in this package are tiny (a handful of lattice coordinates), so elimination
+gives exact witnesses and exact unboundedness certificates quickly.
 """
 
 from __future__ import annotations
@@ -98,29 +102,21 @@ def _start(coeffs, objective):
     right-hand sides are the given ones times |objective_k|.  A row without
     variables has b = 0: only the sign of its right-hand side counts.
     Returns (directions, multipliers, substituted)."""
-    scale_num = scale_den = 1
+    scale = 1
     sub = None if objective is None else substitute(coeffs, objective)
     if sub is not None:
         k, coeffs = sub
         scale = abs(objective[k])
-        scale_num, scale_den = scale.numerator, scale.denominator
     dirs, mults = [], []
     for a in coeffs:
-        if all(type(v) is int for v in a):
-            den = 1
-        else:
-            a = [Fraction(v) for v in a]
-            den = lcm(*(v.denominator for v in a))
-            a = [int(v * den) for v in a]
         h = gcd(*a)
         if h == 0:
             dirs.append(tuple(a))
             mults.append((1, 0))
             continue
-        # a = (h / den) q, so a . x >= rhs reads q . x >= rhs * den / h
+        # a = h q, so a . x >= rhs reads q . x >= rhs / h
         dirs.append(tuple([v // h for v in a]) if h > 1 else tuple(a))
-        num, den = scale_num * den, scale_den * h
-        mults.append((num, den) if num == 1 else _reduced(num, den))
+        mults.append((1, h) if scale == 1 else _reduced(scale, h))
     return dirs, mults, sub is not None
 
 
@@ -141,14 +137,11 @@ def _inputs(ineqs, nvars, objective, recording):
     dirs, mults, substituted = start
     nums, dens = [], []
     for (_, rhs), (a, b) in zip(ineqs, mults):
-        if b == 1 and type(rhs) is int:
+        if b == 1:
             nums.append(rhs * a)
             dens.append(1)
             continue
-        if b == 0:
-            num, den = (rhs > 0) - (rhs < 0), 1
-        else:
-            num, den = _reduced(rhs.numerator * a, rhs.denominator * b)
+        num, den = ((rhs > 0) - (rhs < 0), 1) if b == 0 else _reduced(rhs * a, b)
         nums.append(num)
         dens.append(den)
     return (dirs, nums, dens), substituted
@@ -294,20 +287,20 @@ def _fraction(bound):
     return None if bound is None else Fraction(*bound)
 
 
-def feasible_point(ineqs, nvars, recording: Recording | None = None):
+def feasible_point(ineqs, nvars):
     """A rational point satisfying all inequalities, or None.
 
     ``ineqs`` is a list of (coeffs, rhs) with len(coeffs) == nvars, meaning
     coeffs . x >= rhs.
     """
     try:
-        system, _ = _inputs(ineqs, nvars, None, recording)
-        systems = _project(system, nvars, recording)
+        system, _ = _inputs(ineqs, nvars, None, None)
+        systems = _project(system, nvars, None)
     except Infeasible:
         return None
     point = [Fraction(0)] * nvars
     # assign var = 0, 1, ... from the already-fixed lower coordinates
-    levels, _ = _levels(systems, recording)
+    levels, _ = _levels(systems, None)
     for var, rows in enumerate(levels):
         lo, hi = map(_fraction, _bounds(rows, systems[nvars - 1 - var], point))
         if lo is not None and hi is not None and lo > hi:

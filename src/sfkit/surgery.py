@@ -120,8 +120,7 @@ def _component_chi_relations(components, kappa):
     return out
 
 
-def build_surgery_rings(base_components, kappa, m0, m1, m2,
-                        base_names=None) -> SurgeryRings:
+def build_surgery_rings(base_components, kappa, m0, m1, m2) -> SurgeryRings:
     """Assemble the surgery rings from base component data.
 
     ``base_components``: (side, genus, marks) for the sutured manifold
@@ -133,9 +132,7 @@ def build_surgery_rings(base_components, kappa, m0, m1, m2,
             raise BadMultiplicityError(f"multiplicity {m} < 1")
 
     base = alg.build_algebra(
-        base_components, kappa,
-        names=base_names or tuple(f"ζ{i + 1}" for i in range(kappa)),
-    )
+        base_components, kappa, names=tuple(f"ζ{i + 1}" for i in range(kappa)))
 
     nv = kappa + 2
     names = ("λp",) + tuple(f"λ{i}" for i in range(kappa + 1))

@@ -15,8 +15,7 @@ from math import isqrt
 
 from . import algebra as alg
 from . import snf
-# the coefficient rings live in snf; importing them from here keeps working
-from .snf import ZZ, FpURing, QRing, Ring, ZpRing, ZRing
+from .snf import ZZ, FpURing, QRing, Ring, ZpRing
 
 
 class HomError(ValueError):
@@ -106,9 +105,9 @@ def all_zero(spec: alg.AlgebraSpec, target: Ring | None = None) -> TestRingHom:
     return hom.verify()
 
 
-def to_U(spec: alg.AlgebraSpec, weights=None, p=2) -> TestRingHom:
-    """lambda_i -> U^{w_i} in F_p[U] (weights default to all ones)."""
-    target = FpURing(p)
+def to_U(spec: alg.AlgebraSpec, weights=None) -> TestRingHom:
+    """lambda_i -> U^{w_i} in F_2[U] (weights default to all ones)."""
+    target = FpURing(2)
     weights = list(weights) if weights is not None else [1] * spec.nvars
     hom = TestRingHom(
         source=spec,

@@ -21,12 +21,11 @@ from sfkit.admissibility import (
     finiteness_certificate,
 )
 from sfkit.cf import DiagramData, build_cf
-from sfkit.complexes import FilteredComplex, homology
+from sfkit.complexes import homology
 from sfkit.cones import (
     ChainMap,
     free_complex,
     mapping_cone,
-    multiplication_map,
     piecewise_homology,
 )
 from sfkit.diagram import ALPHA, BETA
@@ -40,10 +39,10 @@ from sfkit.domains import (
     maslov_of_periodic,
 )
 from sfkit.homology1 import h1_presentation
-from sfkit.spinc import grading_data, spinc_partition
+from sfkit.spinc import grading_data
 from sfkit.stabilize import verify_stabilization
 from sfkit.surgery import build_surgery_rings
-from sfkit.testrings import ZpRing, all_zero, btau_hom, to_U
+from sfkit.testrings import ZpRing, all_zero, btau_hom
 from sfkit.triangle import HypothesisFailed, TriangleSystem, triangle_machine
 from oracles import component_domain
 

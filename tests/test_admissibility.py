@@ -218,6 +218,29 @@ def test_certificate_without_slice_off_a_constant_mu():
     assert finiteness_certificate(lattice, phi0, -2) is None
 
 
+def test_slices_are_integral_or_absent():
+    # the trefoil's mu row is [2], so g = 2: an odd shift has no lattice
+    # point on its slice, and slice_base and the certificate answer None;
+    # an even shift gives an integer domain phi0 + P with mu(P) = shift
+    d = corpus.load_diagram("trefoil")
+    data = DiagramData.build(d)
+    gens = d.generators()
+    lattice = data.lattice_of(0)
+    assert lattice.mu == [2] and len(data.lattices) == 1
+    for x in gens:
+        for y in gens:
+            phi0 = data.calc.connecting(x, y)
+            for shift in range(-5, 6):
+                base = lattice.slice_base(phi0, shift)
+                if shift % 2:
+                    assert base is None
+                    assert finiteness_certificate(lattice, phi0, shift) is None
+                    continue
+                assert all(type(c) is int for c in base)
+                P = [b - c for b, c in zip(base, phi0)]
+                assert maslov_of_periodic(d, P, x) == shift
+
+
 def test_cone_rows_keep_every_region_for_an_empty_basis():
     # K0 is empty on every rank-one lattice: D >= 0 is then one row without
     # variables per region, a check of the base alone, which the certificate

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sfkit import algebra as alg
 from sfkit import corpus
 from sfkit.homology1 import h1_presentation
+from sfkit.testrings import btau_hom
 
 
 def knot_spec(n, variant=alg.PLAIN):
@@ -134,7 +135,7 @@ def test_btau_unknot():
         for side in ("alpha", "beta")
         for c in d.complement_components(side)
     ]
-    spec = alg.build_algebra(comps, 2, variant=alg.B_TAU, homology=pres)
+    spec = btau_hom(alg.build_algebra(comps, 2, homology=pres), pres).target.spec
     # l1^a l2^b dies as soon as a divisor has trivial free image: a, b >= 1
     assert spec.nf_monomial((1, 1)) == {}
     assert spec.nf_monomial((2, 3)) == {}
@@ -146,7 +147,7 @@ def test_btau_unknot():
 def test_btau_torsion_only_homology_kills_everything():
     d = corpus.load_diagram("torus_lens")
     pres = h1_presentation(d)  # Z/2: free part trivial
-    spec = alg.build_algebra([], 1, variant=alg.B_TAU, homology=pres)
+    spec = btau_hom(alg.build_algebra([], 1, homology=pres), pres).target.spec
     assert spec.nf_monomial((1,)) == {}
     assert spec.nf_monomial((0,)) != {}
 

@@ -449,11 +449,10 @@ def test_sources_and_targets_of_different_blocks_give_no_class(monkeypatch):
 def test_residue_test_answers_before_admissibility():
     # special_hs with a handle added to region 0 is not s-admissible (mu row
     # [2, 0, 0, 0, 2]): a nonnegative periodic domain with mu = 0 makes the
-    # certificate unbounded on the rational mu slices of positive shift.  A
-    # pair whose shift is odd has no lattice point on its slice and no class;
-    # the enumerator says so, while the certificate and the reference, which
-    # skip the residue test, raise NotAdmissibleError when the shift is
-    # positive
+    # certificate unbounded on the mu slices it reaches.  A pair whose shift
+    # is odd has no lattice point on its slice and no class; the enumerator
+    # and the certificate say so, while the reference, which skips the
+    # residue test, raises NotAdmissibleError when the shift is positive
     raw = corpus.load_diagram("special_hs").to_dict()
     raw["regions"][0]["genus"] += 1
     d = HeegaardDiagram.from_dict(raw)
@@ -474,12 +473,10 @@ def test_residue_test_answers_before_admissibility():
                 odd += 1
                 lattice = _lattice(data, x)
                 assert enumerate_mu1_classes(lattice, [x], [y], tilde, index) == []
+                assert finiteness_certificate(lattice, phi0, shift) is None
                 if shift < 0:
-                    assert finiteness_certificate(lattice, phi0, shift) is None
                     continue
                 raised += 1
-                with pytest.raises(NotAdmissibleError):
-                    finiteness_certificate(lattice, phi0, shift)
                 with pytest.raises(NotAdmissibleError):
                     reference_mu1_classes(d, x, y, tilde, lattice, index)
     assert (odd, raised) == (48, 28)

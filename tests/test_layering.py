@@ -347,3 +347,45 @@ def test_unread_attributes_reads_src_scripts_and_bench(tmp_path):
     (tmp_path / "scripts" / "s.py").write_text("import sfkit.a\nprint(sfkit.a.R(1).scripted)\n")
     (tmp_path / "bench" / "b.py").write_text("def f(r):\n    return r.benched\n")
     assert unread_attributes(tmp_path) == ["a:R.unread"]
+
+
+# -- every imported name in src/sfkit, tests and scripts is read --------------
+
+
+def unused_imports(root):
+    """"path:name" for each name that a file under ``root``/src/sfkit,
+    ``root``/tests or ``root``/scripts imports and never reads as a variable.
+    ``import a.b`` binds ``a``; ``from __future__`` imports are exempt."""
+    root = Path(root)
+    paths = [path for folder in ("src/sfkit", "tests", "scripts")
+             for path in sorted((root / folder).glob("*.py"))]
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        out += [f"{path.relative_to(root).as_posix()}:{name}" for name in imported - read]
+    return sorted(out)
+
+
+def test_no_unused_imports():
+    assert unused_imports(ROOT) == []
+
+
+def test_unused_imports_reads_every_folder(tmp_path):
+    for folder in ("src/sfkit", "tests", "scripts"):
+        (tmp_path / folder).mkdir(parents=True)
+    (tmp_path / "src" / "sfkit" / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nfrom math import gcd, lcm as least\n\n"
+        "def f(x: gcd):\n    return os.path.join(x)\n")
+    (tmp_path / "tests" / "t.py").write_text("import json\nimport sys\nprint(sys.argv)\n")
+    (tmp_path / "scripts" / "s.py").write_text("from sfkit.a import f\nf = 1\n")
+    assert unused_imports(tmp_path) == [
+        "scripts/s.py:f", "src/sfkit/a.py:least", "tests/t.py:json"]

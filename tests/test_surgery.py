@@ -3,7 +3,6 @@ import pytest
 from sfkit import algebra as alg
 from sfkit.surgery import (
     BadMultiplicityError,
-    SurgeryRings,
     _substituted_ideal,
     build_surgery_rings,
 )

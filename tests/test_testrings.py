@@ -3,12 +3,12 @@ import pytest
 from sfkit import algebra as alg
 from sfkit import corpus
 from sfkit.homology1 import h1_presentation
+from sfkit.snf import ZRing
 from sfkit.testrings import (
     FpURing,
     HomError,
     QRing,
     ZpRing,
-    ZRing,
     all_zero,
     algebra_hom,
     btau_hom,
