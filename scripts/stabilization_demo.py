@@ -10,8 +10,9 @@ import sys
 
 from sfkit import corpus
 from sfkit.cf import DiagramData
+from sfkit.cones import verify_stabilization
 from sfkit.diskcount import enumerate_mu1_classes
-from sfkit.stabilize import stabilize_diagram, verify_stabilization
+from sfkit.stabilize import stabilize_diagram
 
 
 def main():

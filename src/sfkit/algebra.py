@@ -7,6 +7,9 @@ single relation lambda^+ = lambda^-, and the surgery-ring substitutions).
 Normal forms come from a Knuth-Bendix style completion with the degree-lex
 term order; completion refuses to produce rules with non-unit leading
 coefficients instead of attempting general Groebner bases over Z.
+
+The module imports nothing from sfkit: ``cf.diagram_algebra`` builds a
+diagram's algebra, and ``testrings`` holds the B_tau kill test.
 """
 
 from __future__ import annotations
@@ -401,32 +404,6 @@ def build_algebra(components, kappa, variant=PLAIN, names=None,
     return spec
 
 
-def _btau_predicate(homology, kappa):
-    """Kill test for B_tau: some nonzero divisor has trivial free H-image."""
-    from itertools import product
-
-    cache = {}
-
-    def killed(m):
-        if m in cache:
-            return cache[m]
-        if all(a == 0 for a in m):
-            cache[m] = False
-            return False
-        ranges = [range(a + 1) for a in m]
-        ans = False
-        for v in product(*ranges):
-            if not any(v):
-                continue
-            if all(x == 0 for x in homology.free_image(v)):
-                ans = True
-                break
-        cache[m] = ans
-        return ans
-
-    return killed
-
-
 def knot_components(n):
     """Component data for the 2n-suture torus boundary of a knot complement.
 
@@ -440,21 +417,3 @@ def knot_components(n):
         comps.append(("beta", 0, plus))
         comps.append(("alpha", 0, minus))
     return comps
-
-
-def diagram_algebra(d, variant=PLAIN, homology=None, gr_weights=None,
-                    gr_modulus=0) -> AlgebraSpec:
-    """Boundary algebra of a diagram's sutured manifold."""
-    from .diagram import ALPHA, BETA
-    from .homology1 import h1_presentation
-
-    homology = homology or h1_presentation(d)
-    comps = list(d.complement_components(ALPHA)) + list(d.complement_components(BETA))
-    return build_algebra(
-        comps,
-        d.num_marks,
-        variant=variant,
-        homology=homology,
-        gr_weights=gr_weights,
-        gr_modulus=gr_modulus,
-    )

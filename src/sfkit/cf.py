@@ -9,6 +9,8 @@ summed per (target, source), and each distinct entry polynomial is put in
 normal form once.  ``DiagramData`` owns the per-diagram data, the block
 lattices included; nothing in it refers back to its owner, so a diagram's
 data is freed by reference counting when its last user returns.
+``diagram_algebra`` builds a diagram's boundary algebra, plain or tilde,
+from its complement components.
 """
 
 from __future__ import annotations
@@ -18,12 +20,27 @@ from functools import cached_property
 from . import algebra as alg
 from .admissibility import NotAdmissibleError, check_s_admissible
 from .complexes import FilteredComplex, TaintRecord
-from .diagram import HeegaardDiagram
+from .diagram import ALPHA, BETA, HeegaardDiagram
 from .diskcount import enumerate_mu1_classes
 from .domains import DomainCalculator, PeriodicLattice, maslov_of_periodic
 from .homology1 import h1_presentation
 from .spinc import grading_data, spinc_partition
 from .testrings import AlgebraTarget
+
+
+def diagram_algebra(d, variant=alg.PLAIN, homology=None, gr_weights=None,
+                    gr_modulus=0) -> alg.AlgebraSpec:
+    """Boundary algebra of a diagram's sutured manifold."""
+    homology = homology or h1_presentation(d)
+    comps = list(d.complement_components(ALPHA)) + list(d.complement_components(BETA))
+    return alg.build_algebra(
+        comps,
+        d.num_marks,
+        variant=variant,
+        homology=homology,
+        gr_weights=gr_weights,
+        gr_modulus=gr_modulus,
+    )
 
 
 class DiagramData:
@@ -75,7 +92,7 @@ class DiagramData:
 
     @cached_property
     def tilde(self) -> alg.AlgebraSpec:
-        return alg.diagram_algebra(self.diagram, variant=alg.TILDE, homology=self.homology)
+        return diagram_algebra(self.diagram, variant=alg.TILDE, homology=self.homology)
 
 
 def build_cf(d: HeegaardDiagram, block_index: int = 0,
@@ -89,7 +106,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0,
         raise NotAdmissibleError(f"diagram is not s-admissible: witness {rep.witness}")
 
     if not data.partition.blocks:
-        spec = alg.diagram_algebra(d, homology=data.homology)
+        spec = diagram_algebra(d, homology=data.homology)
         return FilteredComplex(
             ring=AlgebraTarget(spec), gen_names=[], cosets=[], gradings=[], entries={}
         )
@@ -97,7 +114,7 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0,
     block = data.partition.blocks[block_index]
     gens = data.partition.generators
     gd = data.gradings[block_index]
-    spec = alg.diagram_algebra(
+    spec = diagram_algebra(
         d, homology=data.homology, gr_weights=gd.weights, gr_modulus=gd.d_of_s,
     )
 

@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure, 2 malformed input.
 Output is deterministic; --json switches to machine-readable JSON.
+``coefficient_ring`` parses a --coefficients label.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 
 from . import algebra as alg
 from .admissibility import (
@@ -17,20 +19,14 @@ from .admissibility import (
     check_strong_admissible,
     check_weak_admissible,
 )
-from .cf import DiagramData, build_cf
+from .cf import DiagramData, build_cf, diagram_algebra
 from .complexes import ComplexError, homology
 from .diagram import ALPHA, BETA, HeegaardDiagram
 from .diskcount import enumerate_mu1_classes, niceness_report
-from .stabilize import BadSutureError, stabilize_diagram, verify_stabilization
+from .snf import ZZ, FpURing, QRing, Ring, ZpRing
+from .stabilize import BadSutureError, stabilize_diagram
 from .surgery import BadMultiplicityError, build_surgery_rings
-from .testrings import (
-    BadRingLabel,
-    HomError,
-    all_zero,
-    btau_hom,
-    coefficient_ring,
-    to_U,
-)
+from .testrings import HomError, all_zero, btau_hom, to_U
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -102,6 +98,40 @@ def _hom_for(name, spec, homology):
         return identity_hom(spec)
     raise BadArgument(
         f"--hom {name}: unknown hom (all-zero, to-U, b-tau or identity)"
+    )
+
+
+class BadRingLabel(ValueError):
+    """A --coefficients label that names no supported ring."""
+
+
+# Trial division decides primality in well under a second below this bound.
+_MODULUS_LIMIT = 2 ** 40
+
+
+def _prime_modulus(label: str, digits: str) -> int:
+    if not (digits.isascii() and digits.isdigit()):
+        raise BadRingLabel(f"unknown coefficient ring {label}")
+    p = int(digits)
+    if p >= _MODULUS_LIMIT:
+        raise BadRingLabel(f"{label}: modulus {p} is not below 2^40")
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise BadRingLabel(f"{label}: modulus {p} is not prime, so Z/{p} is not a field")
+    return p
+
+
+def coefficient_ring(label: str) -> Ring:
+    """Parse a --coefficients flag: Z | Q | Zp:<p> | F<p>U with p prime."""
+    if label == "Z":
+        return ZZ
+    if label == "Q":
+        return QRing()
+    if label.startswith("Zp:"):
+        return ZpRing(_prime_modulus(label, label[3:]))
+    if label.endswith("U") and label.startswith("F"):
+        return FpURing(_prime_modulus(label, label[1:-1]))
+    raise BadRingLabel(
+        f"unknown coefficient ring {label} (Z, Q, Zp:<p> or F<p>U with p prime)"
     )
 
 
@@ -189,7 +219,7 @@ def cmd_algebra(args):
     elif args.diagram is None:
         raise BadArgument("algebra needs a diagram or --knot-sutures N")
     else:
-        spec = alg.diagram_algebra(load_diagram(args.diagram), variant=variant)
+        spec = diagram_algebra(load_diagram(args.diagram), variant=variant)
     emit(spec.to_json_dict(), args, [spec.describe()])
     return EXIT_OK
 
@@ -205,7 +235,7 @@ def cmd_admissible(args):
     elif args.criterion == "strong":
         rep = check_strong_admissible(lattice)
     else:
-        spec = alg.diagram_algebra(d, variant=alg.PLAIN, homology=data.homology)
+        spec = diagram_algebra(d, variant=alg.PLAIN, homology=data.homology)
         rep = check_weak_admissible(lattice, _hom_for(args.hom, spec, data.homology))
     payload = {
         "criterion": rep.criterion,
@@ -329,7 +359,6 @@ def cmd_complex(args):
         return EXIT_OK if rep["ok"] else EXIT_FAIL
     if args.action == "cone":
         from .cones import les_check, mapping_cone, multiplication_map
-        from .snf import QRing
 
         given = 1 if args.cone_variable is None else args.cone_variable
         var = _index_arg("--cone-variable", given, spec.nvars, "suture variables", first=1)
@@ -358,7 +387,6 @@ def cmd_complex(args):
 def cmd_triangle(args):
     """Run the mapping-cone comparison on the bundled synthetic system."""
     from .cones import ChainMap, free_complex, mapping_cone
-    from .snf import ZpRing
     from .triangle import HypothesisFailed, TriangleSystem, triangle_machine
 
     spec = alg.AlgebraSpec(names=())
@@ -396,6 +424,8 @@ def cmd_stabilize(args):
     d = load_diagram(args.diagram)
     suture = _index_arg("--suture", args.suture, d.num_marks, "sutures", first=1)
     if args.check:
+        from .cones import verify_stabilization
+
         rep = verify_stabilization(d, suture)
         payload = {
             "ok": rep.ok,

@@ -5,17 +5,18 @@ A test ring is a ring together with a homomorphism from a suture algebra
 over Z, the U-power maps into F_p[U], and the quotient onto B_tau).  The
 rings themselves (Z, Q, Z/p, F_p[U]) are ``snf.Ring`` objects, the same ones
 the Smith normal form eliminates over; ``AlgebraTarget`` makes a suture
-algebra a ring, for maps between algebras.  ``coefficient_ring`` parses a
---coefficients label.
+algebra a ring, for maps between algebras.  ``btau_hom`` builds the B_tau
+quotient with its kill test, ``_btau_predicate``.  The --coefficients label
+parser is ``cli.coefficient_ring``.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from itertools import product
 
 from . import algebra as alg
 from . import snf
-from .snf import ZZ, FpURing, QRing, Ring, ZpRing
+from .snf import ZZ, FpURing, Ring
 
 
 class HomError(ValueError):
@@ -158,6 +159,30 @@ def _u_grading(spec, weights):
     return 0 if val is None else val
 
 
+def _btau_predicate(homology, kappa):
+    """Kill test for B_tau: some nonzero divisor has trivial free H-image."""
+    cache = {}
+
+    def killed(m):
+        if m in cache:
+            return cache[m]
+        if all(a == 0 for a in m):
+            cache[m] = False
+            return False
+        ranges = [range(a + 1) for a in m]
+        ans = False
+        for v in product(*ranges):
+            if not any(v):
+                continue
+            if all(x == 0 for x in homology.free_image(v)):
+                ans = True
+                break
+        cache[m] = ans
+        return ans
+
+    return killed
+
+
 def btau_hom(spec: alg.AlgebraSpec, homology) -> TestRingHom:
     """The quotient map onto B_tau (torsion-free homology kill-list)."""
     bt = alg.AlgebraSpec(
@@ -165,7 +190,7 @@ def btau_hom(spec: alg.AlgebraSpec, homology) -> TestRingHom:
         variant=alg.B_TAU,
         kill=(),
         relations=(),
-        kill_predicate=alg._btau_predicate(homology, spec.nvars),
+        kill_predicate=_btau_predicate(homology, spec.nvars),
         chi_classes=spec.chi_classes,
         chi_group=spec.chi_group,
     )
@@ -205,37 +230,3 @@ def algebra_hom(source: alg.AlgebraSpec, target_spec: alg.AlgebraSpec, images,
         filtration_compatible=None,
     )
     return hom.verify()
-
-
-class BadRingLabel(ValueError):
-    """A --coefficients label that names no supported ring."""
-
-
-# Trial division decides primality in well under a second below this bound.
-_MODULUS_LIMIT = 2 ** 40
-
-
-def _prime_modulus(label: str, digits: str) -> int:
-    if not (digits.isascii() and digits.isdigit()):
-        raise BadRingLabel(f"unknown coefficient ring {label}")
-    p = int(digits)
-    if p >= _MODULUS_LIMIT:
-        raise BadRingLabel(f"{label}: modulus {p} is not below 2^40")
-    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-        raise BadRingLabel(f"{label}: modulus {p} is not prime, so Z/{p} is not a field")
-    return p
-
-
-def coefficient_ring(label: str) -> Ring:
-    """Parse a --coefficients flag: Z | Q | Zp:<p> | F<p>U with p prime."""
-    if label == "Z":
-        return ZZ
-    if label == "Q":
-        return QRing()
-    if label.startswith("Zp:"):
-        return ZpRing(_prime_modulus(label, label[3:]))
-    if label.endswith("U") and label.startswith("F"):
-        return FpURing(_prime_modulus(label, label[1:-1]))
-    raise BadRingLabel(
-        f"unknown coefficient ring {label} (Z, Q, Zp:<p> or F<p>U with p prime)"
-    )

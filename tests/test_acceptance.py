@@ -20,13 +20,14 @@ from sfkit.admissibility import (
     check_weak_admissible,
     finiteness_certificate,
 )
-from sfkit.cf import DiagramData, build_cf
+from sfkit.cf import DiagramData, build_cf, diagram_algebra
 from sfkit.complexes import homology
 from sfkit.cones import (
     ChainMap,
     free_complex,
     mapping_cone,
     piecewise_homology,
+    verify_stabilization,
 )
 from sfkit.diagram import ALPHA, BETA
 from sfkit.diskcount import enumerate_mu1_classes
@@ -39,10 +40,10 @@ from sfkit.domains import (
     maslov_of_periodic,
 )
 from sfkit.homology1 import h1_presentation
+from sfkit.snf import ZpRing
 from sfkit.spinc import grading_data
-from sfkit.stabilize import verify_stabilization
 from sfkit.surgery import build_surgery_rings
-from sfkit.testrings import ZpRing, all_zero, btau_hom
+from sfkit.testrings import all_zero, btau_hom
 from sfkit.triangle import HypothesisFailed, TriangleSystem, triangle_machine
 from oracles import component_domain
 
@@ -165,7 +166,8 @@ def test_a3_d_squared_and_perturbation():
             untainted += 1
     assert untainted >= 6
     # plus the stabilized-unknot complex with the degeneration term
-    from sfkit.stabilize import stabilize_diagram, stabilization_products
+    from sfkit.cones import stabilization_products
+    from sfkit.stabilize import stabilize_diagram
 
     d0 = corpus.load_diagram("unknot")
     dhat = stabilize_diagram(d0, 1)
@@ -223,7 +225,7 @@ def test_a5_trefoil():
     assert h.total_rank() == 3 and not h.torsion_summands()
 
     # oracle: independent brute-force enumeration inside the certificate box
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     A = corner_matrix(d)
     gens = d.generators()
     for x in gens:
@@ -289,7 +291,7 @@ def test_a7_triangle_machine():
     # filtered instance over the knot ring with a chi-homogeneous map
     d = corpus.load_diagram("unknot")
     pres = h1_presentation(d)
-    spec = alg.diagram_algebra(d, homology=pres)
+    spec = diagram_algebra(d, homology=pres)
     zero = pres.group.zero()
     filt = system(spec, {(1, 1): 1}, cosets=[zero, zero])
     from sfkit.triangle import verify_filtered_system
@@ -313,13 +315,13 @@ def test_a8_admissibility():
     assert not rep.admissible
     assert all(v >= 0 for v in rep.witness) and any(rep.witness)
     assert rep.witness_mu == 0
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     assert tilde.nf_monomial(tuple(rep.witness_marks)) != {}
 
     for name in COMPUTING_CORPUS:
         dd = corpus.load_diagram(name)
         pres = h1_presentation(dd)
-        spec = alg.diagram_algebra(dd, homology=pres)
+        spec = diagram_algebra(dd, homology=pres)
         lattice = DiagramData.build(dd).lattices[0]
         strong = check_strong_admissible(lattice).admissible
         s_adm = check_s_admissible(lattice).admissible
@@ -335,7 +337,7 @@ def test_a8_admissibility():
     for name in ["trefoil", "genus2_pair", "grid2", "special_hs"]:
         dd = corpus.load_diagram(name)
         data = DiagramData.build(dd)
-        tildd = alg.diagram_algebra(dd, variant=alg.TILDE)
+        tildd = diagram_algebra(dd, variant=alg.TILDE)
         A = corner_matrix(dd)
         gens = dd.generators()
         for i, x in enumerate(gens):

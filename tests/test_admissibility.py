@@ -22,7 +22,7 @@ from sfkit.admissibility import (
     survival_strata,
     tilde_kill_supports,
 )
-from sfkit.cf import DiagramData, build_cf
+from sfkit.cf import DiagramData, build_cf, diagram_algebra
 from sfkit.diskcount import enumerate_mu1_classes
 from sfkit.domains import (
     corner_matrix,
@@ -83,7 +83,7 @@ def test_sphere_fixture_not_admissible_with_witness():
     P = rep.witness
     assert all(v >= 0 for v in P) and any(P)
     assert rep.witness_mu == 0
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     assert tilde.nf_monomial(tuple(rep.witness_marks)) != {}
 
 
@@ -91,7 +91,7 @@ def test_monotonicity_strong_implies_s_implies_weak():
     for name in ADMISSIBLE + ["sphere_bad", "nomatch_genus2"]:
         d = corpus.load_diagram(name)
         pres = h1_presentation(d)
-        spec = alg.diagram_algebra(d, homology=pres)
+        spec = diagram_algebra(d, homology=pres)
         lattice = _lattice(d)
         strong = check_strong_admissible(lattice).admissible
         s_adm = check_s_admissible(lattice).admissible
@@ -108,7 +108,7 @@ def test_weak_btau_on_sphere_fixture():
     # vector here, so the B_tau criterion passes even though s fails
     d = corpus.load_diagram("sphere_bad")
     pres = h1_presentation(d)
-    spec = alg.diagram_algebra(d, homology=pres)
+    spec = diagram_algebra(d, homology=pres)
     assert check_weak_admissible(_lattice(d), btau_hom(spec, pres)).admissible
     assert not check_s_admissible(_lattice(d)).admissible
 
@@ -118,7 +118,7 @@ def test_weak_with_faithful_hom_fails_on_sphere():
     from sfkit.testrings import to_U
 
     d = corpus.load_diagram("sphere_bad")
-    spec = alg.diagram_algebra(d)
+    spec = diagram_algebra(d)
     rep = check_weak_admissible(_lattice(d), to_U(spec))
     assert not rep.admissible
 
@@ -146,7 +146,7 @@ def brute_force_positive_classes(d, x, y, j, bound):
     coefficients at most ``bound``."""
     A = corner_matrix(d)
     tgt = corner_target(d, x, y)
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     out = []
     for vec in product(range(0, bound + 1), repeat=len(d.regions)):
         if snf.mat_vec(A, list(vec)) != tgt:
@@ -166,7 +166,7 @@ def test_certificate_sound_against_brute_force(name):
     d = corpus.load_diagram(name)
     data = DiagramData.build(d)
     calc = data.calc
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     for i, x in enumerate(gens):
         for y in gens:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sfkit import algebra as alg
 from sfkit import corpus
+from sfkit.cf import diagram_algebra
 from sfkit.homology1 import h1_presentation
 from sfkit.testrings import btau_hom
 
@@ -64,7 +65,7 @@ def test_normal_form_kills_relation():
 
 
 def test_positive_genus_component_killed():
-    spec = alg.diagram_algebra(corpus.load_diagram("genus2_pair"), variant=alg.TILDE)
+    spec = diagram_algebra(corpus.load_diagram("genus2_pair"), variant=alg.TILDE)
     assert spec.nf_monomial((1,)) == {}
     # 1 survives
     assert spec.nf_monomial((0,)) == {(0,): 1}
@@ -72,7 +73,7 @@ def test_positive_genus_component_killed():
 
 def test_hat_variant_kills_all_components():
     d = corpus.load_diagram("unknot")
-    spec = alg.diagram_algebra(d, variant=alg.HAT)
+    spec = diagram_algebra(d, variant=alg.HAT)
     assert spec.nf_monomial((1, 1)) == {}
     assert spec.nf_monomial((1, 0)) != {}
 
@@ -80,7 +81,7 @@ def test_hat_variant_kills_all_components():
 def test_chi_values():
     d = corpus.load_diagram("unknot")
     pres = h1_presentation(d)
-    spec = alg.diagram_algebra(d, homology=pres)
+    spec = diagram_algebra(d, homology=pres)
     zero = pres.group.zero()
     assert spec.chi((0, 0)) == zero
     assert spec.chi((1, 1)) == zero  # chi(lambda(R^-)) = 0
@@ -91,7 +92,7 @@ def test_chi_values():
 def test_chi_additive():
     d = corpus.load_diagram("trefoil")
     pres = h1_presentation(d)
-    spec = alg.diagram_algebra(d, homology=pres)
+    spec = diagram_algebra(d, homology=pres)
     for a in range(3):
         for b in range(3):
             lhs = spec.chi((a, b))
@@ -102,7 +103,7 @@ def test_chi_additive():
 def test_relations_chi_homogeneous():
     for name in ["unknot", "trefoil", "grid2", "special_hs"]:
         d = corpus.load_diagram(name)
-        spec = alg.diagram_algebra(d, homology=h1_presentation(d))
+        spec = diagram_algebra(d, homology=h1_presentation(d))
         spec.assert_homogeneous_relations()
 
 
@@ -118,12 +119,12 @@ def nilpotent_monomial_check(spec, degree_bound=6):
 def test_nilpotent_monomial_checks():
     # killed monomials are consistently nilpotent; survivors never are
     d = corpus.load_diagram("genus2_pair")
-    spec = alg.diagram_algebra(d, variant=alg.TILDE)
+    spec = diagram_algebra(d, variant=alg.TILDE)
     assert nilpotent_monomial_check(spec, degree_bound=5) == []
     spec2 = knot_spec(2, variant=alg.TILDE)
     assert nilpotent_monomial_check(spec2, degree_bound=3) == []
     # trefoil tilde ring: exhaustive sweep
-    spec3 = alg.diagram_algebra(corpus.load_diagram("trefoil"), variant=alg.TILDE)
+    spec3 = diagram_algebra(corpus.load_diagram("trefoil"), variant=alg.TILDE)
     assert nilpotent_monomial_check(spec3, degree_bound=6) == []
 
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from sfkit import algebra as alg
 from sfkit import corpus, snf
-from sfkit.cf import DiagramData, build_cf
+from sfkit.cf import DiagramData, build_cf, diagram_algebra
 from sfkit.complexes import ComplexError, FilteredComplex, TaintRecord, _compose, homology
 from sfkit.cones import (
     ChainMap,
@@ -16,11 +16,9 @@ from sfkit.cones import (
     piecewise_homology,
     quasi_iso_over,
 )
-from sfkit.snf import ZRing
+from sfkit.snf import QRing, ZRing, ZpRing
 from sfkit.testrings import (
     AlgebraTarget,
-    QRing,
-    ZpRing,
     all_zero,
     identity_hom,
     to_U,
@@ -85,7 +83,7 @@ def test_grid2_complex_and_d_squared_diagnostics():
     assert rep["ok"]
     # the same differential over the tilde ring leaves the residue
     # lambda^+ + lambda^-, which lies in the relation ideal
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     plain = c.algebra
     c_tilde = FilteredComplex(
         ring=AlgebraTarget(tilde),

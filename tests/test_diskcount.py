@@ -14,7 +14,7 @@ from sfkit.admissibility import (
     survival_strata,
     tilde_kill_supports,
 )
-from sfkit.cf import DiagramData, build_cf
+from sfkit.cf import DiagramData, build_cf, diagram_algebra
 from sfkit.diagram import HeegaardDiagram
 from sfkit.diskcount import (
     EMPTY_BIGON,
@@ -44,7 +44,7 @@ from sfkit.stabilize import stabilize_diagram
 def classes_table(name):
     d = corpus.load_diagram(name)
     data = DiagramData.build(d)
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     out = {}
     for i, x in enumerate(gens):
@@ -258,7 +258,7 @@ def _assert_matches_reference(d, indices=(1,), tilde=None, data=None, tally=None
     pairs whose system an earlier pair (of any call) had."""
     data = data or DiagramData.build(d)
     calc = data.calc
-    tilde = tilde or alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = tilde or diagram_algebra(d, variant=alg.TILDE)
     tally = {"new": 0, "reused": 0} if tally is None else tally
     solved, seen, found = [], set(), 0
     certificate = diskcount.finiteness_certificate
@@ -361,7 +361,7 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
     d = _stabilized(name, k)
     data = DiagramData.build(d)
     calc = data.calc
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     lps, boxes = [], []
     spied = linprog.linear_range
     monkeypatch.setattr(linprog, "linear_range",
@@ -408,7 +408,7 @@ def test_residue_failure_makes_no_solve_and_no_index(monkeypatch):
     gens = d.generators()
     for g in gens:
         calc.potential(g)
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     lattice = data.lattice_of(0)
     calls = []
     connecting = DomainCalculator.connecting
@@ -432,7 +432,7 @@ def test_sources_and_targets_of_different_blocks_give_no_class(monkeypatch):
         data = DiagramData.build(d)
         for g in d.generators():
             data.calc.potential(g)
-        tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+        tilde = diagram_algebra(d, variant=alg.TILDE)
         blocks, lattices = zip(*_blocks(data))
         assert len(blocks) == 2
         calls = []
@@ -458,7 +458,7 @@ def test_residue_test_answers_before_admissibility():
     d = HeegaardDiagram.from_dict(raw)
     data = DiagramData.build(d)
     calc = data.calc
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     assert data.lattice_of(0).mu == [2, 0, 0, 0, 2]
     assert not check_s_admissible(data.lattice_of(0)).admissible
@@ -517,7 +517,7 @@ def test_constant_index_enumerates_whole_box_or_nothing():
             points = x.points + y.points
             assert all(maslov_x4(d, P, points) == 0 for P in calc.periodic_basis)
             mu0 = maslov_x4(d, phi0, points) // 4
-            tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+            tilde = diagram_algebra(d, variant=alg.TILDE)
             for index in range(-2, 3):
                 lattice = _lattice(data, x)
                 classes = enumerate_mu1_classes(lattice, [x], [y], tilde, index)
@@ -541,7 +541,7 @@ def test_unbounded_box_raises():
     # the error is raised again on a repeat: nothing outlives the call
     d = corpus.load_diagram("trefoil")
     calc = _RepeatedBasis(d)
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     mu = [maslov_of_periodic(d, P, gens[1]) for P in calc.periodic_basis]
     lattice = PeriodicLattice(calc=calc, mu=mu, at=gens[1])
@@ -557,7 +557,7 @@ def test_fresh_calculator_solves_its_systems_again(monkeypatch):
     # second call on one calculator makes the same LPs as the first, and so
     # does a call on a new calculator for the same diagram
     d = _stabilized("trefoil", 1)
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     lps = []
     spied = linprog.linear_range
@@ -615,7 +615,7 @@ def _assert_records_match_per_pair(d):
     that shared a (phi0, shift) with an earlier pair."""
     data = DiagramData.build(d)
     calc = data.calc
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     systems, found, shared = {}, 0, 0
     for block, lattice in _blocks(data):
         for index in INDICES:
@@ -703,7 +703,7 @@ def test_records_are_kept_per_shift_within_a_call():
     d = _stabilized("trefoil", 1)
     data = DiagramData.build(d)
     calc = data.calc
-    tilde = alg.diagram_algebra(d, variant=alg.TILDE)
+    tilde = diagram_algebra(d, variant=alg.TILDE)
     x0, x1, x2, x3 = d.generators()[:4]
     lattice = data.lattice_of(0)
     assert calc.connecting(x0, x1) == calc.connecting(x2, x3)

@@ -503,14 +503,13 @@ def test_diagram_data_solves_each_generator_once(name, k, monkeypatch):
 def test_one_calculator_per_diagram(name, k, monkeypatch):
     # every stage reaches the corner system through DiagramData: its
     # calculator, or a block's lattice, which holds the same calculator
-    from sfkit import algebra as alg
     from sfkit.admissibility import (
         NotAdmissibleError,
         check_s_admissible,
         check_strong_admissible,
         check_weak_admissible,
     )
-    from sfkit.cf import build_cf
+    from sfkit.cf import build_cf, diagram_algebra
     from sfkit.diskcount import niceness_report
     from sfkit.testrings import all_zero
 
@@ -524,7 +523,7 @@ def test_one_calculator_per_diagram(name, k, monkeypatch):
     monkeypatch.setattr(DomainCalculator, "__init__", counting)
     d = _stabilized(name, k)
     data = DiagramData.build(d)
-    hom = all_zero(alg.diagram_algebra(d, homology=data.homology))
+    hom = all_zero(diagram_algebra(d, homology=data.homology))
     for lattice in data.lattices:
         check_s_admissible(lattice)
         check_strong_admissible(lattice)

@@ -42,9 +42,20 @@ def _loaded_after(statement):
     ("import sfkit.linprog", {"sfkit", "sfkit.linprog"}),
     ("import sfkit.snf", {"sfkit", "sfkit.snf"}),
     ("import sfkit.testrings", {"sfkit", "sfkit.algebra", "sfkit.snf", "sfkit.testrings"}),
+    # the transform alone: the mapping-cone check lives in sfkit.cones
+    ("import sfkit.stabilize", {"sfkit", "sfkit.diagram", "sfkit.stabilize"}),
 ])
 def test_import_loads_only_its_layer(statement, loaded):
     assert _loaded_after(statement) == loaded
+
+
+def test_algebra_imports_nothing_from_sfkit():
+    # also inside functions: the diagram bridge is cf.diagram_algebra
+    tree = ast.parse((Path(SRC) / "sfkit" / "algebra.py").read_text())
+    found = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("sfkit"))
+             or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "sfkit" for a in node.names)]
+    assert found == []
 
 
 @pytest.mark.parametrize("statement, absent", [
@@ -53,6 +64,9 @@ def test_import_loads_only_its_layer(statement, loaded):
      {"dataclasses", "sfkit.cones", "sfkit.triangle"}),
     ("import sfkit.algebra", {"dataclasses"}),
     ("import sfkit.cli", {"sfkit.cones"}),
+    # the ladder benchmark worker's setup imports
+    ("import sfkit.cf, sfkit.complexes, sfkit.diagram, sfkit.stabilize, sfkit.testrings",
+     {"sfkit.cones", "sfkit.cli", "sfkit.surgery", "sfkit.triangle"}),
 ])
 def test_import_leaves_out(statement, absent):
     loaded = _run(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))")
@@ -281,8 +295,8 @@ TEST_ONLY_ATTRIBUTES = {
     "surgery:SurgeryRings.base": "test_surgery.py::test_iota_base_relation_killed",
     "homology1:ChainModel.vertices":
         "test_homology1.py::test_forest_coordinates_form_a_basis",
-    "stabilize:StabilizationReport.stabilized_dims": "test_acceptance.py::test_a6_stabilization",
-    "stabilize:StabilizationReport.cone_dims": "test_acceptance.py::test_a6_stabilization",
+    "cones:StabilizationReport.stabilized_dims": "test_acceptance.py::test_a6_stabilization",
+    "cones:StabilizationReport.cone_dims": "test_acceptance.py::test_a6_stabilization",
     "admissibility:WitnessError.condition":
         "test_admissibility.py::test_witness_errors_name_the_condition",
     "algebra:CompletionError.code": "test_algebra.py::test_completion_nonunit_escape",

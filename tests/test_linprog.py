@@ -517,7 +517,7 @@ ADMISSIBILITY_CASES = [(name, 0) for name in corpus.corpus_names()] + [
 
 @pytest.mark.parametrize("name, k", ADMISSIBILITY_CASES)
 def test_admissibility_over_k0_matches_full_lattice_reference(name, k):
-    from sfkit import algebra as alg
+    from sfkit.cf import diagram_algebra
     from sfkit.homology1 import h1_presentation
     from sfkit.testrings import HomError, all_zero, btau_hom, to_U
 
@@ -528,10 +528,10 @@ def test_admissibility_over_k0_matches_full_lattice_reference(name, k):
         for _ in range(k):
             d = stabilize_diagram(d, 0)
     pres = h1_presentation(d)
-    spec = alg.diagram_algebra(d, homology=pres)
+    spec = diagram_algebra(d, homology=pres)
     homs = [all_zero(spec), btau_hom(spec, pres)]
     try:
-        homs.append(to_U(alg.diagram_algebra(d)))
+        homs.append(to_U(diagram_algebra(d)))
     except HomError:
         pass  # a kill monomial survives U
     verdicts = []

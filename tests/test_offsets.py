@@ -20,7 +20,7 @@ import pytest
 from sfkit import algebra as alg
 from sfkit import corpus
 from sfkit.admissibility import NotAdmissibleError, check_weak_admissible
-from sfkit.cf import DiagramData, build_cf
+from sfkit.cf import DiagramData, build_cf, diagram_algebra
 from sfkit.complexes import ComplexError, FilteredComplex
 from sfkit.cones import ChainMap, _cone_decorations, free_complex, mapping_cone, multiplication_map
 from sfkit.stabilize import stabilize_diagram
@@ -330,7 +330,7 @@ def test_weak_all_zero_verdict_is_the_same_over_plain_and_tilde():
         if not d.validate().ok:
             continue
         data = DiagramData.build(d)
-        plain = alg.diagram_algebra(d, homology=data.homology)
+        plain = diagram_algebra(d, homology=data.homology)
         for lattice in data.lattices:
             by_plain = check_weak_admissible(lattice, all_zero(plain))
             assert check_weak_admissible(lattice, all_zero(data.tilde)) == by_plain, label

@@ -37,12 +37,10 @@ from sfkit.cones import (
     piecewise_homology,
 )
 from sfkit.stabilize import stabilize_diagram
-from sfkit.snf import ZRing
+from sfkit.snf import QRing, ZRing, ZpRing
 from sfkit.testrings import (
     FpURing,
     HomError,
-    QRing,
-    ZpRing,
     all_zero,
     to_U,
 )

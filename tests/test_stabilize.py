@@ -2,16 +2,13 @@ import pytest
 
 from sfkit import algebra as alg
 from sfkit import corpus
-from sfkit.cf import DiagramData, build_cf
+from sfkit.cf import DiagramData, build_cf, diagram_algebra
 from sfkit.complexes import ComplexError, FilteredComplex, homology
+from sfkit.cones import stabilization_products, verify_stabilization
 from sfkit.diagram import ALPHA, BETA
-from sfkit.stabilize import (
-    BadSutureError,
-    stabilize_diagram,
-    stabilization_products,
-    verify_stabilization,
-)
-from sfkit.testrings import ZpRing, all_zero
+from sfkit.snf import ZpRing
+from sfkit.stabilize import BadSutureError, stabilize_diagram
+from sfkit.testrings import all_zero
 
 
 def test_stabilized_unknot_structure():
@@ -32,7 +29,7 @@ def test_stabilized_unknot_structure():
 def test_stabilized_algebra_relation():
     d = corpus.load_diagram("unknot")
     dhat = stabilize_diagram(d, 1)
-    spec = alg.diagram_algebra(dhat)
+    spec = diagram_algebra(dhat)
     (rel,) = spec.relations
     pos = {m for m, c in rel if c > 0}
     neg = {m for m, c in rel if c < 0}
@@ -157,7 +154,7 @@ def test_stabilized_complex_d_squared_mod2_over_rhat():
     rep = c.verify_d_squared(plain_spec=c.algebra)
     assert rep["ok"]
     # and over the tilde ring the residue lies in the relation ideal
-    tilde = alg.diagram_algebra(dhat, variant=alg.TILDE)
+    tilde = diagram_algebra(dhat, variant=alg.TILDE)
     from sfkit.complexes import FilteredComplex
     from sfkit.testrings import AlgebraTarget
 

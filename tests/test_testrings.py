@@ -2,17 +2,16 @@ import pytest
 
 from sfkit import algebra as alg
 from sfkit import corpus
+from sfkit.cf import diagram_algebra
+from sfkit.cli import coefficient_ring
 from sfkit.homology1 import h1_presentation
-from sfkit.snf import ZRing
+from sfkit.snf import QRing, ZRing, ZpRing
 from sfkit.testrings import (
     FpURing,
     HomError,
-    QRing,
-    ZpRing,
     all_zero,
     algebra_hom,
     btau_hom,
-    coefficient_ring,
     identity_hom,
     to_U,
 )
@@ -40,7 +39,7 @@ def test_to_U_compatibility_needs_factorization():
     # negative, so every nonconstant U-specialization collapses the
     # filtration; only the trivial weights are chi-compatible
     d = corpus.load_diagram("unknot")
-    spec = alg.diagram_algebra(d, homology=h1_presentation(d))
+    spec = diagram_algebra(d, homology=h1_presentation(d))
     assert to_U(spec).filtration_compatible is False
     assert to_U(spec, weights=(1, 0)).filtration_compatible is False
     assert to_U(spec, weights=(0, 0)).filtration_compatible is True
@@ -48,7 +47,7 @@ def test_to_U_compatibility_needs_factorization():
 
 def test_to_U_rejects_killed_monomials():
     d = corpus.load_diagram("genus2_pair")
-    spec = alg.diagram_algebra(d, variant=alg.TILDE)
+    spec = diagram_algebra(d, variant=alg.TILDE)
     with pytest.raises(HomError) as err:
         to_U(spec)
     assert err.value.code == "RELATION_NOT_KILLED"
@@ -57,7 +56,7 @@ def test_to_U_rejects_killed_monomials():
 def test_btau_hom_kills_pair():
     d = corpus.load_diagram("unknot")
     pres = h1_presentation(d)
-    spec = alg.diagram_algebra(d, homology=pres)
+    spec = diagram_algebra(d, homology=pres)
     hom = btau_hom(spec, pres)
     assert hom.target.is_zero(hom.apply_monomial((1, 1)))
     assert not hom.target.is_zero(hom.apply_monomial((2, 0)))

@@ -1,8 +1,10 @@
 import pytest
 
 from sfkit import algebra as alg
+from sfkit.cf import diagram_algebra
 from sfkit.cones import ChainMap, free_complex, mapping_cone
-from sfkit.testrings import ZpRing, all_zero
+from sfkit.snf import ZpRing
+from sfkit.testrings import all_zero
 from sfkit.triangle import (
     HypothesisFailed,
     TriangleSystem,
@@ -57,7 +59,7 @@ def test_filtered_system():
 
     d = corpus.load_diagram("unknot")
     pres = h1_presentation(d)
-    spec = alg.diagram_algebra(d, homology=pres)
+    spec = diagram_algebra(d, homology=pres)
     zero = pres.group.zero()
     system = cone_rotation_system(
         spec, {(1, 1): 1}, cosets=[zero, zero], gradings=None
