@@ -203,10 +203,23 @@ class AlgebraSpec:
         return self.kill_predicate is not None and self.kill_predicate(m)
 
     def _reduce(self, p, rules):
+        """Normal form of ``p`` under ``rules``: rewrite the largest monomial
+        that a rule's lead divides or the kill predicate kills, until none is.
+
+        Within one call the rules and the predicate are fixed, so a monomial
+        that a scan finds irreducible stays irreducible, and later scans skip
+        it: each irreducible monomial is tested once per call.  The set lives
+        in the call and not on the spec because ``_complete`` reduces against
+        a rule list that grows between calls, under which a monomial
+        irreducible before can become reducible.
+        """
         p = dict(p)
+        irreducible = set()
         while True:
             target = None
             for m in sorted(p, key=mono_key, reverse=True):
+                if m in irreducible:
+                    continue
                 if self._killed(m):
                     target = (m, None)
                     break
@@ -216,6 +229,7 @@ class AlgebraSpec:
                         break
                 if target:
                     break
+                irreducible.add(m)
             if target is None:
                 return p
             m, rule = target

@@ -34,7 +34,8 @@ EXIT_BAD_INPUT = 2
 
 
 class BadArgument(ValueError):
-    """A command-line value outside what the diagram or the options allow."""
+    """A command-line value outside what the diagram or the options allow,
+    or a --coefficients label that names no supported ring."""
 
 
 def _index_arg(flag, value, count, what, first=0):
@@ -101,22 +102,18 @@ def _hom_for(name, spec, homology):
     )
 
 
-class BadRingLabel(ValueError):
-    """A --coefficients label that names no supported ring."""
-
-
 # Trial division decides primality in well under a second below this bound.
 _MODULUS_LIMIT = 2 ** 40
 
 
 def _prime_modulus(label: str, digits: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
-        raise BadRingLabel(f"unknown coefficient ring {label}")
+        raise BadArgument(f"unknown coefficient ring {label}")
     p = int(digits)
     if p >= _MODULUS_LIMIT:
-        raise BadRingLabel(f"{label}: modulus {p} is not below 2^40")
+        raise BadArgument(f"{label}: modulus {p} is not below 2^40")
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
-        raise BadRingLabel(f"{label}: modulus {p} is not prime, so Z/{p} is not a field")
+        raise BadArgument(f"{label}: modulus {p} is not prime, so Z/{p} is not a field")
     return p
 
 
@@ -130,7 +127,7 @@ def coefficient_ring(label: str) -> Ring:
         return ZpRing(_prime_modulus(label, label[3:]))
     if label.endswith("U") and label.startswith("F"):
         return FpURing(_prime_modulus(label, label[1:-1]))
-    raise BadRingLabel(
+    raise BadArgument(
         f"unknown coefficient ring {label} (Z, Q, Zp:<p> or F<p>U with p prime)"
     )
 
@@ -563,7 +560,7 @@ def main(argv=None):
     except InvalidDiagram as e:
         print(f"invalid diagram:\n{e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (BadArgument, BadRingLabel) as e:
+    except BadArgument as e:
         print(f"bad argument: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as e:

@@ -3,6 +3,7 @@ computations that no program path needs."""
 
 from fractions import Fraction
 
+from sfkit.algebra import mono_div, mono_divides, mono_key, poly_add, poly_mono_mul
 from sfkit.snf import ZZ, AbelianGroup, smith_normal_form
 
 
@@ -142,3 +143,33 @@ def kernel_over_field(A, ncols, p=None):
             v[pj] = -M[pr][j] if p is None else -M[pr][j] % p
         basis.append(v)
     return basis
+
+
+# -- normal forms ---------------------------------------------------------------
+
+
+def ref_reduce(spec, p, rules):
+    """``AlgebraSpec._reduce`` as it was before its scans skipped the
+    monomials already found irreducible: every scan re-tests every monomial
+    above the next target.  A method body, so it can replace ``_reduce``."""
+    p = dict(p)
+    while True:
+        target = None
+        for m in sorted(p, key=mono_key, reverse=True):
+            if spec._killed(m):
+                target = (m, None)
+                break
+            for lead, tail in rules:
+                if mono_divides(lead, m):
+                    target = (m, (lead, tail))
+                    break
+            if target:
+                break
+        if target is None:
+            return p
+        m, rule = target
+        c = p.pop(m)
+        if rule is None:
+            continue
+        lead, tail = rule
+        p = poly_add(p, poly_mono_mul(tail, mono_div(m, lead), c))

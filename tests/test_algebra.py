@@ -1,13 +1,17 @@
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ref_reduce
 
 from sfkit import algebra as alg
 from sfkit import corpus
 from sfkit.cf import diagram_algebra
 from sfkit.homology1 import h1_presentation
+from sfkit.surgery import build_surgery_rings
 from sfkit.testrings import btau_hom
 
 
@@ -226,3 +230,123 @@ def test_completion_nonunit_escape():
         spec = alg.AlgebraSpec(names=("x",), relations=(( ((2,), 2), ((0,), -1)),))
         spec.rules
     assert err.value.code == "COMPLETION_NONUNIT"
+
+
+# -- the reduction against its reference ---------------------------------------
+
+
+def _knot_builder(n, variant):
+    return lambda: knot_spec(n, variant)
+
+
+def _diagram_builder(name, variant):
+    def build():
+        d = corpus.load_diagram(name)
+        return diagram_algebra(d, variant=variant, homology=h1_presentation(d))
+    return build
+
+
+def _btau_builder(name):
+    def build():
+        d = corpus.load_diagram(name)
+        pres = h1_presentation(d)
+        return btau_hom(diagram_algebra(d, homology=pres), pres).target.spec
+    return build
+
+
+def _surgery_builder(ring):
+    return lambda: getattr(build_surgery_rings(alg.knot_components(1), 2, 3, 2, 1), ring)
+
+
+# Completion adds several rules to these, and an earlier call's irreducible
+# monomials become reducible under later rules: a memo kept across calls
+# misses rules and runs into COMPLETION_CAP.
+CUSTOM_RELATIONS = {
+    "twisted-cubic": ((("x", "y", "z"), ()),
+                      ((((2, 0, 0), 1), ((0, 1, 1), -1)),
+                       (((1, 1, 0), 1), ((0, 0, 2), -1)))),
+    "kill-and-relations": ((("x", "y", "z"), ((0, 3, 0),)),
+                           ((((2, 0, 0), 1), ((0, 1, 1), -1)),
+                            (((1, 1, 0), 1), ((0, 0, 2), -1), ((0, 1, 0), 1)))),
+}
+
+
+def _custom_builder(label):
+    (names, kill), relations = CUSTOM_RELATIONS[label]
+    return lambda: alg.AlgebraSpec(names=names, kill=kill, relations=relations)
+
+
+# label -> a function that builds the algebra afresh (``rules`` is cached)
+REDUCTION_SPECS = {
+    **{f"knot{n}-{v}": _knot_builder(n, v)
+       for n in (2, 3, 4) for v in (alg.TILDE, alg.PLAIN, alg.HAT)},
+    **{f"{name}-{v}": _diagram_builder(name, v)
+       for name in corpus.corpus_names() for v in (alg.PLAIN, alg.TILDE)},
+    **{f"{name}-btau": _btau_builder(name) for name in corpus.corpus_names()},
+    **{f"surgery-{ring}": _surgery_builder(ring) for ring in ("rhat", "r", "b")},
+    **{label: _custom_builder(label) for label in CUSTOM_RELATIONS},
+}
+_BUILT = {}
+
+
+def _spec(label):
+    if label not in _BUILT:
+        _BUILT[label] = REDUCTION_SPECS[label]()
+    return _BUILT[label]
+
+
+def _poly_strategy(nvars):
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), st.integers(-3, 3))
+    return st.lists(term, max_size=5).map(lambda terms: alg.poly_add({}, dict(terms)))
+
+
+@pytest.mark.parametrize("label", sorted(REDUCTION_SPECS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_reduce_matches_reference(label, data):
+    # a random polynomial and a product of two: identical normal forms, term
+    # order included, on knot, diagram and B_tau algebras
+    spec = _spec(label)
+    a = data.draw(_poly_strategy(spec.nvars))
+    b = data.draw(_poly_strategy(spec.nvars))
+    for p in (a, alg.poly_mul(a, b)):
+        got = spec.normal_form(p)
+        want = ref_reduce(spec, p, spec.rules)
+        assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("label", sorted(REDUCTION_SPECS))
+def test_completion_matches_reference(label, monkeypatch):
+    # _complete reduces against a rule list that grows between calls: the
+    # completed rules, tails in their insertion order, match the reference's
+    build = REDUCTION_SPECS[label]
+    got = build().rules
+    monkeypatch.setattr(alg.AlgebraSpec, "_reduce", ref_reduce)
+    want = build().rules
+    assert [(lead, list(tail.items())) for lead, tail in got] == \
+        [(lead, list(tail.items())) for lead, tail in want]
+
+
+def test_reduction_visits_each_result_monomial_once(monkeypatch):
+    # the scan calls _killed once per monomial it tests; each monomial of the
+    # normal form is irreducible, so a reduction tests it once
+    spec = knot_spec(3)
+    spec.rules  # completion reduces too: count only the normal form
+    rng = random.Random(3)
+
+    def poly():
+        return {(i, j) + tuple(rng.randint(0, 2) for _ in range(4)): rng.choice((-2, -1, 1, 2))
+                for i, j in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (2, 2))}
+
+    p = alg.poly_mul(poly(), poly())
+    visits = Counter()
+    killed = alg.AlgebraSpec._killed
+
+    def counting(self, m):
+        visits[m] += 1
+        return killed(self, m)
+
+    monkeypatch.setattr(alg.AlgebraSpec, "_killed", counting)
+    nf = spec.normal_form(p)
+    assert len(nf) > 10
+    assert {m: visits[m] for m in nf} == {m: 1 for m in nf}
