@@ -195,8 +195,9 @@ def check_strong_admissible(lattice: PeriodicLattice) -> AdmissibilityReport:
 class CertificateSystem:
     """Rows over the K0 coordinates of a block, compiled once: the cone rows
     of a survival stratum, the sources of their right-hand sides (see
-    ``cone_rows``), the total multiplicity sum_r P_r per K0 domain and the
-    recording that serves every elimination of the rows."""
+    ``cone_rows``), the total multiplicity sum_r P_r per K0 domain and two
+    recordings: ``recording`` for the certificate's ``linear_range``,
+    ``listing`` for the enumerator's ``integer_points``."""
 
     def __init__(self, lattice: PeriodicLattice, stratum: frozenset = frozenset()):
         basis = lattice.mu_zero[2]
@@ -204,17 +205,20 @@ class CertificateSystem:
         self.rows, self.sources = cone_rows(lattice.diagram, basis, stratum)
         self.total = [sum(P) for P in basis]
         self.recording = linprog.Recording()
+        self.listing = linprog.Recording()
 
-    def ineqs(self, base, *extra) -> list:
-        """The rows with the right-hand sides of ``base``, then ``extra``."""
-        rhs = [sign * base[r] for r, sign in self.sources] + list(extra)
+    def ineqs(self, base) -> list:
+        """The rows with the right-hand sides of ``base``."""
+        rhs = [sign * base[r] for r, sign in self.sources]
         return list(zip(self.rows, rhs, strict=True))
 
 
 def certificate_systems(lattice: PeriodicLattice) -> list:
-    """The certificate systems of every survival stratum of the block."""
-    return [CertificateSystem(lattice, stratum)
-            for stratum in survival_strata(tilde_kill_supports(lattice.diagram))]
+    """The systems of every survival stratum of the block, built once and
+    kept with the lattice: the certificate and the enumerator read them."""
+    return lattice.compiled("certificate", lambda lattice: [
+        CertificateSystem(lattice, stratum)
+        for stratum in survival_strata(tilde_kill_supports(lattice.diagram))])
 
 
 def finiteness_certificate(lattice: PeriodicLattice, phi0, shift: int) -> int | None:
@@ -228,12 +232,16 @@ def finiteness_certificate(lattice: PeriodicLattice, phi0, shift: int) -> int | 
     Spin^c class, phi0 the pair's connecting domain and shift = j - mu(phi0)
     for the index j.  The stratum systems are compiled once per lattice; a
     pair supplies right-hand sides.
+
+    The enumerator lists each stratum's classes behind this proof: a finite
+    maximum of sum_r D_r with D >= 0 bounds every coefficient of D, which
+    fixes its K0 coordinates, so no stratum polytope it lists is unbounded.
     """
     base = lattice.slice_base(phi0, shift)
     if base is None:
         return None
     best = None
-    for system in lattice.compiled("certificate", certificate_systems):
+    for system in certificate_systems(lattice):
         rng = linprog.linear_range(system.ineqs(base), len(system.total), system.total,
                                    system.recording)
         if rng is None:

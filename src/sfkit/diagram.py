@@ -295,19 +295,21 @@ class HeegaardDiagram:
                     nxt = arc_map.get(curve[(k + 1) % len(curve)])
                     if nxt is not None and ends[1] != nxt[0]:
                         errors.append(("MALFORMED", f"curve {tag}{ci}: {arc} head != next tail"))
-        # each crossing hit by exactly two endpoint slots per incident curve
-        incident = {i: {"tails": 0, "heads": 0} for i in range(len(self.crossings))}
-        for name, ends in self.arcs:
-            if ends is None:
-                continue
-            for pt, key in ((ends[0], "tails"), (ends[1], "heads")):
-                if pt not in self.point_index:
-                    errors.append(("MALFORMED", f"arc {name} endpoint {pt} unknown"))
-                else:
-                    incident[self.point_index[pt]][key] += 1
-        for i, counts in incident.items():
-            if counts["tails"] != 2 or counts["heads"] != 2:
-                errors.append(("MALFORMED", f"crossing x{i} has endpoint slots {counts}"))
+        # each crossing is the tail of one arc and the head of one arc of its
+        # declared alpha curve and of its declared beta curve, and ends no other
+        slots = Counter()
+        for curves, tag in ((self.alpha, ALPHA), (self.beta, BETA)):
+            for ci, curve in enumerate(curves):
+                slots.update((pt, tag, ci, end) for arc in curve
+                             for pt, end in zip(arc_map.get(arc) or (), ("tail", "head")))
+        want = Counter((f"x{i}", tag, ci, end) for i, pt in enumerate(self.crossings)
+                       for tag, ci in ((ALPHA, pt.alpha), (BETA, pt.beta))
+                       for end in ("tail", "head"))
+        for key in dict.fromkeys([*want, *slots]):
+            if slots[key] != want[key]:
+                pt, tag, ci, end = key
+                errors.append(("MALFORMED", f"crossing {pt} is the {end} of {slots[key]} "
+                                            f"arcs of {tag}{ci}, expected {want[key]}"))
         # quadrants reference valid regions
         for i, pt in enumerate(self.crossings):
             if len(pt.quadrants) != 4 or any(

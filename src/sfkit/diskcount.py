@@ -10,16 +10,17 @@ multiple of g has no class.  One call takes lists of sources and targets (in
 this residue test and the key test by one lookup per source, before any
 connecting solve or LP.  For such a pair the classes are base + K0, base =
 phi0 + (shift // g) step an integer domain (``PeriodicLattice.slice_base``),
-so every LP row is integral: the finiteness certificate bounds their total
-multiplicity, and the integer points over K0 of the polytope D >= 0,
-sum_r D_r <= bound are listed, from rows compiled once per Spin^c block
-(``PeriodicLattice.compiled``).
+so every LP row is integral.  Behind the finiteness certificate, the classes
+are listed as the integer points over K0 of each survival stratum's polytope
+(D >= 0, n_i(D) = 0 on the stratum's marks), from rows compiled once per
+Spin^c block (``PeriodicLattice.compiled``); survival under the caller's
+algebra is still checked.
 
 phi0 sees only the moved points, so pairs repeat a system (phi0, shift).  A
-call runs the certificate, the box and the checks on a candidate (D >= 0,
-its Euler and corner measures with the corner guard ``is_domain``, mu =
-index, survival and shape) once per system, and every pair of the system
-reads the kept (domain, n_z, shape, count).  Within a lattice the system
+call runs the certificate, the listing and the checks on a candidate (its
+Euler and corner measures with the corner guard ``is_domain``, mu = index,
+survival and shape) once per system, and every pair of the system reads the
+kept (domain, n_z, shape, count).  Within a lattice the system
 fixes what the checks read of x and y:
 
 - the corner target e(x) - e(y) = A phi0, so every candidate phi0 + P is a
@@ -38,7 +39,7 @@ homomorphism.
 
 from __future__ import annotations
 
-from .admissibility import CertificateSystem, finiteness_certificate
+from .admissibility import certificate_systems, finiteness_certificate
 from .algebra import AlgebraSpec
 from .diagram import Generator, HeegaardDiagram
 from .domains import (
@@ -91,22 +92,6 @@ def classify(d: HeegaardDiagram, D, x: Generator, y: Generator, measures) -> tup
     return UNSUPPORTED, None
 
 
-def _box_system(lattice: PeriodicLattice) -> CertificateSystem:
-    """The enumerator's box for the block, compiled once: over K0, the rows
-    D = base + sum s_k K_k >= 0 and, last, sum_r D_r <= bound."""
-    box = CertificateSystem(lattice)
-    box.rows.append([-c for c in box.total])
-    return box
-
-
-def _box_points(lattice: PeriodicLattice, base, bound: int) -> list:
-    """The domains D = base + sum s_k K_k with D >= 0 and sum_r D_r <= bound,
-    K_k the basis of K0, each from one integer point s of the box."""
-    box, K0 = lattice.compiled("box", _box_system), lattice.mu_zero[2]
-    points = linprog.integer_points(box.ineqs(base, sum(base) - bound), len(K0), box.recording)
-    return [lattice.element(s, base, K0) for s in points]
-
-
 def enumerate_mu1_classes(lattice: PeriodicLattice, sources, targets,
                           tilde: AlgebraSpec, index: int = 1) -> list:
     """Every positive class with mu = index and surviving tilde-monomial from
@@ -140,19 +125,17 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, sources, targets,
 def _checked_records(lattice: PeriodicLattice, phi0, shift: int, x: Generator,
                      y: Generator, tilde: AlgebraSpec, index: int) -> list:
     """(domain, n_z, shape, count) of each class of the system (phi0, shift)
-    at the pair (x, y), from the certificate, the box and the checks; every
-    pair of the system shares the answer."""
-    d = lattice.diagram
-    bound = finiteness_certificate(lattice, phi0, shift)
-    try:
-        found = [] if bound is None else _box_points(
-            lattice, lattice.slice_base(phi0, shift), bound)
-    except linprog.Unbounded:
-        raise RuntimeError("certificate box is unbounded") from None
+    at the pair (x, y), shared by every pair of the system: behind the
+    certificate (NotAdmissibleError on an unbounded stratum, no class when
+    every stratum is empty), the union of each stratum's integer points."""
+    if finiteness_certificate(lattice, phi0, shift) is None:
+        return []
+    d, base, K0 = lattice.diagram, lattice.slice_base(phi0, shift), lattice.mu_zero[2]
+    found = {tuple(lattice.element(s, base, K0))
+             for system in certificate_systems(lattice)
+             for s in linprog.integer_points(system.ineqs(base), len(K0), system.listing)}
     out = []
-    for D in sorted(set(map(tuple, found))):
-        if any(c < 0 for c in D):
-            continue
+    for D in sorted(found):
         measures = maslov_measures(d, D, x, y)
         if sum(measures) != 4 * index:
             continue

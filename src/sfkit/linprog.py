@@ -32,9 +32,10 @@ right-hand sides passes a ``Recording`` to ``linear_range`` or
 built, so later calls only recompute bounds.  The recording keeps the rows
 of its first call and checks a later call's rows by identity first, so an
 owner passing its own rows pays no comparison of entries.  It lives as
-long as its owner; in this package that is the compiled block systems of a
-``PeriodicLattice`` (the finiteness certificate's strata and the
-enumerator's box), one recording each.  Nothing is cached at module level,
+long as its owner; in this package that is the compiled stratum systems of
+a ``PeriodicLattice``, each with one recording for the finiteness
+certificate's ``linear_range`` and one for the enumerator's
+``integer_points``.  Nothing is cached at module level,
 and one-shot systems (admissibility checks, monomial fibers) pass no
 recording.
 

@@ -320,6 +320,21 @@ def test_corpus_check_skips_beside_a_compared_diagram(tmp_path, monkeypatch):
     assert (code, out) == (0, "trefoil: SKIP (no expected record)\nunknot: ok\n")
 
 
+def test_corpus_check_rejects_a_malformed_diagram(tmp_path, monkeypatch, capsys):
+    # a compared diagram that fails the schema exits 2 with the schema error,
+    # not with a KeyError traceback from the report
+    import shutil
+
+    (tmp_path / "bad.json").write_text('{"alpha": []}')
+    (tmp_path / "expected").mkdir()
+    shutil.copy(os.path.join(os.path.dirname(corpus_path("unknot")), "expected", "unknot.json"),
+                tmp_path / "expected" / "bad.json")
+    monkeypatch.setenv("SFK_CORPUS", str(tmp_path))
+    code, out = run("--json", "corpus-check")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "schema error: 'beta' is a required property\n"
+
+
 def test_complex_build_refuses_a_diagram_that_is_not_s_admissible(capsys):
     code, out = run("complex", "build", corpus_path("nomatch_genus2"))
     assert (code, out) == (1, "")

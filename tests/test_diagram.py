@@ -97,6 +97,29 @@ def test_unbalanced_detected():
     assert "UNBALANCED" in rep.error_codes()
 
 
+@pytest.mark.parametrize("side, curve", [(ALPHA, 1), (ALPHA, 7), (BETA, 1), (BETA, 7)])
+def test_crossing_on_another_curve_detected(side, curve):
+    # grid2's x0 lies on alpha0 and beta0; declaring another curve, or one
+    # that does not exist, is malformed, where it once passed and changed the
+    # generators (with alpha 7, one generator instead of two)
+    data = corpus.load_diagram("grid2").to_dict()
+    assert data["points"][0][side] == 0
+    data["points"][0][side] = curve
+    rep = HeegaardDiagram.from_dict(data).validate()
+    assert rep.error_codes() == ["MALFORMED"]
+    assert ("MALFORMED", f"crossing x0 is the tail of 0 arcs of {side}{curve}, expected 1") \
+        in rep.errors
+
+
+@pytest.mark.parametrize("name", sorted(set(EXPECTED_GENUS) - {"genus2_pair"}))
+def test_stabilized_crossings_lie_on_their_curves(name):
+    # stabilize_diagram declares each new crossing's curves as its arcs run
+    d = corpus.load_diagram(name)
+    for _ in range(2):
+        d = stabilize_diagram(d, 0)
+        assert d.validate().ok
+
+
 def test_unmarked_component_detected():
     data = corpus.load_diagram("torus_min").to_dict()
     data["regions"][0]["marks"] = []

@@ -7,6 +7,7 @@ import pytest
 from sfkit import algebra as alg
 from sfkit import corpus, diskcount, linprog
 from sfkit.admissibility import (
+    CertificateSystem,
     NotAdmissibleError,
     certificate_systems,
     check_s_admissible,
@@ -21,8 +22,6 @@ from sfkit.diskcount import (
     EMPTY_RECTANGLE,
     UNSUPPORTED,
     DiskClass,
-    _box_points,
-    _box_system,
     _moved_coordinates,
     classify,
     enumerate_mu1_classes,
@@ -322,7 +321,8 @@ def _stabilized(name, k):
 @pytest.mark.parametrize("name", ["unknot", "trefoil", "grid2"])
 def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
     # the enumerator runs through the block's compiled systems: every
-    # certificate LP and every box replays one of their recordings
+    # certificate LP replays a system's recording and every listing its
+    # listing recording
     d = _stabilized(name, k)
     used = []
     for fn, at in (("linear_range", 3), ("integer_points", 2)):
@@ -339,8 +339,8 @@ def test_sliced_enumerator_matches_reference_on_ladder(name, k, monkeypatch):
     assert _assert_matches_reference(d, INDICES, data=data, tally=tally) > 0
     assert tally["reused"] > 0 and tally["new"] > 0
     (lattice,) = {data.lattice_of(i) for i in range(len(d.generators()))}
-    compiled = [s.recording for s in lattice.compiled("certificate", certificate_systems)]
-    compiled.append(lattice.compiled("box", _box_system).recording)
+    compiled = [r for s in certificate_systems(lattice)
+                for r in (s.recording, s.listing)]
     assert {id(r) for r in used} == {id(r) for r in compiled}
 
 
@@ -353,27 +353,26 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
                                                         systems, monkeypatch):
     # a pair whose shift 1 - mu(phi0) is no multiple of the gcd of the mu row
     # has no lattice point on its mu slice: the enumerator finds it no class
-    # before any certificate LP or box.  Each (phi0, shift) of the pairs
-    # that pass makes one LP per stratum, and one box unless the certificate
-    # finds every stratum empty; a pair that repeats a system of the call
-    # makes neither.  So one call over the block makes strata x distinct
-    # systems LPs, not a number per pair
+    # before any certificate LP or listing.  Each (phi0, shift) of the pairs
+    # that pass makes one LP per stratum, and one listing per stratum unless
+    # the certificate finds every stratum empty; a pair that repeats a
+    # system of the call makes neither.  So one call over the block makes
+    # strata x distinct systems LPs, not a number per pair
     d = _stabilized(name, k)
     data = DiagramData.build(d)
     calc = data.calc
     tilde = diagram_algebra(d, variant=alg.TILDE)
-    lps, boxes = [], []
-    spied = linprog.linear_range
+    lps, listings = [], []
+    spied, listed = linprog.linear_range, linprog.integer_points
     monkeypatch.setattr(linprog, "linear_range",
                         lambda *args: lps.append(args) or spied(*args))
-    original = diskcount._box_points
-    monkeypatch.setattr(diskcount, "_box_points",
-                        lambda *args: boxes.append(args) or original(*args))
+    monkeypatch.setattr(linprog, "integer_points",
+                        lambda *args: listings.append(args) or listed(*args))
     gens = d.generators()
     (lattice,) = {data.lattice_of(i) for i in range(len(gens))}
-    strata = len(lattice.compiled("certificate", certificate_systems))
+    strata = len(certificate_systems(lattice))
     classes = enumerate_mu1_classes(lattice, gens, gens, tilde)
-    made = len(lps), len(boxes)
+    made = len(lps), len(listings)
     assert classes == [c for x in gens for y in gens
                        for c in reference_mu1_classes(d, x, y, tilde, lattice)]
     seen = {"residue": 0, "empty": 0, "boxed": 0}
@@ -392,7 +391,7 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
     assert seen == {"residue": residue, "empty": empty,
                     "boxed": len(gens) ** 2 - residue - empty}
     assert len(solved) == systems
-    assert made == (strata * systems, sum(not none for none in solved.values()))
+    assert made == (strata * systems, strata * sum(not none for none in solved.values()))
 
 
 def test_residue_failure_makes_no_solve_and_no_index(monkeypatch):
@@ -538,15 +537,22 @@ class _RepeatedBasis(DomainCalculator):
 
 
 def test_unbounded_box_raises():
-    # the error is raised again on a repeat: nothing outlives the call
+    # a basis that lists one domain twice puts a zero domain in K0: the
+    # certificate bounds sum_r D_r, yet the stratum polytope is unbounded
+    # along that coordinate.  A true basis never does this, so the
+    # enumerator's listing raises linprog.Unbounded and the reference's box
+    # its own error.  The error is raised again on a repeat: nothing
+    # outlives the call
     d = corpus.load_diagram("trefoil")
     calc = _RepeatedBasis(d)
     tilde = diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     mu = [maslov_of_periodic(d, P, gens[1]) for P in calc.periodic_basis]
     lattice = PeriodicLattice(calc=calc, mu=mu, at=gens[1])
+    shift = 1 - (calc.potential(gens[1]) - calc.potential(gens[0]))
+    assert finiteness_certificate(lattice, calc.connecting(gens[1], gens[0]), shift) is not None
     for _ in range(2):
-        with pytest.raises(RuntimeError, match="certificate box is unbounded"):
+        with pytest.raises(linprog.Unbounded):
             enumerate_mu1_classes(lattice, [gens[1]], [gens[0]], tilde)
     with pytest.raises(RuntimeError, match="certificate box is unbounded"):
         reference_mu1_classes(d, gens[1], gens[0], tilde, lattice)
@@ -579,7 +585,26 @@ def test_fresh_calculator_solves_its_systems_again(monkeypatch):
 # -- differential test of the per-system class records -----------------------
 #
 # The reference is the per-pair body the records replaced: the pair's own
-# certificate and box, and every check run at the pair's own x and y.
+# certificate and box, and every check run at the pair's own x and y.  The
+# box is the listing the per-stratum one replaced: the integer points of
+# D >= 0, sum_r D_r <= bound, every stratum's classes among them.
+
+
+def _box_system(lattice):
+    """The box of a block, compiled once: over K0, the stratum-free cone rows
+    D = base + sum s_k K_k >= 0 and, last, sum_r D_r <= bound; its system
+    holds the right-hand-side sources and the recording."""
+    box = CertificateSystem(lattice)
+    return box, box.rows + [[-c for c in box.total]]
+
+
+def _box_points(lattice, base, bound):
+    """The domains D = base + sum s_k K_k with D >= 0 and sum_r D_r <= bound,
+    K_k the basis of K0, each from one integer point s of the box."""
+    (box, rows), K0 = lattice.compiled("box", _box_system), lattice.mu_zero[2]
+    rhs = [b for _, b in box.ineqs(base)] + [sum(base) - bound]
+    points = linprog.integer_points(list(zip(rows, rhs)), len(K0), box.listing)
+    return [lattice.element(s, base, K0) for s in points]
 
 
 def per_pair_classes(lattice, x, y, tilde, index=1):
@@ -609,13 +634,13 @@ def per_pair_classes(lattice, x, y, tilde, index=1):
     return out
 
 
-def _assert_records_match_per_pair(d):
+def _assert_records_match_per_pair(d, tilde=None):
     """One call per block and index against the per-pair bodies,
     concatenated source-major; returns the number of classes and of pairs
     that shared a (phi0, shift) with an earlier pair."""
     data = DiagramData.build(d)
     calc = data.calc
-    tilde = diagram_algebra(d, variant=alg.TILDE)
+    tilde = tilde or diagram_algebra(d, variant=alg.TILDE)
     systems, found, shared = {}, 0, 0
     for block, lattice in _blocks(data):
         for index in INDICES:
@@ -650,6 +675,36 @@ def test_class_records_match_per_pair_on_corpus(name):
 def test_class_records_match_per_pair_on_ladder(name, k):
     found, shared = _assert_records_match_per_pair(_stabilized(name, k))
     assert found > 0 and shared > 0
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in ("unknot", "trefoil", "grid2")
+                                     for k in range(3)])
+def test_per_stratum_listing_matches_box_with_two_strata(name, k, monkeypatch):
+    # no bundled diagram has two survival strata: with a kill support (0, 1)
+    # the strata are {0} and {1}, and a class survives lambda1 lambda2 = 0
+    # exactly when it lies in one of them.  The union of the two listings
+    # must equal the box filtered by that algebra, also where both strata
+    # hold a class (n_z = 0 on marks 0 and 1)
+    from sfkit import admissibility
+
+    d = _stabilized(name, k)
+    monkeypatch.setattr(admissibility, "tilde_kill_supports", lambda d: [(0, 1)])
+    kill = tuple(int(i < 2) for i in range(d.num_marks))
+    tilde = alg.AlgebraSpec(names=tuple(f"l{i + 1}" for i in range(d.num_marks)),
+                            kill=(kill,))
+    found, _ = _assert_records_match_per_pair(d, tilde)
+    data = DiagramData.build(d)
+    for lattice in data.lattices:
+        strata = certificate_systems(lattice)
+        assert [s.stratum for s in strata] == [{0}, {1}]
+    assert found > 0 or name == "unknot" and k == 0
+    # the box holds classes through both marks, which the algebra kills
+    free = alg.AlgebraSpec(names=tilde.names)
+    through_both = [c for block, lattice in _blocks(data) for index in INDICES
+                    for x in block for y in block
+                    for c in per_pair_classes(lattice, x, y, free, index)
+                    if c.n_z[0] and c.n_z[1]]
+    assert bool(through_both) == (k > 0 or name == "grid2")
 
 
 def test_one_check_per_system_on_ladder(monkeypatch):

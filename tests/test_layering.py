@@ -67,6 +67,10 @@ def test_algebra_imports_nothing_from_sfkit():
     # the ladder benchmark worker's setup imports
     ("import sfkit.cf, sfkit.complexes, sfkit.diagram, sfkit.stabilize, sfkit.testrings",
      {"sfkit.cones", "sfkit.cli", "sfkit.surgery", "sfkit.triangle"}),
+    # the corpus reports: only the command line checks the schema, since the
+    # jsonschema import costs about three corpus benchmark passes
+    ("import sfkit.corpus, sfkit.corpuscheck\nsfkit.corpuscheck.diagram_report('unknot')",
+     {"jsonschema"}),
 ])
 def test_import_leaves_out(statement, absent):
     loaded = _run(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))")

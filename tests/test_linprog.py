@@ -460,7 +460,7 @@ def test_certificate_ranges_match_fraction_reference(name, k, monkeypatch):
     assert reached == len(gens) ** 2
     assert len(calls) == reached  # one survival stratum, one LP per shift reached
     # the generators form one block: its one stratum system serves every pair
-    systems = data.lattice_of(0).compiled("certificate", admissibility.certificate_systems)
+    systems = admissibility.certificate_systems(data.lattice_of(0))
     assert [s.stratum for s in systems] == strata
     for (ineqs, n, objective, rec), rng in calls:
         assert rec is systems[0].recording
