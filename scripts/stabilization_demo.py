@@ -25,7 +25,7 @@ def main():
     gens = dhat.generators()
     for i, x in enumerate(gens):
         for y in gens:
-            for c in enumerate_mu1_classes(data.lattice_of(i), [x], [y], data.tilde):
+            for c in enumerate_mu1_classes(data.lattice_of(i), [x], [y]):
                 print(f"  {x.label()} -> {y.label()}: {c.classification:16s}"
                       f" D={list(c.domain)} n_z={list(c.n_z)}")
 

@@ -5,8 +5,9 @@ classes, of count * lambda^{n_z(class)}; unsupported classes do not abort
 the build but taint the complex with their weight monomial, so downstream
 homology refuses coefficient rings in which that weight survives.  The
 classes of a Spin^c block come from one enumeration over its generators,
-summed per (target, source), and each distinct entry polynomial is put in
-normal form once.  ``DiagramData`` owns the per-diagram data, the block
+whose survival strata leave out the classes the algebra kills, summed per
+(target, source); each distinct entry polynomial is put in normal form once
+in the block's plain algebra, the one algebra it builds.  ``DiagramData`` owns the per-diagram data, the block
 lattices included; nothing in it refers back to its owner, so a diagram's
 data is freed by reference counting when its last user returns.
 ``diagram_algebra`` builds a diagram's boundary algebra, plain or tilde,
@@ -14,8 +15,6 @@ from its complement components.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from . import algebra as alg
 from .admissibility import NotAdmissibleError, check_s_admissible
@@ -53,9 +52,7 @@ class DiagramData:
     The row is computed once per block, at its first generator, and blocks
     with equal rows share one lattice, so its compiled systems and its
     s-admissibility report.  A diagram without generators has no blocks and
-    one lattice, whose mu row is the Euler measure alone.  ``tilde``, the
-    algebra whose normal form decides which classes survive, is built on
-    first use and shared by every block.
+    one lattice, whose mu row is the Euler measure alone.
     """
 
     def __init__(self, diagram: HeegaardDiagram, calc: DomainCalculator, homology,
@@ -90,10 +87,6 @@ class DiagramData:
         """The periodic lattice of the Spin^c block of generator ``i``."""
         return self.lattices[self.partition.classes[i][0]]
 
-    @cached_property
-    def tilde(self) -> alg.AlgebraSpec:
-        return diagram_algebra(self.diagram, variant=alg.TILDE, homology=self.homology)
-
 
 def build_cf(d: HeegaardDiagram, block_index: int = 0,
              data: DiagramData | None = None, signs=None) -> FilteredComplex:
@@ -124,11 +117,9 @@ def build_cf(d: HeegaardDiagram, block_index: int = 0,
     cosets = [data.partition.diff(i, base) for i in block]
     gradings = [gd.gr[i] for i in block]
 
-    # one enumeration for the block; survival of a monomial does not depend
-    # on the grading weights
     pos = {g: k for k, g in enumerate(members)}
     sums, taints = {}, []
-    for c in enumerate_mu1_classes(lattice, members, members, data.tilde):
+    for c in enumerate_mu1_classes(lattice, members, members):
         source, target = pos[c.source], pos[c.target]
         if not c.supported:
             taints.append(TaintRecord(source=source, target=target, weight=c.n_z))

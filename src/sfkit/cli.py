@@ -261,7 +261,7 @@ def cmd_classes(args):
     i = _index_arg("--from", args.from_gen, len(gens), "generators")
     x = gens[i]
     y = gens[_index_arg("--to", args.to_gen, len(gens), "generators")]
-    classes = enumerate_mu1_classes(data.lattice_of(i), [x], [y], data.tilde)
+    classes = enumerate_mu1_classes(data.lattice_of(i), [x], [y])
     payload = [
         {
             "domain": list(c.domain),
@@ -350,10 +350,9 @@ def cmd_complex(args):
         emit(payload, args, lines)
         return EXIT_OK
     if args.action == "d2":
-        rep = c.verify_d_squared(plain_spec=spec)
-        payload = {"ok": rep["ok"]}
-        emit(payload, args, [f"d^2 = 0 mod 2: {rep['ok']}"])
-        return EXIT_OK if rep["ok"] else EXIT_FAIL
+        ok = c.verify_d_squared()
+        emit({"ok": ok}, args, [f"d^2 = 0 mod 2: {ok}"])
+        return EXIT_OK if ok else EXIT_FAIL
     if args.action == "cone":
         from .cones import les_check, mapping_cone, multiplication_map
 
@@ -461,13 +460,24 @@ def cmd_surgery(args):
 
 
 def cmd_corpus_check(args):
+    import jsonschema
+
     from . import corpus
     from .corpuscheck import NothingCompared, run_corpus_check
 
-    # the reports skip the schema, so it is checked here on each compared diagram
+    # the reports skip the schema, so it is checked here on each compared
+    # diagram; an error in a record or a diagram names its file
     for name in corpus.corpus_names():
-        if corpus.load_expected(name) is not None:
-            read_diagram(corpus.corpus_path(name))
+        path = corpus.expected_path(name)
+        try:
+            if corpus.load_expected(name) is not None:
+                read_diagram(path := corpus.corpus_path(name))
+        except json.JSONDecodeError as e:
+            print(f"input error: {path}: {e}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        except jsonschema.ValidationError as e:
+            print(f"schema error: {path}: {e.message}", file=sys.stderr)
+            return EXIT_BAD_INPUT
     try:
         ok, lines = run_corpus_check()
     except NothingCompared as e:

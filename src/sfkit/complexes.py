@@ -154,21 +154,9 @@ class FilteredComplex:
             i, j = next(iter(residues))
             raise ComplexError("D_SQUARED_NONZERO", f"at ({i},{j})")
 
-    def verify_d_squared(self, plain_spec=None):
-        """Check d^2 = 0 mod 2 over the algebra; report residues and whether
-        they die in the plain quotient (diagnosing a tilde-vs-plain ring
-        mismatch)."""
-        residues = {
-            k: {m: c % 2 for m, c in v.items() if c % 2}
-            for k, v in self.d_squared().items()
-        }
-        residues = {k: v for k, v in residues.items() if v}
-        if not residues:
-            return {"ok": True, "residues": {}}
-        in_ideal = None
-        if plain_spec is not None:
-            in_ideal = all(not _mod2_nf(plain_spec, v) for v in residues.values())
-        return {"ok": False, "residues": residues, "residue_in_relation_ideal": in_ideal}
+    def verify_d_squared(self) -> bool:
+        """Whether d^2 = 0 mod 2 over the algebra."""
+        return not any(c % 2 for v in self.d_squared().values() for c in v.values())
 
     # -- structure ------------------------------------------------------
 
@@ -220,11 +208,6 @@ class FilteredComplex:
             taints=live_taints,
             u_grading=hom.u_grading,
         )
-
-
-def _mod2_nf(spec, e):
-    nf = spec.normal_form(e)
-    return {m: c % 2 for m, c in nf.items() if c % 2}
 
 
 # -- homology ------------------------------------------------------------------

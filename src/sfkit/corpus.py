@@ -33,8 +33,12 @@ def load_diagram(name: str) -> HeegaardDiagram:
     return HeegaardDiagram.from_json(corpus_path(name))
 
 
+def expected_path(name: str) -> str:
+    return os.path.join(corpus_dir(), "expected", f"{name}.json")
+
+
 def load_expected(name: str):
-    path = os.path.join(corpus_dir(), "expected", f"{name}.json")
+    path = expected_path(name)
     if not os.path.exists(path):
         return None
     with open(path) as fh:

@@ -17,7 +17,7 @@ from .admissibility import (
     check_strong_admissible,
     check_weak_admissible,
 )
-from .cf import DiagramData, build_cf
+from .cf import DiagramData, build_cf, diagram_algebra
 from .complexes import homology
 from .diagram import ALPHA, BETA
 from .testrings import all_zero
@@ -56,8 +56,9 @@ def diagram_report(name: str) -> dict:
     s_rep = check_s_admissible(lattice)
     strong_rep = check_strong_admissible(lattice)
     # the weak check reads only which variable images die, and under the
-    # all-zero hom every one does, so any algebra of the diagram serves
-    weak_rep = check_weak_admissible(lattice, all_zero(data.tilde))
+    # all-zero hom every one does, so the plain algebra serves
+    plain = diagram_algebra(d, homology=data.homology)
+    weak_rep = check_weak_admissible(lattice, all_zero(plain))
     out["admissible"] = {
         "s": s_rep.admissible,
         "strong": strong_rep.admissible,
@@ -174,6 +175,6 @@ def write_expected():
             "oracles": "tests/test_acceptance.py and tests/test_*.py freeze each value next to the oracle that derived it",
             "report": report,
         }
-        with open(os.path.join(directory, f"{name}.json"), "w") as fh:
+        with open(corpus_mod.expected_path(name), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -13,13 +13,20 @@ phi0 + (shift // g) step an integer domain (``PeriodicLattice.slice_base``),
 so every LP row is integral.  Behind the finiteness certificate, the classes
 are listed as the integer points over K0 of each survival stratum's polytope
 (D >= 0, n_i(D) = 0 on the stratum's marks), from rows compiled once per
-Spin^c block (``PeriodicLattice.compiled``); survival under the caller's
-algebra is still checked.
+Spin^c block (``PeriodicLattice.compiled``).
+
+The strata are the only survival rule.  The tilde algebra kills the
+boundary monomial of each positive-genus component of R+-, with exponent 1
+on each of its marks (``validate`` puts each mark in one region); for
+D >= 0 it divides lambda^{n_z(D)} exactly when n_i(D) >= 1 on every mark of
+the component.  So lambda^{n_z(D)} survives exactly when D lies in a
+stratum (``admissibility.survival_strata``), every listed class survives,
+and the enumerator takes no algebra.
 
 phi0 sees only the moved points, so pairs repeat a system (phi0, shift).  A
 call runs the certificate, the listing and the checks on a candidate (its
-Euler and corner measures with the corner guard ``is_domain``, mu = index,
-survival and shape) once per system, and every pair of the system reads the
+Euler and corner measures with the corner guard ``is_domain``, mu = index
+and shape) once per system, and every pair of the system reads the
 kept (domain, n_z, shape, count).  Within a lattice the system
 fixes what the checks read of x and y:
 
@@ -40,7 +47,6 @@ homomorphism.
 from __future__ import annotations
 
 from .admissibility import certificate_systems, finiteness_certificate
-from .algebra import AlgebraSpec
 from .diagram import Generator, HeegaardDiagram
 from .domains import (
     PeriodicLattice,
@@ -93,15 +99,15 @@ def classify(d: HeegaardDiagram, D, x: Generator, y: Generator, measures) -> tup
 
 
 def enumerate_mu1_classes(lattice: PeriodicLattice, sources, targets,
-                          tilde: AlgebraSpec, index: int = 1) -> list:
-    """Every positive class with mu = index and surviving tilde-monomial from
-    each x in ``sources`` to each y in ``targets``: by source, then target in
-    the order given, then sorted domain.  ``lattice`` is the generators'
-    periodic lattice; its calculator holds their keys, potentials and
-    connecting solves.  The targets are grouped once by (key, potential mod
-    g), the exact potential when g = 0, and x reads its own at (key(x),
-    potential(x) - index mod g).  The records of each (phi0, shift) are kept
-    for the call alone."""
+                          index: int = 1) -> list:
+    """Every positive class with mu = index in a survival stratum, that is
+    with surviving marking monomial, from each x in ``sources`` to each y in
+    ``targets``: by source, then target in the order given, then sorted
+    domain.  ``lattice`` is the generators' periodic lattice; its calculator
+    holds their keys, potentials and connecting solves.  The targets are
+    grouped once by (key, potential mod g), the exact potential when g = 0,
+    and x reads its own at (key(x), potential(x) - index mod g).  The
+    records of each (phi0, shift) are kept for the call alone."""
     calc, g = lattice.calc, lattice.mu_zero[0]
     residue = (lambda mu: mu % g) if g else (lambda mu: mu)
     groups = {}
@@ -115,7 +121,7 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, sources, targets,
             phi0 = calc.connecting(x, y)
             system = (tuple(phi0), shift)
             if system not in records:
-                records[system] = _checked_records(lattice, phi0, shift, x, y, tilde, index)
+                records[system] = _checked_records(lattice, phi0, shift, x, y, index)
             out.extend(DiskClass(domain=D, source=x, target=y, mu=index, n_z=nz,
                                  classification=cls, count=count)
                        for D, nz, cls, count in records[system])
@@ -123,11 +129,12 @@ def enumerate_mu1_classes(lattice: PeriodicLattice, sources, targets,
 
 
 def _checked_records(lattice: PeriodicLattice, phi0, shift: int, x: Generator,
-                     y: Generator, tilde: AlgebraSpec, index: int) -> list:
+                     y: Generator, index: int) -> list:
     """(domain, n_z, shape, count) of each class of the system (phi0, shift)
     at the pair (x, y), shared by every pair of the system: behind the
     certificate (NotAdmissibleError on an unbounded stratum, no class when
-    every stratum is empty), the union of each stratum's integer points."""
+    every stratum is empty), the union of each stratum's integer points,
+    each of which survives (see the module docstring)."""
     if finiteness_certificate(lattice, phi0, shift) is None:
         return []
     d, base, K0 = lattice.diagram, lattice.slice_base(phi0, shift), lattice.mu_zero[2]
@@ -137,12 +144,8 @@ def _checked_records(lattice: PeriodicLattice, phi0, shift: int, x: Generator,
     out = []
     for D in sorted(found):
         measures = maslov_measures(d, D, x, y)
-        if sum(measures) != 4 * index:
-            continue
-        nz = marked_multiplicities(d, D)
-        if not tilde.nf_monomial(nz):
-            continue
-        out.append((D, nz) + classify(d, D, x, y, measures))
+        if sum(measures) == 4 * index:
+            out.append((D, marked_multiplicities(d, D)) + classify(d, D, x, y, measures))
     return out
 
 
@@ -175,7 +178,7 @@ def niceness_report(data) -> NicenessReport:
     classes = []
     for block, lattice in zip(data.partition.blocks, data.lattices):
         gens = [data.partition.generators[i] for i in block]
-        classes.extend(enumerate_mu1_classes(lattice, gens, gens, data.tilde))
+        classes.extend(enumerate_mu1_classes(lattice, gens, gens))
     unsupported = [c for c in classes if not c.supported]
     hat_ok = all(c.supported for c in classes if all(v == 0 for v in c.n_z))
     return NicenessReport(

@@ -15,6 +15,16 @@ def component_domain(d, comp) -> list:
     return vec
 
 
+def residue_in_relation_ideal(cx, plain_spec) -> bool:
+    """Whether d^2 of ``cx`` is nonzero mod 2 and each of its entries dies
+    mod 2 in the normal form of ``plain_spec``: the diagnosis of a
+    differential written over the tilde ring that holds over the plain one."""
+    residues = [{m: c % 2 for m, c in v.items() if c % 2} for v in cx.d_squared().values()]
+    residues = [r for r in residues if r]
+    return bool(residues) and all(
+        not any(c % 2 for c in plain_spec.normal_form(r).values()) for r in residues)
+
+
 def mat_mul(A, B, ring=ZZ):
     """The matrix product A B over ``ring``."""
     n, m = len(A), len(B[0]) if B else 0

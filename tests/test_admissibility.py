@@ -162,11 +162,11 @@ def brute_force_positive_classes(d, x, y, j, bound):
 @pytest.mark.parametrize("name", ["trefoil", "genus2_pair", "grid2"])
 def test_certificate_sound_against_brute_force(name):
     # sweeping coefficients up to bound+1 finds nothing outside the
-    # enumerated list
+    # enumerated list; the sweep filters by the tilde algebra, the
+    # enumerator by the survival strata alone
     d = corpus.load_diagram(name)
     data = DiagramData.build(d)
     calc = data.calc
-    tilde = diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     for i, x in enumerate(gens):
         for y in gens:
@@ -176,7 +176,7 @@ def test_certificate_sound_against_brute_force(name):
                 bound += finiteness_certificate(data.lattice_of(i), phi0, shift) or 0
             oracle = brute_force_positive_classes(d, x, y, 1, bound)
             listed = sorted(
-                tuple(c.domain) for c in enumerate_mu1_classes(data.lattice_of(i), [x], [y], tilde)
+                tuple(c.domain) for c in enumerate_mu1_classes(data.lattice_of(i), [x], [y])
             )
             assert oracle == listed
 

@@ -322,7 +322,7 @@ def test_corpus_check_skips_beside_a_compared_diagram(tmp_path, monkeypatch):
 
 def test_corpus_check_rejects_a_malformed_diagram(tmp_path, monkeypatch, capsys):
     # a compared diagram that fails the schema exits 2 with the schema error,
-    # not with a KeyError traceback from the report
+    # which names the file, not with a KeyError traceback from the report
     import shutil
 
     (tmp_path / "bad.json").write_text('{"alpha": []}')
@@ -332,7 +332,29 @@ def test_corpus_check_rejects_a_malformed_diagram(tmp_path, monkeypatch, capsys)
     monkeypatch.setenv("SFK_CORPUS", str(tmp_path))
     code, out = run("--json", "corpus-check")
     assert (code, out) == (2, "")
-    assert capsys.readouterr().err == "schema error: 'beta' is a required property\n"
+    assert capsys.readouterr().err == (
+        f"schema error: {tmp_path / 'bad.json'}: 'beta' is a required property\n")
+
+
+@pytest.mark.parametrize("broken, message", [
+    ("bad.json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("expected/bad.json", "Expecting value: line 1 column 12 (char 11)"),
+], ids=["diagram", "record"])
+def test_corpus_check_names_a_file_that_is_not_json(tmp_path, monkeypatch, capsys,
+                                                    broken, message):
+    # a compared diagram or an expected record that is not JSON exits 2 with
+    # an input error that names the file
+    import shutil
+
+    (tmp_path / "expected").mkdir()
+    shutil.copy(corpus_path("unknot"), tmp_path / "bad.json")
+    shutil.copy(os.path.join(os.path.dirname(corpus_path("unknot")), "expected", "unknot.json"),
+                tmp_path / "expected" / "bad.json")
+    (tmp_path / broken).write_text('{' if broken == "bad.json" else '{"report": ')
+    monkeypatch.setenv("SFK_CORPUS", str(tmp_path))
+    code, out = run("--json", "corpus-check")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"input error: {tmp_path / broken}: {message}\n"
 
 
 def test_complex_build_refuses_a_diagram_that_is_not_s_admissible(capsys):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import residue_in_relation_ideal
 
 from sfkit import algebra as alg
 from sfkit import corpus, snf
@@ -16,7 +17,9 @@ from sfkit.cones import (
     piecewise_homology,
     quasi_iso_over,
 )
+from sfkit.diskcount import niceness_report
 from sfkit.snf import QRing, ZRing, ZpRing
+from sfkit.stabilize import stabilize_diagram
 from sfkit.testrings import (
     AlgebraTarget,
     all_zero,
@@ -79,8 +82,7 @@ def test_grid2_complex_and_d_squared_diagnostics():
     c = build_cf(d, 0)
     assert c.entries[(0, 1)] == {(1, 0, 0, 0): 1, (0, 0, 0, 1): 1}
     assert c.entries[(1, 0)] == {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1}
-    rep = c.verify_d_squared(plain_spec=c.algebra)
-    assert rep["ok"]
+    assert c.verify_d_squared()
     # the same differential over the tilde ring leaves the residue
     # lambda^+ + lambda^-, which lies in the relation ideal
     tilde = diagram_algebra(d, variant=alg.TILDE)
@@ -92,9 +94,8 @@ def test_grid2_complex_and_d_squared_diagnostics():
         gradings=[None] * c.rank,
         entries=c.entries,
     )
-    rep2 = c_tilde.verify_d_squared(plain_spec=plain)
-    assert not rep2["ok"]
-    assert rep2["residue_in_relation_ideal"] is True
+    assert not c_tilde.verify_d_squared()
+    assert residue_in_relation_ideal(c_tilde, plain)
 
 
 def test_perturbation_detected():
@@ -110,8 +111,7 @@ def test_perturbation_detected():
         gradings=c.gradings,
         entries=broken,
     )
-    rep = c2.verify_d_squared(plain_spec=c.algebra)
-    assert not rep["ok"]
+    assert not c2.verify_d_squared()
 
 
 def test_filtration_axiom_checked():
@@ -301,9 +301,8 @@ def test_euler_characteristic_invariance_under_field_homs():
         assert total == 0
 
 
-def test_build_cf_builds_each_algebra_once(monkeypatch):
-    # one graded plain algebra per build_cf, and one tilde algebra per
-    # DiagramData, which both blocks of torus_lens share
+def _counting_builds(monkeypatch):
+    """The variant of each algebra built from now on."""
     calls = []
     build = alg.build_algebra
 
@@ -312,12 +311,33 @@ def test_build_cf_builds_each_algebra_once(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(alg, "build_algebra", counting)
+    return calls
+
+
+def test_build_cf_builds_each_algebra_once(monkeypatch):
+    # one graded plain algebra per build_cf and no tilde algebra: the
+    # survival strata, not a normal form, decide which classes survive
+    calls = _counting_builds(monkeypatch)
     d = corpus.load_diagram("torus_lens")
     data = DiagramData.build(d)
     assert len(data.partition.blocks) == 2
     for bi in range(2):
         build_cf(d, bi, data=data)
-    assert sorted(calls) == sorted([alg.PLAIN, alg.PLAIN, alg.TILDE])
+    assert calls == [alg.PLAIN, alg.PLAIN]
+
+
+def test_stabilized_trefoil_builds_no_tilde_algebra(monkeypatch):
+    # on trefoil+1, DiagramData.build and build_cf build exactly one algebra
+    # per block, the plain one, and niceness_report builds none
+    calls = _counting_builds(monkeypatch)
+    d = stabilize_diagram(corpus.load_diagram("trefoil"), 0)
+    data = DiagramData.build(d)
+    assert calls == []
+    complexes = [build_cf(d, bi, data=data) for bi in range(len(data.partition.blocks))]
+    assert calls == [alg.PLAIN] * len(data.partition.blocks)
+    assert sum(len(c.entries) + len(c.taints) for c in complexes) > 0
+    assert niceness_report(data).total_classes > 0
+    assert calls == [alg.PLAIN] * len(data.partition.blocks)
 
 
 KNOT2 = alg.build_algebra(alg.knot_components(2), 4)  # one relation, 4 variables

@@ -43,12 +43,11 @@ from sfkit.stabilize import stabilize_diagram
 def classes_table(name):
     d = corpus.load_diagram(name)
     data = DiagramData.build(d)
-    tilde = diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     out = {}
     for i, x in enumerate(gens):
         for j, y in enumerate(gens):
-            cls = enumerate_mu1_classes(data.lattice_of(i), [x], [y], tilde)
+            cls = enumerate_mu1_classes(data.lattice_of(i), [x], [y])
             if cls:
                 out[(i, j)] = [(tuple(c.domain), c.classification, c.n_z) for c in cls]
     return out
@@ -150,7 +149,8 @@ def test_niceness_reports():
 # The reference is the enumerator the sliced one replaced: a per-region
 # certificate bound, a bounding box from one linear_range per lattice
 # coordinate, every point of the box tested for D >= 0, mu = index and a
-# surviving tilde-monomial.
+# surviving tilde-monomial.  The enumerator takes no algebra, so its
+# survival strata must drop exactly what the references' algebra kills.
 
 
 def reference_certificate_bound(d, x, y, j, lattice, phi0):
@@ -275,7 +275,7 @@ def _assert_matches_reference(d, indices=(1,), tilde=None, data=None, tally=None
                 solved.clear()
                 # DiskClass equality covers domain, n_z, classification,
                 # count, mu and both generators; list equality the order
-                assert enumerate_mu1_classes(lattice, block, block, tilde, index) == ref
+                assert enumerate_mu1_classes(lattice, block, block, index) == ref
                 found += len(ref)
                 passing = []
                 for x in block:
@@ -371,7 +371,7 @@ def test_residue_test_and_empty_certificate_list_no_box(name, k, residue, empty,
     gens = d.generators()
     (lattice,) = {data.lattice_of(i) for i in range(len(gens))}
     strata = len(certificate_systems(lattice))
-    classes = enumerate_mu1_classes(lattice, gens, gens, tilde)
+    classes = enumerate_mu1_classes(lattice, gens, gens)
     made = len(lps), len(listings)
     assert classes == [c for x in gens for y in gens
                        for c in reference_mu1_classes(d, x, y, tilde, lattice)]
@@ -407,7 +407,6 @@ def test_residue_failure_makes_no_solve_and_no_index(monkeypatch):
     gens = d.generators()
     for g in gens:
         calc.potential(g)
-    tilde = diagram_algebra(d, variant=alg.TILDE)
     lattice = data.lattice_of(0)
     calls = []
     connecting = DomainCalculator.connecting
@@ -415,7 +414,7 @@ def test_residue_failure_makes_no_solve_and_no_index(monkeypatch):
                         lambda *args: calls.append(args[1:]) or connecting(*args))
     monkeypatch.setattr(domains, "maslov_index",
                         lambda *args: calls.append("maslov_index") or maslov_index(*args))
-    enumerate_mu1_classes(lattice, gens, gens, tilde)
+    enumerate_mu1_classes(lattice, gens, gens)
     passing = [(x, y) for x in gens for y in gens
                if not (1 - calc.potential(x) + calc.potential(y)) % math.gcd(*lattice.mu)]
     assert calls == passing
@@ -431,7 +430,6 @@ def test_sources_and_targets_of_different_blocks_give_no_class(monkeypatch):
         data = DiagramData.build(d)
         for g in d.generators():
             data.calc.potential(g)
-        tilde = diagram_algebra(d, variant=alg.TILDE)
         blocks, lattices = zip(*_blocks(data))
         assert len(blocks) == 2
         calls = []
@@ -440,7 +438,7 @@ def test_sources_and_targets_of_different_blocks_give_no_class(monkeypatch):
                             lambda *args: calls.append(args[1:]) or connecting(*args))
         for (one, other), lattice in zip((blocks, blocks[::-1]), lattices):
             for index in INDICES:
-                assert enumerate_mu1_classes(lattice, one, other, tilde, index) == []
+                assert enumerate_mu1_classes(lattice, one, other, index) == []
         assert calls == []
         monkeypatch.undo()
 
@@ -471,7 +469,7 @@ def test_residue_test_answers_before_admissibility():
                     continue
                 odd += 1
                 lattice = _lattice(data, x)
-                assert enumerate_mu1_classes(lattice, [x], [y], tilde, index) == []
+                assert enumerate_mu1_classes(lattice, [x], [y], index) == []
                 assert finiteness_certificate(lattice, phi0, shift) is None
                 if shift < 0:
                     continue
@@ -484,7 +482,7 @@ def test_residue_test_answers_before_admissibility():
     lattice = data.lattice_of(0)
     for _ in range(2):
         with pytest.raises(NotAdmissibleError):
-            enumerate_mu1_classes(lattice, gens[:1], gens[:1], tilde, 0)
+            enumerate_mu1_classes(lattice, gens[:1], gens[:1], 0)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "grid2", "special_hs", "sphere_split"])
@@ -494,14 +492,19 @@ def test_sliced_enumerator_matches_reference_across_indices(name):
     assert _assert_matches_reference(corpus.load_diagram(name), INDICES) > 0
 
 
-def test_sliced_enumerator_keeps_the_survival_check():
-    # the trefoil's four classes have n_z = (1, 0) or (0, 1); killing a
-    # variable drops the classes through its mark
+def test_sliced_enumerator_keeps_the_survival_check(monkeypatch):
+    # the trefoil's four classes have n_z = (1, 0) or (0, 1).  With a
+    # positive-genus component through mark 1, or one through each mark,
+    # the strata force those marks to 0: the classes through them drop, as
+    # the reference's filter by the matching algebra drops them
+    from sfkit import admissibility
+
     d = corpus.load_diagram("trefoil")
-    killing = lambda *kill: alg.AlgebraSpec(names=("l1", "l2"), kill=kill)
-    assert _assert_matches_reference(d, tilde=killing()) == 4
-    assert _assert_matches_reference(d, tilde=killing((1, 0))) == 2
-    assert _assert_matches_reference(d, tilde=killing((1, 0), (0, 1))) == 0
+    for supports, found in [((), 4), (((0,),), 2), (((0,), (1,)), 0)]:
+        monkeypatch.setattr(admissibility, "tilde_kill_supports", lambda d: list(supports))
+        kill = tuple(tuple(int(i in s) for i in range(2)) for s in supports)
+        tilde = alg.AlgebraSpec(names=("l1", "l2"), kill=kill)
+        assert _assert_matches_reference(d, tilde=tilde) == found
 
 
 def test_constant_index_enumerates_whole_box_or_nothing():
@@ -519,7 +522,7 @@ def test_constant_index_enumerates_whole_box_or_nothing():
             tilde = diagram_algebra(d, variant=alg.TILDE)
             for index in range(-2, 3):
                 lattice = _lattice(data, x)
-                classes = enumerate_mu1_classes(lattice, [x], [y], tilde, index)
+                classes = enumerate_mu1_classes(lattice, [x], [y], index)
                 if index != mu0:
                     assert classes == []
                 assert classes == reference_mu1_classes(d, x, y, tilde, lattice, index)
@@ -553,7 +556,7 @@ def test_unbounded_box_raises():
     assert finiteness_certificate(lattice, calc.connecting(gens[1], gens[0]), shift) is not None
     for _ in range(2):
         with pytest.raises(linprog.Unbounded):
-            enumerate_mu1_classes(lattice, [gens[1]], [gens[0]], tilde)
+            enumerate_mu1_classes(lattice, [gens[1]], [gens[0]])
     with pytest.raises(RuntimeError, match="certificate box is unbounded"):
         reference_mu1_classes(d, gens[1], gens[0], tilde, lattice)
 
@@ -563,7 +566,6 @@ def test_fresh_calculator_solves_its_systems_again(monkeypatch):
     # second call on one calculator makes the same LPs as the first, and so
     # does a call on a new calculator for the same diagram
     d = _stabilized("trefoil", 1)
-    tilde = diagram_algebra(d, variant=alg.TILDE)
     gens = d.generators()
     lps = []
     spied = linprog.linear_range
@@ -572,7 +574,7 @@ def test_fresh_calculator_solves_its_systems_again(monkeypatch):
 
     def one_call(data):
         before = len(lps)
-        classes = enumerate_mu1_classes(data.lattice_of(0), gens, gens, tilde)
+        classes = enumerate_mu1_classes(data.lattice_of(0), gens, gens)
         return classes, len(lps) - before
 
     data = DiagramData.build(d)
@@ -647,7 +649,7 @@ def _assert_records_match_per_pair(d, tilde=None):
             ref = [c for x in block for y in block
                    for c in per_pair_classes(lattice, x, y, tilde, index)]
             # DiskClass equality covers every field, list equality the order
-            assert enumerate_mu1_classes(lattice, block, block, tilde, index) == ref
+            assert enumerate_mu1_classes(lattice, block, block, index) == ref
             found += len(ref)
             for x in block:
                 for y in block:
@@ -671,7 +673,7 @@ def test_class_records_match_per_pair_on_corpus(name):
 
 @pytest.mark.parametrize("name, k", [("unknot", 1), ("unknot", 2), ("trefoil", 1),
                                      ("trefoil", 2), ("grid2", 0), ("grid2", 1),
-                                     ("grid2", 2)])
+                                     ("grid2", 2), ("special_hs", 1), ("special_hs", 2)])
 def test_class_records_match_per_pair_on_ladder(name, k):
     found, shared = _assert_records_match_per_pair(_stabilized(name, k))
     assert found > 0 and shared > 0
@@ -709,8 +711,9 @@ def test_per_stratum_listing_matches_box_with_two_strata(name, k, monkeypatch):
 
 def test_one_check_per_system_on_ladder(monkeypatch):
     # the six ladder complexes check 72 candidates, one per (system,
-    # candidate), where one check per pair made 176; build_cf normalizes
-    # one entry polynomial once and gives each entry its own dict
+    # candidate), where one check per pair made 176, and no candidate takes a
+    # normal form (72 more did when each took a survival test); build_cf
+    # normalizes one entry polynomial once and gives each entry its own dict
     measured, normalized = [], []
     monkeypatch.setattr(diskcount, "maslov_measures",
                         lambda *args: measured.append(args) or maslov_measures(*args))
@@ -723,30 +726,25 @@ def test_one_check_per_system_on_ladder(monkeypatch):
             cx = build_cf(_stabilized(name, k))
             entries += cx.entries.values()
     assert len(measured) == 72
-    assert len(normalized) == 88
+    assert len(normalized) == 16
     assert len(entries) == 48 and len({id(e) for e in entries}) == 48
 
 
-def test_records_are_kept_per_index_and_algebra():
-    # a record answers only its own call's (phi0, shift, index) and survival
-    # algebra.  A potential off by one at x poses the trefoil's bigon pair at
-    # index 2 with the shift of index 1, so another mu(phi0): the index-1
-    # record must not answer it.  One lattice serves two algebras that kill
-    # different marks
+def test_records_are_kept_per_index():
+    # a record answers only its own call's (phi0, shift, index).  A potential
+    # off by one at x poses the trefoil's bigon pair at index 2 with the
+    # shift of index 1, so another mu(phi0): the index-1 record must not
+    # answer it
     d = corpus.load_diagram("trefoil")
     data = DiagramData.build(d)
     calc = data.calc
     x, y = d.generators()[1], d.generators()[0]
     lattice = data.lattice_of(1)
-    killing = lambda *kill: alg.AlgebraSpec(names=("l1", "l2"), kill=kill)
-    free, kill_l2 = killing(), killing((0, 1))
-    assert [c.n_z for c in enumerate_mu1_classes(lattice, [x], [y], free)] == [(0, 1)]
-    assert enumerate_mu1_classes(lattice, [x], [y], kill_l2) == []
-    assert len(enumerate_mu1_classes(lattice, [x], [y], free)) == 1
+    assert [c.n_z for c in enumerate_mu1_classes(lattice, [x], [y])] == [(0, 1)]
     potential = calc.potential
     calc.potential = lambda g: potential(g) + (g == x)
-    assert enumerate_mu1_classes(lattice, [x], [y], free, 2) == []
-    assert per_pair_classes(lattice, x, y, free, 2) == []
+    assert enumerate_mu1_classes(lattice, [x], [y], 2) == []
+    assert per_pair_classes(lattice, x, y, diagram_algebra(d, variant=alg.TILDE), 2) == []
 
 
 def test_records_are_kept_per_shift_within_a_call():
@@ -762,10 +760,10 @@ def test_records_are_kept_per_shift_within_a_call():
     x0, x1, x2, x3 = d.generators()[:4]
     lattice = data.lattice_of(0)
     assert calc.connecting(x0, x1) == calc.connecting(x2, x3)
-    assert enumerate_mu1_classes(lattice, [x2], [x3], tilde) != []
+    assert enumerate_mu1_classes(lattice, [x2], [x3]) != []
     g, potential = lattice.mu_zero[0], calc.potential
     calc.potential = lambda gen: potential(gen) + g * (gen == x2)
-    classes = enumerate_mu1_classes(lattice, [x0, x2], [x1, x3], tilde)
+    classes = enumerate_mu1_classes(lattice, [x0, x2], [x1, x3])
     assert classes == [c for x in (x0, x2) for y in (x1, x3)
                        for c in per_pair_classes(lattice, x, y, tilde)]
     assert classes and all(c.source == x0 for c in classes)
